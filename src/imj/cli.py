@@ -263,6 +263,8 @@ def _cmd_chart(cfg: RunConfig, args, filecfg) -> int:
 def _cmd_abutment(cfg: RunConfig, args, filecfg) -> int:
     t_min = _pick(args, filecfg, "t-min", 0, int)
     t_max = _pick(args, filecfg, "t-max", 40, int)
+    if t_min > t_max:
+        raise WindowError(f"empty degree window {t_min}..{t_max}")
     report = abutment(cfg.prime, (t_min, t_max), cfg.precision)
     if cfg.fmt == "json":
         doc = {
@@ -281,6 +283,8 @@ def _cmd_abutment(cfg: RunConfig, args, filecfg) -> int:
 def _cmd_cohomology(cfg: RunConfig, args, filecfg) -> int:
     k_min = _pick(args, filecfg, "k-min", -50, int)
     k_max = _pick(args, filecfg, "k-max", 50, int)
+    if k_min > k_max:
+        raise WindowError(f"empty character window {k_min}..{k_max}")
     profile = h1_rational_profile((k_min, k_max), cfg.prime, cfg.precision)
     if cfg.fmt == "json":
         doc = {

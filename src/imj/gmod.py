@@ -2,8 +2,15 @@
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
 needs no Euclidean steps, only valuation pivoting.  All the homological
-bookkeeping downstream (kernels, cokernels, spectral sequence pages)
-reduces to the SNF computed here.
+bookkeeping downstream reduces to the SNF computed here: kernels,
+cokernels and `homology` through subgroup arithmetic, and the spectral
+sequence pages of `ssq.run` directly, from one SNF of the boundary per
+degree.
+
+`sub_intersect`, `quotient_presentation` and `QuotPres.express`/
+`generator` serve only the test oracle `ssq.FilteredComplexSS`.  They stay
+importable from `imj.gmod` because the benchmark tracer
+(perfbench/tracing.py) looks up every traced name when it installs.
 
 A factor with exponent N ("saturated") is indistinguishable mod p^N from
 a free Z_p summand; such factors carry a flag and reports print them as
@@ -260,10 +267,6 @@ def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
                     return None
                 Y[i][j] = cij // p**v
     return V * ModMatrix(Y, p, N)
-
-
-def sub_sum(G1: ModMatrix, G2: ModMatrix) -> ModMatrix:
-    return G1.hstack(G2)
 
 
 def sub_intersect(G1: ModMatrix, G2: ModMatrix) -> ModMatrix:

@@ -1,15 +1,35 @@
 """Spectral sequence of the two-term complex filtered by powers of p.
 
-Pages are computed from the generic filtered-complex subquotients
+Engine.  The filtration F^j = p^j M is stable under every automorphism
+of M, so the Smith normal form U*bd*V = diag(p^v) of the boundary
+bd = 1 - psi is an isomorphism of filtered complexes, and in each degree
+the spectral sequence splits into pieces Z/p^N --p^v--> Z/p^N.  `run`
+takes one SNF per degree and reads every page from v alone.  On internal
+page m (label r = m + 1):
+
+    (f, 0) survives  iff  m <= v  or  f >= N - v
+    (f, 1) survives  iff  f < v   or  m <= v
+    d_m : (f, 0) -> (f + m, 1)  fires iff  v = m  and  f + m < N
+
+with coefficient (bd / p^v) mod p.  Nothing about the closed-form answer
+enters the engine: v comes out of the SNF.  `run` covers rank-1 degrees
+(the Lubin-Tate module) and raises RuntimeError on a wider one.
+
+Oracle.  `FilteredComplexSS` computes the same pages from the generic
+filtered-complex subquotients
 
     E_m^{f,0} = (F^f n bd^{-1}F^{f+m}) / (F^{f+1} n bd^{-1}F^{f+m})
     E_m^{f,1} = F^f / (F^{f+1} + F^f n bd(F^{max(0,f-m+1)}))
 
-with F^j = p^j, using exact subgroup arithmetic over Z/p^N; nothing about
-the closed-form answer enters the engine.  Page labels follow the indexing
-in which the homology of the associated graded is called E_2, so the label
-r page carries the subquotients of internal index m = r - 1, and a
-differential labeled d_r shifts filtration by exactly r.
+with exact subgroup arithmetic over Z/p^N.  No production code calls it;
+the tests compare `run` against it.  It stays importable from `imj.ssq`
+because the benchmark tracer (perfbench/tracing.py) looks up its
+`piece` and `induced` methods by name when it installs.
+
+Page labels follow the indexing in which the homology of the associated
+graded is called E_2, so the label r page carries the subquotients of
+internal index m = r - 1, and a differential labeled d_r shifts
+filtration by exactly r.
 
 Truncation honesty: mod p^N the filtration dies at level N, so in a degree
 whose boundary has valuation v the classes of filtration f >= N - v can
@@ -20,8 +40,8 @@ and the abutment comparison.
 
 from __future__ import annotations
 
-from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
-                   sub_intersect, sub_preimage, sub_sum)
+from .gmod import (FgModule, ModMatrix, QuotPres, diagonal_valuations, snf,
+                   quotient_presentation, sub_intersect, sub_preimage)
 from .grpcoh import CohomologyReport, PsiModule
 from .padic import PrecisionError, int_valuation, smallest_primitive_root
 
@@ -134,6 +154,7 @@ def e2_page(p: int, window: tuple[int, int], fmax: int) -> set[ChartClass]:
 class FilteredComplexSS:
     """Page subquotients of the filtered two-term complex of a PsiModule.
 
+    The independent oracle for `run`, from generic subgroup arithmetic.
     Pieces are cached by (m, t, f, c) with m the internal page index
     (m = 1 is the homology of the associated graded)."""
 
@@ -173,10 +194,10 @@ class FilteredComplexSS:
         else:
             num = self.filtration(t, f)
             hit = bd * self.filtration(t, max(0, f - m + 1))
-            den = sub_sum(self.filtration(t, f + 1),
-                          sub_intersect(num, hit))
+            den = self.filtration(t, f + 1).hstack(sub_intersect(num, hit))
         pres = quotient_presentation(num, den)
-        assert all(e == 1 for e in pres.exponents), "page piece not p-torsion"
+        if any(e != 1 for e in pres.exponents):
+            raise RuntimeError(f"page piece {key} is not p-torsion")
         self._pres[key] = pres
         return pres
 
@@ -200,7 +221,9 @@ class FilteredComplexSS:
                 x = src.generator(i)
                 y = bd * ModMatrix([[v] for v in x], p, self.precision)
                 coords = tgt.express(y.column(0))
-                assert coords is not None, "differential left the target piece"
+                if coords is None:
+                    raise RuntimeError(f"d_{m} in degree t={t} left the "
+                                       f"target piece at f={f + m}")
                 for jdx, coeff in enumerate(coords):
                     if coeff % p:
                         out.append((f, i, jdx, coeff % p))
@@ -261,7 +284,8 @@ class RunResult:
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     """Run the spectral sequence for Z_p[u^{+-1}] over an internal-degree
-    window at precision N.
+    window at precision N, from one SNF of bd = 1 - psi per degree (see
+    the module docstring for how pages and differentials follow from v).
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
     so each differential closes strictly below the precision horizon."""
@@ -282,38 +306,39 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
                     f"degree t={t} needs N >= {2 + vk}, have {N}")
             vmax = max(vmax, vk)
     module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
-    ss = FilteredComplexSS(module)
-    live = {}
+    vals: dict[int, int] = {}
+    units: dict[int, int] = {}
     for t in ts:
-        live[t] = any(ss.dim(1, t, f, c) for f in range(N) for c in (0, 1))
+        mat = module.matrix(t)
+        if mat.rows != 1:
+            raise RuntimeError(f"degree t={t} has rank {mat.rows}; run "
+                               f"handles rank-1 degrees only")
+        bd = ModMatrix.identity(1, p, N) - mat
+        v = diagonal_valuations(snf(bd)[1])[0]
+        vals[t] = v
+        units[t] = bd.data[0][0] // p**v % p
 
     pages: dict[int, list[ChartClass]] = {}
     records: list[DifferentialRecord] = []
     for m in range(1, vmax + 2):
         classes = []
         for t in ts:
-            if not live[t]:
-                continue
-            k = t // per
+            v, k = vals[t], t // per
             for f in range(N):
-                for c in (0, 1):
-                    d = ss.dim(m, t, f, c)
-                    assert d <= 1, "rank-1 degree with a fat page piece"
-                    if d:
-                        classes.append(ChartClass.monomial(p, k, f, c))
-            for f, _i, _j, coeff in ss.induced(m, t):
-                records.append(DifferentialRecord(
-                    m, ChartClass.monomial(p, k, f, 0),
-                    ChartClass.monomial(p, k, f + m, 1), coeff))
+                if m <= v or f >= N - v:
+                    classes.append(ChartClass.monomial(p, k, f, 0))
+                if f < v or m <= v:
+                    classes.append(ChartClass.monomial(p, k, f, 1))
+            if v == m:
+                for f in range(N - m):
+                    records.append(DifferentialRecord(
+                        m, ChartClass.monomial(p, k, f, 0),
+                        ChartClass.monomial(p, k, f + m, 1), units[t]))
         pages[m + 1] = classes
 
     final = pages[max(pages)]
-    artifacts = []
-    for cl in final:
-        if cl.c == 0 and cl.t != 0:
-            v = ss.boundary(cl.t).entry_valuation(0, 0)
-            if cl.f >= N - v:
-                artifacts.append(cl)
+    artifacts = [cl for cl in final
+                 if cl.c == 0 and cl.t != 0 and cl.f >= N - vals[cl.t]]
     skip = set(artifacts)
     e_inf = [cl for cl in final if cl not in skip]
     return RunResult(p, N, (ts[0], ts[-1]), pages, records, e_inf, artifacts)
@@ -385,5 +410,7 @@ def complete_convergence_probe(run_output, bidegree):
         seq.append([cl for cl in run_output.pages[r]
                     if cl.c == s and cl.t == t])
     for earlier, later in zip(seq, seq[1:]):
-        assert len(later) <= len(earlier), "pages grew: engine bug"
+        if len(later) > len(earlier):
+            raise RuntimeError(f"pages grew at bidegree {bidegree}: "
+                               f"engine bug")
     return (seq[-1] if seq else []), False

@@ -241,6 +241,17 @@ def test_window_failure_exits_3(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["abutment", "--t-min", "10", "--t-max", "0"],
+    ["cohomology", "--k-min", "5", "--k-max", "1"],
+])
+def test_inverted_window_exits_3(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 3
+    assert out == ""
+    assert "window" in err
+
+
 def test_bad_prime_rejected(capsys):
     for bad in ("4", "9", "2"):
         rc, _, err = run_cli(["e2", "-p", bad], capsys)

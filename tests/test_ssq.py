@@ -3,14 +3,17 @@
 The closed form is the oracle: in internal degree t = 2(p-1)k with k != 0
 the single differential is d_v(b^j v1^k) = zeta b^{j+v} v1^k with
 v = 1 + v_p(k), for every j with j + v < N.  The engine must rediscover
-this from subgroup arithmetic alone.
+this from one Smith normal form per degree.  The generic subquotient
+engine `FilteredComplexSS` is a second, independent oracle.
 """
 
 import pytest
 
-from imj.grpcoh import abutment
+from imj.gmod import ModMatrix
+from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
-from imj.ssq import (ChartClass, abutment_check, complete_convergence_probe,
+from imj.ssq import (ChartClass, DifferentialRecord, FilteredComplexSS,
+                     RunResult, abutment_check, complete_convergence_probe,
                      e2_page, run)
 
 
@@ -208,3 +211,98 @@ def test_json_document_shape():
     d0 = doc["differentials"][0]
     assert list(d0) == ["r", "source", "target"]
     assert isinstance(d0["source"], str)
+
+
+def oracle_run(p, window, N):
+    """Reference for `run`: the same window guard, then pages,
+    differentials and artifacts from the generic page pieces of
+    FilteredComplexSS."""
+    t_min, t_max = window
+    start = t_min + (t_min % 2)
+    ts = list(range(start, t_max + 1, 2))
+    per = 2 * p - 2
+    vmax = 0
+    for t in ts:
+        if t % per == 0 and t != 0:
+            vk = 1 + int_valuation(abs(t) // per, p, N)
+            if N < 2 + vk:
+                raise PrecisionError(
+                    f"degree t={t} needs N >= {2 + vk}, have {N}")
+            vmax = max(vmax, vk)
+    ss = FilteredComplexSS(PsiModule.lubin_tate(p, N, ts[0], ts[-1]))
+    live = {t: any(ss.dim(1, t, f, c) for f in range(N) for c in (0, 1))
+            for t in ts}
+    pages, records = {}, []
+    for m in range(1, vmax + 2):
+        classes = []
+        for t in ts:
+            if not live[t]:
+                continue
+            k = t // per
+            for f in range(N):
+                for c in (0, 1):
+                    d = ss.dim(m, t, f, c)
+                    assert d <= 1
+                    if d:
+                        classes.append(ChartClass.monomial(p, k, f, c))
+            for f, _i, _j, coeff in ss.induced(m, t):
+                records.append(DifferentialRecord(
+                    m, ChartClass.monomial(p, k, f, 0),
+                    ChartClass.monomial(p, k, f + m, 1), coeff))
+        pages[m + 1] = classes
+    final = pages[max(pages)]
+    artifacts = [cl for cl in final if cl.c == 0 and cl.t != 0
+                 and cl.f >= N - ss.boundary(cl.t).entry_valuation(0, 0)]
+    e_inf = [cl for cl in final if cl not in set(artifacts)]
+    return RunResult(p, N, (ts[0], ts[-1]), pages, records, e_inf, artifacts)
+
+
+def _outcome(engine, p, window, N):
+    """Everything a run shows, in order, or the text of its PrecisionError."""
+    def row(cl):
+        return (cl.name, cl.t, cl.f, cl.c)
+    try:
+        out = engine(p, window, N)
+    except PrecisionError as exc:
+        return f"PrecisionError: {exc}"
+    return ([(r, [row(cl) for cl in out.pages[r]]) for r in out.pages],
+            [(rec.r, row(rec.source), row(rec.target), rec.coefficient)
+             for rec in out.differentials],
+            [row(cl) for cl in out.e_infinity],
+            [row(cl) for cl in out.artifacts],
+            out.window)
+
+
+def _oracle_windows(p, N):
+    per = 2 * p - 2
+    return [(0, 0),                          # the t = 0 column alone
+            (per * p, per * p),              # k = p, so v_p(k) = 1
+            (-per, per),                     # straddles 0: k = -1, 0, 1
+            (per * p**(N - 2),) * 2]         # needs N + 1: PrecisionError
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("N", [4, 5, 6, 8, 10])
+def test_run_matches_subquotient_oracle(p, N):
+    for window in _oracle_windows(p, N):
+        assert (_outcome(run, p, window, N)
+                == _outcome(oracle_run, p, window, N)), (p, N, window)
+    assert _outcome(run, p, _oracle_windows(p, N)[-1], N).startswith(
+        "PrecisionError")
+
+
+def test_run_refuses_a_wider_degree(monkeypatch):
+    def rank_two(p, N, t_min, t_max):
+        mat = ModMatrix([[1 + p, 0], [0, 1]], p, N)
+        return PsiModule({0: mat}, p, N)
+
+    monkeypatch.setattr(PsiModule, "lubin_tate", staticmethod(rank_two))
+    with pytest.raises(RuntimeError, match="rank 2"):
+        run(3, (0, 0), 4)
+
+
+def test_convergence_probe_refuses_growing_pages():
+    zeta = ChartClass.monomial(3, 1, 0, 1)
+    grown = RunResult(3, 4, (4, 4), {2: [], 3: [zeta]}, [], [zeta], [])
+    with pytest.raises(RuntimeError, match="pages grew"):
+        complete_convergence_probe(grown, (1, 4))

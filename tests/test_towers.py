@@ -135,6 +135,17 @@ def test_stages_match_ssq_through_page_6():
         assert got == t.stage_support(r) & window
 
 
+@pytest.mark.parametrize("p, kmax", [(3, 7), (5, 5)])
+def test_ssq_stage_matches_moore_supports_past_the_window(p, kmax):
+    tower = moore_example(p)
+    for r in range(2, 9):
+        got = ssq_stage(p, r, kmax)
+        assert got == frozenset(k for k in range(kmax + 1) if k >= r - 2)
+        if r <= 7:
+            assert (frozenset(k for k in got if k < tower.width)
+                    == tower.stage_support(r))
+
+
 def test_ssq_stage_other_prime():
     assert ssq_stage(5, 3, kmax=2) == frozenset({1, 2})
     assert ssq_stage(5, 2, kmax=2) == frozenset({0, 1, 2})
