@@ -169,9 +169,15 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
 
     Valuation pivoting: the entry of minimal valuation in the remaining
-    block becomes the pivot (ties row-major), its unit part is divided out,
-    and the row/column are cleared by exact division by p^v.  Cleared
-    entries keep valuation >= v, so the diagonal comes out sorted.
+    block becomes the pivot (ties row-major, so the scan stops at the
+    first unit), its unit part is divided out, and the row/column are
+    cleared by exact division by p^v.  Cleared entries keep valuation
+    >= v, so the diagonal comes out sorted.
+
+    Once the rows below the pivot are cleared, column k of the work matrix
+    is zero off the pivot p^v, so the column operations change only row k
+    there, and every entry of that row is a multiple of p^v: they are
+    applied to V alone and row k is zeroed.
     """
     p, N = A.prime, A.precision
     pN = p**N
@@ -182,11 +188,16 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     for k in range(min(r, c)):
         best, bi, bj = N, -1, -1
         for i in range(k, r):
+            row = M[i]
             for j in range(k, c):
-                if M[i][j]:
-                    v = int_valuation(M[i][j], p, N)
+                if row[j]:
+                    v = int_valuation(row[j], p, N)
                     if v < best:
                         best, bi, bj = v, i, j
+                        if v == 0:
+                            break
+            if best == 0:
+                break
         if bi < 0:
             break
         v = best
@@ -208,13 +219,14 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
                 q = M[i][k] // pv
                 M[i] = [(x - q * y) % pN for x, y in zip(M[i], M[k])]
                 U[i] = [(x - q * y) % pN for x, y in zip(U[i], U[k])]
-        for j in range(k + 1, c):
-            if M[k][j]:
-                q = M[k][j] // pv
-                for row in M:
-                    row[j] = (row[j] - q * row[k]) % pN
-                for row in V:
-                    row[j] = (row[j] - q * row[k]) % pN
+        qs = [x // pv for x in M[k][k + 1:]]
+        if any(qs):
+            for row in V:
+                x = row[k]
+                if x:
+                    row[k + 1:] = [(y - q * x) % pN
+                                   for y, q in zip(row[k + 1:], qs)]
+            M[k][k + 1:] = [0] * (c - k - 1)
     Um = ModMatrix._empty(r, r, p, N)
     Um.data = U
     Dm = ModMatrix._empty(r, c, p, N)

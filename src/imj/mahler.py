@@ -2,31 +2,34 @@
 
 A length-L window stores Mahler coefficients c_0..c_{L-1} with respect to
 the binomial functions b_i(a) = (a choose i); semantics are exact modulo
-(p^N, b_{>=L}).  The psi-action is translation on the source, computed by
-resampling at the points x*psi.  Since x -> (x psi choose i) is a degree-i
+(p^N, b_{>=L}).  The psi-action is translation on the source,
+(psi . f)(x) = f(x psi).  Since x -> (x psi choose i) is a degree-i
 polynomial, the length-L window is genuinely psi-stable: no truncation
 error enters act_psi.
 
-Sampling at p-adic points costs precision v_p(i!) through the division in
-the binomial; everything here works at the boosted precision
-N + v_p((L-1)!) internally and reports results at N exactly.
+The matrix of the action comes from one series identity.  With
+S = (1+T)^psi - 1,
+
+    sum_i (x psi choose i) T^i = (1+T)^(x psi) = (1+S)^x
+                               = sum_k (x choose k) S^k,
+
+so the coefficient of b_k in psi . b_i is the coefficient of T^i in S^k.
+The coefficients of S are the p-adic binomials (psi choose m).  Taken as
+exact integer binomials (a choose m) of a residue a = psi mod p^Nw they
+are only right mod p^(Nw - v_p(m!)), because the division by m! spends
+v_p(m!) digits.  Only m < L reaches the window, so Nw = N + v_p((L-1)!)
+makes every one of them right mod p^N; from there on everything is plain
+integer arithmetic mod p^N.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .gmod import FgModule, ModMatrix, diagonal_valuations, snf
 from .grpcoh import character_cohomology
-from .padic import PadicInt, PrecisionError, psi_generator
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .padic import PadicInt, int_valuation, psi_generator
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -45,36 +48,6 @@ def _mul(x: PadicInt, y: PadicInt) -> PadicInt:
 def _sub(x: PadicInt, y: PadicInt) -> PadicInt:
     m = min(x.precision, y.precision)
     return x.reduce(m) - y.reduce(m)
-
-
-def _add(x: PadicInt, y: PadicInt) -> PadicInt:
-    m = min(x.precision, y.precision)
-    return x.reduce(m) + y.reduce(m)
-
-
-def _exact_div(x: PadicInt, n: int) -> PadicInt:
-    """Divide by a nonzero integer whose p-part is known to divide x."""
-    p = x.prime
-    w = _vp(n, p)
-    unit = n // p**w
-    if x.precision <= w:
-        raise PrecisionError("exact division exhausted the precision")
-    if x.residue % p**w:
-        raise PrecisionError("claimed-exact division is not exact")
-    new_prec = x.precision - w
-    res = (x.residue // p**w) * pow(unit, -1, p**new_prec)
-    return PadicInt(res, p, new_prec)
-
-
-def _binom_row(a: PadicInt, L: int) -> list[PadicInt]:
-    """[ (a choose 0), ..., (a choose L-1) ] by the incremental product;
-    entry i carries precision a.precision - v_p(i!)."""
-    p = a.prime
-    row = [PadicInt.one(p, a.precision)]
-    for i in range(1, L):
-        step = _mul(row[-1], a - PadicInt(i - 1, p, a.precision))
-        row.append(_exact_div(step, i))
-    return row
 
 
 def _int_binom(x: int, i: int) -> int:
@@ -156,40 +129,40 @@ def mahler_coeffs(values: list[PadicInt]) -> MahlerFunction:
 
 
 def act_psi(f: MahlerFunction) -> MahlerFunction:
-    """(psi . f)(x) = f(x psi), resampled and re-expanded at length L."""
-    p, N, L = f.prime, f.precision, f.length
-    Nw = N + _vp_factorial(L - 1, p)
-    psi = psi_generator(p, Nw)
-    samples = []
-    for x in range(L):
-        a = PadicInt(x, p, Nw) * psi
-        row = _binom_row(a, L)
-        acc = PadicInt.zero(p, N)
-        for c, b in zip(f.coefficients, row):
-            if c.residue:
-                acc = _add(acc, _mul(PadicInt(c.residue, p, b.precision), b))
-        samples.append(acc.reduce(N))
-    return mahler_coeffs(samples)
+    """(psi . f)(x) = f(x psi): the coefficient vector times psi_matrix."""
+    p, N = f.prime, f.precision
+    c = [x.residue for x in f.coefficients]
+    return MahlerFunction([PadicInt(sum(map(mul, row, c)), p, N)
+                           for row in psi_matrix(f.length, p, N).data])
 
 
 def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
-    """Matrix of act_psi on b_0..b_{L-1} over Z/p^N, built in one sweep:
-    sample all basis functions at the points x psi, then difference the
-    sample rows.  Upper triangular with diagonal psi^i."""
-    Nw = N + _vp_factorial(L - 1, p)
-    psi = psi_generator(p, Nw)
-    rows = [_binom_row(PadicInt(x, p, Nw) * psi, L) for x in range(L)]
-    entries = []
-    work = rows
-    for _ in range(L):
-        head = work[0]
-        for c in head:
-            if c.precision < N:
-                raise PrecisionError("psi matrix entry below target precision")
-        entries.append([c.residue % p**N for c in head])
-        work = [[_sub(b, a) for a, b in zip(r0, r1)]
-                for r0, r1 in zip(work, work[1:])]
-    return ModMatrix(entries, p, N)
+    """Matrix of act_psi on b_0..b_{L-1} over Z/p^N.  Entry [k][i] is the
+    coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
+    column i is psi . b_i.  Upper triangular with diagonal psi^k.
+
+    S is read off the exact integer binomials (a choose m), with
+    a = psi mod p^(N + v_p((L-1)!)), reduced mod p^N; row k is row k-1
+    times S truncated at T^L.  No division follows the binomials and no
+    precision is tracked.  Each row's diagonal is checked against
+    a^k mod p^N; a mismatch raises RuntimeError."""
+    pN = p**N
+    a = psi_generator(p, N + _vp_factorial(L - 1, p)).residue
+    s = [0] * L
+    b = 1
+    for m in range(1, L):
+        b = b * (a - m + 1) // m
+        s[m] = b % pN
+    row = [1] + [0] * (L - 1)
+    rows = [row]
+    for k in range(1, L):
+        # S^(k-1) starts at T^(k-1) and S at T^1
+        row = [0] * k + [sum(map(mul, row[k - 1:i], s[i - k + 1:0:-1])) % pN
+                         for i in range(k, L)]
+        if row[k] != pow(a, k, pN):
+            raise RuntimeError(f"psi matrix row {k}: diagonal is not psi^{k}")
+        rows.append(row)
+    return ModMatrix(rows, p, N)
 
 
 class InvariantsReport:
@@ -227,7 +200,8 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     if L < 2:
         raise ValueError("window too short to see the translation action")
     # det of the upper-triangular complement: sum of diagonal valuations
-    B = sum(1 + _vp(i, p) for i in range(1, L) if i % (p - 1) == 0)
+    B = sum(1 + int_valuation(i, p, L) for i in range(1, L)
+            if i % (p - 1) == 0)
     Nw = N + B
     A = ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
     _, D, V = snf(A)

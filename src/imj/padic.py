@@ -231,6 +231,18 @@ def binom(a: PadicInt, i: int) -> PadicInt:
     return PadicInt(q, p, N_out)
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division; desk-scale n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def smallest_primitive_root(p: int) -> int:
     """Smallest positive primitive root mod the odd prime p (deterministic)."""
     # prime factors of p - 1 by trial division; desk-scale p
@@ -256,9 +268,13 @@ def psi_generator(p: int, N: int) -> PadicInt:
 
     sigma is the Teichmuller lift of the smallest primitive root mod p;
     the choice of root is a recorded convention, nothing downstream
-    depends on it.
+    depends on it.  Raises ValueError unless p is an odd prime: every
+    engine downstream (teichmuller, the division-free Mahler matrix)
+    assumes it and would not notice otherwise.
     """
     if p == 2:
         raise ValueError("Z_2^x is not topologically cyclic")
+    if not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     sigma = teichmuller(smallest_primitive_root(p), p, N)
     return sigma * PadicInt(1 + p, p, N)

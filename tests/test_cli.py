@@ -163,6 +163,13 @@ def test_mahler_json_generator_is_constant(capsys):
     assert gen[0] == 1 and not any(gen[1:])
 
 
+def test_mahler_length_above_bound_exits_2(capsys):
+    rc, out, err = run_cli(["mahler", "-L", "257"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "L <= 256" in err
+
+
 def test_limits_moore_report(capsys):
     rc, out, _ = run_cli(["limits", "--moore", "-p", "3"], capsys)
     assert rc == 0

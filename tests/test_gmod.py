@@ -1,8 +1,10 @@
 """Tests for modules over Z/p^N: SNF, kernels, homology, subgroup arithmetic.
 
 The SNF oracle is the round-trip identity U*A*V = D together with explicit
-invertibility of U and V; homology oracles are hand-computable kernels and
-cokernels and the transpose-duality of two-term complexes.
+invertibility of U and V, plus the full-sweep elimination that `snf`
+replaced, which must give the same U, D and V; homology oracles are
+hand-computable kernels and cokernels and the transpose-duality of
+two-term complexes.
 """
 
 import random
@@ -21,6 +23,8 @@ from imj.gmod import (
     sub_preimage,
     quotient_presentation,
 )
+from imj.mahler import psi_matrix
+from imj.padic import int_valuation
 
 
 def rand_matrix(rng, p, N, r, c):
@@ -74,6 +78,91 @@ def test_snf_rectangular():
         A = rand_matrix(rng, 3, 5, r, c)
         U, D, V = snf(A)
         assert U * A * V == D
+
+
+def snf_full_sweep(A):
+    """U, D, V as row lists by the elimination `snf` replaced: scan the
+    whole block for the minimal valuation (ties row-major), then clear
+    column k with row operations and row k with column operations on the
+    work matrix and V alike."""
+    p, N = A.prime, A.precision
+    pN = p**N
+    r, c = A.rows, A.cols
+    M = [row[:] for row in A.data]
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    for k in range(min(r, c)):
+        best, bi, bj = N, -1, -1
+        for i in range(k, r):
+            for j in range(k, c):
+                if M[i][j]:
+                    v = int_valuation(M[i][j], p, N)
+                    if v < best:
+                        best, bi, bj = v, i, j
+        if bi < 0:
+            break
+        v = best
+        if bi != k:
+            M[k], M[bi] = M[bi], M[k]
+            U[k], U[bi] = U[bi], U[k]
+        if bj != k:
+            for row in M:
+                row[k], row[bj] = row[bj], row[k]
+            for row in V:
+                row[k], row[bj] = row[bj], row[k]
+        unit = M[k][k] // p**v
+        inv = pow(unit, -1, pN)
+        M[k] = [x * inv % pN for x in M[k]]
+        U[k] = [x * inv % pN for x in U[k]]
+        pv = p**v
+        for i in range(k + 1, r):
+            if M[i][k]:
+                q = M[i][k] // pv
+                M[i] = [(x - q * y) % pN for x, y in zip(M[i], M[k])]
+                U[i] = [(x - q * y) % pN for x, y in zip(U[i], U[k])]
+        for j in range(k + 1, c):
+            if M[k][j]:
+                q = M[k][j] // pv
+                for row in M:
+                    row[j] = (row[j] - q * row[k]) % pN
+                for row in V:
+                    row[j] = (row[j] - q * row[k]) % pN
+    return U, M, V
+
+
+def mixed_entry(rng, p, N):
+    """0, a unit, a multiple of p or an exact power of p, equally often."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return p * rng.randrange(p ** (N - 1)) + rng.randrange(1, p)
+    if kind == 2:
+        return p * rng.randrange(p ** (N - 1))
+    return p ** rng.randrange(N)
+
+
+def test_snf_matches_full_sweep_oracle_random():
+    rng = random.Random(2718)
+    for _ in range(320):
+        p = rng.choice([3, 5, 7])
+        N = rng.randint(1, 8)
+        r, c = rng.randint(0, 9), rng.randint(0, 9)
+        A = ModMatrix.zeros(r, c, p, N)
+        A.data = [[mixed_entry(rng, p, N) for _ in range(c)]
+                  for _ in range(r)]
+        assert [m.data for m in snf(A)] == list(snf_full_sweep(A)), \
+            (p, N, A.data)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
+    # 1 - psi at the working precision `mahler.invariants` uses
+    L = 64
+    Nw = 8 + sum(1 + int_valuation(i, p, L) for i in range(1, L)
+                 if i % (p - 1) == 0)
+    A = ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
+    assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
 
 
 def test_kernel_gens():

@@ -2,8 +2,10 @@
 
 Oracles: finite differences of integer samples are computable in plain
 integer arithmetic (no p-adics), and the psi-action on the linear function
-is multiplication by psi.  The invariants computation is checked against
-the expectation that constants are the only fixed functions.
+is multiplication by psi.  The series construction of psi_matrix is checked
+against the sample-and-difference engine it replaced, kept here.  The
+invariants computation is checked against the expectation that constants
+are the only fixed functions.
 """
 
 import math
@@ -11,9 +13,11 @@ import random
 
 import pytest
 
+from imj import mahler
 from imj.mahler import (MahlerFunction, act_psi, h1_rational_profile,
                         invariants, mahler_coeffs, psi_matrix)
-from imj.padic import PadicInt, PrecisionError, binom, psi_generator
+from imj.padic import (PadicInt, PrecisionError, binom, int_valuation,
+                       psi_generator)
 
 
 def pad(values, p, N):
@@ -108,6 +112,47 @@ def test_psi_matrix_triangular_with_power_diagonal():
             assert M.data[i][j] == 0  # strictly lower part vanishes
 
 
+def psi_matrix_by_differences(L, p, N):
+    """The sample-and-difference engine: sample (x psi choose i) at
+    x = 0..L-1 with padic.binom at the working precision
+    Nw = N + v_p((L-1)!); row k is the k-th forward difference at x = 0.
+    Column i carries precision Nw - v_p(i!) >= N and is differenced at it."""
+    Nw = N + sum(int_valuation(i, p, L) for i in range(1, L))
+    psi = psi_generator(p, Nw)
+    samples = [[binom(PadicInt(x, p, Nw) * psi, i) for i in range(L)]
+               for x in range(L)]
+    assert min(c.precision for c in samples[0]) >= N
+    mods = [p**c.precision for c in samples[0]]
+    work = [[c.residue for c in row] for row in samples]
+    rows = []
+    while work:
+        rows.append([c % p**N for c in work[0]])
+        work = [[(b - a) % m for a, b, m in zip(r0, r1, mods)]
+                for r0, r1 in zip(work, work[1:])]
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_psi_matrix_matches_difference_oracle(p):
+    for L in (2, 3, 5, 16, 33, 64):
+        for N in (4, 6, 12, 40):
+            assert psi_matrix(L, p, N).data == \
+                psi_matrix_by_differences(L, p, N), (L, p, N)
+
+
+def test_psi_matrix_matches_difference_oracle_at_length_128():
+    assert psi_matrix(128, 3, 101).data == \
+        psi_matrix_by_differences(128, 3, 101)
+
+
+def test_psi_matrix_diagonal_check_raises(monkeypatch):
+    # a broken convolution must be caught by the RuntimeError check,
+    # which (unlike assert) also runs under python -O
+    monkeypatch.setattr(mahler, "mul", lambda x, y: x * y + 1)
+    with pytest.raises(RuntimeError, match="diagonal"):
+        psi_matrix(8, 3, 6)
+
+
 def test_pointwise_product_matches_integer_oracle():
     # b_3 * b_5 re-expanded: coefficients from pure integer differences
     p, N, L = 3, 6, 16
@@ -176,6 +221,11 @@ def test_invariants_doubled_window_generator_is_exact_constant():
     assert all(c.residue == 0 for c in gen.coefficients[1:])
     assert rep.kernel.saturated_count() == 1
     assert 16 in rep.kernel.torsion_exponents()
+
+
+def test_invariants_rejects_composite_p():
+    with pytest.raises(ValueError, match="odd prime, got 9"):
+        invariants(16, 9, 6)
 
 
 def test_h1_rational_profile_window():

@@ -17,6 +17,7 @@ from imj.padic import (
     PrecisionError,
     binom,
     int_valuation,
+    is_prime,
     psi_generator,
     smallest_primitive_root,
     teichmuller,
@@ -141,6 +142,17 @@ def test_psi_generator_frozen_values():
     for p in (3, 5, 7):
         psi = psi_generator(p, 6)
         assert psi.residue % p == smallest_primitive_root(p)
+
+
+def test_is_prime():
+    assert [n for n in range(-2, 30) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("p", [1, 9, 15, 25])
+def test_psi_generator_rejects_non_prime(p):
+    with pytest.raises(ValueError, match=f"odd prime, got {p}"):
+        psi_generator(p, 6)
 
 
 def test_psi_valuation_identity():

@@ -301,6 +301,11 @@ def test_run_refuses_a_wider_degree(monkeypatch):
         run(3, (0, 0), 4)
 
 
+def test_run_rejects_composite_p():
+    with pytest.raises(ValueError, match="odd prime, got 9"):
+        run(9, (0, 40), 6)
+
+
 def test_convergence_probe_refuses_growing_pages():
     zeta = ChartClass.monomial(3, 1, 0, 1)
     grown = RunResult(3, 4, (4, 4), {2: [], 3: [zeta]}, [], [zeta], [])
