@@ -2,8 +2,9 @@
 
 Subcommands: e2, run, chart, abutment, cohomology, mahler, limits, cobar.
 Common flags: -p, -N, --stem-min/--stem-max, --fmax, --format, -o, --config.
-The config file is flat key=value text (# starts a comment); precedence is
-flags > config file > defaults.
+The config file is flat key=value text (# starts a comment) whose keys are
+the subcommand's options spelled like the long flags; an unknown key is a
+configuration error.  Precedence is flags > config file > defaults.
 
 Exit codes are stable: 0 on success, 2 on precision failure (and on usage
 or configuration errors, matching the argparse convention), 3 on window
@@ -38,9 +39,11 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
-# Largest accepted `mahler -L`: invariants(256, 3, 8) took 5.8 s and
-# L = 320 took 10.5 s (Python 3.11.7, 2 CPUs).
+# Largest accepted `mahler -L` and `mahler -N`: invariants(256, 3, 8)
+# took 5.8 s and L = 320 took 10.5 s; invariants(256, 3, 64) took 8.3 s
+# and N = 128 took 10.1 s (Python 3.11.7, 2 CPUs).
 _MAHLER_MAX_L = 256
+_MAHLER_MAX_N = 64
 
 
 class RunConfig:
@@ -300,6 +303,9 @@ def _cmd_mahler(cfg: RunConfig, args, filecfg) -> int:
     if L > _MAHLER_MAX_L:
         raise ValueError(f"mahler length L={L} is above the bound "
                          f"L <= {_MAHLER_MAX_L}")
+    if cfg.precision > _MAHLER_MAX_N:
+        raise ValueError(f"mahler precision N={cfg.precision} is above the "
+                         f"bound N <= {_MAHLER_MAX_N}")
     rep = invariants(L, cfg.prime, cfg.precision)
     if cfg.fmt == "json":
         doc = {
@@ -437,6 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     filecfg = _read_config(args.config) if args.config else {}
+    # the subcommand's options are the namespace's attributes
+    valid = sorted(key.replace("_", "-") for key in vars(args)
+                   if key not in ("cmd", "config"))
+    unknown = sorted(set(filecfg) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown config key "
+                         f"{', '.join(map(repr, unknown))} in {args.config}; "
+                         f"valid keys for {args.cmd}: {', '.join(valid)}")
     fmt_default = "ascii-chart" if args.cmd == "chart" else "table"
     precision = _pick(args, filecfg, "N", 8, int)
     fmax = _pick(args, filecfg, "fmax", None, int)

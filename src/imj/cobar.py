@@ -15,27 +15,9 @@ import math
 
 import numpy as np
 
+from .padic import prime_factors
+
 _DENSE_CELLS = 100_000_000
-
-
-def _factor_prime_power(q: int):
-    if q < 2:
-        raise ValueError("field order must be a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
 
 
 class GF:
@@ -52,7 +34,12 @@ class GF:
     __slots__ = ("q", "p", "e", "modulus", "_exp", "_log")
 
     def __init__(self, q: int):
-        p, e = _factor_prime_power(q)
+        if q < 2:
+            raise ValueError("field order must be a prime power")
+        factors = prime_factors(q)
+        p, e = factors[0], len(factors)
+        if factors != [p] * e:
+            raise ValueError(f"{q} is not a prime power")
         if p == 2:
             raise ValueError("even characteristic out of scope")
         self.q = q
@@ -233,7 +220,7 @@ def _block_basis(n: int, s: int, profile) -> list:
     return out
 
 
-def _block_entries(tpl, i_slot_mask_iter=None):
+def _block_entries(tpl):
     """Yield (target_tuple, coefficient) for d applied to one basis tuple."""
     for i, mask in enumerate(tpl):
         if mask.bit_count() < 2:
@@ -244,6 +231,41 @@ def _block_entries(tpl, i_slot_mask_iter=None):
             b = mask ^ sub
             yield tpl[:i] + (sub, b) + tpl[i + 1:], pos * _shuffle_sign(sub, b)
             sub = (sub - 1) & mask
+
+
+def _block(n: int, s: int, profile):
+    """d^s on one occurrence-profile block: (domain basis, target basis,
+    entries).  Basis elements are tuples of generator masks; entries are
+    the parallel lists (row, column, shuffle sign) of the nonzero
+    entries.  No (row, column) pair repeats: a target determines the slot
+    that was split, as the first slot where it differs from the source."""
+    cols = _block_basis(n, s, profile)
+    rows = _block_basis(n, s + 1, profile)
+    index = {t: i for i, t in enumerate(rows)}
+    ri, ci, val = [], [], []
+    for c, tpl in enumerate(cols):
+        for target, coeff in _block_entries(tpl):
+            ri.append(index[target])
+            ci.append(c)
+            val.append(coeff)
+    return cols, rows, (ri, ci, val)
+
+
+def _dtype(p: int):
+    """The narrowest type that holds a product of two residues mod p:
+    int16 up to p = 181, int64 up to about 3e9, Python ints beyond."""
+    for t in (np.int16, np.int64):
+        if (p - 1) ** 2 + p <= np.iinfo(t).max:
+            return t
+    return object
+
+
+def _dense(cols, rows, entries, p: int):
+    M = np.zeros((len(rows), len(cols)), dtype=_dtype(p))
+    ri, ci, val = entries
+    if val:
+        M[ri, ci] = val
+    return M % p
 
 
 def cobar_matrix(H: ExteriorHopf, s: int, profile):
@@ -257,23 +279,17 @@ def cobar_matrix(H: ExteriorHopf, s: int, profile):
     profile = tuple(profile)
     if len(profile) != H.n or any(m < 0 for m in profile):
         raise ValueError("profile must list one multiplicity per generator")
-    p = H.field.p
-    cols = _block_basis(H.n, s, profile)
-    rows = _block_basis(H.n, s + 1, profile)
-    index = {t: i for i, t in enumerate(rows)}
-    M = np.zeros((len(rows), len(cols)), dtype=np.int16)
-    for ci, tpl in enumerate(cols):
-        for target, coeff in _block_entries(tpl):
-            M[index[target], ci] += coeff
-    M %= p
+    cols, rows, entries = _block(H.n, s, profile)
     unmask = ExteriorHopf._unmask
     return ([tuple(unmask(m) for m in t) for t in cols],
-            [tuple(unmask(m) for m in t) for t in rows], M)
+            [tuple(unmask(m) for m in t) for t in rows],
+            _dense(cols, rows, entries, H.field.p))
 
 
 def rank_mod_p(M, p: int) -> int:
-    """Rank over F_p by vectorized Gaussian elimination."""
-    A = (np.asarray(M, dtype=np.int16) % p).astype(np.int16)
+    """Rank over F_p by vectorized forward elimination: rank needs no
+    back-substitution, so only rows below each pivot are cleared."""
+    A = np.asarray(M, dtype=_dtype(p)) % p
     if A.ndim != 2:
         raise ValueError("need a matrix")
     rows, cols = A.shape
@@ -287,12 +303,12 @@ def rank_mod_p(M, p: int) -> int:
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            A[hit] = (A[hit] - np.outer(col[hit], A[r])) % p
+        A[r, c:] = (A[r, c:] * pow(int(A[r, c]), -1, p)) % p
+        # the swap left row i with a zero in column c
+        below = r + nz[1:]
+        if below.size:
+            A[below, c:] = (A[below, c:]
+                            - np.outer(A[below, c], A[r, c:])) % p
         r += 1
     return r
 
@@ -367,27 +383,16 @@ def _block_rank(n: int, s: int, profile, p: int) -> int:
     key = (n, s, canon, p)
     if key in _RANK_CACHE:
         return _RANK_CACHE[key]
-    cols = _block_basis(n, s, canon)
-    rows = _block_basis(n, s + 1, canon)
+    cols, rows, entries = _block(n, s, canon)
     _DIM_CACHE[(n, s, canon)] = len(cols)
     if not cols or not rows:
         rank = 0
     elif len(cols) * len(rows) <= _DENSE_CELLS:
-        index = {t: i for i, t in enumerate(rows)}
-        M = np.zeros((len(rows), len(cols)), dtype=np.int16)
-        for ci, tpl in enumerate(cols):
-            for target, coeff in _block_entries(tpl):
-                M[index[target], ci] += coeff
-        rank = rank_mod_p(M % p, p)
+        rank = rank_mod_p(_dense(cols, rows, entries, p), p)
     else:
-        index = {t: i for i, t in enumerate(rows)}
-        sparse = []
-        for tpl in cols:
-            col = {}
-            for target, coeff in _block_entries(tpl):
-                r = index[target]
-                col[r] = col.get(r, 0) + coeff
-            sparse.append(col)
+        sparse = [{} for _ in cols]
+        for r, c, v in zip(*entries):
+            sparse[c][r] = v
         rank = _rank_sparse(sparse, p)
     _RANK_CACHE[key] = rank
     return rank

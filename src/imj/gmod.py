@@ -422,11 +422,3 @@ def homology(d_in: ModMatrix, d_out: ModMatrix) -> FgModule:
     pres = QuotPres(K, W)
     return FgModule(list(pres.exponents), d_in.prime, d_in.precision)
 
-
-def homology_presentation(d_in: ModMatrix, d_out: ModMatrix) -> QuotPres:
-    """Like homology, but returns the full presentation with generators."""
-    if not (d_out * d_in).is_zero():
-        raise ValueError("d_out * d_in != 0: not a complex")
-    K = kernel_gens(d_out)
-    W = sub_preimage(K, d_in)
-    return QuotPres(K, W)

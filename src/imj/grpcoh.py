@@ -16,10 +16,10 @@ class PsiModule:
 
     Matrices must be invertible mod p (psi is a group element)."""
 
-    __slots__ = ("prime", "precision", "_matrices", "_names")
+    __slots__ = ("prime", "precision", "_matrices")
 
     def __init__(self, matrices: dict[int, ModMatrix], prime: int,
-                 precision: int, names: dict[int, list[str]] | None = None):
+                 precision: int):
         self.prime = prime
         self.precision = precision
         self._matrices = dict(matrices)
@@ -31,27 +31,17 @@ class PsiModule:
             except ValueError:
                 raise ValueError(
                     f"psi matrix in degree {t} is not invertible mod {prime}")
-        self._names = {}
-        for t, mat in self._matrices.items():
-            if names and t in names:
-                if len(names[t]) != mat.rows:
-                    raise ValueError("name count mismatch")
-                self._names[t] = list(names[t])
-            else:
-                self._names[t] = [f"e({t};{i})" for i in range(mat.rows)]
 
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
         psi acting on u^j by the scalar psi^j."""
         psi = psi_generator(p, N)
-        mats, names = {}, {}
+        mats = {}
         start = t_min + (t_min % 2)
         for t in range(start, t_max + 1, 2):
-            j = t // 2
-            mats[t] = ModMatrix([[(psi**j).residue]], p, N)
-            names[t] = ["u^%d" % j if j != 1 else "u"] if j else ["1"]
-        return cls(mats, p, N, names)
+            mats[t] = ModMatrix([[(psi**(t // 2)).residue]], p, N)
+        return cls(mats, p, N)
 
     def degrees(self) -> list[int]:
         return sorted(self._matrices)
@@ -62,32 +52,6 @@ class PsiModule:
     def rank(self, t: int) -> int:
         mat = self._matrices.get(t)
         return mat.rows if mat is not None else 0
-
-    def names(self, t: int) -> list[str]:
-        return list(self._names.get(t, []))
-
-    def direct_sum(self, other: "PsiModule") -> "PsiModule":
-        if (self.prime, self.precision) != (other.prime, other.precision):
-            raise ValueError("prime/precision mismatch")
-        p, N = self.prime, self.precision
-        mats, names = {}, {}
-        for t in set(self._matrices) | set(other._matrices):
-            a, b = self._matrices.get(t), other._matrices.get(t)
-            if a is None:
-                mats[t], names[t] = b.copy(), other.names(t)
-                continue
-            if b is None:
-                mats[t], names[t] = a.copy(), self.names(t)
-                continue
-            n, m = a.rows, b.rows
-            block = [[0] * (n + m) for _ in range(n + m)]
-            for i in range(n):
-                block[i][:n] = a.data[i]
-            for i in range(m):
-                block[n + i][n:] = b.data[i]
-            mats[t] = ModMatrix(block, p, N)
-            names[t] = self.names(t) + other.names(t)
-        return PsiModule(mats, p, N, names)
 
 
 class CohomologyReport:

@@ -40,16 +40,6 @@ def _vp_factorial(n: int, p: int) -> int:
     return total
 
 
-def _mul(x: PadicInt, y: PadicInt) -> PadicInt:
-    m = min(x.precision, y.precision)
-    return x.reduce(m) * y.reduce(m)
-
-
-def _sub(x: PadicInt, y: PadicInt) -> PadicInt:
-    m = min(x.precision, y.precision)
-    return x.reduce(m) - y.reduce(m)
-
-
 def _int_binom(x: int, i: int) -> int:
     if x >= 0:
         return math.comb(x, i)
@@ -90,14 +80,6 @@ class MahlerFunction:
                 total += c.residue * _int_binom(x, i)
         return PadicInt(total % pN, p, N)
 
-    def pointwise_mul(self, other: "MahlerFunction") -> "MahlerFunction":
-        """Product recomputed from samples; exact modulo b_{>=L}."""
-        if (self.prime, self.length) != (other.prime, other.length):
-            raise ValueError("length or prime mismatch")
-        vals = [_mul(self.evaluate(x), other.evaluate(x))
-                for x in range(self.length)]
-        return mahler_coeffs(vals)
-
     def to_csv(self) -> str:
         lines = ["index,residue,valuation"]
         for i, c in enumerate(self.coefficients):
@@ -120,11 +102,12 @@ def mahler_coeffs(values: list[PadicInt]) -> MahlerFunction:
     """Coefficients from samples f(0), ..., f(L-1): c_i = (Delta^i f)(0)."""
     if not values:
         raise ValueError("no sample values")
-    work = list(values)
+    prec = min(v.precision for v in values)
+    work = [v.reduce(prec) for v in values]
     coeffs = []
     while work:
         coeffs.append(work[0])
-        work = [_sub(b, a) for a, b in zip(work, work[1:])]
+        work = [b - a for a, b in zip(work, work[1:])]
     return MahlerFunction(coeffs)
 
 

@@ -129,60 +129,6 @@ class PadicInt:
         return f"PadicInt({self.residue}, {self.prime}, {self.precision})"
 
 
-class PadicScaled:
-    """p^(valuation_offset) * unit: the Q_p elements seen in rational reports.
-
-    Canonical form: unit_part is a unit of Z/p^N, or the element is exactly
-    zero (unit_part None).  Offsets may be negative.
-    """
-
-    __slots__ = ("valuation_offset", "unit_part", "prime", "precision")
-
-    def __init__(self, valuation_offset: int, unit_part: PadicInt | None):
-        if unit_part is not None and not unit_part.is_unit():
-            raise ValueError("unit_part must be a unit; use from_padic")
-        self.valuation_offset = valuation_offset if unit_part is not None else 0
-        self.unit_part = unit_part
-        self.prime = unit_part.prime if unit_part is not None else 0
-        self.precision = unit_part.precision if unit_part is not None else 0
-
-    @classmethod
-    def zero(cls, p: int, N: int) -> "PadicScaled":
-        z = cls.__new__(cls)
-        z.valuation_offset = 0
-        z.unit_part = None
-        z.prime = p
-        z.precision = N
-        return z
-
-    @classmethod
-    def from_padic(cls, x: PadicInt) -> "PadicScaled":
-        if x.is_zero():
-            return cls.zero(x.prime, x.precision)
-        return cls(x.valuation(), x.unit_part())
-
-    def is_zero(self) -> bool:
-        return self.unit_part is None
-
-    def __mul__(self, other: "PadicScaled") -> "PadicScaled":
-        if self.is_zero() or other.is_zero():
-            return PadicScaled.zero(self.prime or other.prime,
-                                    self.precision or other.precision)
-        return PadicScaled(self.valuation_offset + other.valuation_offset,
-                           self.unit_part * other.unit_part)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "PadicScaled(0)"
-        return (f"PadicScaled({self.prime}^{self.valuation_offset} * "
-                f"{self.unit_part.residue})")
-
-
-def valuation(x: PadicInt) -> int:
-    """Largest v <= N with p^v | x; N for zero."""
-    return x.valuation()
-
-
 def teichmuller(x0: int, p: int, N: int) -> PadicInt:
     """The Teichmuller representative: the unique omega with omega^(p-1) = 1
     in Z/p^N and omega = x0 mod p.
@@ -231,32 +177,33 @@ def binom(a: PadicInt, i: int) -> PadicInt:
     return PadicInt(q, p, N_out)
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; desk-scale n."""
-    if n < 2:
-        return False
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 with multiplicity, ascending; trial
+    division, desk-scale n.  This is the package's one factoring loop."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out = []
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out.append(d)
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division; desk-scale n."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def smallest_primitive_root(p: int) -> int:
     """Smallest positive primitive root mod the odd prime p (deterministic)."""
-    # prime factors of p - 1 by trial division; desk-scale p
-    m = p - 1
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    if p < 3:
+        raise ValueError(f"{p} is not an odd prime")
+    factors = set(prime_factors(p - 1))
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g

@@ -391,26 +391,3 @@ def abutment_check(run_output: RunResult,
                            "resolved": resolved, "match": True}
     return AbutmentReport(entries)
 
-
-def complete_convergence_probe(run_output, bidegree):
-    """Stable value and a lim^1 verdict for the tower of pages at one
-    bidegree (s, t).
-
-    A finite-window run has finite-dimensional pages, so the tower is
-    Mittag-Leffler and lim^1 vanishes.  A TowerSpec input (declared infinite
-    tail) is delegated to the towers module, which can refuse or detect a
-    genuine lim^1."""
-    if hasattr(run_output, "stages"):
-        from .towers import lim_lim1
-        lim, lim1_nonzero, _witness = lim_lim1(run_output)
-        return lim, lim1_nonzero
-    s, t = bidegree
-    seq = []
-    for r in sorted(run_output.pages):
-        seq.append([cl for cl in run_output.pages[r]
-                    if cl.c == s and cl.t == t])
-    for earlier, later in zip(seq, seq[1:]):
-        if len(later) > len(earlier):
-            raise RuntimeError(f"pages grew at bidegree {bidegree}: "
-                               f"engine bug")
-    return (seq[-1] if seq else []), False

@@ -283,3 +283,74 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         main(["frobnicate"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+# Every subcommand refuses bad input with exit 2 or 3 and one stderr line.
+_REFUSALS = [
+    # inverted windows
+    (["e2", "--stem-min", "5", "--stem-max", "1"], 3,
+     "window failure: empty stem window 5..1"),
+    (["run", "--stem-min", "5", "--stem-max", "1"], 3,
+     "window failure: empty stem window 5..1"),
+    (["chart", "--stem-min", "5", "--stem-max", "1"], 3,
+     "window failure: empty stem window 5..1"),
+    (["abutment", "--t-min", "10", "--t-max", "0"], 3,
+     "window failure: empty degree window 10..0"),
+    (["cohomology", "--k-min", "5", "--k-max", "1"], 3,
+     "window failure: empty character window 5..1"),
+    # out-of-range flags
+    (["e2", "--fmax", "-1"], 2, "error: max filtration must be nonnegative"),
+    (["run", "-N", "3"], 2, "error: precision N must be at least 4, got 3"),
+    (["chart", "-p", "9"], 2, "error: p must be an odd prime, got 9"),
+    (["abutment", "-p", "2"], 2, "error: p must be an odd prime, got 2"),
+    (["cohomology", "-N", "3"], 2,
+     "error: precision N must be at least 4, got 3"),
+    (["mahler", "-L", "1"], 2,
+     "error: window too short to see the translation action"),
+    (["mahler", "-L", "257"], 2,
+     "error: mahler length L=257 is above the bound L <= 256"),
+    (["mahler", "-N", "65"], 2,
+     "error: mahler precision N=65 is above the bound N <= 64"),
+    (["limits", "--moore", "-p", "4"], 2,
+     "error: p must be an odd prime, got 4"),
+    (["cobar", "--q", "0"], 2, "error: field order must be a prime power"),
+    (["cobar", "--q", "1"], 2, "error: field order must be a prime power"),
+    (["cobar", "--q", "4"], 2, "error: even characteristic out of scope"),
+    (["cobar", "--q", "15"], 2, "error: 15 is not a prime power"),
+    (["cobar", "-n", "5"], 2, "error: desk scale is n <= 4 and S_max <= 6"),
+    (["cobar", "--smax", "-1"], 2, "error: S_max must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", _REFUSALS,
+                         ids=[" ".join(case[0]) for case in _REFUSALS])
+def test_refusal_is_one_stderr_line(argv, code, line, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize("cmd", ["e2", "run", "chart", "abutment",
+                                 "cohomology", "mahler", "limits", "cobar"])
+def test_unknown_config_key_exits_2(cmd, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("prime = 5\n")
+    rc, out, err = run_cli([cmd, "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: unknown config key 'prime' in {cfg}; "
+                          f"valid keys for {cmd}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_keys_come_from_the_subcommand_options(tmp_path, capsys):
+    cfg = tmp_path / "len.cfg"
+    cfg.write_text("L = 8\nN = 6\n")
+    rc, _, err = run_cli(["e2", "--config", str(cfg)], capsys)
+    assert rc == 2
+    assert err.endswith("valid keys for e2: N, fmax, format, output, p, "
+                        "stem-max, stem-min\n")
+    rc, out, _ = run_cli(["mahler", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert out.startswith("mahler p=3 N=6 L=8\n")
+    rc, _, err = run_cli(["cobar", "--config", str(cfg)], capsys)
+    assert err.endswith("valid keys for cobar: N, fmax, format, n, output, "
+                        "p, q, smax, stem-max, stem-min\n")

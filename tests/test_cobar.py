@@ -5,6 +5,7 @@ sort putting the concatenation back in order, computed here from scratch.
 Dimension oracle: stars and bars, Sym on n generators.
 """
 
+import itertools
 import math
 import random
 
@@ -186,6 +187,42 @@ def test_rank_sparse_path_agrees_with_dense():
                        for j in range(cols)]
         assert _rank_sparse(sparse_cols, p) == \
                rank_mod_p(np.array(M, dtype=np.int16), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 181, 191, 257, 32771, 4294967311])
+def test_forward_elimination_matches_gauss_jordan(p):
+    # rank_gf reduces above and below every pivot; past p = 181 a product
+    # of two residues no longer fits in int16
+    rng = random.Random(p)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
+        M = [[rng.randrange(p) if rng.random() < 0.5 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        assert rank_mod_p(np.array(M), p) == rank_gf(M, GF(p))
+
+
+def test_block_entries_never_repeat():
+    from imj.cobar import _block
+    for n in (1, 2, 3):
+        for s in range(1, 5):
+            for profile in itertools.product(range(s + 1), repeat=n):
+                cols, rows, (ri, ci, val) = _block(n, s, profile)
+                assert len(set(zip(ri, ci))) == len(val)
+                assert set(val) <= {-1, 1}
+
+
+def test_sparse_branch_matches_oracle(monkeypatch):
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_DENSE_CELLS", 0)
+    monkeypatch.setattr(cobar, "_RANK_CACHE", {})
+    assert cobar_ext(ExteriorHopf(3, 5), 4) == symmetric_oracle(3, 4)
+
+
+@pytest.mark.parametrize("q", [191, 32771, 4294967311])
+def test_ext_at_primes_past_int16(q):
+    # products of residues overflow int16 at 191 and int64 at 2^32 + 15;
+    # the residues themselves overflow int16 at 32771
+    assert cobar_ext(ExteriorHopf(3, q), 4) == symmetric_oracle(3, 4)
 
 
 def test_ext_one_generator_is_a_polynomial_line():

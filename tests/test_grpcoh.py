@@ -128,18 +128,6 @@ def test_abutment_matches_closed_form_across_window():
             assert h1.is_zero(), f"t={t}"
 
 
-def test_direct_sum_is_degreewise():
-    p, N = 3, 5
-    A = PsiModule.lubin_tate(p, N, 0, 12)
-    B = PsiModule.lubin_tate(p, N, 4, 8)
-    rep_sum = two_term_cohomology(A.direct_sum(B))
-    ra, rb = two_term_cohomology(A), two_term_cohomology(B)
-    for s in (0, 1):
-        for t in range(-2, 15):
-            merged = sorted(ra.h(s, t).exponents + rb.h(s, t).exponents)
-            assert rep_sum.h(s, t).exponents == merged
-
-
 def _random_unit_matrix(rng, n, p, N):
     """Random invertible matrix mod p^N: unit-triangular L, U and a unit
     diagonal, so the determinant is a unit."""

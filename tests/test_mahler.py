@@ -37,6 +37,15 @@ def test_mahler_coeffs_constant():
     assert [c.residue for c in f.coefficients] == [1, 0, 0, 0, 0, 0]
 
 
+def test_mahler_coeffs_mixed_precision():
+    # samples at precisions 4 and 6: the differences are taken at the
+    # common minimum, -8 = 73 mod 3^4 rather than 721 mod 3^6
+    vals = [PadicInt(-8 * x * x, 3, 4 if x % 2 else 6) for x in range(5)]
+    f = mahler_coeffs(vals)
+    assert f.precision == 4
+    assert [c.residue for c in f.coefficients] == [0, 73, 65, 0, 0]
+
+
 def test_mahler_coeffs_basis_element():
     p, N, L = 3, 5, 10
     f = mahler_coeffs(pad([math.comb(x, 3) for x in range(L)], p, N))
@@ -153,19 +162,11 @@ def test_psi_matrix_diagonal_check_raises(monkeypatch):
         psi_matrix(8, 3, 6)
 
 
-def test_pointwise_product_matches_integer_oracle():
-    # b_3 * b_5 re-expanded: coefficients from pure integer differences
-    p, N, L = 3, 6, 16
-    f = MahlerFunction.basis(3, L, p, N)
-    g = MahlerFunction.basis(5, L, p, N)
-    prod = f.pointwise_mul(g)
-    vals = [math.comb(x, 3) * math.comb(x, 5) for x in range(L)]
-    diffs = list(vals)
-    expect = []
-    for _ in range(L):
-        expect.append(diffs[0] % p**N)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    assert [c.residue for c in prod.coefficients] == expect
+def pointwise_product(f, g):
+    """f * g, exact modulo b_{>=L}: coefficients of the products of the
+    samples at 0..L-1."""
+    return mahler_coeffs([f.evaluate(x) * g.evaluate(x)
+                          for x in range(f.length)])
 
 
 def test_act_psi_is_ring_action():
@@ -176,8 +177,8 @@ def test_act_psi_is_ring_action():
     cg = [rng.randrange(p**N) if i <= 12 else 0 for i in range(L)]
     f = MahlerFunction(pad(cf, p, N))
     g = MahlerFunction(pad(cg, p, N))
-    lhs = act_psi(f.pointwise_mul(g))
-    rhs = act_psi(f).pointwise_mul(act_psi(g))
+    lhs = act_psi(pointwise_product(f, g))
+    rhs = pointwise_product(act_psi(f), act_psi(g))
     assert [c.residue for c in lhs.coefficients] == \
         [c.residue for c in rhs.coefficients]
 

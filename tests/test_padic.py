@@ -13,22 +13,21 @@ import pytest
 
 from imj.padic import (
     PadicInt,
-    PadicScaled,
     PrecisionError,
     binom,
     int_valuation,
     is_prime,
+    prime_factors,
     psi_generator,
     smallest_primitive_root,
     teichmuller,
-    valuation,
 )
 
 
 def test_valuation_examples():
-    assert valuation(PadicInt(18, 3, 4)) == 2  # 18 = 2*3^2
-    assert valuation(PadicInt(0, 3, 4)) == 4  # zero convention
-    assert valuation(PadicInt(7, 5, 3)) == 0  # unit
+    assert PadicInt(18, 3, 4).valuation() == 2  # 18 = 2*3^2
+    assert PadicInt(0, 3, 4).valuation() == 4  # zero convention
+    assert PadicInt(7, 5, 3).valuation() == 0  # unit
 
 
 def test_valuation_of_product():
@@ -38,7 +37,7 @@ def test_valuation_of_product():
         N = rng.randint(2, 10)
         x = PadicInt(rng.randrange(p**N), p, N)
         y = PadicInt(rng.randrange(p**N), p, N)
-        assert valuation(x * y) == min(N, valuation(x) + valuation(y))
+        assert (x * y).valuation() == min(N, x.valuation() + y.valuation())
 
 
 def test_teichmuller_frozen_values():
@@ -149,6 +148,22 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(2) == [2]
+    assert prime_factors(360) == [2, 2, 2, 3, 3, 5]
+    assert prime_factors(3**5) == [3] * 5
+    assert prime_factors(9973) == [9973]
+    for n in range(1, 600):
+        got = prime_factors(n)
+        assert math.prod(got) == n and got == sorted(got)
+        # every factor is prime by the definition, not by the routine
+        assert all(f > 1 and all(f % d for d in range(2, f)) for f in got)
+    for bad in (0, -6):
+        with pytest.raises(ValueError):
+            prime_factors(bad)
+
+
 @pytest.mark.parametrize("p", [1, 9, 15, 25])
 def test_psi_generator_rejects_non_prime(p):
     with pytest.raises(ValueError, match=f"odd prime, got {p}"):
@@ -189,12 +204,3 @@ def test_unit_part():
     u = x.unit_part()
     assert u.residue * 9 % 3**4 == 18
 
-
-def test_padic_scaled():
-    # 1/p as a scaled element: p^(-1) * 1
-    z = PadicScaled(-1, PadicInt(1, 3, 4))
-    assert z.valuation_offset == -1
-    assert not z.is_zero()
-    assert PadicScaled.zero(3, 4).is_zero()
-    w = PadicScaled.from_padic(PadicInt(18, 3, 4))
-    assert w.valuation_offset == 2 and w.unit_part.residue == 2

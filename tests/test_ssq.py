@@ -13,8 +13,7 @@ from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
 from imj.ssq import (ChartClass, DifferentialRecord, FilteredComplexSS,
-                     RunResult, abutment_check, complete_convergence_probe,
-                     e2_page, run)
+                     RunResult, abutment_check, e2_page, run)
 
 
 def names(classes):
@@ -177,15 +176,6 @@ def test_abutment_check_p5_t40():
     assert rep.entries[(1, 40)]["resolved"] == "Z/5^2"
 
 
-def test_convergence_probe_on_finite_run():
-    out = run(3, (0, 4), 4)
-    stable, lim1 = complete_convergence_probe(out, (1, 4))
-    assert lim1 is False
-    assert names(stable) == {"zeta v1"}
-    stable0, lim1_0 = complete_convergence_probe(out, (0, 4))
-    assert lim1_0 is False
-
-
 def test_precision_guard():
     # k = 3 needs N >= 2 + (1 + 1)
     with pytest.raises(PrecisionError):
@@ -305,9 +295,3 @@ def test_run_rejects_composite_p():
     with pytest.raises(ValueError, match="odd prime, got 9"):
         run(9, (0, 40), 6)
 
-
-def test_convergence_probe_refuses_growing_pages():
-    zeta = ChartClass.monomial(3, 1, 0, 1)
-    grown = RunResult(3, 4, (4, 4), {2: [], 3: [zeta]}, [], [zeta], [])
-    with pytest.raises(RuntimeError, match="pages grew"):
-        complete_convergence_probe(grown, (1, 4))
