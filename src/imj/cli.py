@@ -6,9 +6,10 @@ The config file is flat key=value text (# starts a comment) whose keys are
 the subcommand's options spelled like the long flags; an unknown key is a
 configuration error.  Precedence is flags > config file > defaults.
 
-Exit codes are stable: 0 on success, 2 on precision failure (and on usage
-or configuration errors, matching the argparse convention), 3 on window
-failure.
+Exit codes are stable: 0 on success, 1 when an engine self-check failed
+(a bug; one `internal error:` line on stderr), 2 on precision failure (and
+on usage or configuration errors, matching the argparse convention), 3 on
+window failure.
 
 Output formats. Tables are plain text, one record per line. JSON documents
 use two-space indentation and round-trip through json.loads/json.dumps;
@@ -484,6 +485,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,15 +2,18 @@
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
 needs no Euclidean steps, only valuation pivoting.  All the homological
-bookkeeping downstream reduces to the SNF computed here: kernels,
-cokernels and `homology` through subgroup arithmetic, and the spectral
-sequence pages of `ssq.run` directly, from one SNF of the boundary per
-degree.
+bookkeeping downstream reduces to the SNF computed here.  Production
+reads the two-term complex id - psi from one SNF of its boundary per
+degree (`grpcoh.boundary_snf`, used by `two_term_cohomology` and
+`ssq.run`).
 
-`sub_intersect`, `quotient_presentation` and `QuotPres.express`/
-`generator` serve only the test oracle `ssq.FilteredComplexSS`.  They stay
-importable from `imj.gmod` because the benchmark tracer
-(perfbench/tracing.py) looks up every traced name when it installs.
+The generic engine has no production caller and serves the tests as an
+oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
+checks that reading of the complex, and `sub_intersect`,
+`quotient_presentation` and `QuotPres.express`/`generator` serve the
+oracle `ssq.FilteredComplexSS`.  They stay importable from `imj.gmod`
+because the benchmark tracer (perfbench/tracing.py) looks up every
+traced name when it installs.
 
 A factor with exponent N ("saturated") is indistinguishable mod p^N from
 a free Z_p summand; such factors carry a flag and reports print them as
@@ -55,12 +58,6 @@ class ModMatrix:
     def identity(cls, n: int, p: int, N: int) -> "ModMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
                    p, N)
-
-    @classmethod
-    def from_padic(cls, entries: list[list[PadicInt]]) -> "ModMatrix":
-        p = entries[0][0].prime
-        N = entries[0][0].precision
-        return cls([[x.residue for x in row] for row in entries], p, N)
 
     # ---- basics ----
 

@@ -44,10 +44,6 @@ class PadicInt:
     # ---- constructors ----
 
     @classmethod
-    def zero(cls, p: int, N: int) -> "PadicInt":
-        return cls(0, p, N)
-
-    @classmethod
     def one(cls, p: int, N: int) -> "PadicInt":
         return cls(1, p, N)
 
@@ -69,17 +65,6 @@ class PadicInt:
 
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0
-
-    def unit_part(self) -> "PadicInt":
-        """The unit u with self = p^v * u; for zero returns 0.
-
-        The unit is only determined mod p^(N-v); it is returned in the
-        ambient precision, which is harmless wherever it is consumed.
-        """
-        if self.is_zero():
-            return self
-        return PadicInt(self.residue // self.prime ** self.valuation(),
-                        self.prime, self.precision)
 
     def reduce(self, precision: int) -> "PadicInt":
         if precision > self.precision:

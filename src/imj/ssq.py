@@ -4,8 +4,9 @@ Engine.  The filtration F^j = p^j M is stable under every automorphism
 of M, so the Smith normal form U*bd*V = diag(p^v) of the boundary
 bd = 1 - psi is an isomorphism of filtered complexes, and in each degree
 the spectral sequence splits into pieces Z/p^N --p^v--> Z/p^N.  `run`
-takes one SNF per degree and reads every page from v alone.  On internal
-page m (label r = m + 1):
+takes one SNF per degree through `grpcoh.boundary_snf`, the reading of
+the complex that `two_term_cohomology` also uses, and reads every page
+from v alone.  On internal page m (label r = m + 1):
 
     (f, 0) survives  iff  m <= v  or  f >= N - v
     (f, 1) survives  iff  f < v   or  m <= v
@@ -40,9 +41,9 @@ and the abutment comparison.
 
 from __future__ import annotations
 
-from .gmod import (FgModule, ModMatrix, QuotPres, diagonal_valuations, snf,
-                   quotient_presentation, sub_intersect, sub_preimage)
-from .grpcoh import CohomologyReport, PsiModule
+from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
+                   sub_intersect, sub_preimage)
+from .grpcoh import CohomologyReport, PsiModule, boundary_snf
 from .padic import PrecisionError, int_valuation, smallest_primitive_root
 
 
@@ -309,12 +310,10 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     vals: dict[int, int] = {}
     units: dict[int, int] = {}
     for t in ts:
-        mat = module.matrix(t)
-        if mat.rows != 1:
-            raise RuntimeError(f"degree t={t} has rank {mat.rows}; run "
-                               f"handles rank-1 degrees only")
-        bd = ModMatrix.identity(1, p, N) - mat
-        v = diagonal_valuations(snf(bd)[1])[0]
+        if module.rank(t) != 1:
+            raise RuntimeError(f"degree t={t} has rank {module.rank(t)}; "
+                               f"run handles rank-1 degrees only")
+        bd, (v,) = boundary_snf(module, t)
         vals[t] = v
         units[t] = bd.data[0][0] // p**v % p
 

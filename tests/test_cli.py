@@ -354,3 +354,20 @@ def test_config_keys_come_from_the_subcommand_options(tmp_path, capsys):
     rc, _, err = run_cli(["cobar", "--config", str(cfg)], capsys)
     assert err.endswith("valid keys for cobar: N, fmax, format, n, output, "
                         "p, q, smax, stem-max, stem-min\n")
+
+
+@pytest.mark.parametrize("engine,argv", [
+    ("cobar_ext", ["cobar", "-n", "2", "--smax", "2"]),
+    ("run", ["run", "-p", "3", "-N", "6"]),
+    ("abutment", ["abutment", "-p", "3", "-N", "6"]),
+])
+def test_engine_self_check_exits_1_without_traceback(engine, argv,
+                                                     monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("ranks overshot a block dimension")
+
+    monkeypatch.setattr(f"imj.cli.{engine}", broken)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err == "internal error: ranks overshot a block dimension\n"
+    assert "Traceback" not in err

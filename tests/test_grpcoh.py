@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from imj.gmod import FgModule, ModMatrix
+from imj.gmod import FgModule, ModMatrix, homology
 from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
 from imj.padic import PrecisionError, int_valuation, psi_generator
@@ -160,3 +160,46 @@ def test_euler_property_random_units():
             assert h0.exponents == h1.exponents
             hits += 1
     assert hits > 10  # the property actually got exercised
+
+
+def _oracle_cases(rng, p, N):
+    """psi matrices of rank 1-4: the identity (bd = 0), psi = 1 mod p^j,
+    psi = 1 - L diag(p^v) R with chosen valuations, and random units."""
+    pN = p**N
+    for n in range(1, 5):
+        yield ModMatrix.identity(n, p, N)
+        for j in range(1, N + 1):
+            R = [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
+            yield (ModMatrix.identity(n, p, N)
+                   - ModMatrix(R, p, N).scale_int(p**j))
+        for _ in range(6):
+            vs = [rng.randrange(1, N + 1) for _ in range(n)]
+            D = ModMatrix([[p**v if i == k else 0 for k, v in enumerate(vs)]
+                           for i in range(n)], p, N)
+            bd = (_random_unit_matrix(rng, n, p, N) * D
+                  * _random_unit_matrix(rng, n, p, N))
+            yield ModMatrix.identity(n, p, N) - bd
+        for _ in range(3):
+            yield _random_unit_matrix(rng, n, p, N)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_two_term_cohomology_matches_homology_oracle(p, N):
+    rng = random.Random(1000 * p + N)
+    mats = dict(enumerate(_oracle_cases(rng, p, N)))
+    rep = two_term_cohomology(PsiModule(mats, p, N))
+    shapes = set()
+    for t, psi in mats.items():
+        n = psi.rows
+        bd = ModMatrix.identity(n, p, N) - psi
+        h0 = homology(ModMatrix.zeros(n, 0, p, N), bd)
+        h1 = homology(bd, ModMatrix.zeros(0, n, p, N))
+        assert rep.h(0, t) == h0, f"t={t}"
+        assert rep.h(1, t) == h1, f"t={t}"
+        shapes.add((h1.saturated_count(), len(h1.torsion_exponents())))
+    # saturated, torsion and mixed cases all came up
+    assert (0, 0) in shapes and (1, 0) in shapes
+    if N > 1:
+        assert any(s and t for s, t in shapes)
+        assert any(t >= 2 for _, t in shapes)

@@ -197,10 +197,3 @@ def test_arithmetic_and_inverse():
         PadicInt(10, p, N).inverse()
     assert (-PadicInt(1, p, N)).residue == p**N - 1
     assert (PadicInt(2, p, N) ** 3).residue == 8
-
-
-def test_unit_part():
-    x = PadicInt(18, 3, 4)
-    u = x.unit_part()
-    assert u.residue * 9 % 3**4 == 18
-
