@@ -12,14 +12,13 @@ window = (0, 36)
 
 result = run(p, window, N)
 print(f"p={p}, N={N}, internal degrees {window[0]}..{window[1]}")
-for r in sorted(result.pages):
-    print(f"  page {r}: {len(result.pages[r])} classes")
+for r in range(2, result.last_page + 1):
+    print(f"  page {r}: {len(result.page(r))} classes")
 print()
 
 print("Differentials found by the generic engine (graded pieces, Smith")
 print("normal form, page recursion - no closed form anywhere inside):")
-for rec in sorted(result.differentials,
-                  key=lambda rec: (rec.r, rec.source.t, rec.source.f)):
+for rec in result.differentials:
     print(f"  d_{rec.r}: {rec.source.name} -> {rec.target.name}")
 print()
 

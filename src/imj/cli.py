@@ -126,8 +126,7 @@ def _cmd_e2(cfg: RunConfig, args, filecfg) -> int:
             "prime": cfg.prime,
             "window": [cfg.stem_min, cfg.stem_max],
             "fmax": cfg.fmax,
-            "classes": [{"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
-                        for cl in classes],
+            "classes": [cl.to_json_dict() for cl in classes],
         }
         return _emit(_json_text(doc), cfg.output)
     lines = [f"E_2 p={cfg.prime} stems {cfg.stem_min}..{cfg.stem_max} "
@@ -144,30 +143,23 @@ def _cmd_run(cfg: RunConfig, args, filecfg) -> int:
         return _emit(_json_text(result.to_json_dict()), cfg.output)
     lo, hi = result.window
     lines = [f"run p={cfg.prime} N={cfg.precision} t-window {lo}..{hi}"]
-    for r in sorted(result.pages):
-        lines.append(f"page {r}: {len(result.pages[r])} classes")
+    for r in range(2, result.last_page + 1):
+        lines.append(f"page {r}: {len(result.page(r))} classes")
     lines.append("differentials:")
-    for rec in sorted(result.differentials,
-                      key=lambda rec: (rec.r, rec.source.t, rec.source.f)):
+    for rec in result.differentials:
         lines.append(f"d_{rec.r}: {rec.source.name} -> {rec.target.name}")
-    names = ", ".join(cl.name for cl in sorted(result.e_infinity,
-                                               key=ChartClass.sort_key))
+    names = ", ".join(cl.name for cl in result.e_infinity)
     lines.append("e_infinity: " + (names or "-"))
     return _emit("\n".join(lines) + "\n", cfg.output)
 
 
 def _chart_data(result, cfg: RunConfig):
-    classes = sorted(
-        (cl for cl in result.page(2)
-         if cfg.stem_min <= cl.stem <= cfg.stem_max and cl.s <= cfg.fmax),
-        key=ChartClass.sort_key)
-    arrows = []
-    for rec in sorted(result.differentials,
-                      key=lambda rec: (rec.r, rec.source.t, rec.source.f)):
-        ok = all(cfg.stem_min <= cl.stem <= cfg.stem_max
-                 and cl.s <= cfg.fmax for cl in (rec.source, rec.target))
-        if ok:
-            arrows.append(rec)
+    def shown(cl):
+        return cfg.stem_min <= cl.stem <= cfg.stem_max and cl.s <= cfg.fmax
+
+    classes = [cl for cl in result.page(2) if shown(cl)]
+    arrows = [rec for rec in result.differentials
+              if shown(rec.source) and shown(rec.target)]
     s_top = max([cl.s for cl in classes], default=0)
     return classes, arrows, s_top
 

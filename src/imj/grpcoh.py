@@ -30,7 +30,7 @@ class PsiModule:
             if mat.rows != mat.cols:
                 raise ValueError(f"psi matrix in degree {t} is not square")
             try:
-                matinv(mat)
+                matinv(ModMatrix(mat.data, prime, 1))  # residues mod p
             except ValueError:
                 raise ValueError(
                     f"psi matrix in degree {t} is not invertible mod {prime}")

@@ -16,6 +16,12 @@ with coefficient (bd / p^v) mod p.  Nothing about the closed-form answer
 enters the engine: v comes out of the SNF.  `run` covers rank-1 degrees
 (the Lubin-Tate module) and raises RuntimeError on a wider one.
 
+So a class lives on the pages r = 2 .. v + 1, or forever when f >= N - v
+(c = 0) or f < v (c = 1), and a degree with v = 0 has nothing on page 2.
+`run` stores each class once with that last page label, and `RunResult`
+derives every page from it.  Classes come in (t, f, c) order and
+differentials in (r, t, f) order.
+
 Oracle.  `FilteredComplexSS` computes the same pages from the generic
 filtered-complex subquotients
 
@@ -96,6 +102,9 @@ class ChartClass:
 
     def sort_key(self):
         return (self.t, self.f, self.c)
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "t": self.t, "f": self.f, "c": self.c}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChartClass)
@@ -232,61 +241,57 @@ class FilteredComplexSS:
 
 
 class RunResult:
-    """Pages, differentials and E_infinity of one spectral sequence run.
+    """One spectral sequence run, each class stored once.
 
-    Unpacks as the triple (pages, differentials, e_infinity)."""
+    `classes` lists every class of page 2 once, as a pair (class, label
+    of the last page it lives on), the label None for a class that lives
+    forever.  `page(r)` and `last_page`, the label of the stable page,
+    derive the pages from it.  Order contract: `classes`, every
+    `page(r)`, `e_infinity` and `artifacts` are in (t, f, c) order and
+    `differentials` in (r, t, f) order, so consumers print them as they
+    are."""
 
-    __slots__ = ("prime", "precision", "window", "pages", "differentials",
-                 "e_infinity", "artifacts")
+    __slots__ = ("prime", "precision", "window", "classes", "last_page",
+                 "differentials", "e_infinity", "artifacts")
 
-    def __init__(self, prime, precision, window, pages, differentials,
+    def __init__(self, prime, precision, window, classes, differentials,
                  e_infinity, artifacts):
         self.prime = prime
         self.precision = precision
         self.window = window
-        self.pages = pages
+        self.classes = classes
+        self.last_page = 1 + max(
+            (last for _, last in classes if last is not None), default=1)
         self.differentials = differentials
         self.e_infinity = e_infinity
         self.artifacts = artifacts
 
-    def __iter__(self):
-        return iter((self.pages, self.differentials, self.e_infinity))
-
     def page(self, r: int) -> list[ChartClass]:
-        """Classes on page r; pages beyond the computed range are stable."""
-        last = max(self.pages)
-        if r < min(self.pages):
+        """Classes on page r; pages past `last_page` equal it."""
+        if r < 2:
             raise KeyError(r)
-        return self.pages[min(r, last)]
+        return [cl for cl, last in self.classes if last is None or r <= last]
 
     def to_json_dict(self) -> dict:
-        pages = []
-        for r in sorted(self.pages):
-            classes = [{"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
-                       for cl in sorted(self.pages[r],
-                                        key=ChartClass.sort_key)]
-            pages.append({"r": r, "classes": classes})
-        diffs = [{"r": rec.r, "source": rec.source.name,
-                  "target": rec.target.name}
-                 for rec in sorted(self.differentials,
-                                   key=lambda rc: (rc.r, rc.source.t,
-                                                   rc.source.f))]
-        einf = [{"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
-                for cl in sorted(self.e_infinity, key=ChartClass.sort_key)]
         return {
             "prime": self.prime,
             "precision": self.precision,
             "window": [self.window[0], self.window[1]],
-            "pages": pages,
-            "differentials": diffs,
-            "e_infinity": einf,
+            "pages": [{"r": r,
+                       "classes": [cl.to_json_dict() for cl in self.page(r)]}
+                      for r in range(2, self.last_page + 1)],
+            "differentials": [{"r": rec.r, "source": rec.source.name,
+                               "target": rec.target.name}
+                              for rec in self.differentials],
+            "e_infinity": [cl.to_json_dict() for cl in self.e_infinity],
         }
 
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     """Run the spectral sequence for Z_p[u^{+-1}] over an internal-degree
     window at precision N, from one SNF of bd = 1 - psi per degree (see
-    the module docstring for how pages and differentials follow from v).
+    the module docstring for how lifetimes and differentials follow
+    from v).
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
     so each differential closes strictly below the precision horizon."""
@@ -298,49 +303,39 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     if not ts:
         raise WindowError("window contains no even degree")
     per = 2 * p - 2
-    vmax = 0
     for t in ts:
         if t % per == 0 and t != 0:
             vk = 1 + int_valuation(abs(t) // per, p, N)
             if N < 2 + vk:
                 raise PrecisionError(
                     f"degree t={t} needs N >= {2 + vk}, have {N}")
-            vmax = max(vmax, vk)
     module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
-    vals: dict[int, int] = {}
-    units: dict[int, int] = {}
+    classes: list[tuple[ChartClass, int | None]] = []
+    by_r: dict[int, list[DifferentialRecord]] = {}
+    e_inf: list[ChartClass] = []
+    artifacts: list[ChartClass] = []
     for t in ts:
         if module.rank(t) != 1:
             raise RuntimeError(f"degree t={t} has rank {module.rank(t)}; "
                                f"run handles rank-1 degrees only")
         bd, (v,) = boundary_snf(module, t)
-        vals[t] = v
-        units[t] = bd.data[0][0] // p**v % p
-
-    pages: dict[int, list[ChartClass]] = {}
-    records: list[DifferentialRecord] = []
-    for m in range(1, vmax + 2):
-        classes = []
-        for t in ts:
-            v, k = vals[t], t // per
-            for f in range(N):
-                if m <= v or f >= N - v:
-                    classes.append(ChartClass.monomial(p, k, f, 0))
-                if f < v or m <= v:
-                    classes.append(ChartClass.monomial(p, k, f, 1))
-            if v == m:
-                for f in range(N - m):
-                    records.append(DifferentialRecord(
-                        m, ChartClass.monomial(p, k, f, 0),
-                        ChartClass.monomial(p, k, f + m, 1), units[t]))
-        pages[m + 1] = classes
-
-    final = pages[max(pages)]
-    artifacts = [cl for cl in final
-                 if cl.c == 0 and cl.t != 0 and cl.f >= N - vals[cl.t]]
-    skip = set(artifacts)
-    e_inf = [cl for cl in final if cl not in skip]
-    return RunResult(p, N, (ts[0], ts[-1]), pages, records, e_inf, artifacts)
+        if v == 0:
+            continue  # bd is a unit: nothing reaches page 2
+        k = t // per
+        zero = [ChartClass.monomial(p, k, f, 0) for f in range(N)]
+        one = [ChartClass.monomial(p, k, f, 1) for f in range(N)]
+        for f in range(N):
+            for cl, forever in ((zero[f], f >= N - v), (one[f], f < v)):
+                classes.append((cl, None if forever else v + 1))
+                if forever:
+                    (artifacts if cl.c == 0 and t else e_inf).append(cl)
+        unit = bd.data[0][0] // p**v % p
+        by_r.setdefault(v, []).extend(
+            DifferentialRecord(v, zero[f], one[f + v], unit)
+            for f in range(N - v))
+    records = [rec for r in sorted(by_r) for rec in by_r[r]]
+    return RunResult(p, N, (ts[0], ts[-1]), classes, records, e_inf,
+                     artifacts)
 
 
 class AbutmentReport:

@@ -8,6 +8,7 @@ import pytest
 from imj.cli import main
 from imj.cobar import symmetric_oracle
 from imj.grpcoh import abutment
+from imj.ssq import run
 
 
 def run_cli(args, capsys):
@@ -61,6 +62,20 @@ def test_run_table_lists_pages_and_differentials(capsys):
     assert "page 2:" in out
     assert "d_1: v1 -> zeta b v1" in out
     assert "e_infinity:" in out
+
+
+@pytest.mark.parametrize("p,N,stems", [
+    (3, 6, (0, 12)), (3, 8, (-20, 60)), (5, 5, (-3, 200)), (7, 4, (0, 0))])
+def test_run_table_page_counts_are_page_sizes(p, N, stems, capsys):
+    rc, out, _ = run_cli(["run", "-p", str(p), "-N", str(N),
+                          "--stem-min", str(stems[0]),
+                          "--stem-max", str(stems[1])], capsys)
+    assert rc == 0
+    result = run(p, (stems[0], stems[1] + 1), N)
+    expected = [f"page {r}: {len(result.page(r))} classes"
+                for r in range(2, result.last_page + 1)]
+    assert [ln for ln in out.splitlines() if ln.startswith("page ")] \
+        == expected
 
 
 def test_chart_ascii_example_window(capsys):

@@ -32,6 +32,19 @@ def test_psi_matrix_must_be_invertible():
         PsiModule({0: ModMatrix([[3]], p, N)}, p, N)
 
 
+@pytest.mark.parametrize("t,rows", [
+    (0, [[3]]),
+    (6, [[1, 1], [1, 4]]),                  # unit entries, det = 3
+    (-2, [[2, 0, 0], [0, 1, 1], [0, 2, 11]]),  # det = 18
+])
+def test_psi_matrix_singular_mod_p_is_refused(t, rows):
+    p, N = 3, 4
+    good = {2: ModMatrix([[4]], p, N)}
+    with pytest.raises(ValueError) as exc:
+        PsiModule({**good, t: ModMatrix(rows, p, N)}, p, N)
+    assert str(exc.value) == f"psi matrix in degree {t} is not invertible mod 3"
+
+
 def test_two_term_degree_zero():
     # psi acts by 1, so the complex has zero differential
     p, N = 3, 5
@@ -145,23 +158,6 @@ def _random_unit_matrix(rng, n, p, N):
     return ModMatrix(L, p, N) * ModMatrix(U, p, N)
 
 
-def test_euler_property_random_units():
-    # square boundary with determinant of valuation < N: H^0 and H^1 agree
-    rng = random.Random(20260816)
-    p, N = 3, 5
-    hits = 0
-    for _ in range(40):
-        n = rng.randrange(1, 4)
-        psi = _random_unit_matrix(rng, n, p, N)
-        M = PsiModule({2: psi}, p, N)
-        rep = two_term_cohomology(M)
-        h0, h1 = rep.h(0, 2), rep.h(1, 2)
-        if all(not f for f in h0.saturated_flags() + h1.saturated_flags()):
-            assert h0.exponents == h1.exponents
-            hits += 1
-    assert hits > 10  # the property actually got exercised
-
-
 def _oracle_cases(rng, p, N):
     """psi matrices of rank 1-4: the identity (bd = 0), psi = 1 mod p^j,
     psi = 1 - L diag(p^v) R with chosen valuations, and random units."""
@@ -184,7 +180,7 @@ def _oracle_cases(rng, p, N):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("N", [1, 2, 4, 8])
+@pytest.mark.parametrize("N", [1, 2, 4, 5, 8])
 def test_two_term_cohomology_matches_homology_oracle(p, N):
     rng = random.Random(1000 * p + N)
     mats = dict(enumerate(_oracle_cases(rng, p, N)))

@@ -12,8 +12,8 @@ import pytest
 from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
-from imj.ssq import (ChartClass, DifferentialRecord, FilteredComplexSS,
-                     RunResult, abutment_check, e2_page, run)
+from imj.ssq import (ChartClass, FilteredComplexSS, abutment_check, e2_page,
+                     run)
 
 
 def names(classes):
@@ -110,10 +110,9 @@ def test_leibniz_pth_power():
 def test_page_recursion_counts():
     # E_{r+1} is the homology of (E_r, d_r), counted per tridegree
     out = run(3, (0, 12), 5)
-    labels = sorted(out.pages)
-    for r in labels[:-1]:
+    for r in range(2, out.last_page):
         cur = {}
-        for cl in out.pages[r]:
+        for cl in out.page(r):
             cur[(cl.t, cl.f, cl.c)] = cur.get((cl.t, cl.f, cl.c), 0) + 1
         m = r - 1  # differential label acting on this page
         for rec in out.differentials:
@@ -121,17 +120,15 @@ def test_page_recursion_counts():
                 cur[(rec.source.t, rec.source.f, rec.source.c)] -= 1
                 cur[(rec.target.t, rec.target.f, rec.target.c)] -= 1
         nxt = {}
-        for cl in out.pages[r + 1]:
+        for cl in out.page(r + 1):
             nxt[(cl.t, cl.f, cl.c)] = nxt.get((cl.t, cl.f, cl.c), 0) + 1
         assert {k: v for k, v in cur.items() if v} == nxt
 
 
 def test_first_page_matches_associated_graded_homology():
     out = run(3, (0, 12), 5)
-    first = min(out.pages)
-    assert first == 2
     engine = {(cl.name, cl.t, cl.f, cl.c)
-              for cl in out.pages[2] if cl.s <= 3}
+              for cl in out.page(2) if cl.s <= 3}
     direct = {(cl.name, cl.t, cl.f, cl.c)
               for cl in e2_page(3, (0, 12), 3)}
     assert engine == direct
@@ -143,7 +140,7 @@ def test_precision_horizon_artifacts():
     assert names(out.artifacts) == {"b^2 v1^3", "b^3 v1^3"}
     assert names(out.e_infinity) == {"zeta v1^3", "zeta b v1^3"}
     # artifacts still sit on the final page, honestly reported
-    assert names(out.pages[max(out.pages)]) >= names(out.artifacts)
+    assert names(out.page(out.last_page)) >= names(out.artifacts)
 
 
 def test_einfinity_t_zero_column():
@@ -183,11 +180,21 @@ def test_precision_guard():
     run(3, (0, 12), 4)
 
 
-def test_run_unpacks_as_triple():
-    pages, diffs, einf = run(3, (0, 4), 4)
-    assert 2 in pages
-    assert all(rec.r >= 1 for rec in diffs)
-    assert names(einf)
+@pytest.mark.parametrize("p,window,N", [
+    (3, (0, 0), 4), (3, (-40, 40), 6), (5, (0, 200), 5), (7, (2, 10), 4)])
+def test_pages_past_the_last_are_stable(p, window, N):
+    out = run(p, window, N)
+    last = out.page(out.last_page)
+    for r in range(out.last_page + 1, out.last_page + 4):
+        assert out.page(r) == last
+    if out.last_page > 2:
+        assert out.page(out.last_page - 1) != last
+
+
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_pages_below_two_raise_keyerror(r):
+    with pytest.raises(KeyError):
+        run(3, (0, 12), 5).page(r)
 
 
 def test_json_document_shape():
@@ -203,10 +210,19 @@ def test_json_document_shape():
     assert isinstance(d0["source"], str)
 
 
+def _row(cl):
+    return (cl.name, cl.t, cl.f, cl.c)
+
+
+def _rows(classes):
+    return [_row(cl) for cl in classes]
+
+
 def oracle_run(p, window, N):
-    """Reference for `run`: the same window guard, then pages,
-    differentials and artifacts from the generic page pieces of
-    FilteredComplexSS."""
+    """Reference for `run`: the same window guard, then what a run shows
+    (see `_shown`), built page by page from the generic page pieces of
+    FilteredComplexSS, classes in (t, f, c) and differentials in
+    (r, t, f) order."""
     t_min, t_max = window
     start = t_min + (t_min % 2)
     ts = list(range(start, t_max + 1, 2))
@@ -222,7 +238,7 @@ def oracle_run(p, window, N):
     ss = FilteredComplexSS(PsiModule.lubin_tate(p, N, ts[0], ts[-1]))
     live = {t: any(ss.dim(1, t, f, c) for f in range(N) for c in (0, 1))
             for t in ts}
-    pages, records = {}, []
+    pages, records = [], []
     for m in range(1, vmax + 2):
         classes = []
         for t in ts:
@@ -236,31 +252,32 @@ def oracle_run(p, window, N):
                     if d:
                         classes.append(ChartClass.monomial(p, k, f, c))
             for f, _i, _j, coeff in ss.induced(m, t):
-                records.append(DifferentialRecord(
-                    m, ChartClass.monomial(p, k, f, 0),
-                    ChartClass.monomial(p, k, f + m, 1), coeff))
-        pages[m + 1] = classes
-    final = pages[max(pages)]
-    artifacts = [cl for cl in final if cl.c == 0 and cl.t != 0
+                records.append((m, _row(ChartClass.monomial(p, k, f, 0)),
+                                _row(ChartClass.monomial(p, k, f + m, 1)),
+                                coeff))
+        pages.append((m + 1, _rows(classes)))
+    artifacts = [cl for cl in classes if cl.c == 0 and cl.t != 0
                  and cl.f >= N - ss.boundary(cl.t).entry_valuation(0, 0)]
-    e_inf = [cl for cl in final if cl not in set(artifacts)]
-    return RunResult(p, N, (ts[0], ts[-1]), pages, records, e_inf, artifacts)
+    e_inf = [cl for cl in classes if cl not in set(artifacts)]
+    return pages, records, _rows(e_inf), _rows(artifacts), (ts[0], ts[-1])
+
+
+def _shown(p, window, N):
+    """Everything a run shows, in its order: pages, differentials with
+    coefficients, E_infinity, artifacts and the window."""
+    out = run(p, window, N)
+    return ([(r, _rows(out.page(r))) for r in range(2, out.last_page + 1)],
+            [(rec.r, _row(rec.source), _row(rec.target), rec.coefficient)
+             for rec in out.differentials],
+            _rows(out.e_infinity), _rows(out.artifacts), out.window)
 
 
 def _outcome(engine, p, window, N):
-    """Everything a run shows, in order, or the text of its PrecisionError."""
-    def row(cl):
-        return (cl.name, cl.t, cl.f, cl.c)
+    """`engine(p, window, N)`, or the text of its PrecisionError."""
     try:
-        out = engine(p, window, N)
+        return engine(p, window, N)
     except PrecisionError as exc:
         return f"PrecisionError: {exc}"
-    return ([(r, [row(cl) for cl in out.pages[r]]) for r in out.pages],
-            [(rec.r, row(rec.source), row(rec.target), rec.coefficient)
-             for rec in out.differentials],
-            [row(cl) for cl in out.e_infinity],
-            [row(cl) for cl in out.artifacts],
-            out.window)
 
 
 def _oracle_windows(p, N):
@@ -268,6 +285,7 @@ def _oracle_windows(p, N):
     return [(0, 0),                          # the t = 0 column alone
             (per * p, per * p),              # k = p, so v_p(k) = 1
             (-per, per),                     # straddles 0: k = -1, 0, 1
+            (per, per * (p + 1)),            # k = 1..p+1: v = 1, 2, 1
             (per * p**(N - 2),) * 2]         # needs N + 1: PrecisionError
 
 
@@ -275,9 +293,9 @@ def _oracle_windows(p, N):
 @pytest.mark.parametrize("N", [4, 5, 6, 8, 10])
 def test_run_matches_subquotient_oracle(p, N):
     for window in _oracle_windows(p, N):
-        assert (_outcome(run, p, window, N)
+        assert (_outcome(_shown, p, window, N)
                 == _outcome(oracle_run, p, window, N)), (p, N, window)
-    assert _outcome(run, p, _oracle_windows(p, N)[-1], N).startswith(
+    assert _outcome(_shown, p, _oracle_windows(p, N)[-1], N).startswith(
         "PrecisionError")
 
 
