@@ -28,6 +28,7 @@ even-compatible.
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
@@ -143,8 +144,12 @@ def _cmd_run(cfg: RunConfig, args, filecfg) -> int:
         return _emit(_json_text(result.to_json_dict()), cfg.output)
     lo, hi = result.window
     lines = [f"run p={cfg.prime} N={cfg.precision} t-window {lo}..{hi}"]
+    # every class lives on page 2; a class with label r leaves after page r
+    ends = Counter(last for _, last in result.classes)
+    alive = len(result.classes)
     for r in range(2, result.last_page + 1):
-        lines.append(f"page {r}: {len(result.page(r))} classes")
+        lines.append(f"page {r}: {alive} classes")
+        alive -= ends[r]
     lines.append("differentials:")
     for rec in result.differentials:
         lines.append(f"d_{rec.r}: {rec.source.name} -> {rec.target.name}")

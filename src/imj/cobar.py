@@ -2,22 +2,52 @@
 
 Ext of an exterior coalgebra on primitive odd generators sitting in
 internal degree -1 is a symmetric algebra on classes in (s, t) = (1, -1).
-The module verifies that by raw rank computation on the reduced cobar
-complex. The complex splits by occurrence profile (how often each
-generator appears across the tensor slots), the differential has integer
-shuffle-sign entries, and an integer matrix cannot change rank under
-scalar extension, so ranks are taken mod p and spot-checked against a
-direct F_q elimination.
+The module verifies that by the rank of every block of the reduced cobar
+complex, which splits by occurrence profile (how often each generator
+appears across the tensor slots).  An s-cell is a tuple of s nonempty
+generator sets; d splits one slot into two in every way, entries +-1.
+
+Ranks come from an acyclic matching of entries of d (algebraic discrete
+Morse theory: Skoldberg, Trans. AMS 2006; Jollenbeck-Welker, Mem. AMS
+2009).  Scan the slots of a cell from the left.  A slot of two or more
+generators matches the cell up, with the cell that splits the slot into
+(lowest generator, rest).  A singleton {g} with g below the lowest
+generator of the next slot matches it down, with the cell that merges
+the two.  Other singletons pass the scan on.  The unmatched (critical)
+cells have singleton slots only, with weakly decreasing generators: one
+per profile, in degree s = weight.  If x is matched up at slot i, after
+singletons g_1 >= ... >= g_{i-1} and with slot i = {m} u R, m < min R,
+the scan of its partner y passes the same singletons, as the next slot
+still has lowest generator m, and merges {m} with R back to x.
+
+Acyclic: let x -> x' when x' != x is matched up and the partner y of x
+occurs in d(x'); x' merges slots k, k+1 of y, k != i.  Let mu be the
+sequence of slot minima.  For k < i the merged singletons {g_k}, {g'}
+are disjoint and g_k >= g', so mu(x') < mu(x) lexicographically.  For
+k = i+1, x' holds {m} before R u S, S the slot i+1 of x; it is matched
+up only if min S <= m < min R, then at slot i+1 with mu(x') = mu(x).
+For k > i+1, {m} precedes R and x' is matched down.  So (mu, -i) drops
+along every arrow.  A cycle in the graph of d, with matched edges up and
+the rest down, alternates between two degrees (a cell has at most one
+matched edge), so it would close a path of arrows: there is none.
+
+Rank: list the u_s cells matched up by decreasing (mu, -i), and their
+partners alike.  An entry of d^s off the diagonal there is an arrow, so
+that submatrix is triangular with +-1 on the diagonal: rank d^s >= u_s
+over any field.  One degree down, rank d^{s-1} >= v_s, the number of
+cells matched down, and d d = 0 gives rank d^s <= dim - v_s = u_s + c_s
+with c_s critical cells.  Where c_s > 0, s is the weight, the block has
+no (s+1)-cells and rank d^s = 0 = u_s.  So rank d^s = u_s for every q.
+
+`cobar_matrix` with the dense `rank_mod_p` (numpy), and `rank_gf` over
+F_q, stay as oracles: the tests compare them with the count on every
+small block, and `cobar_ext` re-ranks one small block over F_q.
 """
 
 import itertools
 import math
 
-import numpy as np
-
 from .padic import prime_factors
-
-_DENSE_CELLS = 100_000_000
 
 
 class GF:
@@ -189,35 +219,28 @@ class ExteriorHopf:
 def _block_basis(n: int, s: int, profile) -> list:
     """Tuples of s nonempty generator masks whose multiset union has the
     given multiplicity per generator, in lexicographic slot order."""
-    out = []
+    profile = tuple(profile)
+    if max(profile, default=0) <= s <= sum(profile):
+        return _tails(s, profile, {})
+    return []
 
-    def rec(slots, prof, acc):
-        if slots == 0:
-            if not any(prof):
-                out.append(tuple(acc))
-            return
-        if sum(prof) < slots or any(m > slots for m in prof):
-            return
-        allowed = 0
-        for i, m in enumerate(prof):
-            if m:
-                allowed |= 1 << i
-        subs = []
-        sub = allowed
-        while sub:
-            subs.append(sub)
-            sub = (sub - 1) & allowed
-        for sub in sorted(subs):
-            nxt = list(prof)
-            b = sub
-            while b:
-                low = b & -b
-                nxt[low.bit_length() - 1] -= 1
-                b ^= low
-            rec(slots - 1, tuple(nxt), acc + [sub])
 
-    rec(s, tuple(profile), [])
-    return out
+def _tails(slots: int, prof: tuple, memo: dict) -> list:
+    """_block_basis, memoized on (slots, multiplicities) left.  Invariant
+    max(prof) <= slots <= sum(prof): each slot is a nonempty set, so every
+    call has tails, and slots = 0 means prof = 0."""
+    if slots == 0:
+        return [()]
+    if (slots, prof) not in memo:
+        allowed = sum(1 << i for i, m in enumerate(prof) if m)
+        out = memo[slots, prof] = []
+        for sub in range(1, allowed + 1):
+            if sub & ~allowed:
+                continue
+            rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
+            if max(rest) < slots <= sum(rest) + 1:
+                out.extend([(sub,) + t for t in _tails(slots - 1, rest, memo)])
+    return memo[slots, prof]
 
 
 def _block_entries(tpl):
@@ -231,6 +254,18 @@ def _block_entries(tpl):
             b = mask ^ sub
             yield tpl[:i] + (sub, b) + tpl[i + 1:], pos * _shuffle_sign(sub, b)
             sub = (sub - 1) & mask
+
+
+def _matched_up(tpl) -> bool:
+    """Whether the scan of the module docstring matches this cell up.  A
+    singleton mask is below the next slot's lowest bit exactly when its
+    generator is below that slot's lowest generator."""
+    for mask, nxt in zip(tpl, tpl[1:] + (0,)):
+        if mask & (mask - 1):
+            return True
+        if mask < nxt & -nxt:
+            return False
+    return False
 
 
 def _block(n: int, s: int, profile):
@@ -254,6 +289,7 @@ def _block(n: int, s: int, profile):
 def _dtype(p: int):
     """The narrowest type that holds a product of two residues mod p:
     int16 up to p = 181, int64 up to about 3e9, Python ints beyond."""
+    import numpy as np
     for t in (np.int16, np.int64):
         if (p - 1) ** 2 + p <= np.iinfo(t).max:
             return t
@@ -261,6 +297,7 @@ def _dtype(p: int):
 
 
 def _dense(cols, rows, entries, p: int):
+    import numpy as np
     M = np.zeros((len(rows), len(cols)), dtype=_dtype(p))
     ri, ci, val = entries
     if val:
@@ -289,6 +326,7 @@ def cobar_matrix(H: ExteriorHopf, s: int, profile):
 def rank_mod_p(M, p: int) -> int:
     """Rank over F_p by vectorized forward elimination: rank needs no
     back-substitution, so only rows below each pivot are cleared."""
+    import numpy as np
     A = np.asarray(M, dtype=_dtype(p)) % p
     if A.ndim != 2:
         raise ValueError("need a matrix")
@@ -337,77 +375,34 @@ def rank_gf(M, gf: GF) -> int:
     return r
 
 
-def _rank_sparse(columns, p: int) -> int:
-    """Rank over F_p of a matrix given as column dicts {row: value};
-    left-looking elimination, dense blocks never materialized."""
-    pivots = {}
-    rank = 0
-    for col in columns:
-        col = {k: v % p for k, v in col.items() if v % p}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(col[r], -1, p)
-                pivots[r] = {k: v * inv % p for k, v in col.items()}
-                rank += 1
-                break
-            f = col[r]
-            for k, v in piv.items():
-                nv = (col.get(k, 0) - f * v) % p
-                if nv:
-                    col[k] = nv
-                else:
-                    col.pop(k, None)
-    return rank
+_BLOCKS = {}
 
 
-_RANK_CACHE = {}
-_DIM_CACHE = {}
+def _block_counts(n: int, s: int, canon) -> tuple:
+    """(dim, rank of d^s) of the block of a decreasing profile, and of its
+    permutations: relabeling permutes the basis and flips signs.  The rank
+    is the number of cells matched up (module docstring), for every q."""
+    key = (n, s, canon)
+    if key not in _BLOCKS:
+        cells = _block_basis(n, s, canon)
+        _BLOCKS[key] = (len(cells), sum(map(_matched_up, cells)))
+    return _BLOCKS[key]
 
 
-def _block_dim(n: int, s: int, profile) -> int:
-    key = (n, s, tuple(sorted(profile, reverse=True)))
-    if key not in _DIM_CACHE:
-        _DIM_CACHE[key] = len(_block_basis(n, s, key[2]))
-    return _DIM_CACHE[key]
-
-
-def _block_rank(n: int, s: int, profile, p: int) -> int:
-    """Rank of d^s on the profile block, cached up to permutation of the
-    generators: relabeling permutes the basis and flips signs, which
-    never moves a rank."""
-    if s == 0:
-        return 0
-    canon = tuple(sorted(profile, reverse=True))
-    key = (n, s, canon, p)
-    if key in _RANK_CACHE:
-        return _RANK_CACHE[key]
+def _subfield_spot_check(gf: GF, n: int, s: int, canon, rank: int) -> bool:
+    """Re-rank one block of d^s by F_q elimination and fail loudly if the
+    matched count differs.  Returns whether the block was small enough
+    (at most 30 by 30, not empty) to check."""
     cols, rows, entries = _block(n, s, canon)
-    _DIM_CACHE[(n, s, canon)] = len(cols)
-    if not cols or not rows:
-        rank = 0
-    elif len(cols) * len(rows) <= _DENSE_CELLS:
-        rank = rank_mod_p(_dense(cols, rows, entries, p), p)
-    else:
-        sparse = [{} for _ in cols]
-        for r, c, v in zip(*entries):
-            sparse[c][r] = v
-        rank = _rank_sparse(sparse, p)
-    _RANK_CACHE[key] = rank
-    return rank
-
-
-def _subfield_spot_check(H: ExteriorHopf, s: int, profile):
-    """Recompute one small block rank by direct F_q elimination; a
-    mismatch with the prime-field rank means the scalar-extension
-    argument (or the arithmetic) is broken, so fail loudly."""
-    _, _, M = cobar_matrix(H, s, profile)
-    if M.size == 0 or M.shape[0] > 30 or M.shape[1] > 30:
-        return
-    dense = rank_mod_p(M, H.field.p)
-    if dense != rank_gf(M.tolist(), H.field):
-        raise RuntimeError("scalar extension moved a cobar rank")
+    if not rows or len(rows) > 30 or len(cols) > 30:
+        return False
+    M = [[0] * len(cols) for _ in rows]
+    for r, c, v in zip(*entries):
+        M[r][c] = v
+    if rank_gf(M, gf) != rank:
+        raise RuntimeError("F_q elimination disagrees with the matched "
+                           "count of a cobar block")
+    return True
 
 
 class ExtTable:
@@ -445,24 +440,22 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
         raise ValueError("desk scale is n <= 4 and S_max <= 6")
     if S_max < 0:
         raise ValueError("S_max must be >= 0")
-    p = H.field.p
     dims = {(0, 0): 1}
-    checked = H.field.e == 1
+    unchecked = True  # until a small cold block is re-ranked over F_q
     for s in range(1, S_max + 1):
         for profile in itertools.product(range(s + 1), repeat=H.n):
             w = sum(profile)
             if w < s:
                 continue
-            d = _block_dim(H.n, s, profile)
-            if d == 0:
-                continue
-            h = d - _block_rank(H.n, s, profile, p) \
-                  - _block_rank(H.n, s - 1, profile, p)
+            canon = tuple(sorted(profile, reverse=True))
+            cold = (H.n, s, canon) not in _BLOCKS
+            d, rank = _block_counts(H.n, s, canon)
+            if cold and unchecked and d <= 30:  # spares the rows of big blocks
+                unchecked = not _subfield_spot_check(H.field, H.n, s, canon,
+                                                     rank)
+            h = d - rank - _block_counts(H.n, s - 1, canon)[1]
             if h < 0:
                 raise RuntimeError("cobar ranks overshot a block dimension")
-            if not checked and d <= 30:
-                _subfield_spot_check(H, s, profile)
-                checked = True
             if h:
                 dims[(s, -w)] = dims.get((s, -w), 0) + h
     for s, t in dims:

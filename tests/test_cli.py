@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -386,3 +388,27 @@ def test_engine_self_check_exits_1_without_traceback(engine, argv,
     assert (rc, out) == (1, "")
     assert err == "internal error: ranks overshot a block dimension\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["3", "9"])
+def test_wrong_matched_count_fails_the_spot_check(q, monkeypatch, capsys):
+    # the first small cold block is re-ranked over F_q, prime or not
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    monkeypatch.setattr(cobar, "_matched_up", lambda tpl: False)
+    rc, out, err = run_cli(["cobar", "-n", "2", "--smax", "2", "--q", q],
+                           capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("internal error: F_q elimination disagrees with the "
+                   "matched count of a cobar block\n")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the dense cobar oracle, imported where it is called
+    import imj
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
+    code = "import sys, imj.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

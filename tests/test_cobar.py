@@ -95,9 +95,12 @@ def test_differential_squares_to_zero():
 
 
 def all_profiles(n, s):
-    import itertools
     return [m for m in itertools.product(range(s + 1), repeat=n)
             if s <= sum(m) <= n * s]
+
+
+def blocks(n, s_top):
+    return [(s, m) for s in range(1, s_top + 1) for m in all_profiles(n, s)]
 
 
 def test_d_squared_zero_over_gf9_tables():
@@ -175,20 +178,6 @@ def test_rank_agrees_across_field_extensions():
         assert dense == rank_gf(M, GF(p))
 
 
-def test_rank_sparse_path_agrees_with_dense():
-    from imj.cobar import _rank_sparse
-    rng = random.Random(555)
-    for _ in range(20):
-        p = rng.choice([3, 5])
-        rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
-        M = [[rng.randrange(p) if rng.random() < 0.3 else 0
-              for _ in range(cols)] for _ in range(rows)]
-        sparse_cols = [{i: M[i][j] for i in range(rows) if M[i][j]}
-                       for j in range(cols)]
-        assert _rank_sparse(sparse_cols, p) == \
-               rank_mod_p(np.array(M, dtype=np.int16), p)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 181, 191, 257, 32771, 4294967311])
 def test_forward_elimination_matches_gauss_jordan(p):
     # rank_gf reduces above and below every pivot; past p = 181 a product
@@ -207,15 +196,78 @@ def test_block_entries_never_repeat():
         for s in range(1, 5):
             for profile in itertools.product(range(s + 1), repeat=n):
                 cols, rows, (ri, ci, val) = _block(n, s, profile)
+                assert cols == sorted(set(cols))
                 assert len(set(zip(ri, ci))) == len(val)
                 assert set(val) <= {-1, 1}
 
 
-def test_sparse_branch_matches_oracle(monkeypatch):
+def up_partner(tpl):
+    # a cell matched up is split at its first slot of two or more
+    # generators, into (lowest generator, rest)
+    i = next(i for i, m in enumerate(tpl) if m & (m - 1))
+    low = tpl[i] & -tpl[i]
+    return tpl[:i] + (low, tpl[i] ^ low) + tpl[i + 1:]
+
+
+@pytest.mark.parametrize("n,s_top", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_matching_is_acyclic(n, s_top):
+    # Kahn sort of d^s with matched edges pointing up (column to row) and
+    # every other entry pointing down: it drains iff there is no cycle
+    from imj.cobar import _block, _matched_up
+    for s, profile in blocks(n, s_top):
+        cols, rows, (ri, ci, _) = _block(n, s, profile)
+        index = {t: r for r, t in enumerate(rows)}
+        matched = {(index[up_partner(x)], c)
+                   for c, x in enumerate(cols) if _matched_up(x)}
+        assert len({r for r, _ in matched}) == len(matched)
+        assert not any(_matched_up(rows[r]) for r, _ in matched)
+        assert matched <= set(zip(ri, ci))
+        out = [[] for _ in range(len(cols) + len(rows))]
+        indeg = [0] * len(out)
+        for r, c in zip(ri, ci):
+            a, b = (c, len(cols) + r) if (r, c) in matched \
+                else (len(cols) + r, c)
+            out[a].append(b)
+            indeg[b] += 1
+        ready = [v for v, k in enumerate(indeg) if k == 0]
+        drained = 0
+        while ready:
+            v = ready.pop()
+            drained += 1
+            for b in out[v]:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+        assert drained == len(out), (n, s, profile)
+
+
+@pytest.mark.parametrize("n,s_top", [(1, 5), (2, 5), (3, 4), (4, 3)])
+def test_critical_cells_are_decreasing_singletons(n, s_top):
+    # neither matched up nor the partner of a cell matched up
+    from imj.cobar import _block_basis, _matched_up
+    for s, profile in blocks(n, s_top):
+        down = {up_partner(x) for x in _block_basis(n, s - 1, profile)
+                if _matched_up(x)}
+        critical = [x for x in _block_basis(n, s, profile)
+                    if not _matched_up(x) and x not in down]
+        decreasing = [x for x in _block_basis(n, s, profile)
+                      if all(m & (m - 1) == 0 for m in x)
+                      and list(x) == sorted(x, reverse=True)]
+        assert critical == decreasing
+        assert len(critical) == (sum(profile) == s)
+
+
+@pytest.mark.parametrize("n,s_top,p", [(1, 5, 3), (2, 5, 5), (3, 4, 3),
+                                       (4, 3, 5)])
+def test_matched_count_is_the_dense_rank(n, s_top, p, monkeypatch):
     from imj import cobar
-    monkeypatch.setattr(cobar, "_DENSE_CELLS", 0)
-    monkeypatch.setattr(cobar, "_RANK_CACHE", {})
-    assert cobar_ext(ExteriorHopf(3, 5), 4) == symmetric_oracle(3, 4)
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    H = ExteriorHopf(n, p)
+    for s, profile in blocks(n, s_top):
+        _, _, M = cobar_matrix(H, s, profile)
+        canon = tuple(sorted(profile, reverse=True))
+        assert cobar._block_counts(n, s, canon) == \
+            (M.shape[1], rank_mod_p(M, p)), (s, profile)
 
 
 @pytest.mark.parametrize("q", [191, 32771, 4294967311])
@@ -223,6 +275,13 @@ def test_ext_at_primes_past_int16(q):
     # products of residues overflow int16 at 191 and int64 at 2^32 + 15;
     # the residues themselves overflow int16 at 32771
     assert cobar_ext(ExteriorHopf(3, q), 4) == symmetric_oracle(3, 4)
+
+
+def test_largest_accepted_input_matches_oracle(monkeypatch):
+    # the guard accepts n = 4, S_max = 6; it must finish, cold
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    assert cobar_ext(ExteriorHopf(4, 3), 6) == symmetric_oracle(4, 6)
 
 
 def test_ext_one_generator_is_a_polynomial_line():
