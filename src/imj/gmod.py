@@ -2,10 +2,17 @@
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
 needs no Euclidean steps, only valuation pivoting.  All the homological
-bookkeeping downstream reduces to the SNF computed here.  Production
-reads the two-term complex id - psi from one SNF of its boundary per
-degree (`grpcoh.boundary_snf`, used by `two_term_cohomology` and
-`ssq.run`).
+bookkeeping downstream reduces to the one elimination here, `Smith`,
+which keeps the transcript of its steps; each reader replays only what
+its caller needs:
+
+- `Smith.valuations`, from the elimination alone: the two-term complex
+  id - psi per degree (`grpcoh.boundary_snf`, used by
+  `two_term_cohomology` and `ssq.run`);
+- `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
+  `mahler.invariants` (the saturated columns) and `kernel_gens`
+  (`towers.truncated_kernel`);
+- `snf`, the full U, D, V: `solve`, `QuotPres` and acceptance check 8.
 
 The generic engine has no production caller and serves the tests as an
 oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
@@ -21,6 +28,8 @@ Z_p.  Factors with exponent < N are honest torsion.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .padic import PadicInt, int_valuation
 
@@ -162,72 +171,144 @@ def matinv(A: ModMatrix) -> ModMatrix:
     return ModMatrix([row[n:] for row in M], p, N)
 
 
-def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
-    """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
+class Smith:
+    """Smith normal form of A over Z/p^N, kept as the transcript of its
+    elimination, so that each reader replays only what it needs.
 
     Valuation pivoting: the entry of minimal valuation in the remaining
     block becomes the pivot (ties row-major, so the scan stops at the
-    first unit), its unit part is divided out, and the row/column are
+    first unit), its unit part is divided out, and the rows below are
     cleared by exact division by p^v.  Cleared entries keep valuation
-    >= v, so the diagonal comes out sorted.
+    >= v, so the diagonal comes out sorted.  The remaining rows are zero
+    left of the pivot column, so row operations start there.
 
-    Once the rows below the pivot are cleared, column k of the work matrix
-    is zero off the pivot p^v, so the column operations change only row k
-    there, and every entry of that row is a multiple of p^v: they are
-    applied to V alone and row k is zeroed.
+    Once the rows below the pivot are cleared, column k is zero off the
+    pivot p^v, so the column operations that clear row k change only row
+    k of the work matrix, and every entry of that row is a multiple of
+    p^v: row k is zeroed and only the quotients qs are kept.
+
+    Step k records the row and column swapped into place, the unit
+    inverse, the row multipliers (i, q) and the column quotients qs
+    (None when row k was already clear).  `valuations` and `D` come from
+    the elimination alone; `v_column` and `kernel_column` replay the
+    column steps backwards on one vector; `snf` replays every step
+    forwards into U and V.
     """
+
+    __slots__ = ("A", "D", "steps", "valuations")
+
+    def __init__(self, A: ModMatrix):
+        p, N = A.prime, A.precision
+        pN = p**N
+        r, c = A.rows, A.cols
+        M = [row[:] for row in A.data]
+        steps, vals = [], []
+        for k in range(min(r, c)):
+            best, bi, bj = N, -1, -1
+            for i in range(k, r):
+                row = M[i]
+                for j in range(k, c):
+                    if row[j]:
+                        v = int_valuation(row[j], p, N)
+                        if v < best:
+                            best, bi, bj = v, i, j
+                            if v == 0:
+                                break
+                if best == 0:
+                    break
+            if bi < 0:
+                break
+            v = best
+            if bi != k:
+                M[k], M[bi] = M[bi], M[k]
+            if bj != k:
+                for row in M:
+                    row[k], row[bj] = row[bj], row[k]
+            pv = p**v
+            Mk = M[k]
+            inv = pow(Mk[k] // pv, -1, pN)
+            Mk[k:] = [x * inv % pN for x in Mk[k:]]
+            tail = Mk[k:]
+            ops = []
+            for i in range(k + 1, r):
+                Mi = M[i]
+                if Mi[k]:
+                    q = Mi[k] // pv
+                    Mi[k:] = [(x - q * y) % pN for x, y in zip(Mi[k:], tail)]
+                    ops.append((i, q))
+            qs = [x // pv for x in tail[1:]]
+            if any(qs):
+                Mk[k + 1:] = [0] * (c - k - 1)
+            else:
+                qs = None
+            steps.append((bi, bj, inv, ops, qs))
+            vals.append(v)
+        self.A = A
+        self.D = M
+        self.steps = steps
+        # v_j of D_jj = p^(v_j), N where the diagonal has no pivot
+        self.valuations = vals + [N] * (c - len(vals))
+
+    def v_column(self, j: int) -> list[int]:
+        """V*e_j: the column steps run backwards on e_j, O(rows*cols)."""
+        pN = self.A.modulus
+        x = [0] * self.A.cols
+        x[j] = 1
+        for k in range(len(self.steps) - 1, -1, -1):
+            _, bj, _, _, qs = self.steps[k]
+            if qs:
+                x[k] = (x[k] - sum(map(mul, qs, x[k + 1:]))) % pN
+            x[k], x[bj] = x[bj], x[k]
+        return x
+
+    def kernel_column(self, j: int) -> list[int]:
+        """p^(N - v_j) * V*e_j, which A annihilates since A*V = U^-1 * D.
+
+        Checked against A; a nonzero product means the transcript was
+        replayed wrongly and raises RuntimeError."""
+        A = self.A
+        pN = A.modulus
+        s = A.prime ** (A.precision - self.valuations[j])
+        x = [y * s % pN for y in self.v_column(j)]
+        if any(sum(map(mul, row, x)) % pN for row in A.data):
+            raise RuntimeError(f"Smith transcript: column {j} of V is not "
+                               f"a kernel vector")
+        return x
+
+
+def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
+    """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
+
+    The `Smith` transcript replayed forwards: row steps build U, column
+    steps build V.  That costs O(rows^3 + cols^3) on top of the
+    elimination; callers that need only the valuations or a few columns
+    of V read `Smith` directly.
+    """
+    S = Smith(A)
     p, N = A.prime, A.precision
     pN = p**N
     r, c = A.rows, A.cols
-    M = [row[:] for row in A.data]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    for k in range(min(r, c)):
-        best, bi, bj = N, -1, -1
-        for i in range(k, r):
-            row = M[i]
-            for j in range(k, c):
-                if row[j]:
-                    v = int_valuation(row[j], p, N)
-                    if v < best:
-                        best, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if best == 0:
-                break
-        if bi < 0:
-            break
-        v = best
+    for k, (bi, bj, inv, ops, qs) in enumerate(S.steps):
         if bi != k:
-            M[k], M[bi] = M[bi], M[k]
             U[k], U[bi] = U[bi], U[k]
         if bj != k:
-            for row in M:
-                row[k], row[bj] = row[bj], row[k]
             for row in V:
                 row[k], row[bj] = row[bj], row[k]
-        unit = M[k][k] // p**v
-        inv = pow(unit, -1, pN)
-        M[k] = [x * inv % pN for x in M[k]]
-        U[k] = [x * inv % pN for x in U[k]]
-        pv = p**v
-        for i in range(k + 1, r):
-            if M[i][k]:
-                q = M[i][k] // pv
-                M[i] = [(x - q * y) % pN for x, y in zip(M[i], M[k])]
-                U[i] = [(x - q * y) % pN for x, y in zip(U[i], U[k])]
-        qs = [x // pv for x in M[k][k + 1:]]
-        if any(qs):
+        Uk = U[k] = [x * inv % pN for x in U[k]]
+        for i, q in ops:
+            U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]
+        if qs:
             for row in V:
                 x = row[k]
                 if x:
                     row[k + 1:] = [(y - q * x) % pN
                                    for y, q in zip(row[k + 1:], qs)]
-            M[k][k + 1:] = [0] * (c - k - 1)
     Um = ModMatrix._empty(r, r, p, N)
     Um.data = U
     Dm = ModMatrix._empty(r, c, p, N)
-    Dm.data = M
+    Dm.data = S.D
     Vm = ModMatrix._empty(c, c, p, N)
     Vm.data = V
     return (Um, Dm, Vm)
@@ -245,14 +326,10 @@ def kernel_gens(A: ModMatrix) -> ModMatrix:
     From U*A*V = D with D_jj = p^(v_j): the kernel is generated by
     p^(N - v_j) * V[:, j] for every column with v_j > 0.
     """
-    p, N = A.prime, A.precision
-    _, D, V = snf(A)
-    gens = []
-    for j, v in enumerate(diagonal_valuations(D)):
-        if v > 0:
-            gens.append([x * p ** (N - v) % p**N for x in V.column(j)])
-    out = ModMatrix._empty(A.cols, len(gens), p, N)
-    out.data = [[gens[g][i] for g in range(len(gens))] for i in range(A.cols)]
+    S = Smith(A)
+    gens = [S.kernel_column(j) for j, v in enumerate(S.valuations) if v > 0]
+    out = ModMatrix._empty(A.cols, len(gens), A.prime, A.precision)
+    out.data = [[g[i] for g in gens] for i in range(A.cols)]
     return out
 
 

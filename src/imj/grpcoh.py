@@ -10,7 +10,7 @@ the tests, as the oracle for this reading.
 
 from __future__ import annotations
 
-from .gmod import FgModule, ModMatrix, diagonal_valuations, matinv, snf
+from .gmod import FgModule, ModMatrix, Smith, matinv
 from .padic import PrecisionError, int_valuation, psi_generator
 
 
@@ -93,7 +93,7 @@ def boundary_snf(M: PsiModule, t: int) -> tuple[ModMatrix, list[int]]:
     Smith normal form U*bd*V = diag(p^v_j); v_j = N for a zero entry."""
     mat = M.matrix(t)
     bd = ModMatrix.identity(mat.rows, M.prime, M.precision) - mat
-    return bd, diagonal_valuations(snf(bd)[1])
+    return bd, Smith(bd).valuations
 
 
 def two_term_cohomology(M: PsiModule) -> CohomologyReport:

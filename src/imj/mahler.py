@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .gmod import FgModule, ModMatrix, diagonal_valuations, snf
+from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_cohomology
 from .padic import PadicInt, int_valuation, psi_generator
 
@@ -58,13 +58,6 @@ class MahlerFunction:
         prec = min(c.precision for c in coefficients)
         self.coefficients = [c.reduce(prec) for c in coefficients]
         self.precision = prec
-
-    @classmethod
-    def basis(cls, i: int, L: int, p: int, N: int) -> "MahlerFunction":
-        if not 0 <= i < L:
-            raise ValueError("basis index outside the window")
-        cs = [PadicInt(1 if j == i else 0, p, N) for j in range(L)]
-        return cls(cs)
 
     @property
     def length(self) -> int:
@@ -179,7 +172,10 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     coordinates of a saturated column then carry valuation at least N
     and vanish from the reported generator, which is normalized to
     constant term 1 when that term is a unit.  The kernel module keeps
-    the working precision, at which all its torsion exponents are exact."""
+    the working precision, at which all its torsion exponents are exact.
+
+    Only the saturated columns of V are read, one at a time from the
+    Smith transcript; U and the rest of V are never built."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     # det of the upper-triangular complement: sum of diagonal valuations
@@ -187,12 +183,12 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
             if i % (p - 1) == 0)
     Nw = N + B
     A = ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
-    _, D, V = snf(A)
-    vals = diagonal_valuations(D)
+    S = Smith(A)
+    vals = S.valuations
     gens = []
     for j, v in enumerate(vals):
         if v == Nw:
-            col = [x % p**N for x in V.column(j)]
+            col = [x % p**N for x in S.kernel_column(j)]
             if col[0] % p:
                 inv = pow(col[0], -1, p**N)
                 col = [x * inv % p**N for x in col]

@@ -412,3 +412,14 @@ def test_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):
+    # a saturated column of V that 1 - psi does not annihilate is a bug
+    from imj.gmod import Smith
+    monkeypatch.setattr(Smith, "v_column",
+                        lambda self, j: [0] * (self.A.cols - 1) + [1])
+    rc, out, err = run_cli(["mahler", "-p", "3", "-L", "16"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("internal error: Smith transcript: column 15 of V is not "
+                   "a kernel vector\n")

@@ -2,18 +2,22 @@
 
 The SNF oracle is the round-trip identity U*A*V = D together with explicit
 invertibility of U and V, plus the full-sweep elimination that `snf`
-replaced, which must give the same U, D and V; homology oracles are
-hand-computable kernels and cokernels and the transpose-duality of
-two-term complexes.
+replaced, which must give the same U, D and V.  The `Smith` readers that
+build no transform must agree with `snf` column by column.  Homology
+oracles are hand-computable kernels and cokernels and the
+transpose-duality of two-term complexes.
 """
 
 import random
+import sys
 
 import pytest
 
 from imj.gmod import (
     FgModule,
     ModMatrix,
+    Smith,
+    diagonal_valuations,
     homology,
     kernel_gens,
     matinv,
@@ -23,8 +27,11 @@ from imj.gmod import (
     sub_preimage,
     quotient_presentation,
 )
-from imj.mahler import psi_matrix
+from imj.grpcoh import PsiModule, abutment, boundary_snf, two_term_cohomology
+from imj.mahler import invariants, psi_matrix
 from imj.padic import int_valuation
+from imj.ssq import run
+from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
 
 
 def rand_matrix(rng, p, N, r, c):
@@ -142,7 +149,9 @@ def mixed_entry(rng, p, N):
     return p ** rng.randrange(N)
 
 
-def test_snf_matches_full_sweep_oracle_random():
+def mixed_matrices():
+    """320 seeded matrices up to 9 x 9, empty and rectangular ones included,
+    over Z/p^N with p in {3, 5, 7} and N in 1..8."""
     rng = random.Random(2718)
     for _ in range(320):
         p = rng.choice([3, 5, 7])
@@ -151,18 +160,83 @@ def test_snf_matches_full_sweep_oracle_random():
         A = ModMatrix.zeros(r, c, p, N)
         A.data = [[mixed_entry(rng, p, N) for _ in range(c)]
                   for _ in range(r)]
+        yield A
+
+
+def mahler_boundary(L, p):
+    """1 - psi at the working precision `mahler.invariants` uses for N = 8."""
+    Nw = 8 + sum(1 + int_valuation(i, p, L) for i in range(1, L)
+                 if i % (p - 1) == 0)
+    return ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
+
+
+def test_snf_matches_full_sweep_oracle_random():
+    for A in mixed_matrices():
         assert [m.data for m in snf(A)] == list(snf_full_sweep(A)), \
-            (p, N, A.data)
+            (A.prime, A.precision, A.data)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
-    # 1 - psi at the working precision `mahler.invariants` uses
-    L = 64
-    Nw = 8 + sum(1 + int_valuation(i, p, L) for i in range(1, L)
-                 if i % (p - 1) == 0)
-    A = ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
+    A = mahler_boundary(64, p)
     assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
+
+
+def test_transcript_matches_snf():
+    # the readers that build no transform against the one that builds all
+    for A in [*mixed_matrices(), mahler_boundary(64, 3),
+              mahler_boundary(64, 5)]:
+        S = Smith(A)
+        _, D, V = snf(A)
+        assert S.valuations == diagonal_valuations(D)
+        for j in range(A.cols):
+            assert S.v_column(j) == V.column(j), \
+                (j, A.prime, A.precision, A.data)
+
+
+def test_kernel_column_checks_the_replay():
+    # ker [3, 1] on (Z/3^4)^2 is spanned by (1, -3); the pivot is the unit
+    # in column 1, so a replay that drops the column swap gives (-3, 1)
+    S = Smith(ModMatrix([[3, 1]], 3, 4))
+    assert S.valuations == [0, 4]
+    assert S.kernel_column(1) == [1, 78]
+    S.steps[0] = S.steps[0][:1] + (0,) + S.steps[0][2:]
+    with pytest.raises(RuntimeError, match="not a kernel vector"):
+        S.kernel_column(1)
+
+
+def test_production_builds_no_transform(monkeypatch):
+    """Every production path reads the Smith transcript; none calls snf,
+    which builds U and V.  Two-term cohomology and the invariants are
+    compared with what the full snf gives; abutment and run, whose values
+    the grpcoh and ssq tests pin, with themselves before snf is broken."""
+    M = PsiModule({0: psi_matrix(6, 5, 8), 2: psi_matrix(3, 5, 8)}, 5, 8)
+    expected_h = {t: [v for v in diagonal_valuations(snf(bd)[1]) if v > 0]
+                  for t in M.degrees()
+                  for bd in [boundary_snf(M, t)[0]]}
+    # a bounded tower: lim is the sub-sum on k >= 3
+    T = TowerSpec(3, 2, 8, [frozenset(range(3, 8))] * 2, SupportFunction(0, 3))
+    before = (abutment(3, (-40, 40)).table_lines(),
+              run(3, (-20, 40), 8).to_json_dict())
+
+    def refuse(A):
+        raise RuntimeError("snf called on a production path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("imj.") and getattr(module, "snf", None) is snf:
+            monkeypatch.setattr(module, "snf", refuse)
+    inv = invariants(96, 5, 8)  # kernel and generator as read off snf
+    assert (inv.rank, inv.kernel.exponents, inv.kernel.precision) == \
+        (1, [4, 23, 35], 35)
+    assert [c.residue for c in inv.generators[0].coefficients] == \
+        [1] + [0] * 95
+    rep = two_term_cohomology(M)
+    assert {t: rep.h(0, t).exponents for t in M.degrees()} == expected_h
+    assert {t: rep.h(1, t).exponents for t in M.degrees()} == expected_h
+    assert (abutment(3, (-40, 40)).table_lines(),
+            run(3, (-20, 40), 8).to_json_dict()) == before
+    lim, _, _ = lim_lim1(T)
+    assert truncated_kernel(T, 6) == lim.window(6) == frozenset({3, 4, 5})
 
 
 def test_kernel_gens():

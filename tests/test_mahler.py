@@ -24,6 +24,11 @@ def pad(values, p, N):
     return [PadicInt(v, p, N) for v in values]
 
 
+def basis(i, L, p, N):
+    """The binomial function b_i on the length-L window."""
+    return MahlerFunction(pad([1 if j == i else 0 for j in range(L)], p, N))
+
+
 def test_mahler_coeffs_square():
     p, N, L = 3, 6, 8
     f = mahler_coeffs(pad([x * x for x in range(L)], p, N))
@@ -70,18 +75,18 @@ def test_round_trip_length_128():
 
 def test_evaluate_negative_argument():
     p, N = 3, 5
-    f = MahlerFunction.basis(2, 8, p, N)
+    f = basis(2, 8, p, N)
     # (-1 choose 2) = 1
     assert f.evaluate(-1).residue == 1
     # (-2 choose 3) = -4
-    g = MahlerFunction.basis(3, 8, p, N)
+    g = basis(3, 8, p, N)
     assert g.evaluate(-2).residue == (-4) % 3**5
 
 
 def test_act_psi_linear():
     p, N, L = 3, 6, 8
     psi = psi_generator(p, N)
-    out = act_psi(MahlerFunction.basis(1, L, p, N))
+    out = act_psi(basis(1, L, p, N))
     got = [c.residue for c in out.coefficients]
     assert got == [0, psi.residue] + [0] * (L - 2)
 
@@ -96,7 +101,7 @@ def test_act_psi_fixes_constants():
 def test_act_psi_b2_by_resampling():
     # act(b_2)(x) must equal (x psi choose 2) recomputed independently
     p, N, L = 3, 5, 8
-    out = act_psi(MahlerFunction.basis(2, L, p, N))
+    out = act_psi(basis(2, L, p, N))
     Nw = N + 4
     psi = psi_generator(p, Nw)
     for x in range(L):
@@ -106,7 +111,7 @@ def test_act_psi_b2_by_resampling():
 
 def test_act_psi_preserves_mahler_degree():
     p, N, L = 3, 6, 12
-    out = act_psi(MahlerFunction.basis(5, L, p, N))
+    out = act_psi(basis(5, L, p, N))
     for i in range(6, L):
         assert out.coefficients[i].residue == 0
 
