@@ -1,15 +1,17 @@
 """Command-line entry points for the invariant calculators.
 
 Subcommands: e2, run, chart, abutment, cohomology, mahler, limits, cobar.
-Common flags: -p, -N, --stem-min/--stem-max, --fmax, --format, -o, --config.
-The config file is flat key=value text (# starts a comment) whose keys are
-the subcommand's options spelled like the long flags; an unknown key is a
-configuration error.  Precedence is flags > config file > defaults.
+Flags: each subcommand takes only the options it reads (`imj CMD -h`),
+declared once with flag, type, default and range check in `_command`
+over its handler.  The config file is flat key=value text (# starts a
+comment) whose keys are the subcommand's options spelled like the long
+flags; an unknown key is a configuration error.  Precedence is flags >
+config file > defaults.
 
 Exit codes are stable: 0 on success, 1 when an engine self-check failed
 (a bug; one `internal error:` line on stderr), 2 on precision failure (and
-on usage or configuration errors, matching the argparse convention), 3 on
-window failure.
+on usage or configuration errors, matching the argparse convention, and
+on a value past its bound), 3 on window failure.
 
 Output formats. Tables are plain text, one record per line. JSON documents
 use two-space indentation and round-trip through json.loads/json.dumps;
@@ -29,6 +31,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
@@ -46,36 +49,112 @@ _SVG_SQUARE = 6
 # and N = 128 took 10.1 s (Python 3.11.7, 2 CPUs).
 _MAHLER_MAX_L = 256
 _MAHLER_MAX_N = 64
+# Largest accepted -N, --fmax and window spans of the other subcommands;
+# README states the timing of each at its bound.
+_MAX_N = 64
+_MAX_FMAX = 64
+_MAX_STEMS = 5000
+_MAX_T_SPAN = 40000
+_MAX_K_SPAN = 10000
 
 
-class RunConfig:
-    """Resolved common options; every subcommand validates through here."""
+class _Opt(NamedTuple):
+    """One option of a subcommand; its config key is the last flag without
+    dashes.  The value comes from the flag, else the config file, else
+    `default` or, with `follows`, the value of that earlier option.
+    `check(value, key, cmd)` returns a refusal message or None."""
 
-    __slots__ = ("prime", "precision", "stem_min", "stem_max", "fmax",
-                 "fmt", "output")
-
-    def __init__(self, prime: int, precision: int, stem_min: int,
-                 stem_max: int, fmax: int, fmt: str, output):
-        if prime % 2 == 0 or not is_prime(prime):
-            raise ValueError(f"p must be an odd prime, got {prime}")
-        if precision < 4:
-            raise ValueError(f"precision N must be at least 4, got "
-                             f"{precision}")
-        if stem_min > stem_max:
-            raise WindowError(f"empty stem window {stem_min}..{stem_max}")
-        if fmax < 0:
-            raise ValueError("max filtration must be nonnegative")
-        self.prime = prime
-        self.precision = precision
-        self.stem_min = stem_min
-        self.stem_max = stem_max
-        self.fmax = fmax
-        self.fmt = fmt
-        self.output = output
+    flags: str
+    help: str
+    default: object = None
+    cast: type = int
+    check: object = None
+    follows: str | None = None
 
     @property
-    def t_window(self) -> tuple:
-        return (self.stem_min, self.stem_max + 1)
+    def key(self) -> str:
+        return self.flags.split()[-1].lstrip("-")
+
+    @property
+    def dest(self) -> str:
+        return self.key.replace("-", "_")
+
+    def add_to(self, parser) -> None:
+        kind = {"action": "store_true"} if self.cast is bool else \
+            {"type": self.cast}
+        shown = "" if self.default is None or self.cast is bool else \
+            f" (default {self.default})"
+        parser.add_argument(*self.flags.split(), default=None,
+                            help=self.help + shown, **kind)
+
+    def resolve(self, args, filecfg: dict, got: dict) -> object:
+        val = getattr(args, self.dest)
+        if val is None and self.key in filecfg:
+            raw = filecfg[self.key]
+            val = (raw.lower() in ("1", "true", "yes", "on")
+                   if self.cast is bool else self.cast(raw))
+        if val is None:
+            val = self.default if self.follows is None else \
+                got[self.follows]
+        refusal = self.check and self.check(val, self.key, args.cmd)
+        if refusal:
+            raise ValueError(refusal)
+        return val
+
+
+def _odd_prime(v, key, cmd):
+    if v % 2 == 0 or not is_prime(v):
+        return f"p must be an odd prime, got {v}"
+
+
+def _bounded(noun, hi, lo=None, low=None):
+    """Check lo <= value <= hi; `low` replaces the message below lo."""
+    def check(v, key, cmd):
+        if lo is not None and v < lo:
+            return low or f"{noun} {key} must be at least {lo}, got {v}"
+        if v > hi:
+            return f"{cmd} {noun} {key}={v} is above the bound {key} <= {hi}"
+    return check
+
+
+def _moore_only(v, key, cmd):
+    if not v:
+        return ("limits needs --moore: the Moore tower is the built-in "
+                "example; other towers go through the library API")
+
+
+def _formats(*names) -> _Opt:
+    def check(v, key, cmd):
+        if v not in names:
+            return (f"format {v!r} not available for {cmd}; choose from "
+                    f"{', '.join(names)}")
+    return _Opt("--format", " or ".join(names), names[0], str, check)
+
+
+def _resolve(args, options, window) -> argparse.Namespace:
+    """The subcommand's values, flags > config file > defaults, checked
+    option by option and then the window."""
+    filecfg = _read_config(args.config) if args.config else {}
+    valid = sorted(opt.key for opt in options)
+    unknown = sorted(set(filecfg) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown config key "
+                         f"{', '.join(map(repr, unknown))} in "
+                         f"{args.config}; valid keys for {args.cmd}: "
+                         f"{', '.join(valid)}")
+    got = {}
+    for opt in options:
+        got[opt.dest] = opt.resolve(args, filecfg, got)
+    if window:
+        lo_opt, hi_opt, noun, span = window
+        lo, hi = got[lo_opt.dest], got[hi_opt.dest]
+        if lo > hi:
+            raise WindowError(f"empty {noun} window {lo}..{hi}")
+        if hi - lo > span:
+            raise ValueError(f"{args.cmd} {noun} window {lo}..{hi} is "
+                             f"above the bound {hi_opt.key} - "
+                             f"{lo_opt.key} <= {span}")
+    return argparse.Namespace(**got)
 
 
 def _read_config(path: str) -> dict:
@@ -93,18 +172,45 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _pick(args, cfg: dict, key: str, default, cast):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None and key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            val = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            val = cast(raw)
-    return default if val is None else val
+_P = _Opt("-p", "odd prime", 3, check=_odd_prime)
+_N = _Opt("-N", f"working precision, 4 to {_MAX_N}", 8,
+          check=_bounded("precision", _MAX_N, 4))
+_STEM_MIN = _Opt("--stem-min", "left edge of the stem window", -1)
+_STEM_MAX = _Opt("--stem-max", "right edge of the stem window", 12)
+_FMAX = _Opt("--fmax", f"largest chart height s shown, at most {_MAX_FMAX} "
+             "(default: N)",
+             follows="N", check=_bounded("max filtration", _MAX_FMAX, 0,
+                                         "max filtration must be "
+                                         "nonnegative"))
+_T_MIN = _Opt("--t-min", "lowest internal degree", 0)
+_T_MAX = _Opt("--t-max", "highest internal degree", 40)
+_K_MIN = _Opt("--k-min", "first character", -50)
+_K_MAX = _Opt("--k-max", "last character", 50)
+_TABLE = _formats("table", "json")
+_OUTPUT = _Opt("-o --output", "write to this path instead of stdout",
+               cast=str)
+_STEMS = (_STEM_MIN, _STEM_MAX, "stem", _MAX_STEMS)
+
+_COMMANDS = {}
 
 
-def _emit(text: str, output) -> int:
+def _command(name, summary, *options, window=None):
+    """Declare subcommand `name` over its handler: the options it reads,
+    in resolution order, and the window it checks as (low option, high
+    option, noun, widest span)."""
+    def register(handler):
+        _COMMANDS[name] = (handler, summary, options, window)
+        return handler
+    return register
+
+
+def _emit(out, output) -> int:
+    """Write a handler's JSON document (a dict) with two-space indentation,
+    or its lines (a list), to stdout or the output path."""
+    if isinstance(out, dict):
+        text = json.dumps(out, indent=2) + "\n"
+    else:
+        text = "\n".join(out) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -113,37 +219,33 @@ def _emit(text: str, output) -> int:
     return 0
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _cmd_e2(cfg: RunConfig, args, filecfg) -> int:
+@_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
+          _STEM_MAX, _FMAX, _TABLE, _OUTPUT, window=_STEMS)
+def _cmd_e2(o) -> dict | list:
     classes = sorted(
-        (cl for cl in e2_page(cfg.prime, cfg.t_window, cfg.fmax)
-         if cfg.stem_min <= cl.stem <= cfg.stem_max),
+        (cl for cl in e2_page(o.p, (o.stem_min, o.stem_max + 1), o.fmax)
+         if o.stem_min <= cl.stem <= o.stem_max),
         key=ChartClass.sort_key)
-    if cfg.fmt == "json":
-        doc = {
-            "prime": cfg.prime,
-            "window": [cfg.stem_min, cfg.stem_max],
-            "fmax": cfg.fmax,
-            "classes": [cl.to_json_dict() for cl in classes],
-        }
-        return _emit(_json_text(doc), cfg.output)
-    lines = [f"E_2 p={cfg.prime} stems {cfg.stem_min}..{cfg.stem_max} "
-             f"fmax={cfg.fmax}"]
+    if o.format == "json":
+        return {"prime": o.p, "window": [o.stem_min, o.stem_max],
+                "fmax": o.fmax,
+                "classes": [cl.to_json_dict() for cl in classes]}
+    lines = [f"E_2 p={o.p} stems {o.stem_min}..{o.stem_max} "
+             f"fmax={o.fmax}"]
     for cl in classes:
         lines.append(f"{cl.name}  t={cl.t} f={cl.f} c={cl.c}  "
                      f"(stem {cl.stem}, s {cl.s})")
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return lines
 
 
-def _cmd_run(cfg: RunConfig, args, filecfg) -> int:
-    result = run(cfg.prime, cfg.t_window, cfg.precision)
-    if cfg.fmt == "json":
-        return _emit(_json_text(result.to_json_dict()), cfg.output)
+@_command("run", "run the filtration spectral sequence", _P, _N,
+          _STEM_MIN, _STEM_MAX, _TABLE, _OUTPUT, window=_STEMS)
+def _cmd_run(o) -> dict | list:
+    result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
+    if o.format == "json":
+        return result.to_json_dict()
     lo, hi = result.window
-    lines = [f"run p={cfg.prime} N={cfg.precision} t-window {lo}..{hi}"]
+    lines = [f"run p={o.p} N={o.N} t-window {lo}..{hi}"]
     # every class lives on page 2; a class with label r leaves after page r
     ends = Counter(last for _, last in result.classes)
     alive = len(result.classes)
@@ -155,12 +257,12 @@ def _cmd_run(cfg: RunConfig, args, filecfg) -> int:
         lines.append(f"d_{rec.r}: {rec.source.name} -> {rec.target.name}")
     names = ", ".join(cl.name for cl in result.e_infinity)
     lines.append("e_infinity: " + (names or "-"))
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return lines
 
 
-def _chart_data(result, cfg: RunConfig):
+def _chart_data(result, o):
     def shown(cl):
-        return cfg.stem_min <= cl.stem <= cfg.stem_max and cl.s <= cfg.fmax
+        return o.stem_min <= cl.stem <= o.stem_max and cl.s <= o.fmax
 
     classes = [cl for cl in result.page(2) if shown(cl)]
     arrows = [rec for rec in result.differentials
@@ -169,9 +271,9 @@ def _chart_data(result, cfg: RunConfig):
     return classes, arrows, s_top
 
 
-def _render_ascii(result, cfg: RunConfig) -> str:
-    classes, arrows, s_top = _chart_data(result, cfg)
-    a, b = cfg.stem_min, cfg.stem_max
+def _render_ascii(result, o) -> list:
+    classes, arrows, s_top = _chart_data(result, o)
+    a, b = o.stem_min, o.stem_max
     ncols = b - a + 1
     cells = [[[" ", " "] for _ in range(ncols)] for _ in range(s_top + 1)]
     for cl in classes:
@@ -180,17 +282,17 @@ def _render_ascii(result, cfg: RunConfig) -> str:
         col, row = rec.source.stem - 1 - a, rec.source.s + 1
         if 0 <= col < ncols and row <= s_top:
             cells[row][col][1] = "\\"
-    lines = [f"p={cfg.prime} N={cfg.precision} page 2 stems {a}..{b}"]
+    lines = [f"p={o.p} N={o.N} page 2 stems {a}..{b}"]
     for s in range(s_top, -1, -1):
         lines.append(f"{s:3d} |" + "".join(g + m + " " for g, m in cells[s]))
     lines.append("    +" + "-" * (3 * ncols))
     lines.append("     " + "".join(f"{x:<3d}" for x in range(a, b + 1)))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _render_svg(result, cfg: RunConfig) -> str:
-    classes, arrows, s_top = _chart_data(result, cfg)
-    a, b = cfg.stem_min, cfg.stem_max
+def _render_svg(result, o) -> list:
+    classes, arrows, s_top = _chart_data(result, o)
+    a, b = o.stem_min, o.stem_max
     ncols = b - a + 1
     w = 2 * _SVG_MARGIN + ncols * _SVG_CELL
     h = 2 * _SVG_MARGIN + (s_top + 1) * _SVG_CELL
@@ -206,7 +308,7 @@ def _render_svg(result, cfg: RunConfig) -> str:
     out.append(f'<rect width="{w}" height="{h}" fill="#ffffff"/>')
     out.append(f'<text x="{_SVG_MARGIN}" y="{_SVG_MARGIN - 16}" '
                f'font-family="monospace" font-size="12" fill="#000000">'
-               f'p={cfg.prime} N={cfg.precision} page 2 stems '
+               f'p={o.p} N={o.N} page 2 stems '
                f'{a}..{b}</text>')
     x0, x1 = _SVG_MARGIN, _SVG_MARGIN + ncols * _SVG_CELL
     for s in range(s_top + 1):
@@ -243,236 +345,126 @@ def _render_svg(result, cfg: RunConfig) -> str:
             out.append(f'<circle cx="{x}" cy="{y}" r="{_SVG_RADIUS}" '
                        f'fill="#000000"><title>{cl.name}</title></circle>')
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out
 
 
-def _cmd_chart(cfg: RunConfig, args, filecfg) -> int:
-    result = run(cfg.prime, cfg.t_window, cfg.precision)
-    if cfg.fmt == "svg-chart":
-        return _emit(_render_svg(result, cfg), cfg.output)
-    return _emit(_render_ascii(result, cfg), cfg.output)
+@_command("chart", "render the page-2 chart with differentials", _P, _N,
+          _STEM_MIN, _STEM_MAX, _FMAX, _formats("ascii-chart", "svg-chart"),
+          _OUTPUT, window=_STEMS)
+def _cmd_chart(o) -> dict | list:
+    result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
+    if o.format == "svg-chart":
+        return _render_svg(result, o)
+    return _render_ascii(result, o)
 
 
-def _cmd_abutment(cfg: RunConfig, args, filecfg) -> int:
-    t_min = _pick(args, filecfg, "t-min", 0, int)
-    t_max = _pick(args, filecfg, "t-max", 40, int)
-    if t_min > t_max:
-        raise WindowError(f"empty degree window {t_min}..{t_max}")
-    report = abutment(cfg.prime, (t_min, t_max), cfg.precision)
-    if cfg.fmt == "json":
-        doc = {
-            "prime": cfg.prime,
-            "precision": cfg.precision,
-            "window": [t_min, t_max],
-            "groups": [{"s": s, "t": t, "group": m.describe()}
-                       for s, t, m in report.nonzero()],
-        }
-        return _emit(_json_text(doc), cfg.output)
-    lines = [f"abutment p={cfg.prime} N={cfg.precision} t {t_min}..{t_max}"]
+@_command("abutment", "graded cohomology of the abutment", _P, _N, _T_MIN,
+          _T_MAX, _TABLE, _OUTPUT,
+          window=(_T_MIN, _T_MAX, "degree", _MAX_T_SPAN))
+def _cmd_abutment(o) -> dict | list:
+    t_min, t_max = o.t_min, o.t_max
+    report = abutment(o.p, (t_min, t_max), o.N)
+    if o.format == "json":
+        return {"prime": o.p, "precision": o.N, "window": [t_min, t_max],
+                "groups": [{"s": s, "t": t, "group": m.describe()}
+                           for s, t, m in report.nonzero()]}
+    lines = [f"abutment p={o.p} N={o.N} t {t_min}..{t_max}"]
     lines.extend(report.table_lines())
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return lines
 
 
-def _cmd_cohomology(cfg: RunConfig, args, filecfg) -> int:
-    k_min = _pick(args, filecfg, "k-min", -50, int)
-    k_max = _pick(args, filecfg, "k-max", 50, int)
-    if k_min > k_max:
-        raise WindowError(f"empty character window {k_min}..{k_max}")
-    profile = h1_rational_profile((k_min, k_max), cfg.prime, cfg.precision)
-    if cfg.fmt == "json":
-        doc = {
-            "prime": cfg.prime,
-            "precision": cfg.precision,
-            "window": [k_min, k_max],
-            "entries": [{"k": k, "h0": h0, "h1": h1,
-                         "torsion_valuation": tv}
-                        for k in sorted(profile.entries)
-                        for h0, h1, tv in [profile.entries[k]]],
-        }
-        return _emit(_json_text(doc), cfg.output)
-    lines = [f"character cohomology p={cfg.prime} N={cfg.precision} "
+@_command("cohomology", "per-character cohomology over a k window", _P,
+          _N, _K_MIN, _K_MAX, _TABLE, _OUTPUT,
+          window=(_K_MIN, _K_MAX, "character", _MAX_K_SPAN))
+def _cmd_cohomology(o) -> dict | list:
+    k_min, k_max = o.k_min, o.k_max
+    profile = h1_rational_profile((k_min, k_max), o.p, o.N)
+    if o.format == "json":
+        return {"prime": o.p, "precision": o.N, "window": [k_min, k_max],
+                "entries": [{"k": k, "h0": h0, "h1": h1,
+                             "torsion_valuation": tv}
+                            for k in sorted(profile.entries)
+                            for h0, h1, tv in [profile.entries[k]]]}
+    lines = [f"character cohomology p={o.p} N={o.N} "
              f"k {k_min}..{k_max}"]
     lines.extend(profile.lines())
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return lines
 
 
-def _cmd_mahler(cfg: RunConfig, args, filecfg) -> int:
-    L = _pick(args, filecfg, "L", 16, int)
-    if L > _MAHLER_MAX_L:
-        raise ValueError(f"mahler length L={L} is above the bound "
-                         f"L <= {_MAHLER_MAX_L}")
-    if cfg.precision > _MAHLER_MAX_N:
-        raise ValueError(f"mahler precision N={cfg.precision} is above the "
-                         f"bound N <= {_MAHLER_MAX_N}")
-    rep = invariants(L, cfg.prime, cfg.precision)
-    if cfg.fmt == "json":
-        doc = {
-            "prime": cfg.prime,
-            "precision": cfg.precision,
-            "length": rep.length,
-            "rank": rep.rank,
-            "kernel": rep.kernel.describe(),
-            "generators": [[c.residue for c in g.coefficients]
-                           for g in rep.generators],
-        }
-        return _emit(_json_text(doc), cfg.output)
-    lines = [f"mahler p={cfg.prime} N={cfg.precision} L={L}",
-             rep.describe()]
+@_command("mahler", "invariant functions in the Mahler model", _P,
+          _N._replace(help=f"working precision, 4 to {_MAHLER_MAX_N}",
+                      check=_bounded("precision", _MAHLER_MAX_N, 4)),
+          _Opt("-L", f"window length, at most {_MAHLER_MAX_L}", 16,
+               check=_bounded("length", _MAHLER_MAX_L)),
+          _TABLE, _OUTPUT)
+def _cmd_mahler(o) -> dict | list:
+    rep = invariants(o.L, o.p, o.N)
+    if o.format == "json":
+        return {"prime": o.p, "precision": o.N, "length": rep.length,
+                "rank": rep.rank, "kernel": rep.kernel.describe(),
+                "generators": [[c.residue for c in g.coefficients]
+                               for g in rep.generators]}
+    lines = [f"mahler p={o.p} N={o.N} L={o.L}", rep.describe()]
     for i, gen in enumerate(rep.generators):
         lines.append(f"generator {i}:")
         lines.extend(gen.to_csv().splitlines())
-    return _emit("\n".join(lines) + "\n", cfg.output)
+    return lines
 
 
-def _cmd_limits(cfg: RunConfig, args, filecfg) -> int:
-    moore = _pick(args, filecfg, "moore", False, bool)
-    if not moore:
-        raise ValueError("limits needs --moore: the Moore tower is the "
-                         "built-in example; other towers go through the "
-                         "library API")
-    rep = lim_lim1(moore_example(cfg.prime))
-    if cfg.fmt == "json":
-        doc = {
-            "prime": cfg.prime,
-            "lim": rep.lim.describe(),
-            "lim1_nonzero": rep.lim1_nonzero,
-            "witness": rep.witness.describe() if rep.witness else None,
-        }
-        return _emit(_json_text(doc), cfg.output)
-    return _emit("\n".join(rep.lines()) + "\n", cfg.output)
+@_command("limits", "derived limits of the Moore tower", _P,
+          _Opt("--moore", "use the built-in Moore tower", cast=bool,
+               check=_moore_only), _TABLE, _OUTPUT)
+def _cmd_limits(o) -> dict | list:
+    rep = lim_lim1(moore_example(o.p))
+    if o.format == "json":
+        return {"prime": o.p, "lim": rep.lim.describe(),
+                "lim1_nonzero": rep.lim1_nonzero,
+                "witness": rep.witness.describe() if rep.witness else None}
+    return rep.lines()
 
 
-def _cmd_cobar(cfg: RunConfig, args, filecfg) -> int:
-    n = _pick(args, filecfg, "n", 2, int)
-    smax = _pick(args, filecfg, "smax", 4, int)
-    q = _pick(args, filecfg, "q", cfg.prime, int)
+@_command("cobar", "cobar Ext of an exterior Hopf algebra", _P,
+          _Opt("-n", "number of generators", 2),
+          _Opt("--smax", "top cohomological degree", 4),
+          _Opt("--q", "field order, an odd prime power (default: p)",
+               follows="p"), _TABLE, _OUTPUT)
+def _cmd_cobar(o) -> dict | list:
+    n, smax, q = o.n, o.smax, o.q
     table = cobar_ext(ExteriorHopf(n, q), smax)
-    if cfg.fmt == "json":
-        doc = {
-            "n": n,
-            "q": q,
-            "s_max": smax,
-            "dims": [{"s": s, "t": t, "dim": d}
-                     for (s, t), d in sorted(table.dims.items())],
-        }
-        return _emit(_json_text(doc), cfg.output)
+    if o.format == "json":
+        return {"n": n, "q": q, "s_max": smax,
+                "dims": [{"s": s, "t": t, "dim": d}
+                         for (s, t), d in sorted(table.dims.items())]}
     lines = [f"cobar Ext n={n} q={q} smax={smax}"]
     lines.extend(table.lines())
-    return _emit("\n".join(lines) + "\n", cfg.output)
-
-
-_COMMANDS = {
-    "e2": _cmd_e2,
-    "run": _cmd_run,
-    "chart": _cmd_chart,
-    "abutment": _cmd_abutment,
-    "cohomology": _cmd_cohomology,
-    "mahler": _cmd_mahler,
-    "limits": _cmd_limits,
-    "cobar": _cmd_cobar,
-}
-
-_FORMATS = {
-    "chart": ("ascii-chart", "svg-chart"),
-}
-_TABLE_FORMATS = ("table", "json")
+    return lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", type=int, default=None, metavar="P",
-                        help="odd prime (default 3)")
-    common.add_argument("-N", type=int, default=None, metavar="N",
-                        help="working precision, at least 4 (default 8)")
-    common.add_argument("--stem-min", type=int, default=None, metavar="A",
-                        help="left edge of the stem window (default -1)")
-    common.add_argument("--stem-max", type=int, default=None, metavar="B",
-                        help="right edge of the stem window (default 12)")
-    common.add_argument("--fmax", type=int, default=None, metavar="F",
-                        help="largest chart height s shown (default: N)")
-    common.add_argument("--format", default=None,
-                        help="table or json; ascii-chart or svg-chart "
-                             "for chart")
-    common.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="write to PATH instead of stdout")
-    common.add_argument("--config", default=None, metavar="PATH",
-                        help="flat key=value config file; flags win")
     parser = argparse.ArgumentParser(
         prog="imj",
         description="height-one chromatic invariants at an odd prime")
     sub = parser.add_subparsers(dest="cmd", required=True,
                                 metavar="SUBCOMMAND")
-    sub.add_parser("e2", parents=[common],
-                   help="page-2 classes in a stem window")
-    sub.add_parser("run", parents=[common],
-                   help="run the filtration spectral sequence")
-    sub.add_parser("chart", parents=[common],
-                   help="render the page-2 chart with differentials")
-    ab = sub.add_parser("abutment", parents=[common],
-                        help="graded cohomology of the abutment")
-    ab.add_argument("--t-min", type=int, default=None, metavar="T0",
-                    help="lowest internal degree (default 0)")
-    ab.add_argument("--t-max", type=int, default=None, metavar="T1",
-                    help="highest internal degree (default 40)")
-    co = sub.add_parser("cohomology", parents=[common],
-                        help="per-character cohomology over a k window")
-    co.add_argument("--k-min", type=int, default=None, metavar="K0",
-                    help="first character (default -50)")
-    co.add_argument("--k-max", type=int, default=None, metavar="K1",
-                    help="last character (default 50)")
-    ma = sub.add_parser("mahler", parents=[common],
-                        help="invariant functions in the Mahler model")
-    ma.add_argument("-L", type=int, default=None, metavar="L",
-                    help="window length (default 16)")
-    li = sub.add_parser("limits", parents=[common],
-                        help="derived limits of the Moore tower")
-    li.add_argument("--moore", action="store_true", default=None,
-                    help="use the built-in Moore tower")
-    cb = sub.add_parser("cobar", parents=[common],
-                        help="cobar Ext of an exterior Hopf algebra")
-    cb.add_argument("-n", type=int, default=None, metavar="N",
-                    help="number of generators (default 2)")
-    cb.add_argument("--smax", type=int, default=None, metavar="S",
-                    help="top cohomological degree (default 4)")
-    cb.add_argument("--q", type=int, default=None, metavar="Q",
-                    help="field order, an odd prime power (default: p)")
+    for name, (_, summary, options, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for opt in options:
+            opt.add_to(sp)
+        sp.add_argument("--config", default=None, metavar="PATH",
+                        help="flat key=value config file; flags win")
     return parser
 
 
-def _dispatch(args) -> int:
-    filecfg = _read_config(args.config) if args.config else {}
-    # the subcommand's options are the namespace's attributes
-    valid = sorted(key.replace("_", "-") for key in vars(args)
-                   if key not in ("cmd", "config"))
-    unknown = sorted(set(filecfg) - set(valid))
-    if unknown:
-        raise ValueError(f"unknown config key "
-                         f"{', '.join(map(repr, unknown))} in {args.config}; "
-                         f"valid keys for {args.cmd}: {', '.join(valid)}")
-    fmt_default = "ascii-chart" if args.cmd == "chart" else "table"
-    precision = _pick(args, filecfg, "N", 8, int)
-    fmax = _pick(args, filecfg, "fmax", None, int)
-    cfg = RunConfig(
-        prime=_pick(args, filecfg, "p", 3, int),
-        precision=precision,
-        stem_min=_pick(args, filecfg, "stem-min", -1, int),
-        stem_max=_pick(args, filecfg, "stem-max", 12, int),
-        fmax=precision if fmax is None else fmax,
-        fmt=_pick(args, filecfg, "format", fmt_default, str),
-        output=_pick(args, filecfg, "output", None, str),
-    )
-    allowed = _FORMATS.get(args.cmd, _TABLE_FORMATS)
-    if cfg.fmt not in allowed:
-        raise ValueError(f"format {cfg.fmt!r} not available for "
-                         f"{args.cmd}; choose from {', '.join(allowed)}")
-    return _COMMANDS[args.cmd](cfg, args, filecfg)
+# a constant: built once per process, not on every call of main
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    handler, _, options, window = _COMMANDS[args.cmd]
     try:
-        return _dispatch(args)
+        opts = _resolve(args, options, window)
+        return _emit(handler(opts), opts.output)
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 2

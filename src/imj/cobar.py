@@ -189,16 +189,6 @@ class ExteriorHopf:
             mask ^= low
         return frozenset(out)
 
-    def basis(self) -> list:
-        subsets = [self._unmask(m) for m in range(1 << self.n)]
-        return sorted(subsets, key=lambda S: (len(S), tuple(sorted(S))))
-
-    def degree(self, S) -> int:
-        return -len(S)
-
-    def counit(self, S) -> int:
-        return 0 if S else 1
-
     def coproduct(self, S) -> list:
         mask = self._mask(S)
         out = []
@@ -211,9 +201,6 @@ class ExteriorHopf:
                 break
             sub = (sub - 1) & mask
         return out
-
-    def reduced_coproduct(self, S) -> list:
-        return [(a, b, c) for a, b, c in self.coproduct(S) if a and b]
 
 
 def _block_basis(n: int, s: int, profile) -> list:

@@ -140,14 +140,24 @@ def abutment(p: int, window: tuple[int, int],
     Computed from the two-term complex, then H^0 factors below the
     precision ceiling are dropped: they are truncation shadows of 0.
     The surviving table is Z_p at (0,0) and (1,0), Z/p^{1+v_p(k)} at
-    (1, 2(p-1)k), zero elsewhere."""
+    (1, 2(p-1)k), zero elsewhere.
+
+    Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
+    at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
+    shadow Z_p, so that raises PrecisionError.  N = None picks
+    max(4, 3 + v_p(k))."""
     t_min, t_max = window
+    per = 2 * p - 2
+    # p^bits(t) > |t|, so the valuation of k = |t|/(2p-2) is exact
+    need = {t: 2 + int_valuation(abs(t) // per, p, abs(t).bit_length())
+            for t in range(t_min + t_min % 2, t_max + 1, 2)
+            if t and t % per == 0}
     if N is None:
-        N = 4
-        for t in range(t_min, t_max + 1, 2):
-            if t and t % (2 * p - 2) == 0:
-                k = abs(t) // (2 * p - 2)
-                N = max(N, int_valuation(k, p, 40) + 3)
+        N = max([4] + [least + 1 for least in need.values()])
+    for t, least in need.items():
+        if N < least:
+            raise PrecisionError(f"degree t={t} needs N >= {least}, "
+                                 f"have {N}")
     M = PsiModule.lubin_tate(p, N, t_min, t_max)
     raw = two_term_cohomology(M)
     entries = {}

@@ -336,6 +336,25 @@ _REFUSALS = [
     (["cobar", "--q", "15"], 2, "error: 15 is not a prime power"),
     (["cobar", "-n", "5"], 2, "error: desk scale is n <= 4 and S_max <= 6"),
     (["cobar", "--smax", "-1"], 2, "error: S_max must be >= 0"),
+    # a torsion factor at the precision ceiling would print as Z_p
+    (["abutment", "-p", "3", "-N", "4", "--t-min", "0", "--t-max", "330"], 2,
+     "precision failure: degree t=108 needs N >= 5, have 4"),
+    # one row per bound on the unbounded inputs
+    (["run", "-N", "65"], 2,
+     "error: run precision N=65 is above the bound N <= 64"),
+    (["abutment", "-N", "65"], 2,
+     "error: abutment precision N=65 is above the bound N <= 64"),
+    (["e2", "--fmax", "65"], 2,
+     "error: e2 max filtration fmax=65 is above the bound fmax <= 64"),
+    (["chart", "--stem-min", "-1", "--stem-max", "5000"], 2,
+     "error: chart stem window -1..5000 is above the bound "
+     "stem-max - stem-min <= 5000"),
+    (["abutment", "--t-min", "-20000", "--t-max", "20002"], 2,
+     "error: abutment degree window -20000..20002 is above the bound "
+     "t-max - t-min <= 40000"),
+    (["cohomology", "--k-min", "0", "--k-max", "10001"], 2,
+     "error: cohomology character window 0..10001 is above the bound "
+     "k-max - k-min <= 10000"),
 ]
 
 
@@ -369,8 +388,104 @@ def test_config_keys_come_from_the_subcommand_options(tmp_path, capsys):
     assert rc == 0
     assert out.startswith("mahler p=3 N=6 L=8\n")
     rc, _, err = run_cli(["cobar", "--config", str(cfg)], capsys)
-    assert err.endswith("valid keys for cobar: N, fmax, format, n, output, "
-                        "p, q, smax, stem-max, stem-min\n")
+    assert err.endswith("valid keys for cobar: format, n, output, p, q, "
+                        "smax\n")
+
+
+_KEYS = {
+    "e2": "N, fmax, format, output, p, stem-max, stem-min",
+    "run": "N, format, output, p, stem-max, stem-min",
+    "chart": "N, fmax, format, output, p, stem-max, stem-min",
+    "abutment": "N, format, output, p, t-max, t-min",
+    "cohomology": "N, format, k-max, k-min, output, p",
+    "mahler": "L, N, format, output, p",
+    "limits": "format, moore, output, p",
+    "cobar": "format, n, output, p, q, smax",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_KEYS))
+def test_each_subcommand_takes_only_the_options_it_reads(cmd, tmp_path,
+                                                         capsys):
+    # the config keys are the subcommand's options spelled like the long
+    # flags; 47 settable values over the eight subcommands
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("prime = 5\n")
+    _, _, err = run_cli([cmd, "--config", str(cfg)], capsys)
+    assert err.endswith(f"valid keys for {cmd}: {_KEYS[cmd]}\n")
+    with pytest.raises(SystemExit):
+        main([cmd, "-h"])
+    usage = capsys.readouterr().out
+    for key in _KEYS[cmd].split(", "):
+        assert ("-" if len(key) == 1 else "--") + key in usage
+    assert sum(len(keys.split(", ")) for keys in _KEYS.values()) == 47
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    from imj import cli
+
+    def rebuilt():
+        raise AssertionError("parser rebuilt per call")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    rc, out, _ = run_cli(["cobar", "-n", "1", "--smax", "1"], capsys)
+    assert rc == 0 and out
+
+
+# Options a subcommand never reads are not options of it.
+_DEAD_FLAGS = [["run", "--fmax", "3"]] + [
+    [cmd, flag, "4"] for cmd in ("abutment", "cohomology", "mahler")
+    for flag in ("--stem-min", "--stem-max", "--fmax")] + [
+    [cmd, *extra, flag, "6"] for cmd, extra in (("limits", ["--moore"]),
+                                               ("cobar", []))
+    for flag in ("-N", "--stem-min", "--stem-max", "--fmax")]
+
+
+@pytest.mark.parametrize("argv", _DEAD_FLAGS, ids=" ".join)
+def test_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,old", [
+    (["mahler", "-L", "8"], ["--stem-min", "5", "--stem-max", "1"]),
+    (["cobar", "-n", "1", "--smax", "2"], ["-N", "3"]),
+    (["limits", "--moore"], ["--fmax", "-1"]),
+])
+def test_no_refusal_over_an_unread_value(argv, old, tmp_path, capsys):
+    # these once failed on a window, precision or height the command
+    # never reads; now the command runs, and the stray values are a usage
+    # error on the command line and an unknown key in a config file
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, err) == (0, "") and out
+    with pytest.raises(SystemExit):
+        main(argv + old)
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text(f"{old[0].lstrip('-')} = {old[1]}\n")
+    rc, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: unknown config key")
+
+
+@pytest.mark.parametrize("argv", [
+    ["e2", "-N", "64", "--stem-min", "0", "--stem-max", "0"],
+    ["e2", "--fmax", "64", "--stem-min", "0", "--stem-max", "0"],
+    ["e2", "--fmax", "0", "--stem-min", "-2500", "--stem-max", "2500"],
+    ["run", "-N", "64", "--stem-min", "0", "--stem-max", "8"],
+    ["chart", "-N", "64", "--fmax", "64", "--stem-min", "0",
+     "--stem-max", "4"],
+    ["abutment", "-N", "64", "--t-min", "-8", "--t-max", "8"],
+    ["cohomology", "-N", "64", "--k-min", "-3", "--k-max", "3"],
+    ["cohomology", "-p", "5", "-N", "12", "--k-min", "-5000",
+     "--k-max", "5000"],
+])
+def test_values_at_their_bound_are_accepted(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("engine,argv", [

@@ -141,6 +141,27 @@ def test_abutment_matches_closed_form_across_window():
             assert h1.is_zero(), f"t={t}"
 
 
+def test_abutment_refuses_a_factor_at_the_ceiling():
+    # t = 108 = 4 * 27 at p = 3: H^{1,108} = Z/3^4, which mod 3^4 reads
+    # as a saturated Z_3 in both H^0 and H^1
+    with pytest.raises(PrecisionError, match="t=108 needs N >= 5, have 4"):
+        abutment(3, (0, 330), 4)
+    with pytest.raises(PrecisionError, match="t=-324 needs N >= 6, have 5"):
+        abutment(3, (-330, -300), 5)
+    rep = abutment(3, (0, 330), 6)
+    assert rep.h(1, 108).exponents == [4]
+    assert rep.h(0, 108).is_zero()
+    assert rep.h(1, 324).exponents == [5]
+
+
+@pytest.mark.parametrize("window", [(1, 109), (0, 108), (-109, -1)])
+def test_abutment_picks_precision_from_every_even_degree(window):
+    # an odd edge still covers t = +-108, which needs N >= 5
+    rep = abutment(3, window)
+    assert rep.precision == 6
+    assert rep.h(1, 108 if window[1] > 0 else -108).exponents == [4]
+
+
 def _random_unit_matrix(rng, n, p, N):
     """Random invertible matrix mod p^N: unit-triangular L, U and a unit
     diagonal, so the determinant is a unit."""
