@@ -11,7 +11,7 @@ the tests, as the oracle for this reading.
 from __future__ import annotations
 
 from .gmod import FgModule, ModMatrix, Smith, matinv
-from .padic import PrecisionError, int_valuation, psi_generator
+from .padic import PadicInt, PrecisionError, int_valuation, psi_generator
 
 
 class PsiModule:
@@ -114,20 +114,24 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     return CohomologyReport(entries, p, N, window)
 
 
-def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
+def character_cohomology(k: int, p: int, N: int, *,
+                         psi: PadicInt | None = None) -> tuple[int, int, int]:
     """Rational ranks and integral torsion valuation for the character
     psi -> psi^k.
 
     Returns (h0_rank, h1_rank, v) with v = valuation of 1 - psi^k; only
     k = 0 carries rational cohomology.  Requires N > 1 + v_p(k) + 1 so the
-    torsion exponent is resolved away from the precision ceiling."""
+    torsion exponent is resolved away from the precision ceiling.  A caller
+    that loops over characters passes psi = psi_generator(p, N) once
+    instead of having it rebuilt per character."""
     if k == 0:
         return (1, 1, N)
     vk = int_valuation(abs(k), p, N)
     if N <= vk + 2:
         raise PrecisionError(
             f"need N > {vk + 2} to resolve the torsion of character {k}")
-    psi = psi_generator(p, N)
+    if psi is None:
+        psi = psi_generator(p, N)
     one = psi**0
     v = (one - psi**k).valuation()
     return (0, 0, v)

@@ -14,12 +14,25 @@ S = (1+T)^psi - 1,
                                = sum_k (x choose k) S^k,
 
 so the coefficient of b_k in psi . b_i is the coefficient of T^i in S^k.
-The coefficients of S are the p-adic binomials (psi choose m).  Taken as
-exact integer binomials (a choose m) of a residue a = psi mod p^Nw they
-are only right mod p^(Nw - v_p(m!)), because the division by m! spends
-v_p(m!) digits.  Only m < L reaches the window, so Nw = N + v_p((L-1)!)
-makes every one of them right mod p^N; from there on everything is plain
-integer arithmetic mod p^N.
+S solves the ODE (1+T) S' = psi (1+S), hence (1+T) (S^k)' =
+k psi (S^(k-1) + S^k).  Comparing coefficients of T^i and scaling by i!,
+g_k[i] = i! [T^i] S^k obeys the linear recurrence
+
+    g_k[i+1] = (k psi - i) g_k[i] + k psi g_(k-1)[i],   g_0 = [1, 0, ...],
+
+which has no division and costs O(L^2) ring operations for the whole
+window, against O(L^3) for the powers S^k.
+
+Precision.  With an integer residue a = psi mod p^M in place of psi,
+the recurrence runs over Z, and run mod p^M it gives the residues of the
+exact integers g_k[i] for a.  [T^i] S^k = g_k[i] / i! is an integer, so
+g_k[i] mod p^M is divisible by p^(v_p(i!)), and one exact division
+leaves [T^i] S^k mod p^(M - v_p(i!)); the unit part of i! is then
+inverted mod p^N.  The same count bounds the error of a against psi:
+[T^i] S^k is an integral polynomial in the binomials (a choose m),
+m <= i, and each of those is right mod p^(M - v_p(m!)).  Only i < L
+reaches the window, so M = N + v_p((L-1)!) makes every entry right
+mod p^N.
 """
 
 from __future__ import annotations
@@ -117,25 +130,41 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
     column i is psi . b_i.  Upper triangular with diagonal psi^k.
 
-    S is read off the exact integer binomials (a choose m), with
-    a = psi mod p^(N + v_p((L-1)!)), reduced mod p^N; row k is row k-1
-    times S truncated at T^L.  No division follows the binomials and no
-    precision is tracked.  Each row's diagonal is checked against
-    a^k mod p^N; a mismatch raises RuntimeError."""
+    Row k comes from row k-1 by the recurrence g_k[i+1] = (k a - i) g_k[i]
+    + k a g_(k-1)[i] for g_k[i] = i! [T^i] S^k, run mod p^M with
+    a = psi mod p^M and M = N + v_p((L-1)!); each entry is then divided
+    by i! once (the p-part exactly, the unit part by its inverse) and
+    reduced mod p^N.  The diagonal comes out of the recurrence and is
+    checked against a^k mod p^N; a mismatch, such as a working precision
+    too short for the division, raises RuntimeError."""
     pN = p**N
-    a = psi_generator(p, N + _vp_factorial(L - 1, p)).residue
-    s = [0] * L
-    b = 1
-    for m in range(1, L):
-        b = b * (a - m + 1) // m
-        s[m] = b % pN
-    row = [1] + [0] * (L - 1)
-    rows = [row]
+    M = N + _vp_factorial(L - 1, p)
+    pM = p**M
+    a = psi_generator(p, M).residue
+    # i! = p^e u with u prime to p: divide by p^e, multiply by u^-1 mod p^N
+    scale, unit_inv = [1], [1]
+    e, u = 0, 1
+    for q in range(1, L):
+        while q % p == 0:
+            q //= p
+            e += 1
+        u = u * q % pN
+        scale.append(p**e)
+        unit_inv.append(pow(u, -1, pN))
+    g = [1] + [0] * (L - 1)
+    rows = [g[:]]
+    power = 1  # a^k mod p^N
     for k in range(1, L):
-        # S^(k-1) starts at T^(k-1) and S at T^1
-        row = [0] * k + [sum(map(mul, row[k - 1:i], s[i - k + 1:0:-1])) % pN
-                         for i in range(k, L)]
-        if row[k] != pow(a, k, pN):
+        ka = k * a % pM
+        prev, g = g, [0] * L
+        x = 0  # g_k[k-1]
+        for i in range(k - 1, L - 1):
+            x = ((ka - i) * x + ka * prev[i]) % pM
+            g[i + 1] = x
+        row = [0] * k + [gi // s * v % pN for gi, s, v
+                         in zip(g[k:], scale[k:], unit_inv[k:])]
+        power = power * a % pN
+        if row[k] != power:
             raise RuntimeError(f"psi matrix row {k}: diagonal is not psi^{k}")
         rows.append(row)
     return ModMatrix(rows, p, N)
@@ -182,7 +211,13 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     B = sum(1 + int_valuation(i, p, L) for i in range(1, L)
             if i % (p - 1) == 0)
     Nw = N + B
-    A = ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
+    # id - psi, formed in place over the rows of psi
+    A = psi_matrix(L, p, Nw)
+    pNw = A.modulus
+    for k, row in enumerate(A.data):
+        diagonal = 1 - row[k]
+        row[:] = [-x % pNw for x in row]
+        row[k] = diagonal % pNw
     S = Smith(A)
     vals = S.valuations
     gens = []
@@ -223,9 +258,12 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
 
     Exactly the trivial character carries rational H^0 and H^1; every
     other character contributes only bounded torsion.  A violation means
-    the valuation engine is broken and raises."""
+    the valuation engine is broken and raises.  The generator psi is built
+    once for the whole window."""
     lo, hi = k_range
-    entries = {k: character_cohomology(k, p, N) for k in range(lo, hi + 1)}
+    psi = psi_generator(p, N)
+    entries = {k: character_cohomology(k, p, N, psi=psi)
+               for k in range(lo, hi + 1)}
     rational = sorted(k for k, (_h0, h1, _tv) in entries.items() if h1)
     expected = [0] if lo <= 0 <= hi else []
     if rational != expected:

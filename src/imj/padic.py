@@ -201,8 +201,9 @@ def psi_generator(p: int, N: int) -> PadicInt:
     sigma is the Teichmuller lift of the smallest primitive root mod p;
     the choice of root is a recorded convention, nothing downstream
     depends on it.  Raises ValueError unless p is an odd prime: every
-    engine downstream (teichmuller, the division-free Mahler matrix)
-    assumes it and would not notice otherwise.
+    engine downstream (teichmuller, the Mahler matrix's division by i!
+    through its p-part and the inverse of its unit part) assumes it and
+    would not notice otherwise.
     """
     if p == 2:
         raise ValueError("Z_2^x is not topologically cyclic")

@@ -2,8 +2,9 @@
 
 Oracles: finite differences of integer samples are computable in plain
 integer arithmetic (no p-adics), and the psi-action on the linear function
-is multiplication by psi.  The series construction of psi_matrix is checked
-against the sample-and-difference engine it replaced, kept here.  The
+is multiplication by psi.  The recurrence behind psi_matrix is checked
+against the sample-and-difference engine, kept here, including at the
+lengths where v_p((L-1)!) and so the working precision step up.  The
 invariants computation is checked against the expectation that constants
 are the only fixed functions.
 """
@@ -13,7 +14,8 @@ import random
 
 import pytest
 
-from imj import mahler
+from imj import grpcoh, mahler
+from imj.grpcoh import character_cohomology
 from imj.mahler import (MahlerFunction, act_psi, h1_rational_profile,
                         invariants, mahler_coeffs, psi_matrix)
 from imj.padic import (PadicInt, PrecisionError, binom, int_valuation,
@@ -159,10 +161,21 @@ def test_psi_matrix_matches_difference_oracle_at_length_128():
         psi_matrix_by_differences(128, 3, 101)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_psi_matrix_matches_difference_oracle_at_precision_edges(p):
+    # v_p((L-1)!) steps up at L = p + 1, p^2 + 1 and 2p^2 + 1, and at
+    # N = 1, 2 no digit is left beyond those the division by i! spends
+    for L in (p, p + 1, p * p, p * p + 1, 2 * p * p + 1):
+        for N in (1, 2):
+            assert psi_matrix(L, p, N).data == \
+                psi_matrix_by_differences(L, p, N), (L, p, N)
+
+
 def test_psi_matrix_diagonal_check_raises(monkeypatch):
-    # a broken convolution must be caught by the RuntimeError check,
-    # which (unlike assert) also runs under python -O
-    monkeypatch.setattr(mahler, "mul", lambda x, y: x * y + 1)
+    # without the v_p((L-1)!) spare digits the division by i! at i = p
+    # leaves the diagonal wrong; the RuntimeError check (unlike assert)
+    # also runs under python -O
+    monkeypatch.setattr(mahler, "_vp_factorial", lambda n, p: 0)
     with pytest.raises(RuntimeError, match="diagonal"):
         psi_matrix(8, 3, 6)
 
@@ -240,6 +253,22 @@ def test_h1_rational_profile_window():
     assert rep.entries[0] == (1, 1, 6)
     assert rep.entries[2] == (0, 0, 1)
     assert rep.entries[1] == (0, 0, 0)
+
+
+def test_h1_rational_profile_builds_psi_once(monkeypatch):
+    calls = []
+
+    def counted(p, N):
+        calls.append((p, N))
+        return psi_generator(p, N)
+
+    monkeypatch.setattr(mahler, "psi_generator", counted)
+    monkeypatch.setattr(grpcoh, "psi_generator", counted)
+    rep = h1_rational_profile((-50, 50), 5, 6)
+    assert len(rep.entries) == 101
+    assert calls == [(5, 6)]
+    assert rep.entries == {k: character_cohomology(k, 5, 6)
+                           for k in range(-50, 51)}
 
 
 def test_h1_rational_profile_propagates_precision():
