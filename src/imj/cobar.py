@@ -39,9 +39,11 @@ cells matched down, and d d = 0 gives rank d^s <= dim - v_s = u_s + c_s
 with c_s critical cells.  Where c_s > 0, s is the weight, the block has
 no (s+1)-cells and rank d^s = 0 = u_s.  So rank d^s = u_s for every q.
 
-`cobar_matrix` with the dense `rank_mod_p` (numpy), and `rank_gf` over
-F_q, stay as oracles: the tests compare them with the count on every
-small block, and `cobar_ext` re-ranks one small block over F_q.
+`cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
+the tests compare it with the count on every small block.  `cobar_ext`
+re-ranks one small block by `rank_gf`, elimination mod the
+characteristic p, which is also the rank over F_q: only p of the field
+is read, and the work does not depend on q.
 """
 
 import itertools
@@ -51,17 +53,12 @@ from .padic import prime_factors
 
 
 class GF:
-    """F_q as F_p[x] mod m(x), elements encoded as ints in base p with
-    the constant coefficient in the unit digit.
-
-    The modulus is deterministic: the first monic degree-e polynomial,
-    coefficients enumerated lexicographically, for which x generates a
-    cyclic group of order q - 1 (that forces irreducibility and makes x
-    primitive in one test). Multiplication runs on exp/log tables of
-    that generator. Even characteristic is out of scope.
+    """The order q = p^e of a finite field F_q, checked to be a power of
+    an odd prime.  The engine reads only the characteristic p (see
+    `rank_gf`).  Even characteristic is out of scope.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log")
+    __slots__ = ("q", "p", "e")
 
     def __init__(self, q: int):
         if q < 2:
@@ -75,73 +72,6 @@ class GF:
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            self.modulus = None
-            self._exp = self._log = None
-            return
-        for tail in itertools.product(range(p), repeat=e):
-            exp = self._powers_of_x((1,) + tail)
-            if exp is not None:
-                self.modulus = (1,) + tail
-                self._exp = exp
-                self._log = {v: i for i, v in enumerate(exp)}
-                return
-        raise RuntimeError("no primitive modulus found")  # unreachable
-
-    def _powers_of_x(self, mod):
-        # little-endian digits; x^e folds back through the modulus tail
-        p, e, q = self.p, self.e, self.q
-        fold = [(-c) % p for c in reversed(mod[1:])]
-        cur = [1] + [0] * (e - 1)
-        out = [1]
-        for step in range(q - 1):
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                cur = [(d + carry * f) % p for d, f in zip(cur, fold)]
-            val = sum(d * p**i for i, d in enumerate(cur))
-            if val == 1:
-                # order exactly q - 1 certifies a field with x primitive
-                return out if step == q - 2 else None
-            out.append(val)
-        return None
-
-    def embed(self, c: int) -> int:
-        return c % self.p
-
-    def _digits(self, a: int):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        return sum(((x + y) % self.p) * self.p**i
-                   for i, (x, y) in enumerate(zip(self._digits(a),
-                                                  self._digits(b))))
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return sum(((-x) % self.p) * self.p**i
-                   for i, x in enumerate(self._digits(a)))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self._exp[-self._log[a] % (self.q - 1)]
 
 
 def _shuffle_sign(a_mask: int, b_mask: int) -> int:
@@ -339,9 +269,13 @@ def rank_mod_p(M, p: int) -> int:
 
 
 def rank_gf(M, gf: GF) -> int:
-    """Rank over F_q by elimination on the lookup tables; integer
-    entries are embedded through the prime subfield."""
-    A = [[gf.embed(x) for x in row] for row in M]
+    """Rank over F_q of an integer matrix, by Gauss-Jordan elimination
+    mod the characteristic p.  Integer entries lie in the prime subfield
+    F_p, and rank does not change under field extension (a nonzero minor
+    over F_p stays nonzero in F_q), so the rank over F_p is the rank
+    over F_q."""
+    p = gf.p
+    A = [[x % p for x in row] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     r = 0
@@ -352,12 +286,12 @@ def rank_gf(M, gf: GF) -> int:
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = gf.inv(A[r][c])
-        A[r] = [gf.mul(inv, x) for x in A[r]]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [inv * x % p for x in A[r]]
         for i in range(rows):
             if i != r and A[i][c]:
-                f = gf.neg(A[i][c])
-                A[i] = [gf.add(x, gf.mul(f, y)) for x, y in zip(A[i], A[r])]
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         r += 1
     return r
 
@@ -377,9 +311,10 @@ def _block_counts(n: int, s: int, canon) -> tuple:
 
 
 def _subfield_spot_check(gf: GF, n: int, s: int, canon, rank: int) -> bool:
-    """Re-rank one block of d^s by F_q elimination and fail loudly if the
-    matched count differs.  Returns whether the block was small enough
-    (at most 30 by 30, not empty) to check."""
+    """Re-rank one block of d^s by elimination in the characteristic of
+    F_q (`rank_gf`) and fail loudly if the matched count differs.
+    Returns whether the block was small enough (at most 30 by 30, not
+    empty) to check."""
     cols, rows, entries = _block(n, s, canon)
     if not rows or len(rows) > 30 or len(cols) > 30:
         return False

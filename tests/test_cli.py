@@ -208,10 +208,14 @@ def test_cobar_dims_match_oracle(capsys):
 
 
 def test_cobar_extension_field(capsys):
-    rc, out, _ = run_cli(["cobar", "-n", "1", "--smax", "3", "--q", "9"],
-                         capsys)
-    assert rc == 0
-    assert "s=3 t=-3: dim 1" in out
+    # only the characteristic of F_q is read, so 3^12 and 3^20 cost what
+    # 9 does
+    for q in ("9", "531441", "3486784401"):
+        rc, out, _ = run_cli(["cobar", "-n", "2", "--smax", "4", "--q", q],
+                             capsys)
+        assert rc == 0
+        assert out.splitlines() == ([f"cobar Ext n=2 q={q} smax=4"]
+                                    + symmetric_oracle(2, 4).lines())
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
