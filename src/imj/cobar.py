@@ -39,11 +39,22 @@ cells matched down, and d d = 0 gives rank d^s <= dim - v_s = u_s + c_s
 with c_s critical cells.  Where c_s > 0, s is the weight, the block has
 no (s+1)-cells and rank d^s = 0 = u_s.  So rank d^s = u_s for every q.
 
+Count: the scan decides a cell at a slot of two or more generators (up)
+or at a singleton below the next slot's lowest generator (down), and no
+later slot can change that, so a prefix decides a cell.  `_count` gives
+(dim, u_s) by a recursion over slot prefixes, memoized on (slots left,
+multiplicities left, bit of the previous singleton or 0), and lists no
+cell.  After a singleton {g}, a slot whose lowest generator is above g
+adds its tails with none matched up (g is matched down); otherwise a slot
+of two or more generators adds its tails, all matched up, and a singleton
+passes the count on as the previous singleton.
+
 `cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
 the tests compare it with the count on every small block.  `cobar_ext`
-re-ranks one small block by `rank_gf`, elimination mod the
-characteristic p, which is also the rank over F_q: only p of the field
-is read, and the work does not depend on q.
+lists one small cold block, sized by the count first, and re-ranks it
+by `rank_gf`, elimination mod the characteristic p, which is also the
+rank over F_q: only p of the field is read, and the work does not
+depend on q.
 """
 
 import itertools
@@ -173,18 +184,6 @@ def _block_entries(tpl):
             sub = (sub - 1) & mask
 
 
-def _matched_up(tpl) -> bool:
-    """Whether the scan of the module docstring matches this cell up.  A
-    singleton mask is below the next slot's lowest bit exactly when its
-    generator is below that slot's lowest generator."""
-    for mask, nxt in zip(tpl, tpl[1:] + (0,)):
-        if mask & (mask - 1):
-            return True
-        if mask < nxt & -nxt:
-            return False
-    return False
-
-
 def _block(n: int, s: int, profile):
     """d^s on one occurrence-profile block: (domain basis, target basis,
     entries).  Basis elements are tuples of generator masks; entries are
@@ -299,32 +298,56 @@ def rank_gf(M, gf: GF) -> int:
 _BLOCKS = {}
 
 
-def _block_counts(n: int, s: int, canon) -> tuple:
-    """(dim, rank of d^s) of the block of a decreasing profile, and of its
-    permutations: relabeling permutes the basis and flips signs.  The rank
-    is the number of cells matched up (module docstring), for every q."""
-    key = (n, s, canon)
+def _count(slots: int, prof: tuple, prev: int) -> tuple:
+    """(tails, tails matched up): the tuples of `slots` nonempty masks with
+    multiplicities `prof`, as in `_tails`, and how many of them the scan
+    matches up after a singleton of bit `prev` (0: none) still undecided.
+    Memoized in `_BLOCKS`, which all blocks share."""
+    if slots == 0:
+        return (1, 0)
+    key = (slots, prof, prev)
     if key not in _BLOCKS:
-        cells = _block_basis(n, s, canon)
-        _BLOCKS[key] = (len(cells), sum(map(_matched_up, cells)))
+        allowed = sum(1 << i for i, m in enumerate(prof) if m)
+        tails = up = 0
+        for sub in range(1, allowed + 1):
+            if sub & ~allowed:
+                continue
+            rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
+            if not max(rest) < slots <= sum(rest) + 1:
+                continue
+            if prev and sub & -sub > prev:  # {prev} is matched down
+                t, u = _count(slots - 1, rest, 0)[0], 0
+            elif sub & (sub - 1):  # matched up at this slot
+                t = u = _count(slots - 1, rest, 0)[0]
+            else:
+                t, u = _count(slots - 1, rest, sub)
+            tails += t
+            up += u
+        _BLOCKS[key] = (tails, up)
     return _BLOCKS[key]
 
 
-def _subfield_spot_check(gf: GF, n: int, s: int, canon, rank: int) -> bool:
+def _block_counts(s: int, canon: tuple) -> tuple:
+    """(dim, rank of d^s) of the block of a decreasing profile, and of its
+    permutations: relabeling permutes the basis and flips signs, so
+    `cobar_ext` counts one block per decreasing profile and weights it by
+    the profile's number of distinct permutations.  The rank is the number
+    of cells matched up (module docstring), for every q."""
+    if max(canon, default=0) <= s <= sum(canon):
+        return _count(s, canon, 0)
+    return (0, 0)
+
+
+def _subfield_spot_check(gf: GF, n: int, s: int, canon, rank: int):
     """Re-rank one block of d^s by elimination in the characteristic of
-    F_q (`rank_gf`) and fail loudly if the matched count differs.
-    Returns whether the block was small enough (at most 30 by 30, not
-    empty) to check."""
+    F_q (`rank_gf`) and fail loudly if the matched count differs."""
     cols, rows, entries = _block(n, s, canon)
-    if not rows or len(rows) > 30 or len(cols) > 30:
-        return False
     M = [[0] * len(cols) for _ in rows]
     for r, c, v in zip(*entries):
         M[r][c] = v
     if rank_gf(M, gf) != rank:
         raise RuntimeError("F_q elimination disagrees with the matched "
                            "count of a cobar block")
-    return True
 
 
 class ExtTable:
@@ -365,21 +388,27 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
     dims = {(0, 0): 1}
     unchecked = True  # until a small cold block is re-ranked over F_q
     for s in range(1, S_max + 1):
-        for profile in itertools.product(range(s + 1), repeat=H.n):
-            w = sum(profile)
+        # each profile's first permutation in itertools.product order, so
+        # the cold blocks come in the order of a walk over all profiles
+        for low in itertools.combinations_with_replacement(range(s + 1),
+                                                          H.n):
+            w = sum(low)
             if w < s:
                 continue
-            canon = tuple(sorted(profile, reverse=True))
-            cold = (H.n, s, canon) not in _BLOCKS
-            d, rank = _block_counts(H.n, s, canon)
-            if cold and unchecked and d <= 30:  # spares the rows of big blocks
-                unchecked = not _subfield_spot_check(H.field, H.n, s, canon,
-                                                     rank)
-            h = d - rank - _block_counts(H.n, s - 1, canon)[1]
+            canon = low[::-1]
+            cold = (s, canon, 0) not in _BLOCKS  # `_count`'s key for it
+            d, rank = _block_counts(s, canon)
+            if (cold and unchecked and d <= 30
+                    and 0 < _block_counts(s + 1, canon)[0] <= 30):
+                _subfield_spot_check(H.field, H.n, s, canon, rank)
+                unchecked = False
+            h = d - rank - _block_counts(s - 1, canon)[1]
             if h < 0:
                 raise RuntimeError("cobar ranks overshot a block dimension")
             if h:
-                dims[(s, -w)] = dims.get((s, -w), 0) + h
+                perms = math.factorial(H.n) // math.prod(
+                    math.factorial(low.count(m)) for m in set(low))
+                dims[(s, -w)] = dims.get((s, -w), 0) + h * perms
     for s, t in dims:
         if t != -s:
             raise RuntimeError(f"cohomology leaked off the line t = -s "

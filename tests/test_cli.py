@@ -514,7 +514,10 @@ def test_wrong_matched_count_fails_the_spot_check(q, monkeypatch, capsys):
     # the first small cold block is re-ranked over F_q, prime or not
     from imj import cobar
     monkeypatch.setattr(cobar, "_BLOCKS", {})
-    monkeypatch.setattr(cobar, "_matched_up", lambda tpl: False)
+    count = cobar._count
+    monkeypatch.setattr(cobar, "_count",
+                        lambda slots, prof, prev:
+                        (count(slots, prof, prev)[0], 0))
     rc, out, err = run_cli(["cobar", "-n", "2", "--smax", "2", "--q", q],
                            capsys)
     assert (rc, out) == (1, "")

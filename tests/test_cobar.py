@@ -8,6 +8,7 @@ Dimension oracle: stars and bars, Sym on n generators.
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_block_entries_never_repeat():
                 assert set(val) <= {-1, 1}
 
 
+def matched_up(tpl):
+    # the scan of the imj.cobar docstring on one listed cell: a singleton
+    # mask is below the next slot's lowest bit exactly when its generator
+    # is below that slot's lowest generator
+    for mask, nxt in zip(tpl, tpl[1:] + (0,)):
+        if mask & (mask - 1):
+            return True
+        if mask < nxt & -nxt:
+            return False
+    return False
+
+
 def up_partner(tpl):
     # a cell matched up is split at its first slot of two or more
     # generators, into (lowest generator, rest)
@@ -187,14 +200,14 @@ def up_partner(tpl):
 def test_matching_is_acyclic(n, s_top):
     # Kahn sort of d^s with matched edges pointing up (column to row) and
     # every other entry pointing down: it drains iff there is no cycle
-    from imj.cobar import _block, _matched_up
+    from imj.cobar import _block
     for s, profile in blocks(n, s_top):
         cols, rows, (ri, ci, _) = _block(n, s, profile)
         index = {t: r for r, t in enumerate(rows)}
         matched = {(index[up_partner(x)], c)
-                   for c, x in enumerate(cols) if _matched_up(x)}
+                   for c, x in enumerate(cols) if matched_up(x)}
         assert len({r for r, _ in matched}) == len(matched)
-        assert not any(_matched_up(rows[r]) for r, _ in matched)
+        assert not any(matched_up(rows[r]) for r, _ in matched)
         assert matched <= set(zip(ri, ci))
         out = [[] for _ in range(len(cols) + len(rows))]
         indeg = [0] * len(out)
@@ -218,12 +231,12 @@ def test_matching_is_acyclic(n, s_top):
 @pytest.mark.parametrize("n,s_top", [(1, 5), (2, 5), (3, 4), (4, 3)])
 def test_critical_cells_are_decreasing_singletons(n, s_top):
     # neither matched up nor the partner of a cell matched up
-    from imj.cobar import _block_basis, _matched_up
+    from imj.cobar import _block_basis
     for s, profile in blocks(n, s_top):
         down = {up_partner(x) for x in _block_basis(n, s - 1, profile)
-                if _matched_up(x)}
+                if matched_up(x)}
         critical = [x for x in _block_basis(n, s, profile)
-                    if not _matched_up(x) and x not in down]
+                    if not matched_up(x) and x not in down]
         decreasing = [x for x in _block_basis(n, s, profile)
                       if all(m & (m - 1) == 0 for m in x)
                       and list(x) == sorted(x, reverse=True)]
@@ -240,8 +253,45 @@ def test_matched_count_is_the_dense_rank(n, s_top, p, monkeypatch):
     for s, profile in blocks(n, s_top):
         _, _, M = cobar_matrix(H, s, profile)
         canon = tuple(sorted(profile, reverse=True))
-        assert cobar._block_counts(n, s, canon) == \
+        assert cobar._block_counts(s, canon) == \
             (M.shape[1], rank_mod_p(M, p)), (s, profile)
+
+
+@pytest.mark.parametrize("n,s_top", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
+    # every decreasing profile, empty blocks included: the prefix count
+    # against the listed cells and the scan of each
+    from imj import cobar
+    from imj.cobar import _block_basis
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    for s in range(s_top + 1):
+        for low in itertools.combinations_with_replacement(range(s + 1), n):
+            canon = low[::-1]
+            cells = _block_basis(n, s, canon)
+            assert cobar._block_counts(s, canon) == \
+                (len(cells), sum(map(matched_up, cells))), (s, canon)
+
+
+def test_cold_run_lists_one_small_block(monkeypatch):
+    # the spot check sizes both sides by the count before it lists any
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    listed = []
+
+    def block(n, s, profile):
+        out = real(n, s, profile)
+        listed.append(out)
+        return out
+
+    real = cobar._block
+    monkeypatch.setattr(cobar, "_block", block)
+    assert cobar_ext(ExteriorHopf(4, 3), 6) == symmetric_oracle(4, 6)
+    assert len(listed) == 1
+    cols, rows, _ = listed[0]
+    assert 0 < len(cols) <= 30 and 0 < len(rows) <= 30
+    # a warm repeat re-ranks nothing
+    assert cobar_ext(ExteriorHopf(4, 3), 6) == symmetric_oracle(4, 6)
+    assert len(listed) == 1
 
 
 @pytest.mark.parametrize("q", [191, 32771, 4294967311])
@@ -252,10 +302,14 @@ def test_ext_at_primes_past_int16(q):
 
 
 def test_largest_accepted_input_matches_oracle(monkeypatch):
-    # the guard accepts n = 4, S_max = 6; it must finish, cold
+    # the guard accepts n = 4, S_max = 6; it must finish cold under the
+    # 10 s ceiling the guard is meant to keep
     from imj import cobar
     monkeypatch.setattr(cobar, "_BLOCKS", {})
+    t0 = time.perf_counter()
     assert cobar_ext(ExteriorHopf(4, 3), 6) == symmetric_oracle(4, 6)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"cold cobar_ext at the guard took {elapsed:.2f}s"
 
 
 def test_ext_one_generator_is_a_polynomial_line():
