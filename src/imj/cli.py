@@ -15,8 +15,9 @@ on a value past its bound), 3 on window failure.
 
 Output formats. Tables are plain text, one record per line. JSON documents
 use two-space indentation and round-trip through json.loads/json.dumps;
-the `run` subcommand emits exactly the page/differential schema of
-RunResult.to_json_dict. Charts place a class at (stem, s) = (t - c, f + c):
+the `run` subcommand emits the page/differential schema stated in
+`RunResult.json_text`, and `run` and `e2` write their class rows with
+`ssq.json_class_rows`. Charts place a class at (stem, s) = (t - c, f + c):
 ascii-chart draws one glyph per class ('o' for c = 0, 'z' for c = 1) in
 3-column cells with '\\' in the cell up-left of a differential source;
 svg-chart is byte-deterministic with fixed layout constants (28 px cells,
@@ -37,7 +38,8 @@ from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
 from .padic import PrecisionError, is_prime
-from .ssq import ChartClass, WindowError, e2_page, run
+from .ssq import (ChartClass, WindowError, e2_page, json_class_rows,
+                  json_list, run)
 from .towers import lim_lim1, moore_example
 
 _SVG_CELL = 28
@@ -207,7 +209,8 @@ def _command(name, summary, *options, window=None):
 
 def _emit(out, output) -> int:
     """Write a handler's JSON document (a dict) with two-space indentation,
-    or its lines (a list), to stdout or the output path."""
+    or its lines (a list; `run` and `e2` write their JSON text this way),
+    to stdout or the output path."""
     if isinstance(out, dict):
         text = json.dumps(out, indent=2) + "\n"
     else:
@@ -228,9 +231,11 @@ def _cmd_e2(o) -> dict | list:
          if o.stem_min <= cl.stem <= o.stem_max),
         key=ChartClass.sort_key)
     if o.format == "json":
-        return {"prime": o.p, "window": [o.stem_min, o.stem_max],
-                "fmax": o.fmax,
-                "classes": [cl.to_json_dict() for cl in classes]}
+        rows = json_class_rows(classes, " " * 4)
+        return ["{", f'  "prime": {o.p},', '  "window": [',
+                f"    {o.stem_min},", f"    {o.stem_max}", "  ],",
+                f'  "fmax": {o.fmax},',
+                f'  "classes": {json_list(rows, "  ")}', "}"]
     lines = [f"E_2 p={o.p} stems {o.stem_min}..{o.stem_max} "
              f"fmax={o.fmax}"]
     for cl in classes:
@@ -244,7 +249,7 @@ def _cmd_e2(o) -> dict | list:
 def _cmd_run(o) -> dict | list:
     result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
     if o.format == "json":
-        return result.to_json_dict()
+        return [result.json_text()]
     lo, hi = result.window
     lines = [f"run p={o.p} N={o.N} t-window {lo}..{hi}"]
     # every class lives on page 2; a class with label r leaves after page r

@@ -144,7 +144,7 @@ class ExteriorHopf:
         return out
 
 
-def _block_basis(n: int, s: int, profile) -> list:
+def _block_basis(s: int, profile) -> list:
     """Tuples of s nonempty generator masks whose multiset union has the
     given multiplicity per generator, in lexicographic slot order."""
     profile = tuple(profile)
@@ -184,14 +184,14 @@ def _block_entries(tpl):
             sub = (sub - 1) & mask
 
 
-def _block(n: int, s: int, profile):
+def _block(s: int, profile):
     """d^s on one occurrence-profile block: (domain basis, target basis,
     entries).  Basis elements are tuples of generator masks; entries are
     the parallel lists (row, column, shuffle sign) of the nonzero
     entries.  No (row, column) pair repeats: a target determines the slot
     that was split, as the first slot where it differs from the source."""
-    cols = _block_basis(n, s, profile)
-    rows = _block_basis(n, s + 1, profile)
+    cols = _block_basis(s, profile)
+    rows = _block_basis(s + 1, profile)
     index = {t: i for i, t in enumerate(rows)}
     ri, ci, val = [], [], []
     for c, tpl in enumerate(cols):
@@ -232,7 +232,7 @@ def cobar_matrix(H: ExteriorHopf, s: int, profile):
     profile = tuple(profile)
     if len(profile) != H.n or any(m < 0 for m in profile):
         raise ValueError("profile must list one multiplicity per generator")
-    cols, rows, entries = _block(H.n, s, profile)
+    cols, rows, entries = _block(s, profile)
     unmask = ExteriorHopf._unmask
     return ([tuple(unmask(m) for m in t) for t in cols],
             [tuple(unmask(m) for m in t) for t in rows],
@@ -338,10 +338,10 @@ def _block_counts(s: int, canon: tuple) -> tuple:
     return (0, 0)
 
 
-def _subfield_spot_check(gf: GF, n: int, s: int, canon, rank: int):
+def _subfield_spot_check(gf: GF, s: int, canon, rank: int):
     """Re-rank one block of d^s by elimination in the characteristic of
     F_q (`rank_gf`) and fail loudly if the matched count differs."""
-    cols, rows, entries = _block(n, s, canon)
+    cols, rows, entries = _block(s, canon)
     M = [[0] * len(cols) for _ in rows]
     for r, c, v in zip(*entries):
         M[r][c] = v
@@ -400,7 +400,7 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
             d, rank = _block_counts(s, canon)
             if (cold and unchecked and d <= 30
                     and 0 < _block_counts(s + 1, canon)[0] <= 30):
-                _subfield_spot_check(H.field, H.n, s, canon, rank)
+                _subfield_spot_check(H.field, s, canon, rank)
                 unchecked = False
             h = d - rank - _block_counts(s - 1, canon)[1]
             if h < 0:

@@ -55,20 +55,24 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, p: int, N: int) -> "ModMatrix":
-        return cls([[0] * cols for _ in range(rows)], p, N) if rows else cls._empty(rows, cols, p, N)
+        return cls._empty(rows, cols, p, N)
 
     @classmethod
-    def _empty(cls, rows: int, cols: int, p: int, N: int) -> "ModMatrix":
+    def _empty(cls, rows: int, cols: int, p: int, N: int,
+               data: list[list[int]] | None = None) -> "ModMatrix":
+        """A rows x cols matrix holding `data`, rows of residues already
+        reduced mod p^N, as is (zeros when None), without the reduction
+        and shape check of __init__."""
         m = cls.__new__(cls)
         m.prime, m.precision = p, N
         m.rows, m.cols = rows, cols
-        m.data = [[0] * cols for _ in range(rows)]
+        m.data = [[0] * cols for _ in range(rows)] if data is None else data
         return m
 
     @classmethod
     def identity(cls, n: int, p: int, N: int) -> "ModMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   p, N)
+        return cls._empty(n, n, p, N, [[1 if i == j else 0 for j in range(n)]
+                                       for i in range(n)])
 
     # ---- basics ----
 
@@ -86,38 +90,36 @@ class ModMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def copy(self) -> "ModMatrix":
-        out = ModMatrix._empty(self.rows, self.cols, self.prime,
-                               self.precision)
-        out.data = [row[:] for row in self.data]
-        return out
+        return ModMatrix._empty(self.rows, self.cols, self.prime,
+                                self.precision, [row[:] for row in self.data])
 
     def transpose(self) -> "ModMatrix":
-        out = ModMatrix._empty(self.cols, self.rows, self.prime, self.precision)
-        out.data = [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)]
-        return out
+        return ModMatrix._empty(self.cols, self.rows, self.prime,
+                                self.precision,
+                                [[self.data[i][j] for i in range(self.rows)]
+                                 for j in range(self.cols)])
 
     def hstack(self, other: "ModMatrix") -> "ModMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        out = ModMatrix._empty(self.rows, self.cols + other.cols, self.prime,
-                               self.precision)
-        out.data = [self.data[i] + other.data[i] for i in range(self.rows)]
-        return out
+        return ModMatrix._empty(self.rows, self.cols + other.cols, self.prime,
+                                self.precision,
+                                [self.data[i] + other.data[i]
+                                 for i in range(self.rows)])
 
     def take_rows(self, count: int) -> "ModMatrix":
-        out = ModMatrix._empty(count, self.cols, self.prime, self.precision)
-        out.data = [row[:] for row in self.data[:count]]
-        return out
+        return ModMatrix._empty(count, self.cols, self.prime, self.precision,
+                                [row[:] for row in self.data[:count]])
 
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
     def scale_int(self, c: int) -> "ModMatrix":
         pN = self.modulus
-        out = self.copy()
-        out.data = [[x * c % pN for x in row] for row in self.data]
-        return out
+        return ModMatrix._empty(self.rows, self.cols, self.prime,
+                                self.precision,
+                                [[x * c % pN for x in row]
+                                 for row in self.data])
 
     def __mul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.cols != other.rows:
@@ -125,17 +127,17 @@ class ModMatrix:
                              f"{other.rows}x{other.cols}")
         pN = self.modulus
         ot = other.transpose().data
-        out = ModMatrix._empty(self.rows, other.cols, self.prime, self.precision)
-        out.data = [[sum(a * b for a, b in zip(row, col)) % pN for col in ot]
-                    for row in self.data]
-        return out
+        return ModMatrix._empty(self.rows, other.cols, self.prime,
+                                self.precision,
+                                [[sum(a * b for a, b in zip(row, col)) % pN
+                                  for col in ot] for row in self.data])
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
         pN = self.modulus
-        out = self.copy()
-        out.data = [[(a - b) % pN for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        return out
+        return ModMatrix._empty(self.rows, self.cols, self.prime,
+                                self.precision,
+                                [[(a - b) % pN for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.data, other.data)])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ModMatrix) and self.prime == other.prime
@@ -316,13 +318,8 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
                 if x:
                     row[k + 1:] = [(y - q * x) % pN
                                    for y, q in zip(row[k + 1:], qs)]
-    Um = ModMatrix._empty(r, r, p, N)
-    Um.data = U
-    Dm = ModMatrix._empty(r, c, p, N)
-    Dm.data = S.D
-    Vm = ModMatrix._empty(c, c, p, N)
-    Vm.data = V
-    return (Um, Dm, Vm)
+    return (ModMatrix._empty(r, r, p, N, U), ModMatrix._empty(r, c, p, N, S.D),
+            ModMatrix._empty(c, c, p, N, V))
 
 
 def diagonal_valuations(D: ModMatrix) -> list[int]:
@@ -339,9 +336,8 @@ def kernel_gens(A: ModMatrix) -> ModMatrix:
     """
     S = Smith(A)
     gens = [S.kernel_column(j) for j, v in enumerate(S.valuations) if v > 0]
-    out = ModMatrix._empty(A.cols, len(gens), A.prime, A.precision)
-    out.data = [[g[i] for g in gens] for i in range(A.cols)]
-    return out
+    return ModMatrix._empty(A.cols, len(gens), A.prime, A.precision,
+                            [[g[i] for g in gens] for i in range(A.cols)])
 
 
 def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:

@@ -17,7 +17,11 @@ from .padic import PadicInt, PrecisionError, int_valuation, psi_generator
 class PsiModule:
     """Graded module with an action of psi: one square matrix per degree.
 
-    Matrices must be invertible mod p (psi is a group element)."""
+    Matrices must be invertible mod p (psi is a group element).  That
+    depends only on the residues mod p, so it is decided once per
+    distinct residue matrix: a Lubin-Tate window, whose scalars psi^j
+    mod p repeat with period dividing p - 1, takes at most p - 1
+    inversions however many degrees it has."""
 
     __slots__ = ("prime", "precision", "_matrices")
 
@@ -26,24 +30,33 @@ class PsiModule:
         self.prime = prime
         self.precision = precision
         self._matrices = dict(matrices)
+        invertible = set()  # residue matrices mod p already inverted
         for t, mat in self._matrices.items():
             if mat.rows != mat.cols:
                 raise ValueError(f"psi matrix in degree {t} is not square")
+            key = tuple(tuple(x % prime for x in row) for row in mat.data)
+            if key in invertible:
+                continue
             try:
                 matinv(ModMatrix(mat.data, prime, 1))  # residues mod p
             except ValueError:
                 raise ValueError(
                     f"psi matrix in degree {t} is not invertible mod {prime}")
+            invertible.add(key)
 
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
-        psi acting on u^j by the scalar psi^j."""
+        psi acting on u^j by the scalar psi^j, each power one
+        multiplication mod p^N past the one before."""
         psi = psi_generator(p, N)
+        pN = p**N
         mats = {}
         start = t_min + (t_min % 2)
+        scalar = (psi**(start // 2)).residue
         for t in range(start, t_max + 1, 2):
-            mats[t] = ModMatrix([[(psi**(t // 2)).residue]], p, N)
+            mats[t] = ModMatrix([[scalar]], p, N)
+            scalar = scalar * psi.residue % pN
         return cls(mats, p, N)
 
     def degrees(self) -> list[int]:

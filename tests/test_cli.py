@@ -10,7 +10,8 @@ import pytest
 from imj.cli import main
 from imj.cobar import symmetric_oracle
 from imj.grpcoh import abutment
-from imj.ssq import run
+from imj.ssq import ChartClass, e2_page, run
+from test_ssq import class_json_oracle, run_json_oracle
 
 
 def run_cli(args, capsys):
@@ -246,6 +247,38 @@ def test_output_file_instead_of_stdout(tmp_path, capsys):
     assert rc == 0
     assert captured.out == ""
     assert json.loads(target.read_text())["prime"] == 3
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_run_json_is_the_oracle_bytes(to_file, tmp_path, capsys):
+    """stdout and -o PATH both carry json.dumps(oracle, indent=2)."""
+    target = tmp_path / "run.json"
+    rc = main(["run", "-p", "5", "-N", "5", "--stem-min", "-60",
+               "--stem-max", "60", "--format", "json"]
+              + (["-o", str(target)] if to_file else []))
+    out = capsys.readouterr().out
+    assert rc == 0
+    if to_file:
+        assert out == ""
+        out = target.read_text(encoding="ascii")
+    want = json.dumps(run_json_oracle(run(5, (-60, 61), 5)), indent=2)
+    assert out == want + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-p", "3", "-N", "6", "--stem-min", "-9", "--stem-max", "13"],
+    ["-p", "5", "--stem-min", "1", "--stem-max", "6", "--fmax", "3"],
+    ["-p", "3", "--stem-min", "0", "--stem-max", "0", "--fmax", "0"]])
+def test_e2_json_is_the_oracle_bytes(argv, capsys):
+    o = dict(zip(argv[::2], map(int, argv[1::2])))
+    lo, hi = o["--stem-min"], o["--stem-max"]
+    fmax = o.get("--fmax", o.get("-N", 8))
+    classes = sorted((cl for cl in e2_page(o["-p"], (lo, hi + 1), fmax)
+                      if lo <= cl.stem <= hi), key=ChartClass.sort_key)
+    doc = {"prime": o["-p"], "window": [lo, hi], "fmax": fmax,
+           "classes": [class_json_oracle(cl) for cl in classes]}
+    rc, out, _ = run_cli(["e2", *argv, "--format", "json"], capsys)
+    assert rc == 0 and out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_precision_failure_exits_2(capsys):

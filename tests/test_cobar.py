@@ -170,7 +170,7 @@ def test_block_entries_never_repeat():
     for n in (1, 2, 3):
         for s in range(1, 5):
             for profile in itertools.product(range(s + 1), repeat=n):
-                cols, rows, (ri, ci, val) = _block(n, s, profile)
+                cols, rows, (ri, ci, val) = _block(s, profile)
                 assert cols == sorted(set(cols))
                 assert len(set(zip(ri, ci))) == len(val)
                 assert set(val) <= {-1, 1}
@@ -202,7 +202,7 @@ def test_matching_is_acyclic(n, s_top):
     # every other entry pointing down: it drains iff there is no cycle
     from imj.cobar import _block
     for s, profile in blocks(n, s_top):
-        cols, rows, (ri, ci, _) = _block(n, s, profile)
+        cols, rows, (ri, ci, _) = _block(s, profile)
         index = {t: r for r, t in enumerate(rows)}
         matched = {(index[up_partner(x)], c)
                    for c, x in enumerate(cols) if matched_up(x)}
@@ -233,11 +233,11 @@ def test_critical_cells_are_decreasing_singletons(n, s_top):
     # neither matched up nor the partner of a cell matched up
     from imj.cobar import _block_basis
     for s, profile in blocks(n, s_top):
-        down = {up_partner(x) for x in _block_basis(n, s - 1, profile)
+        down = {up_partner(x) for x in _block_basis(s - 1, profile)
                 if matched_up(x)}
-        critical = [x for x in _block_basis(n, s, profile)
+        critical = [x for x in _block_basis(s, profile)
                     if not matched_up(x) and x not in down]
-        decreasing = [x for x in _block_basis(n, s, profile)
+        decreasing = [x for x in _block_basis(s, profile)
                       if all(m & (m - 1) == 0 for m in x)
                       and list(x) == sorted(x, reverse=True)]
         assert critical == decreasing
@@ -267,7 +267,7 @@ def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
     for s in range(s_top + 1):
         for low in itertools.combinations_with_replacement(range(s + 1), n):
             canon = low[::-1]
-            cells = _block_basis(n, s, canon)
+            cells = _block_basis(s, canon)
             assert cobar._block_counts(s, canon) == \
                 (len(cells), sum(map(matched_up, cells))), (s, canon)
 
@@ -278,8 +278,8 @@ def test_cold_run_lists_one_small_block(monkeypatch):
     monkeypatch.setattr(cobar, "_BLOCKS", {})
     listed = []
 
-    def block(n, s, profile):
-        out = real(n, s, profile)
+    def block(s, profile):
+        out = real(s, profile)
         listed.append(out)
         return out
 

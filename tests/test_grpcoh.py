@@ -9,16 +9,26 @@ import random
 
 import pytest
 
-from imj.gmod import FgModule, ModMatrix, homology
+import imj.grpcoh as grpcoh
+from imj.gmod import FgModule, ModMatrix, homology, matinv
 from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
 from imj.padic import PrecisionError, int_valuation, psi_generator
 
 
 def test_lubin_tate_shape():
-    p, N = 3, 6
-    M = PsiModule.lubin_tate(p, N, -4, 8)
+    M = PsiModule.lubin_tate(3, 6, -4, 8)
     assert M.degrees() == [-4, -2, 0, 2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("p,N,lo,hi", [
+    (3, 6, -4, 8), (3, 9, -41, 37), (5, 5, -17, -3), (7, 4, 0, 60),
+    (11, 6, -30, 31)])
+def test_lubin_tate_matrices_are_powers_of_psi(p, N, lo, hi):
+    """Each degree's scalar, one multiplication past the one before, is
+    psi^j computed afresh (inverting first for j < 0)."""
+    M = PsiModule.lubin_tate(p, N, lo, hi)
+    assert M.degrees() == list(range(lo + lo % 2, hi + 1, 2))
     psi = psi_generator(p, N)
     for t in M.degrees():
         mat = M.matrix(t)
@@ -43,6 +53,44 @@ def test_psi_matrix_singular_mod_p_is_refused(t, rows):
     with pytest.raises(ValueError) as exc:
         PsiModule({**good, t: ModMatrix(rows, p, N)}, p, N)
     assert str(exc.value) == f"psi matrix in degree {t} is not invertible mod 3"
+
+
+@pytest.mark.parametrize("mats,bad", [
+    # 1, 4 and 7 share the residue 1 mod 3; 3 is singular
+    ({0: [[1]], 2: [[4]], 4: [[7]], 6: [[3]], 8: [[4]]}, 6),
+    ({-2: [[2]], 0: [[5]], 2: [[6]], 4: [[8]]}, 2),
+    # rank 2: the first three share one residue matrix mod 3, det 3 last
+    ({0: [[1, 1], [0, 1]], 2: [[4, 1], [3, 7]], 4: [[1, 4], [6, 1]],
+      6: [[1, 1], [1, 4]], 8: [[2, 0], [0, 2]]}, 6),
+])
+def test_shared_residues_still_refuse_a_later_singular_degree(mats, bad):
+    p, N = 3, 4
+    with pytest.raises(ValueError) as exc:
+        PsiModule({t: ModMatrix(rows, p, N) for t, rows in mats.items()},
+                  p, N)
+    assert str(exc.value) == \
+        f"psi matrix in degree {bad} is not invertible mod 3"
+    ok = {t: ModMatrix(rows, p, N) for t, rows in mats.items() if t < bad}
+    assert PsiModule(ok, p, N).degrees() == sorted(ok)
+
+
+def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
+    seen = []
+
+    def counting(A):
+        seen.append(tuple(map(tuple, A.data)))
+        return matinv(A)
+
+    monkeypatch.setattr(grpcoh, "matinv", counting)
+    for p in (3, 5, 7):
+        seen.clear()
+        PsiModule.lubin_tate(p, 8, -200, 200)
+        assert len(seen) == len(set(seen)) == p - 1
+    seen.clear()
+    PsiModule({0: ModMatrix([[1, 1], [0, 1]], 3, 4),
+               2: ModMatrix([[4, 1], [3, 7]], 3, 4),
+               4: ModMatrix([[2, 0], [0, 2]], 3, 4)}, 3, 4)
+    assert seen == [((1, 1), (0, 1)), ((2, 0), (0, 2))]
 
 
 def test_two_term_degree_zero():

@@ -7,13 +7,15 @@ this from one Smith normal form per degree.  The generic subquotient
 engine `FilteredComplexSS` is a second, independent oracle.
 """
 
+import json
+
 import pytest
 
 from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
 from imj.ssq import (ChartClass, FilteredComplexSS, abutment_check, e2_page,
-                     run)
+                     json_class_rows, run)
 
 
 def names(classes):
@@ -197,9 +199,32 @@ def test_pages_below_two_raise_keyerror(r):
         run(3, (0, 12), 5).page(r)
 
 
+def class_json_oracle(cl):
+    return {"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
+
+
+def run_json_oracle(result):
+    """The `run` JSON document as a dict, built page by page from
+    `page(r)`; json.dumps(run_json_oracle(result), indent=2) is the byte
+    oracle for `RunResult.json_text`."""
+    return {
+        "prime": result.prime,
+        "precision": result.precision,
+        "window": [result.window[0], result.window[1]],
+        "pages": [{"r": r,
+                   "classes": [class_json_oracle(cl)
+                               for cl in result.page(r)]}
+                  for r in range(2, result.last_page + 1)],
+        "differentials": [{"r": rec.r, "source": rec.source.name,
+                           "target": rec.target.name}
+                          for rec in result.differentials],
+        "e_infinity": [class_json_oracle(cl) for cl in result.e_infinity],
+    }
+
+
 def test_json_document_shape():
     out = run(3, (0, 4), 4)
-    doc = out.to_json_dict()
+    doc = run_json_oracle(out)
     assert list(doc) == ["prime", "precision", "window", "pages",
                          "differentials", "e_infinity"]
     page0 = doc["pages"][0]
@@ -208,6 +233,40 @@ def test_json_document_shape():
     d0 = doc["differentials"][0]
     assert list(d0) == ["r", "source", "target"]
     assert isinstance(d0["source"], str)
+
+
+def _checked_doc(p, window, N):
+    """The oracle document of a run, after checking json_text against it."""
+    out = run(p, window, N)
+    doc = run_json_oracle(out)
+    assert out.json_text() == json.dumps(doc, indent=2)
+    return doc
+
+
+def test_json_text_without_a_live_degree():
+    doc = _checked_doc(7, (2, 5), 4)
+    assert [page["classes"] for page in doc["pages"]] == [[]]
+    assert doc["differentials"] == [] == doc["e_infinity"]
+
+
+def test_json_text_one_page():
+    doc = _checked_doc(3, (0, 0), 4)
+    assert len(doc["pages"]) == 1 and doc["pages"][0]["classes"]
+    assert doc["differentials"] == [] and doc["e_infinity"]
+
+
+@pytest.mark.parametrize("p,window,N", [(3, (-40, 41), 6), (5, (-200, 9), 5)])
+def test_json_text_many_pages_negative_t(p, window, N):
+    doc = _checked_doc(p, window, N)
+    assert len(doc["pages"]) > 2 and doc["differentials"]
+    assert any(cl["t"] < 0 for cl in doc["pages"][0]["classes"])
+
+
+def test_json_class_rows_escape_as_json_dumps():
+    cl = ChartClass('q"\\\u00e9\n', -4, 2, 1)
+    row, = json_class_rows([cl], "  ")
+    assert row == "  " + json.dumps(class_json_oracle(cl), indent=2).replace(
+        "\n", "\n  ")
 
 
 def _row(cl):
