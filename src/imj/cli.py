@@ -210,17 +210,22 @@ def _command(name, summary, *options, window=None):
 def _emit(out, output) -> int:
     """Write a handler's JSON document (a dict) with two-space indentation,
     or its lines (a list; `run` and `e2` write their JSON text this way),
-    to stdout or the output path."""
+    to stdout or the output path, each line and then its newline, so a
+    large document is not copied once more to join it."""
     if isinstance(out, dict):
-        text = json.dumps(out, indent=2) + "\n"
-    else:
-        text = "\n".join(out) + "\n"
+        out = [json.dumps(out, indent=2)]
     if output is None:
-        sys.stdout.write(text)
+        _write_lines(out, sys.stdout)
     else:
         with open(output, "w", encoding="ascii") as fh:
-            fh.write(text)
+            _write_lines(out, fh)
     return 0
+
+
+def _write_lines(lines, fh) -> None:
+    for line in lines:
+        fh.write(line)
+        fh.write("\n")
 
 
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,

@@ -52,21 +52,23 @@ passes the count on as the previous singleton.
 `cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
 the tests compare it with the count on every small block.  `cobar_ext`
 lists one small cold block, sized by the count first, and re-ranks it
-by `rank_gf`, elimination mod the characteristic p, which is also the
-rank over F_q: only p of the field is read, and the work does not
-depend on q.
+by `gmod.Smith` mod the characteristic p (precision 1), whose unit
+pivots count the rank over F_p.  That is also the rank over F_q: only p
+of the field is read, and the work does not depend on q.
 """
 
 import itertools
 import math
 
+from .gmod import ModMatrix, Smith
 from .padic import prime_factors
 
 
 class GF:
     """The order q = p^e of a finite field F_q, checked to be a power of
-    an odd prime.  The engine reads only the characteristic p (see
-    `rank_gf`).  Even characteristic is out of scope.
+    an odd prime.  The engine reads only the characteristic p, whose
+    Smith valuations give the rank over F_q of an integer matrix (see
+    `_subfield_spot_check`).  Even characteristic is out of scope.
     """
 
     __slots__ = ("q", "p", "e")
@@ -267,34 +269,6 @@ def rank_mod_p(M, p: int) -> int:
     return r
 
 
-def rank_gf(M, gf: GF) -> int:
-    """Rank over F_q of an integer matrix, by Gauss-Jordan elimination
-    mod the characteristic p.  Integer entries lie in the prime subfield
-    F_p, and rank does not change under field extension (a nonzero minor
-    over F_p stays nonzero in F_q), so the rank over F_p is the rank
-    over F_q."""
-    p = gf.p
-    A = [[x % p for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [inv * x % p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-    return r
-
-
 _BLOCKS = {}
 
 
@@ -339,13 +313,17 @@ def _block_counts(s: int, canon: tuple) -> tuple:
 
 
 def _subfield_spot_check(gf: GF, s: int, canon, rank: int):
-    """Re-rank one block of d^s by elimination in the characteristic of
-    F_q (`rank_gf`) and fail loudly if the matched count differs."""
+    """Re-rank one block of d^s and fail loudly if the matched count
+    differs.  The rank is the number of v = 0 Smith valuations mod the
+    characteristic p (precision 1): mod p every nonzero pivot is a unit.
+    Integer entries lie in the prime subfield F_p, and rank does not
+    change under field extension (a nonzero minor over F_p stays nonzero
+    in F_q), so that is also the rank over F_q."""
     cols, rows, entries = _block(s, canon)
     M = [[0] * len(cols) for _ in rows]
     for r, c, v in zip(*entries):
         M[r][c] = v
-    if rank_gf(M, gf) != rank:
+    if Smith(ModMatrix(M, gf.p, 1)).valuations.count(0) != rank:
         raise RuntimeError("F_q elimination disagrees with the matched "
                            "count of a cobar block")
 

@@ -10,7 +10,10 @@ its caller needs:
 
 - `Smith.valuations`, from the elimination alone: the two-term complex
   id - psi per degree (`grpcoh.boundary_snf`, used by
-  `two_term_cohomology` and `ssq.run`);
+  `two_term_cohomology` and `ssq.run`).  At precision 1 every nonzero
+  residue is a unit, so the v = 0 pivots count the rank over F_p
+  (`cobar._subfield_spot_check`), and a square matrix is invertible
+  mod p exactly when every pivot is a unit (`grpcoh.PsiModule`);
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
   `mahler.invariants` (the saturated columns) and `kernel_gens`
   (`towers.truncated_kernel`);
@@ -18,11 +21,12 @@ its caller needs:
 
 The generic engine has no production caller and serves the tests as an
 oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
-checks that reading of the complex, and `sub_intersect`,
+checks that reading of the complex, `sub_intersect`,
 `quotient_presentation` and `QuotPres.express`/`generator` serve the
-oracle `ssq.FilteredComplexSS`.  They stay importable from `imj.gmod`
-because the benchmark tracer (perfbench/tracing.py) looks up every
-traced name when it installs.
+oracle `ssq.FilteredComplexSS`, and `matinv`, a Gauss-Jordan inverse
+independent of `Smith`, checks that U and V are invertible.  They stay
+importable from `imj.gmod` because the benchmark tracer
+(perfbench/tracing.py) looks up every traced name when it installs.
 
 A factor with exponent N ("saturated") is indistinguishable mod p^N from
 a free Z_p summand; such factors carry a flag and reports print them as
@@ -89,10 +93,6 @@ class ModMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def copy(self) -> "ModMatrix":
-        return ModMatrix._empty(self.rows, self.cols, self.prime,
-                                self.precision, [row[:] for row in self.data])
-
     def transpose(self) -> "ModMatrix":
         return ModMatrix._empty(self.cols, self.rows, self.prime,
                                 self.precision,
@@ -144,16 +144,13 @@ class ModMatrix:
                 and self.precision == other.precision
                 and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.prime, self.precision,
-                     tuple(tuple(r) for r in self.data)))
-
     def __repr__(self) -> str:
         return (f"ModMatrix({self.data}, p={self.prime}, N={self.precision})")
 
 
 def matinv(A: ModMatrix) -> ModMatrix:
-    """Inverse of a matrix invertible mod p^N (all Gauss pivots units)."""
+    """Inverse of a matrix invertible mod p^N (all Gauss pivots units),
+    by Gauss-Jordan elimination: a test oracle, independent of `Smith`."""
     if A.rows != A.cols:
         raise ValueError("not square")
     n = A.rows

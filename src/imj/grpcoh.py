@@ -10,18 +10,19 @@ the tests, as the oracle for this reading.
 
 from __future__ import annotations
 
-from .gmod import FgModule, ModMatrix, Smith, matinv
+from .gmod import FgModule, ModMatrix, Smith
 from .padic import PadicInt, PrecisionError, int_valuation, psi_generator
 
 
 class PsiModule:
     """Graded module with an action of psi: one square matrix per degree.
 
-    Matrices must be invertible mod p (psi is a group element).  That
-    depends only on the residues mod p, so it is decided once per
-    distinct residue matrix: a Lubin-Tate window, whose scalars psi^j
-    mod p repeat with period dividing p - 1, takes at most p - 1
-    inversions however many degrees it has."""
+    Matrices must be invertible mod p (psi is a group element): every
+    pivot of the Smith form mod p, precision 1, is a unit.  That depends
+    only on the residues mod p, so it is decided once per distinct
+    residue matrix: a Lubin-Tate window, whose scalars psi^j mod p
+    repeat with period dividing p - 1, takes at most p - 1 eliminations
+    however many degrees it has."""
 
     __slots__ = ("prime", "precision", "_matrices")
 
@@ -30,16 +31,14 @@ class PsiModule:
         self.prime = prime
         self.precision = precision
         self._matrices = dict(matrices)
-        invertible = set()  # residue matrices mod p already inverted
+        invertible = set()  # residue matrices mod p already checked
         for t, mat in self._matrices.items():
             if mat.rows != mat.cols:
                 raise ValueError(f"psi matrix in degree {t} is not square")
             key = tuple(tuple(x % prime for x in row) for row in mat.data)
             if key in invertible:
                 continue
-            try:
-                matinv(ModMatrix(mat.data, prime, 1))  # residues mod p
-            except ValueError:
+            if any(Smith(ModMatrix(mat.data, prime, 1)).valuations):
                 raise ValueError(
                     f"psi matrix in degree {t} is not invertible mod {prime}")
             invertible.add(key)
@@ -139,7 +138,8 @@ def character_cohomology(k: int, p: int, N: int, *,
     instead of having it rebuilt per character."""
     if k == 0:
         return (1, 1, N)
-    vk = int_valuation(abs(k), p, N)
+    # p^bits(k) > |k|, so the valuation is exact, not capped at N
+    vk = int_valuation(abs(k), p, abs(k).bit_length())
     if N <= vk + 2:
         raise PrecisionError(
             f"need N > {vk + 2} to resolve the torsion of character {k}")

@@ -339,7 +339,8 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     per = 2 * p - 2
     for t in ts:
         if t % per == 0 and t != 0:
-            vk = 1 + int_valuation(abs(t) // per, p, N)
+            # p^bits(t) > |t|, so the valuation of k = |t|/(2p-2) is exact
+            vk = 1 + int_valuation(abs(t) // per, p, abs(t).bit_length())
             if N < 2 + vk:
                 raise PrecisionError(
                     f"degree t={t} needs N >= {2 + vk}, have {N}")

@@ -376,6 +376,13 @@ _REFUSALS = [
     # a torsion factor at the precision ceiling would print as Z_p
     (["abutment", "-p", "3", "-N", "4", "--t-min", "0", "--t-max", "330"], 2,
      "precision failure: degree t=108 needs N >= 5, have 4"),
+    # v_p(k) > N: the least N is named from the exact valuation, not the
+    # one capped at N
+    (["run", "-p", "3", "-N", "4", "--stem-min", "972", "--stem-max", "972"],
+     2, "precision failure: degree t=972 needs N >= 8, have 4"),
+    (["cohomology", "-p", "3", "-N", "4", "--k-min", "243", "--k-max", "243"],
+     2, "precision failure: need N > 7 to resolve the torsion of "
+     "character 243"),
     # one row per bound on the unbounded inputs
     (["run", "-N", "65"], 2,
      "error: run precision N=65 is above the bound N <= 64"),

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+from imj import cobar
+from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.gmod import (
     FgModule,
     ModMatrix,
@@ -231,9 +233,11 @@ def test_kernel_column_checks_the_replay():
 
 def test_production_builds_no_transform(monkeypatch):
     """Every production path reads the Smith transcript; none calls snf,
-    which builds U and V.  Two-term cohomology and the invariants are
-    compared with what the full snf gives; abutment and run, whose values
-    the grpcoh and ssq tests pin, with themselves before snf is broken."""
+    which builds U and V, or the oracle matinv.  Two-term cohomology and
+    the invariants are compared with what the full snf gives; abutment
+    and run, whose values the grpcoh and ssq tests pin, with themselves
+    before snf is broken; a cold cobar_ext, whose spot check re-ranks a
+    block mod p, with the symmetric algebra."""
     M = PsiModule({0: psi_matrix(6, 5, 8), 2: psi_matrix(3, 5, 8)}, 5, 8)
     expected_h = {t: [v for v in diagonal_valuations(snf(bd)[1]) if v > 0]
                   for t in M.degrees()
@@ -244,11 +248,15 @@ def test_production_builds_no_transform(monkeypatch):
               run_json_oracle(run(3, (-20, 40), 8)))
 
     def refuse(A):
-        raise RuntimeError("snf called on a production path")
+        raise RuntimeError("snf or matinv called on a production path")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("imj.") and getattr(module, "snf", None) is snf:
-            monkeypatch.setattr(module, "snf", refuse)
+        if name.startswith("imj."):
+            for oracle in (snf, matinv):
+                if getattr(module, oracle.__name__, None) is oracle:
+                    monkeypatch.setattr(module, oracle.__name__, refuse)
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    assert cobar_ext(ExteriorHopf(3, 3), 4) == symmetric_oracle(3, 4)
     inv = invariants(96, 5, 8)  # kernel and generator as read off snf
     assert (inv.rank, inv.kernel.exponents, inv.kernel.precision) == \
         (1, [4, 23, 35], 35)
