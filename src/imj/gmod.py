@@ -10,10 +10,11 @@ its caller needs:
 
 - `Smith.valuations`, from the elimination alone: the two-term complex
   id - psi per degree (`grpcoh.boundary_snf`, used by
-  `two_term_cohomology` and `ssq.run`).  At precision 1 every nonzero
-  residue is a unit, so the v = 0 pivots count the rank over F_p
-  (`cobar._subfield_spot_check`), and a square matrix is invertible
-  mod p exactly when every pivot is a unit (`grpcoh.PsiModule`);
+  `two_term_cohomology` and `ssq.run`; a 1x1 degree inverts no unit).
+  At precision 1 every nonzero residue is a unit, so the v = 0 pivots
+  count the rank over F_p (`cobar._subfield_spot_check`), and a square
+  matrix is invertible mod p exactly when every pivot is a unit
+  (`grpcoh.PsiModule`);
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
   `mahler.invariants` (the saturated columns) and `kernel_gens`
   (`towers.truncated_kernel`);
@@ -197,6 +198,11 @@ class Smith:
     k of the work matrix, and every entry of that row is a multiple of
     p^v: row k is zeroed and only the quotients qs are kept.
 
+    A pivot with no row below it and no column to its right has nothing
+    to clear, so its unit u is not inverted: D keeps u*p^v there and the
+    step records None for the inverse.  In a 1x1 matrix (a Lubin-Tate
+    degree) that inverse at large p^N would be most of the work.
+
     Step k records the row and column swapped into place, the unit
     inverse, the row multipliers (i, q) and the column quotients qs
     (None when row k was already clear).  `valuations` and `D` come from
@@ -236,8 +242,10 @@ class Smith:
                     row[k], row[bj] = row[bj], row[k]
             pv = p**v
             Mk = M[k]
-            inv = pow(Mk[k] // pv, -1, pN)
-            Mk[k:] = [x * inv % pN for x in Mk[k:]]
+            inv = None
+            if k + 1 < r or k + 1 < c:
+                inv = pow(Mk[k] // pv, -1, pN)
+                Mk[k:] = [x * inv % pN for x in Mk[k:]]
             tail = Mk[k:]
             ops = []
             for i in range(k + 1, r):
@@ -290,9 +298,10 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
 
     The `Smith` transcript replayed forwards: row steps build U, column
-    steps build V.  That costs O(rows^3 + cols^3) on top of the
-    elimination; callers that need only the valuations or a few columns
-    of V read `Smith` directly.
+    steps build V, and a unit that `Smith` left at a pivot with nothing
+    to clear is divided out of U and D here.  That costs
+    O(rows^3 + cols^3) on top of the elimination; callers that need only
+    the valuations or a few columns of V read `Smith` directly.
     """
     S = Smith(A)
     p, N = A.prime, A.precision
@@ -306,6 +315,10 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
         if bj != k:
             for row in V:
                 row[k], row[bj] = row[bj], row[k]
+        if inv is None:
+            pv = p**S.valuations[k]
+            inv = pow(S.D[k][k] // pv, -1, pN)
+            S.D[k][k] = pv
         Uk = U[k] = [x * inv % pN for x in U[k]]
         for i, q in ops:
             U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]

@@ -70,16 +70,16 @@ class PsiModule:
 
 
 class CohomologyReport:
-    """H^{s,t} per bidegree, s in {0, 1}."""
+    """H^{s,t} per bidegree, s in {0, 1}: `entries` holds the nonzero
+    groups, and `h` gives the zero module at every other bidegree."""
 
-    __slots__ = ("prime", "precision", "entries", "window")
+    __slots__ = ("prime", "precision", "entries")
 
     def __init__(self, entries: dict[tuple[int, int], FgModule], prime: int,
-                 precision: int, window: tuple[int, int] | None = None):
+                 precision: int):
         self.entries = dict(entries)
         self.prime = prime
         self.precision = precision
-        self.window = window
 
     def h(self, s: int, t: int) -> FgModule:
         got = self.entries.get((s, t))
@@ -88,10 +88,8 @@ class CohomologyReport:
         return got
 
     def nonzero(self) -> list[tuple[int, int, FgModule]]:
-        out = [(s, t, m) for (s, t), m in self.entries.items()
-               if not m.is_zero()]
-        out.sort(key=lambda row: (row[1], row[0]))
-        return out
+        return sorted(((s, t, m) for (s, t), m in self.entries.items()),
+                      key=lambda row: (row[1], row[0]))
 
     def table_lines(self) -> list[str]:
         lines = []
@@ -114,16 +112,15 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     U and V are invertible, so (U, V^-1) is an isomorphism from the
     complex M --bd--> M to M --D--> M with D = diag(p^v_j).  For square
     D, ker D and coker D are both the sum of Z/p^{v_j} over v_j > 0, so
-    H^0 and H^1 have the same invariant factors."""
+    H^0 and H^1 have the same invariant factors, and one module serves
+    both.  Degrees with no positive v_j are left out of the report."""
     p, N = M.prime, M.precision
     entries = {}
     for t in M.degrees():
         exps = [v for v in boundary_snf(M, t)[1] if v > 0]
-        entries[(0, t)] = FgModule(exps, p, N)
-        entries[(1, t)] = FgModule(exps, p, N)
-    degs = M.degrees()
-    window = (degs[0], degs[-1]) if degs else None
-    return CohomologyReport(entries, p, N, window)
+        if exps:
+            entries[(0, t)] = entries[(1, t)] = FgModule(exps, p, N)
+    return CohomologyReport(entries, p, N)
 
 
 def character_cohomology(k: int, p: int, N: int, *,
@@ -156,8 +153,9 @@ def abutment(p: int, window: tuple[int, int],
 
     Computed from the two-term complex, then H^0 factors below the
     precision ceiling are dropped: they are truncation shadows of 0.
-    The surviving table is Z_p at (0,0) and (1,0), Z/p^{1+v_p(k)} at
-    (1, 2(p-1)k), zero elsewhere.
+    (H^0 gets a new module; H^1 keeps the one they shared.)  The
+    surviving table is Z_p at (0,0) and (1,0), Z/p^{1+v_p(k)} at
+    (1, 2(p-1)k), zero (not stored) elsewhere.
 
     Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
     at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
@@ -176,13 +174,11 @@ def abutment(p: int, window: tuple[int, int],
             raise PrecisionError(f"degree t={t} needs N >= {least}, "
                                  f"have {N}")
     M = PsiModule.lubin_tate(p, N, t_min, t_max)
-    raw = two_term_cohomology(M)
-    entries = {}
-    for (s, t), mod in raw.entries.items():
-        if s == 0:
-            kept = [e for e, sat in zip(mod.exponents, mod.saturated_flags())
-                    if sat]
-            entries[(s, t)] = FgModule(kept, p, N)
+    entries = two_term_cohomology(M).entries
+    for t in [t for s, t in entries if s == 0]:
+        kept = [e for e in entries[(0, t)].exponents if e == N]
+        if kept:
+            entries[(0, t)] = FgModule(kept, p, N)
         else:
-            entries[(s, t)] = mod
-    return CohomologyReport(entries, p, N, (t_min, t_max))
+            del entries[(0, t)]
+    return CohomologyReport(entries, p, N)

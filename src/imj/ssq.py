@@ -404,9 +404,7 @@ def abutment_check(run_output: RunResult,
         counts[(cl.c, cl.t)] = counts.get((cl.c, cl.t), 0) + 1
     keys = set(counts)
     lo, hi = run_output.window
-    for (s, t), mod in coh.entries.items():
-        if not mod.is_zero() and lo <= t <= hi:
-            keys.add((s, t))
+    keys.update((s, t) for s, t in coh.entries if lo <= t <= hi)
     entries = {}
     for s, t in sorted(keys, key=lambda st: (st[1], st[0])):
         n_ss = counts.get((s, t), 0)

@@ -280,10 +280,11 @@ def moore_example(p: int) -> TowerSpec:
     return TowerSpec(p, 2, width, stages, g)
 
 
-def ssq_stage(p: int, r: int, kmax: int, N=None) -> frozenset:
+def ssq_stage(p: int, r: int, kmax: int) -> frozenset:
     """Tower stage recomputed from the spectral sequence, one summand
     at a time: coordinate k survives to page r iff the filtration-zero
-    class in internal degree 2(p-1)p^k is still alive there.
+    class in internal degree 2(p-1)p^k is still alive there.  Summand k
+    runs at precision k + 4, one past what `run` needs for that degree.
 
     Independent of the closed-form supports, so it cross-checks
     moore_example.
@@ -291,7 +292,7 @@ def ssq_stage(p: int, r: int, kmax: int, N=None) -> frozenset:
     alive = set()
     for k in range(kmax + 1):
         t = 2 * (p - 1) * p**k
-        out = run(p, (t, t), N if N is not None else k + 4)
+        out = run(p, (t, t), k + 4)
         if any(c.t == t and c.f == 0 and c.c == 0 for c in out.page(r)):
             alive.add(k)
     return frozenset(alive)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from imj import cobar
+from imj import cobar, gmod
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.gmod import (
     FgModule,
@@ -229,6 +229,27 @@ def test_kernel_column_checks_the_replay():
     S.steps[0] = S.steps[0][:1] + (0,) + S.steps[0][2:]
     with pytest.raises(RuntimeError, match="not a kernel vector"):
         S.kernel_column(1)
+
+
+def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
+    """A 1x1 pivot has nothing to clear, so Smith inverts no unit; snf
+    still divides it out of U and D."""
+
+    def no_inverse(base, exp, mod=None):
+        if exp == -1:
+            raise AssertionError("unit inverse taken")
+        return pow(base, exp, mod)
+
+    for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
+                       (1000003, 8, 999, 3)]:
+        A = ModMatrix([[u * p**v]], p, N)
+        monkeypatch.setattr(gmod, "pow", no_inverse, raising=False)
+        S = Smith(A)
+        monkeypatch.undo()
+        assert S.valuations == [v]
+        U, D, V = snf(A)
+        assert D.data == [[p**v]]
+        assert U * A * V == D
 
 
 def test_production_builds_no_transform(monkeypatch):

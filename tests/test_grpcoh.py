@@ -189,6 +189,7 @@ def test_abutment_matches_closed_form_across_window():
             assert h1.exponents == [expected], f"t={t}"
         else:
             assert h1.is_zero(), f"t={t}"
+    assert not any(m.is_zero() for m in rep.entries.values())
 
 
 def test_abutment_refuses_a_factor_at_the_ceiling():
@@ -265,6 +266,8 @@ def test_two_term_cohomology_matches_homology_oracle(p, N):
         assert rep.h(0, t) == h0, f"t={t}"
         assert rep.h(1, t) == h1, f"t={t}"
         shapes.add((h1.saturated_count(), len(h1.torsion_exponents())))
+    # only nonzero groups are stored
+    assert not any(m.is_zero() for m in rep.entries.values())
     # saturated, torsion and mixed cases all came up
     assert (0, 0) in shapes and (1, 0) in shapes
     if N > 1:
