@@ -14,7 +14,7 @@ its caller needs:
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit
-  (`grpcoh.PsiModule`);
+  (`grpcoh.PsiModule`, once for psi in a Lubin-Tate window);
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
   `mahler.invariants` (the saturated columns) and `kernel_gens`
   (`towers.truncated_kernel`);

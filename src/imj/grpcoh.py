@@ -3,9 +3,10 @@
 The group is topologically generated by psi = omega(g)(1+p), so continuous
 cohomology collapses to the two-term complex M --(id - psi)--> M per
 internal degree, concentrated in s = 0, 1.  `boundary_snf` reads that
-complex from one Smith normal form per degree; `two_term_cohomology` and
-`ssq.run` both go through it.  The generic `gmod.homology` serves only
-the tests, as the oracle for this reading.
+complex from one Smith normal form per degree, of id - psi written in one
+pass; `two_term_cohomology` and `ssq.run` both go through it.  A Lubin-Tate
+degree costs one multiplication mod p^N and one 1x1 Smith.  The generic
+`gmod.homology` serves only the tests, as the oracle for this reading.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ class PsiModule:
     Matrices must be invertible mod p (psi is a group element): every
     pivot of the Smith form mod p, precision 1, is a unit.  That depends
     only on the residues mod p, so it is decided once per distinct
-    residue matrix: a Lubin-Tate window, whose scalars psi^j mod p
-    repeat with period dividing p - 1, takes at most p - 1 eliminations
-    however many degrees it has."""
+    residue matrix, and once per window in `lubin_tate`."""
 
     __slots__ = ("prime", "precision", "_matrices")
 
@@ -47,16 +46,18 @@ class PsiModule:
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
         psi acting on u^j by the scalar psi^j, each power one
-        multiplication mod p^N past the one before."""
+        multiplication mod p^N past the one before.  psi^j is a unit mod p
+        exactly when psi is, so __init__ checks [[psi]] (degree 2) alone."""
         psi = psi_generator(p, N)
+        module = cls({2: ModMatrix._empty(1, 1, p, N, [[psi.residue]])}, p, N)
         pN = p**N
-        mats = {}
+        module._matrices = mats = {}
         start = t_min + (t_min % 2)
         scalar = (psi**(start // 2)).residue
         for t in range(start, t_max + 1, 2):
-            mats[t] = ModMatrix([[scalar]], p, N)
+            mats[t] = ModMatrix._empty(1, 1, p, N, [[scalar]])
             scalar = scalar * psi.residue % pN
-        return cls(mats, p, N)
+        return module
 
     def degrees(self) -> list[int]:
         return sorted(self._matrices)
@@ -83,26 +84,24 @@ class CohomologyReport:
 
     def h(self, s: int, t: int) -> FgModule:
         got = self.entries.get((s, t))
-        if got is None:
-            return FgModule([], self.prime, self.precision)
-        return got
+        return FgModule([], self.prime, self.precision) if got is None else got
 
     def nonzero(self) -> list[tuple[int, int, FgModule]]:
         return sorted(((s, t, m) for (s, t), m in self.entries.items()),
                       key=lambda row: (row[1], row[0]))
 
     def table_lines(self) -> list[str]:
-        lines = []
-        for s, t, m in self.nonzero():
-            lines.append(f"H^({s},{t}) = {m.describe()}")
-        return lines
+        return [f"H^({s},{t}) = {m.describe()}" for s, t, m in self.nonzero()]
 
 
 def boundary_snf(M: PsiModule, t: int) -> tuple[ModMatrix, list[int]]:
     """bd = id - psi in degree t and the diagonal valuations v_j of its
     Smith normal form U*bd*V = diag(p^v_j); v_j = N for a zero entry."""
     mat = M.matrix(t)
-    bd = ModMatrix.identity(mat.rows, M.prime, M.precision) - mat
+    pN = mat.modulus
+    bd = ModMatrix._empty(mat.rows, mat.rows, M.prime, M.precision,
+                          [[((i == j) - x) % pN for j, x in enumerate(row)]
+                           for i, row in enumerate(mat.data)])
     return bd, Smith(bd).valuations
 
 
@@ -131,20 +130,31 @@ def character_cohomology(k: int, p: int, N: int, *,
     Returns (h0_rank, h1_rank, v) with v = valuation of 1 - psi^k; only
     k = 0 carries rational cohomology.  Requires N > 1 + v_p(k) + 1 so the
     torsion exponent is resolved away from the precision ceiling.  A caller
-    that loops over characters passes psi = psi_generator(p, N) once
-    instead of having it rebuilt per character."""
-    if k == 0:
-        return (1, 1, N)
-    # p^bits(k) > |k|, so the valuation is exact, not capped at N
-    vk = int_valuation(abs(k), p, abs(k).bit_length())
-    if N <= vk + 2:
-        raise PrecisionError(
-            f"need N > {vk + 2} to resolve the torsion of character {k}")
-    if psi is None:
-        psi = psi_generator(p, N)
-    one = psi**0
-    v = (one - psi**k).valuation()
-    return (0, 0, v)
+    that holds psi = psi_generator(p, N) passes it instead of having it
+    rebuilt; one that loops over characters uses `character_window`."""
+    return next(character_window(k, k, p, N, psi=psi))[1]
+
+
+def character_window(lo: int, hi: int, p: int, N: int, *,
+                     psi: PadicInt | None = None):
+    """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi: psi^k
+    is one multiplication mod p^N past psi^(k-1), from the first k != 0."""
+    power = None  # psi^k mod p^N from the first k != 0 on
+    for k in range(lo, hi + 1):
+        row = (1, 1, N)
+        if k:
+            # p^bits(k) > |k|, so the valuation is exact, not capped at N
+            vk = int_valuation(abs(k), p, abs(k).bit_length())
+            if N <= vk + 2:
+                raise PrecisionError(f"need N > {vk + 2} to resolve the "
+                                     f"torsion of character {k}")
+            if power is None:
+                psi = psi_generator(p, N) if psi is None else psi
+                power, pN = (psi**k).residue, psi.modulus
+            row = (0, 0, int_valuation(1 - power, p, N))
+        yield k, row
+        if power is not None:
+            power = power * psi.residue % pN
 
 
 def abutment(p: int, window: tuple[int, int],

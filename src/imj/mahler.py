@@ -41,7 +41,7 @@ import math
 from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
-from .grpcoh import character_cohomology
+from .grpcoh import character_window
 from .padic import PadicInt, int_valuation, psi_generator
 
 
@@ -167,7 +167,7 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
         if row[k] != power:
             raise RuntimeError(f"psi matrix row {k}: diagonal is not psi^{k}")
         rows.append(row)
-    return ModMatrix(rows, p, N)
+    return ModMatrix._empty(L, L, p, N, rows)
 
 
 class InvariantsReport:
@@ -259,11 +259,10 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
     Exactly the trivial character carries rational H^0 and H^1; every
     other character contributes only bounded torsion.  A violation means
     the valuation engine is broken and raises.  The generator psi is built
-    once for the whole window."""
+    once for the whole window and its powers are stepped, not raised."""
     lo, hi = k_range
     psi = psi_generator(p, N)
-    entries = {k: character_cohomology(k, p, N, psi=psi)
-               for k in range(lo, hi + 1)}
+    entries = dict(character_window(lo, hi, p, N, psi=psi))
     rational = sorted(k for k, (_h0, h1, _tv) in entries.items() if h1)
     expected = [0] if lo <= 0 <= hi else []
     if rational != expected:

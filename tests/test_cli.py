@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -574,6 +575,25 @@ def test_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["abutment", "--t-min", "-20000", "--t-max", "20000"],
+    ["cohomology", "--k-min", "-5000", "--k-max", "5000"]])
+def test_large_prime_corner_finishes_under_the_ceiling(argv):
+    # the full window at p = 1000003, N = 64, as a process: every 1x1
+    # degree and every character costs one multiplication mod p^N
+    import imj
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "imj.cli", *argv, "-p",
+                           "1000003", "-N", "64"], env=env,
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "p=1000003 N=64" in proc.stdout.splitlines()[0]
+    assert elapsed < 10.0, f"{argv[0]} took {elapsed:.1f} s"
 
 
 def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):

@@ -292,6 +292,31 @@ def test_production_builds_no_transform(monkeypatch):
     assert truncated_kernel(T, 6) == lim.window(6) == frozenset({3, 4, 5})
 
 
+def test_boundary_builds_no_identity_or_difference(monkeypatch):
+    """boundary_snf writes id - psi in one pass: two-term cohomology,
+    abutment and run give the same values while ModMatrix.identity and
+    ModMatrix.__sub__ refuse to run."""
+    M = PsiModule({0: psi_matrix(6, 5, 8), 2: psi_matrix(3, 5, 8)}, 5, 8)
+
+    def values():
+        return ({t: two_term_cohomology(M).h(1, t).exponents
+                 for t in M.degrees()},
+                two_term_cohomology(PsiModule.lubin_tate(3, 8, -40, 40))
+                .table_lines(),
+                abutment(5, (-80, 80)).table_lines(),
+                run_json_oracle(run(3, (-20, 40), 8)))
+
+    before = values()
+    assert before[0][0] and before[1] and before[2]
+
+    def refuse(*args):
+        raise RuntimeError("identity or difference matrix built")
+
+    monkeypatch.setattr(ModMatrix, "identity", refuse)
+    monkeypatch.setattr(ModMatrix, "__sub__", refuse)
+    assert values() == before
+
+
 def test_kernel_gens():
     p, N = 3, 4
     # multiplication by p^2 on Z/p^4: kernel = p^2 * Z/p^4, one generator of order p^2

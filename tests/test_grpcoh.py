@@ -13,6 +13,7 @@ import imj.grpcoh as grpcoh
 from imj.gmod import FgModule, ModMatrix, Smith, homology
 from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
+from imj.mahler import psi_matrix
 from imj.padic import PrecisionError, int_valuation, psi_generator
 
 
@@ -75,7 +76,8 @@ def test_shared_residues_still_refuse_a_later_singular_degree(mats, bad):
 
 
 def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
-    # one Smith elimination mod p (precision 1) per distinct residue matrix
+    # one Smith elimination mod p (precision 1) per distinct residue matrix;
+    # a Lubin-Tate window checks psi alone, once
     seen = []
 
     def counting(A):
@@ -84,15 +86,32 @@ def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
         return Smith(A)
 
     monkeypatch.setattr(grpcoh, "Smith", counting)
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 1000003):
         seen.clear()
         PsiModule.lubin_tate(p, 8, -200, 200)
-        assert len(seen) == len(set(seen)) == p - 1
+        assert seen == [((psi_generator(p, 8).residue % p,),)]
     seen.clear()
     PsiModule({0: ModMatrix([[1, 1], [0, 1]], 3, 4),
                2: ModMatrix([[4, 1], [3, 7]], 3, 4),
                4: ModMatrix([[2, 0], [0, 2]], 3, 4)}, 3, 4)
     assert seen == [((1, 1), (0, 1)), ((2, 0), (0, 2))]
+
+
+@pytest.mark.parametrize("p,N", [(3, 8), (5, 6), (7, 4), (1000003, 3)])
+def test_boundary_is_identity_minus_psi(p, N):
+    """boundary_snf writes id - psi itself, reduced, at ranks 1, 3 and 6
+    and in every degree of a Lubin-Tate window."""
+    M = PsiModule({0: psi_matrix(1, p, N), 2: psi_matrix(3, p, N),
+                   4: psi_matrix(6, p, N)}, p, N)
+    LT = PsiModule.lubin_tate(p, N, -30, 30)
+    for mod in (M, LT):
+        for t in mod.degrees():
+            n = mod.rank(t)
+            bd, vals = grpcoh.boundary_snf(mod, t)
+            assert bd == ModMatrix.identity(n, p, N) - mod.matrix(t)
+            assert (bd.rows, bd.cols) == (n, n)
+            assert vals == Smith(ModMatrix(bd.data, p, N)).valuations
+    assert [M.rank(t) for t in M.degrees()] == [1, 3, 6]
 
 
 def test_two_term_degree_zero():
@@ -150,6 +169,33 @@ def test_character_closed_form_sweep():
                 assert tv == 1 + int_valuation(abs(k), p, N)
             else:
                 assert (h0, h1, tv) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p,N,lo,hi", [
+    (3, 9, -13, 9), (3, 9, 0, 12), (5, 6, -20, -3), (5, 6, 4, 4),
+    (7, 5, -1, 1), (1000003, 4, -30, 30)])
+def test_character_window_steps_the_powers_of_psi(p, N, lo, hi):
+    """Each row of the window, psi^k stepped from the one before, is the
+    valuation of 1 - psi^k with psi^k raised afresh."""
+    psi = psi_generator(p, N)
+    rows = list(grpcoh.character_window(lo, hi, p, N))
+    assert [k for k, _ in rows] == list(range(lo, hi + 1))
+    for k, row in rows:
+        v = (psi**0 - psi**k).valuation()
+        assert row == ((1, 1, N) if k == 0 else (0, 0, v))
+
+
+@pytest.mark.parametrize("lo,hi,bad", [(-9, 9, -9), (3, 12, 9), (0, 0, None)])
+def test_character_window_names_the_first_failing_character(lo, hi, bad):
+    # at p = 3, N = 4 a character k with v_3(k) >= 2 is refused
+    rows = grpcoh.character_window(lo, hi, 3, 4)
+    if bad is None:
+        assert list(rows) == [(0, (1, 1, 4))]
+        return
+    with pytest.raises(PrecisionError,
+                       match=f"need N > 4 to resolve the torsion of "
+                             f"character {bad}$"):
+        list(rows)
 
 
 def test_abutment_p3():
