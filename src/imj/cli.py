@@ -16,12 +16,13 @@ on a value past its bound), 3 on window failure.
 Output formats. Tables are plain text, one record per line. JSON documents
 use two-space indentation and round-trip through json.loads/json.dumps;
 the `run` subcommand emits the page/differential schema stated in
-`RunResult.json_text`, and `run` and `e2` write their class rows with
-`ssq.json_class_rows`. Charts place a class at (stem, s) = (t - c, f + c):
-ascii-chart draws one glyph per class ('o' for c = 0, 'z' for c = 1) in
-3-column cells with '\\' in the cell up-left of a differential source;
-svg-chart is byte-deterministic with fixed layout constants (28 px cells,
-40 px margins, radius-3 circles for c = 0, 6 px squares for c = 1).
+`RunResult.json_chunks`, one page at a time, and `run` and `e2` write
+their class rows with `ssq.json_class_rows`. Charts place a class at
+(stem, s) = (t - c, f + c): ascii-chart draws one glyph per class ('o'
+for c = 0, 'z' for c = 1) in 3-column cells with '\\' in the cell
+up-left of a differential source; svg-chart is byte-deterministic with
+fixed layout constants (28 px cells, 40 px margins, radius-3 circles for
+c = 0, 6 px squares for c = 1).
 
 Stem windows convert to internal-degree windows by t in [a, b + 1], which
 always contains its even interior, so any nonempty stem window is
@@ -32,6 +33,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .cobar import ExteriorHopf, cobar_ext
@@ -59,6 +61,10 @@ _MAX_FMAX = 64
 _MAX_STEMS = 5000
 _MAX_T_SPAN = 40000
 _MAX_K_SPAN = 10000
+# Largest accepted -p and cobar --q: the trial division that decides
+# primality (and factors p - 1 for the primitive root) stops within about
+# 46,341 steps; README states the timing of each subcommand at this p.
+_MAX_P = 2**31 - 1
 
 
 class _Opt(NamedTuple):
@@ -105,11 +111,6 @@ class _Opt(NamedTuple):
         return val
 
 
-def _odd_prime(v, key, cmd):
-    if v % 2 == 0 or not is_prime(v):
-        return f"p must be an odd prime, got {v}"
-
-
 def _bounded(noun, hi, lo=None, low=None):
     """Check lo <= value <= hi; `low` replaces the message below lo."""
     def check(v, key, cmd):
@@ -118,6 +119,15 @@ def _bounded(noun, hi, lo=None, low=None):
         if v > hi:
             return f"{cmd} {noun} {key}={v} is above the bound {key} <= {hi}"
     return check
+
+
+def _odd_prime(v, key, cmd):
+    # the bound first, so trial division never starts past it
+    refusal = _bounded("prime", _MAX_P)(v, key, cmd)
+    if refusal:
+        return refusal
+    if v % 2 == 0 or not is_prime(v):
+        return f"p must be an odd prime, got {v}"
 
 
 def _moore_only(v, key, cmd):
@@ -175,7 +185,7 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-_P = _Opt("-p", "odd prime", 3, check=_odd_prime)
+_P = _Opt("-p", f"odd prime, at most {_MAX_P}", 3, check=_odd_prime)
 _N = _Opt("-N", f"working precision, 4 to {_MAX_N}", 8,
           check=_bounded("precision", _MAX_N, 4))
 _STEM_MIN = _Opt("--stem-min", "left edge of the stem window", -1)
@@ -209,9 +219,9 @@ def _command(name, summary, *options, window=None):
 
 def _emit(out, output) -> int:
     """Write a handler's JSON document (a dict) with two-space indentation,
-    or its lines (a list; `run` and `e2` write their JSON text this way),
-    to stdout or the output path, each line and then its newline, so a
-    large document is not copied once more to join it."""
+    or its lines (any iterable; `run` and `e2` write their JSON text this
+    way), to stdout or the output path, each line and then its newline,
+    so a large document is not copied once more to join it."""
     if isinstance(out, dict):
         out = [json.dumps(out, indent=2)]
     if output is None:
@@ -251,10 +261,10 @@ def _cmd_e2(o) -> dict | list:
 
 @_command("run", "run the filtration spectral sequence", _P, _N,
           _STEM_MIN, _STEM_MAX, _TABLE, _OUTPUT, window=_STEMS)
-def _cmd_run(o) -> dict | list:
+def _cmd_run(o) -> list | Iterator[str]:
     result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
     if o.format == "json":
-        return [result.json_text()]
+        return result.json_chunks()
     lo, hi = result.window
     lines = [f"run p={o.p} N={o.N} t-window {lo}..{hi}"]
     # every class lives on page 2; a class with label r leaves after page r
@@ -437,8 +447,9 @@ def _cmd_limits(o) -> dict | list:
 @_command("cobar", "cobar Ext of an exterior Hopf algebra", _P,
           _Opt("-n", "number of generators", 2),
           _Opt("--smax", "top cohomological degree", 4),
-          _Opt("--q", "field order, an odd prime power (default: p)",
-               follows="p"), _TABLE, _OUTPUT)
+          _Opt("--q", f"field order, an odd prime power, at most {_MAX_P} "
+               "(default: p)", follows="p",
+               check=_bounded("field order", _MAX_P)), _TABLE, _OUTPUT)
 def _cmd_cobar(o) -> dict | list:
     n, smax, q = o.n, o.smax, o.q
     table = cobar_ext(ExteriorHopf(n, q), smax)

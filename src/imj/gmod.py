@@ -9,8 +9,9 @@ which keeps the transcript of its steps; each reader replays only what
 its caller needs:
 
 - `Smith.valuations`, from the elimination alone: the two-term complex
-  id - psi per degree (`grpcoh.boundary_snf`, used by
-  `two_term_cohomology` and `ssq.run`; a 1x1 degree inverts no unit).
+  id - psi in a degree of rank > 1 (`grpcoh.boundary_snf`, used by
+  `two_term_cohomology` and `ssq.run`; a rank-1 degree reads its one
+  valuation without an elimination).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit
@@ -198,11 +199,6 @@ class Smith:
     k of the work matrix, and every entry of that row is a multiple of
     p^v: row k is zeroed and only the quotients qs are kept.
 
-    A pivot with no row below it and no column to its right has nothing
-    to clear, so its unit u is not inverted: D keeps u*p^v there and the
-    step records None for the inverse.  In a 1x1 matrix (a Lubin-Tate
-    degree) that inverse at large p^N would be most of the work.
-
     Step k records the row and column swapped into place, the unit
     inverse, the row multipliers (i, q) and the column quotients qs
     (None when row k was already clear).  `valuations` and `D` come from
@@ -242,10 +238,8 @@ class Smith:
                     row[k], row[bj] = row[bj], row[k]
             pv = p**v
             Mk = M[k]
-            inv = None
-            if k + 1 < r or k + 1 < c:
-                inv = pow(Mk[k] // pv, -1, pN)
-                Mk[k:] = [x * inv % pN for x in Mk[k:]]
+            inv = pow(Mk[k] // pv, -1, pN)
+            Mk[k:] = [x * inv % pN for x in Mk[k:]]
             tail = Mk[k:]
             ops = []
             for i in range(k + 1, r):
@@ -298,10 +292,9 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
 
     The `Smith` transcript replayed forwards: row steps build U, column
-    steps build V, and a unit that `Smith` left at a pivot with nothing
-    to clear is divided out of U and D here.  That costs
-    O(rows^3 + cols^3) on top of the elimination; callers that need only
-    the valuations or a few columns of V read `Smith` directly.
+    steps build V.  That costs O(rows^3 + cols^3) on top of the
+    elimination; callers that need only the valuations or a few columns
+    of V read `Smith` directly.
     """
     S = Smith(A)
     p, N = A.prime, A.precision
@@ -315,10 +308,6 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
         if bj != k:
             for row in V:
                 row[k], row[bj] = row[bj], row[k]
-        if inv is None:
-            pv = p**S.valuations[k]
-            inv = pow(S.D[k][k] // pv, -1, pN)
-            S.D[k][k] = pv
         Uk = U[k] = [x * inv % pN for x in U[k]]
         for i, q in ops:
             U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]

@@ -3,9 +3,11 @@
 The group is topologically generated by psi = omega(g)(1+p), so continuous
 cohomology collapses to the two-term complex M --(id - psi)--> M per
 internal degree, concentrated in s = 0, 1.  `boundary_snf` reads that
-complex from one Smith normal form per degree, of id - psi written in one
-pass; `two_term_cohomology` and `ssq.run` both go through it.  A Lubin-Tate
-degree costs one multiplication mod p^N and one 1x1 Smith.  The generic
+complex from the Smith normal form of id - psi, written in one pass, per
+degree; `two_term_cohomology` and `ssq.run` both go through it.  In a
+rank-1 degree (every Lubin-Tate degree) that form is the valuation of
+1 - psi^j, so such a degree costs one multiplication mod p^N and one
+valuation, and only a wider degree runs `gmod.Smith`.  The generic
 `gmod.homology` serves only the tests, as the oracle for this reading.
 """
 
@@ -96,12 +98,19 @@ class CohomologyReport:
 
 def boundary_snf(M: PsiModule, t: int) -> tuple[ModMatrix, list[int]]:
     """bd = id - psi in degree t and the diagonal valuations v_j of its
-    Smith normal form U*bd*V = diag(p^v_j); v_j = N for a zero entry."""
+    Smith normal form U*bd*V = diag(p^v_j); v_j = N for a zero entry.
+
+    In rank 1, bd = [[x]] is its own Smith form up to the unit of x, so
+    the one valuation is v_p(x), read without an elimination; a wider
+    degree runs `Smith`."""
     mat = M.matrix(t)
+    p, N = M.prime, M.precision
     pN = mat.modulus
-    bd = ModMatrix._empty(mat.rows, mat.rows, M.prime, M.precision,
+    bd = ModMatrix._empty(mat.rows, mat.rows, p, N,
                           [[((i == j) - x) % pN for j, x in enumerate(row)]
                            for i, row in enumerate(mat.data)])
+    if mat.rows == 1:
+        return bd, [int_valuation(bd.data[0][0], p, N)]
     return bd, Smith(bd).valuations
 
 

@@ -210,9 +210,9 @@ def test_cobar_dims_match_oracle(capsys):
 
 
 def test_cobar_extension_field(capsys):
-    # only the characteristic of F_q is read, so 3^12 and 3^20 cost what
-    # 9 does
-    for q in ("9", "531441", "3486784401"):
+    # only the characteristic of F_q is read, so 3^12 and 3^19, the
+    # largest power of 3 under the q bound, cost what 9 does
+    for q in ("9", "531441", "1162261467"):
         rc, out, _ = run_cli(["cobar", "-n", "2", "--smax", "4", "--q", q],
                              capsys)
         assert rc == 0
@@ -400,6 +400,16 @@ _REFUSALS = [
     (["cohomology", "--k-min", "0", "--k-max", "10001"], 2,
      "error: cohomology character window 0..10001 is above the bound "
      "k-max - k-min <= 10000"),
+    # p and q are bounded before trial division starts on them
+    (["abutment", "-p", "2147483659"], 2,
+     "error: abutment prime p=2147483659 is above the bound "
+     "p <= 2147483647"),
+    (["e2", "-p", "1000000000000000003"], 2,
+     "error: e2 prime p=1000000000000000003 is above the bound "
+     "p <= 2147483647"),
+    (["cobar", "--q", "3486784401"], 2,
+     "error: cobar field order q=3486784401 is above the bound "
+     "q <= 2147483647"),
 ]
 
 

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from imj import cobar, gmod
+from imj import cobar, grpcoh
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.gmod import (
     FgModule,
@@ -50,6 +50,13 @@ def test_snf_diagonal_example():
     assert U * A * V == D
     assert D.data[0][0] == 1 and D.data[1][1] == 3
     assert D.data[0][1] == 0 and D.data[1][0] == 0
+    # a lone pivot u*p^v: D keeps p^v alone, the unit goes into U
+    for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
+                       (1000003, 8, 999, 3)]:
+        A = ModMatrix([[u * p**v]], p, N)
+        U, D, V = snf(A)
+        assert D.data == [[p**v]]
+        assert U * A * V == D
 
 
 def test_snf_zero_matrix():
@@ -231,27 +238,6 @@ def test_kernel_column_checks_the_replay():
         S.kernel_column(1)
 
 
-def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
-    """A 1x1 pivot has nothing to clear, so Smith inverts no unit; snf
-    still divides it out of U and D."""
-
-    def no_inverse(base, exp, mod=None):
-        if exp == -1:
-            raise AssertionError("unit inverse taken")
-        return pow(base, exp, mod)
-
-    for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
-                       (1000003, 8, 999, 3)]:
-        A = ModMatrix([[u * p**v]], p, N)
-        monkeypatch.setattr(gmod, "pow", no_inverse, raising=False)
-        S = Smith(A)
-        monkeypatch.undo()
-        assert S.valuations == [v]
-        U, D, V = snf(A)
-        assert D.data == [[p**v]]
-        assert U * A * V == D
-
-
 def test_production_builds_no_transform(monkeypatch):
     """Every production path reads the Smith transcript; none calls snf,
     which builds U and V, or the oracle matinv.  Two-term cohomology and
@@ -315,6 +301,38 @@ def test_boundary_builds_no_identity_or_difference(monkeypatch):
     monkeypatch.setattr(ModMatrix, "identity", refuse)
     monkeypatch.setattr(ModMatrix, "__sub__", refuse)
     assert values() == before
+
+
+@pytest.mark.parametrize("p", [3, 5, 1000003])
+def test_rank_one_degrees_run_no_elimination(p, monkeypatch):
+    """A rank-1 degree reads its valuation off bd's one entry: two-term
+    cohomology, abutment and run give the same values while Smith refuses
+    every precision above the invertibility check's, and a rank-3 degree
+    still eliminates."""
+    per = 2 * p - 2
+    windows = [(-40, 40), (per - 40, per + 40)]
+
+    def values():
+        return [(two_term_cohomology(PsiModule.lubin_tate(p, 8, lo, hi))
+                 .table_lines(),
+                 abutment(p, (lo, hi)).table_lines(),
+                 run_json_oracle(run(p, (lo, hi), 8)))
+                for lo, hi in windows]
+
+    before = values()
+    assert all(h and a for h, a, _ in before)
+    assert before[1][2]["differentials"]
+    rank3 = PsiModule({0: psi_matrix(3, p, 8)}, p, 8)
+
+    def refuse(A):
+        if A.precision > 1:
+            raise RuntimeError("Smith called above precision 1")
+        return Smith(A)
+
+    monkeypatch.setattr(grpcoh, "Smith", refuse)
+    assert values() == before
+    with pytest.raises(RuntimeError, match="above precision 1"):
+        two_term_cohomology(rank3)
 
 
 def test_kernel_gens():

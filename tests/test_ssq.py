@@ -206,7 +206,7 @@ def class_json_oracle(cl):
 def run_json_oracle(result):
     """The `run` JSON document as a dict, built page by page from
     `page(r)`; json.dumps(run_json_oracle(result), indent=2) is the byte
-    oracle for `RunResult.json_text`."""
+    oracle for the joined `RunResult.json_chunks`."""
     return {
         "prime": result.prime,
         "precision": result.precision,
@@ -236,10 +236,13 @@ def test_json_document_shape():
 
 
 def _checked_doc(p, window, N):
-    """The oracle document of a run, after checking json_text against it."""
+    """The oracle document of a run, after checking json_chunks against
+    it: the head, one chunk per page and the tail."""
     out = run(p, window, N)
     doc = run_json_oracle(out)
-    assert out.json_text() == json.dumps(doc, indent=2)
+    chunks = list(out.json_chunks())
+    assert "\n".join(chunks) == json.dumps(doc, indent=2)
+    assert len(chunks) == len(doc["pages"]) + 2
     return doc
 
 
