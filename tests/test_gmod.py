@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from imj import cobar, grpcoh
+from imj import cobar, gmod, grpcoh
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.gmod import (
     FgModule,
@@ -50,13 +50,6 @@ def test_snf_diagonal_example():
     assert U * A * V == D
     assert D.data[0][0] == 1 and D.data[1][1] == 3
     assert D.data[0][1] == 0 and D.data[1][0] == 0
-    # a lone pivot u*p^v: D keeps p^v alone, the unit goes into U
-    for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
-                       (1000003, 8, 999, 3)]:
-        A = ModMatrix([[u * p**v]], p, N)
-        U, D, V = snf(A)
-        assert D.data == [[p**v]]
-        assert U * A * V == D
 
 
 def test_snf_zero_matrix():
@@ -236,6 +229,32 @@ def test_kernel_column_checks_the_replay():
     S.steps[0] = S.steps[0][:1] + (0,) + S.steps[0][2:]
     with pytest.raises(RuntimeError, match="not a kernel vector"):
         S.kernel_column(1)
+
+
+def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
+    """A rank-1 degree bd = [[u*p^v]] has a lone pivot: boundary_snf reads
+    its valuation without inverting u.  Smith gives the same valuation,
+    and snf divides u out of U and D."""
+
+    def no_inverse(base, exp, mod=None):
+        if exp == -1:
+            raise AssertionError("unit inverse taken")
+        return pow(base, exp, mod)
+
+    for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
+                       (1000003, 8, 999, 3)]:
+        A = ModMatrix([[u * p**v]], p, N)
+        M = PsiModule({0: ModMatrix([[1 - u * p**v]], p, N)}, p, N)
+        monkeypatch.setattr(grpcoh, "pow", no_inverse, raising=False)
+        monkeypatch.setattr(gmod, "pow", no_inverse, raising=False)
+        bd, vals = boundary_snf(M, 0)
+        monkeypatch.undo()
+        assert bd == A
+        assert vals == [v]
+        assert Smith(A).valuations == [v]
+        U, D, V = snf(A)
+        assert D.data == [[p**v]]
+        assert U * A * V == D
 
 
 def test_production_builds_no_transform(monkeypatch):
