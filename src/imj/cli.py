@@ -48,10 +48,11 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
-# Largest accepted `mahler -L` and `mahler -N`, far inside the 10 s
-# ceiling: `imj mahler -L 256` takes at most 0.66 s over p in {3, 5, 7}
-# and N in {8, 32, 64} (p = 3, N = 32; process wall time, median of 3,
-# Python 3.11.7, 2 CPUs; README).
+# Largest accepted `mahler -L` and `mahler -N`, inside the 10 s ceiling:
+# the slowest accepted corner, `imj mahler -p 2147483647 -N 64 -L 256
+# --format json`, takes 1.74 s, and p in {3, 5, 7} at most 0.51 s over
+# N in {8, 32, 64} (process wall time, median of 3, Python 3.11.7,
+# 2 CPUs; README, BENCH_19.json).
 _MAHLER_MAX_L = 256
 _MAHLER_MAX_N = 64
 # Largest accepted -N, --fmax and window spans of the other subcommands;

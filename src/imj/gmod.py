@@ -2,8 +2,10 @@
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
 needs no Euclidean steps, only valuation pivoting, with ties broken
-column-major so that the upper triangular Mahler boundary id - psi is
-eliminated with few row operations (see `Smith`).  All the homological
+column-major so that the upper triangular Mahler boundary psi - id is
+eliminated with few row operations.  Rows are reduced mod p^N only when
+they become pivot rows, and a unit pivot row is left unscaled (see
+`Smith`).  All the homological
 bookkeeping downstream reduces to the one elimination here, `Smith`,
 which keeps the transcript of its steps; each reader replays only what
 its caller needs:
@@ -179,14 +181,29 @@ class Smith:
     elimination, so that each reader replays only what it needs.
 
     Valuation pivoting: the entry of minimal valuation in the remaining
-    block becomes the pivot, its unit part is divided out, and the rows
-    below are cleared by exact division by p^v.  Cleared entries keep
-    valuation >= v, so the diagonal comes out sorted.  The remaining rows
-    are zero left of the pivot column, so row operations start there.
+    block becomes the pivot, and the rows below are cleared by exact
+    division by p^v.  Cleared entries keep valuation >= v, so the diagonal
+    comes out sorted.  The remaining rows are zero left of the pivot
+    column, so row operations start there.
+
+    Row operations below a pivot do not reduce mod p^N.  A row is reduced
+    when it becomes the pivot row, each multiplier is read from the
+    reduced entry, and the rows left below the last pivot are reduced
+    once at the end, so D comes out reduced.  Valuations are those of the
+    residues (`int_valuation` reduces first), so the pivots are those of
+    an elimination that reduces every row operation.
+
+    At a pivot u*p^v with v > 0 the pivot row is multiplied by u^-1.  A
+    unit pivot row (v = 0) is only reduced: the rows below are cleared
+    with q*u^-1, and the readers multiply its quotients by u^-1.  That
+    saves one wide product per entry of the pivot row, most of the
+    elimination when few rows need clearing (every pivot of the Mahler
+    boundary at p = 2^31 - 1).  The quotients of a pivot with v > 0 are
+    residues mod p^(N-v) and cannot be scaled at replay time.
 
     Ties break column-major: the pivot is the first entry of minimal
     valuation in the leftmost column that has one, and the scan stops at
-    the first unit.  That suits the Mahler boundary id - psi, which is
+    the first unit.  That suits the Mahler boundary psi - id, which is
     upper triangular: a column holds nothing below its diagonal entry,
     so a unit taken from the leftmost live column leaves few rows below
     to clear.  A row-major tie-break, at a row whose diagonal entry is
@@ -200,8 +217,10 @@ class Smith:
     p^v: row k is zeroed and only the quotients qs are kept.
 
     Step k records the row and column swapped into place, the unit
-    inverse, the row multipliers (i, q) and the column quotients qs
-    (None when row k was already clear).  `valuations` and `D` come from
+    inverse, the row multipliers (i, q) and the column quotients qs:
+    (x*u^-1 mod p^N) // p^v for the entries x of row k when v > 0, the
+    reduced entries themselves at a unit pivot, None when row k was
+    already clear.  `valuations` and `D` come from
     the elimination alone; `v_column` and `kernel_column` replay the
     column steps backwards on one vector; `snf` replays every step
     forwards into U and V.
@@ -238,23 +257,36 @@ class Smith:
                     row[k], row[bj] = row[bj], row[k]
             pv = p**v
             Mk = M[k]
-            inv = pow(Mk[k] // pv, -1, pN)
-            Mk[k:] = [x * inv % pN for x in Mk[k:]]
-            tail = Mk[k:]
+            inv = pow(Mk[k] % pN // pv, -1, pN)
+            if v:
+                Mk[k:] = [x * inv % pN for x in Mk[k:]]
+                tail = Mk[k + 1:]
+                qs = [x // pv for x in tail]
+            else:
+                # a unit pivot row stays unscaled: readers scale qs by inv
+                Mk[k:] = [x % pN for x in Mk[k:]]
+                Mk[k] = 1
+                tail = qs = Mk[k + 1:]
             ops = []
             for i in range(k + 1, r):
                 Mi = M[i]
                 if Mi[k]:
-                    q = Mi[k] // pv
-                    Mi[k:] = [(x - q * y) % pN for x, y in zip(Mi[k:], tail)]
-                    ops.append((i, q))
-            qs = [x // pv for x in tail[1:]]
+                    q = Mi[k] % pN // pv
+                    Mi[k] = 0
+                    if q:
+                        m = q if v else q * inv % pN
+                        Mi[k + 1:] = [x - m * y
+                                      for x, y in zip(Mi[k + 1:], tail)]
+                        ops.append((i, q))
             if any(qs):
                 Mk[k + 1:] = [0] * (c - k - 1)
             else:
                 qs = None
             steps.append((bi, bj, inv, ops, qs))
             vals.append(v)
+        # rows below the last pivot were left unreduced
+        for i in range(len(steps), r):
+            M[i] = [x % pN for x in M[i]]
         self.A = A
         self.D = M
         self.steps = steps
@@ -264,12 +296,14 @@ class Smith:
     def v_column(self, j: int) -> list[int]:
         """V*e_j: the column steps run backwards on e_j, O(rows*cols)."""
         pN = self.A.modulus
+        vals = self.valuations
         x = [0] * self.A.cols
         x[j] = 1
         for k in range(len(self.steps) - 1, -1, -1):
-            _, bj, _, _, qs = self.steps[k]
+            _, bj, inv, _, qs = self.steps[k]
             if qs:
-                x[k] = (x[k] - sum(map(mul, qs, x[k + 1:]))) % pN
+                t = sum(map(mul, qs, x[k + 1:]))
+                x[k] = (x[k] - (t if vals[k] else t * inv)) % pN
             x[k], x[bj] = x[bj], x[k]
         return x
 
@@ -312,9 +346,12 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
         for i, q in ops:
             U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]
         if qs:
+            unit = S.valuations[k] == 0
             for row in V:
                 x = row[k]
                 if x:
+                    if unit:
+                        x = x * inv % pN
                     row[k + 1:] = [(y - q * x) % pN
                                    for y, q in zip(row[k + 1:], qs)]
     return (ModMatrix._empty(r, r, p, N, U), ModMatrix._empty(r, c, p, N, S.D),

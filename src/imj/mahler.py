@@ -18,21 +18,24 @@ S solves the ODE (1+T) S' = psi (1+S), hence (1+T) (S^k)' =
 k psi (S^(k-1) + S^k).  Comparing coefficients of T^i and scaling by i!,
 g_k[i] = i! [T^i] S^k obeys the linear recurrence
 
-    g_k[i+1] = (k psi - i) g_k[i] + k psi g_(k-1)[i],   g_0 = [1, 0, ...],
+    g_k[i+1] = k psi (g_k[i] + g_(k-1)[i]) - i g_k[i],   g_0 = [1, 0, ...],
 
 which has no division and costs O(L^2) ring operations for the whole
-window, against O(L^3) for the powers S^k.
+window, against O(L^3) for the powers S^k.  Column i+1 of the matrix
+comes from column i with one wide product per entry; the other factor,
+i, is small.
 
 Precision.  With an integer residue a = psi mod p^M in place of psi,
 the recurrence runs over Z, and run mod p^M it gives the residues of the
 exact integers g_k[i] for a.  [T^i] S^k = g_k[i] / i! is an integer, so
 g_k[i] mod p^M is divisible by p^(v_p(i!)), and one exact division
 leaves [T^i] S^k mod p^(M - v_p(i!)); the unit part of i! is then
-inverted mod p^N.  The same count bounds the error of a against psi:
-[T^i] S^k is an integral polynomial in the binomials (a choose m),
-m <= i, and each of those is right mod p^(M - v_p(m!)).  Only i < L
-reaches the window, so M = N + v_p((L-1)!) makes every entry right
-mod p^N.
+inverted mod p^N, for every i < L from one inverse of the unit part of
+(L-1)! and a backward product.  The same count bounds the error of a
+against psi: [T^i] S^k is an integral polynomial in the binomials
+(a choose m), m <= i, and each of those is right mod p^(M - v_p(m!)).
+Only i < L reaches the window, so M = N + v_p((L-1)!) makes every entry
+right mod p^N.
 """
 
 from __future__ import annotations
@@ -130,43 +133,48 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
     column i is psi . b_i.  Upper triangular with diagonal psi^k.
 
-    Row k comes from row k-1 by the recurrence g_k[i+1] = (k a - i) g_k[i]
-    + k a g_(k-1)[i] for g_k[i] = i! [T^i] S^k, run mod p^M with
-    a = psi mod p^M and M = N + v_p((L-1)!); each entry is then divided
-    by i! once (the p-part exactly, the unit part by its inverse) and
-    reduced mod p^N.  The diagonal comes out of the recurrence and is
-    checked against a^k mod p^N; a mismatch, such as a working precision
-    too short for the division, raises RuntimeError."""
+    Column i+1 comes from column i by the recurrence g_k[i+1] =
+    k a (g_k[i] + g_(k-1)[i]) - i g_k[i] for g_k[i] = i! [T^i] S^k, run
+    mod p^M with a = psi mod p^M and M = N + v_p((L-1)!); column i is
+    then divided by i! once (the p-part exactly, the unit part by its
+    inverse, all L inverses from one pow) and reduced mod p^N, and the
+    columns are transposed into rows.  The diagonal comes out of the
+    recurrence and is checked against a^i mod p^N; a mismatch, such as a
+    working precision too short for the division, raises
+    RuntimeError."""
     pN = p**N
     M = N + _vp_factorial(L - 1, p)
     pM = p**M
     a = psi_generator(p, M).residue
-    # i! = p^e u with u prime to p: divide by p^e, multiply by u^-1 mod p^N
-    scale, unit_inv = [1], [1]
-    e, u = 0, 1
+    # i! = p^e u with u prime to p: divide by p^e, multiply by u^-1 mod p^N;
+    # the inverses come from one pow and a backward product
+    scale, units = [1], [1]
+    e = 0
     for q in range(1, L):
         while q % p == 0:
             q //= p
             e += 1
-        u = u * q % pN
         scale.append(p**e)
-        unit_inv.append(pow(u, -1, pN))
-    g = [1] + [0] * (L - 1)
-    rows = [g[:]]
-    power = 1  # a^k mod p^N
-    for k in range(1, L):
-        ka = k * a % pM
-        prev, g = g, [0] * L
-        x = 0  # g_k[k-1]
-        for i in range(k - 1, L - 1):
-            x = ((ka - i) * x + ka * prev[i]) % pM
-            g[i + 1] = x
-        row = [0] * k + [gi // s * v % pN for gi, s, v
-                         in zip(g[k:], scale[k:], unit_inv[k:])]
+        units.append(q)
+    u = math.prod(units) % pN
+    unit_inv = [pow(u, -1, pN)] * L
+    for i in range(L - 1, 0, -1):
+        unit_inv[i - 1] = unit_inv[i] * units[i] % pN
+    ka = [k * a % pM for k in range(1, L)]
+    g = [1]  # g_k[i] for k <= i: column i of the recurrence
+    cols = []
+    power = 1  # a^i mod p^N
+    for i in range(L):
+        s, v = scale[i], unit_inv[i]
+        col = [x // s * v % pN for x in g]
+        if col[i] != power:
+            raise RuntimeError(f"psi matrix row {i}: diagonal is not psi^{i}")
+        cols.append(col + [0] * (L - 1 - i))
         power = power * a % pN
-        if row[k] != power:
-            raise RuntimeError(f"psi matrix row {k}: diagonal is not psi^{k}")
-        rows.append(row)
+        if i + 1 < L:
+            g = [0] + [(c * (x + y) - i * x) % pM
+                       for c, x, y in zip(ka, g[1:] + [0], g)]
+    rows = [list(row) for row in zip(*cols)]
     return ModMatrix._empty(L, L, p, N, rows)
 
 
@@ -203,30 +211,32 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     constant term 1 when that term is a unit.  The kernel module keeps
     the working precision, at which all its torsion exponents are exact.
 
-    Only the saturated columns of V are read, one at a time from the
-    Smith transcript; U and the rest of V are never built."""
+    The elimination runs on psi - id, which has the kernel, valuations
+    and V of id - psi and is formed by one subtraction per diagonal
+    entry.  Only the saturated columns of V are read, one at a time from
+    the Smith transcript; U and the rest of V are never built."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     # det of the upper-triangular complement: sum of diagonal valuations
     B = sum(1 + int_valuation(i, p, L) for i in range(1, L)
             if i % (p - 1) == 0)
     Nw = N + B
-    # id - psi, formed in place over the rows of psi
+    # eliminating -A flips the signs of the unit inverses and the row
+    # multipliers only
     A = psi_matrix(L, p, Nw)
     pNw = A.modulus
     for k, row in enumerate(A.data):
-        diagonal = 1 - row[k]
-        row[:] = [-x % pNw for x in row]
-        row[k] = diagonal % pNw
+        row[k] = (row[k] - 1) % pNw
     S = Smith(A)
     vals = S.valuations
+    pN = p**N
     gens = []
     for j, v in enumerate(vals):
         if v == Nw:
-            col = [x % p**N for x in S.kernel_column(j)]
+            col = [x % pN for x in S.kernel_column(j)]
             if col[0] % p:
-                inv = pow(col[0], -1, p**N)
-                col = [x * inv % p**N for x in col]
+                inv = pow(col[0], -1, pN)
+                col = [x * inv % pN for x in col]
             gens.append(MahlerFunction([PadicInt(x, p, N) for x in col]))
     kernel = FgModule(sorted(v for v in vals if v > 0), p, Nw)
     return InvariantsReport(len(gens), gens, kernel, L)

@@ -606,6 +606,21 @@ def test_large_prime_corner_finishes_under_the_ceiling(argv):
     assert elapsed < 10.0, f"{argv[0]} took {elapsed:.1f} s"
 
 
+def test_slowest_mahler_corner_finishes_under_the_ceiling():
+    # the largest accepted p, N and L as a process: every pivot of psi - id
+    # is a unit at p = 2^31 - 1, and psi has 256 * 257 / 2 wide entries
+    import imj
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "imj.cli", "mahler", "-p",
+                           "2147483647", "-N", "64", "-L", "256", "--format",
+                           "json"], env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert elapsed < 10.0, f"mahler took {elapsed:.1f} s"
+
+
 def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):
     # a saturated column of V that 1 - psi does not annihilate is a bug
     from imj.gmod import Smith

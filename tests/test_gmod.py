@@ -208,6 +208,33 @@ def test_invariants_pinned(L, p, N, exponents):
     assert (inv.rank, inv.kernel.exponents) == (1, exponents)
 
 
+@pytest.mark.parametrize("L, p", [(64, 3), (64, 5), (128, 3)])
+def test_psi_minus_id_has_the_transcript_readings_of_id_minus_psi(L, p):
+    # `invariants` eliminates psi - id: negating A flips the signs of the
+    # unit inverses and row multipliers only, so the valuations and every
+    # column of V are those of id - psi
+    A = mahler_boundary(L, p)
+    S, T = Smith(A), Smith(A.scale_int(-1))
+    assert S.valuations == T.valuations
+    Nw = A.precision
+    saturated = [j for j, v in enumerate(S.valuations) if v == Nw]
+    assert saturated
+    for j in saturated:
+        assert S.kernel_column(j) == T.kernel_column(j)
+    for j in range(L):
+        assert S.v_column(j) == T.v_column(j), j
+
+
+def test_smith_D_comes_back_reduced():
+    # row operations below a pivot skip the reduction mod p^N: here row 1
+    # holds -3 until the rows left below the last pivot are reduced
+    assert Smith(ModMatrix([[2, 2], [1, 1]], 3, 1)).D == [[1, 0], [0, 0]]
+    for A in mixed_matrices():
+        pN = A.modulus
+        assert all(0 <= x < pN for row in Smith(A).D for x in row), \
+            (A.prime, A.precision, A.data)
+
+
 def test_transcript_matches_snf():
     # the readers that build no transform against the one that builds all
     for A in [*mixed_matrices(), mahler_boundary(64, 3),
