@@ -47,7 +47,8 @@ multiplicities left, bit of the previous singleton or 0), and lists no
 cell.  After a singleton {g}, a slot whose lowest generator is above g
 adds its tails with none matched up (g is matched down); otherwise a slot
 of two or more generators adds its tails, all matched up, and a singleton
-passes the count on as the previous singleton.
+passes the count on as the previous singleton.  `_count` and the listing
+`_block_basis` walk the same memoized slot choices, `_choices`.
 
 `cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
 the tests compare it with the count on every small block.  `cobar_ext`
@@ -57,6 +58,7 @@ pivots count the rank over F_p.  That is also the rank over F_q: only p
 of the field is read, and the work does not depend on q.
 """
 
+import functools
 import itertools
 import math
 
@@ -146,31 +148,31 @@ class ExteriorHopf:
         return out
 
 
+@functools.cache
+def _choices(slots: int, prof: tuple) -> list:
+    """(sub, rest) for each nonempty mask `sub` that the first of `slots`
+    slots may take under multiplicities `prof`, in increasing order, if
+    the `rest` it leaves fits the other slots, each a nonempty set:
+    max(rest) < slots <= sum(rest) + 1.  A profile no cell fits has none."""
+    allowed = sum(1 << i for i, m in enumerate(prof) if m)
+    out = []
+    for sub in range(1, allowed + 1):
+        if sub & ~allowed:
+            continue
+        rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
+        if max(rest) < slots <= sum(rest) + 1:
+            out.append((sub, rest))
+    return out
+
+
 def _block_basis(s: int, profile) -> list:
     """Tuples of s nonempty generator masks whose multiset union has the
     given multiplicity per generator, in lexicographic slot order."""
     profile = tuple(profile)
-    if max(profile, default=0) <= s <= sum(profile):
-        return _tails(s, profile, {})
-    return []
-
-
-def _tails(slots: int, prof: tuple, memo: dict) -> list:
-    """_block_basis, memoized on (slots, multiplicities) left.  Invariant
-    max(prof) <= slots <= sum(prof): each slot is a nonempty set, so every
-    call has tails, and slots = 0 means prof = 0."""
-    if slots == 0:
-        return [()]
-    if (slots, prof) not in memo:
-        allowed = sum(1 << i for i, m in enumerate(prof) if m)
-        out = memo[slots, prof] = []
-        for sub in range(1, allowed + 1):
-            if sub & ~allowed:
-                continue
-            rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
-            if max(rest) < slots <= sum(rest) + 1:
-                out.extend([(sub,) + t for t in _tails(slots - 1, rest, memo)])
-    return memo[slots, prof]
+    if s == 0:
+        return [] if any(profile) else [()]
+    return [(sub,) + tail for sub, rest in _choices(s, profile)
+            for tail in _block_basis(s - 1, rest)]
 
 
 def _block_entries(tpl):
@@ -274,21 +276,15 @@ _BLOCKS = {}
 
 def _count(slots: int, prof: tuple, prev: int) -> tuple:
     """(tails, tails matched up): the tuples of `slots` nonempty masks with
-    multiplicities `prof`, as in `_tails`, and how many of them the scan
-    matches up after a singleton of bit `prev` (0: none) still undecided.
-    Memoized in `_BLOCKS`, which all blocks share."""
+    multiplicities `prof`, as `_block_basis` lists them, and how many of
+    them the scan matches up after a singleton of bit `prev` (0: none)
+    still undecided.  Memoized in `_BLOCKS`, which all blocks share."""
     if slots == 0:
-        return (1, 0)
+        return (0, 0) if any(prof) else (1, 0)
     key = (slots, prof, prev)
     if key not in _BLOCKS:
-        allowed = sum(1 << i for i, m in enumerate(prof) if m)
         tails = up = 0
-        for sub in range(1, allowed + 1):
-            if sub & ~allowed:
-                continue
-            rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
-            if not max(rest) < slots <= sum(rest) + 1:
-                continue
+        for sub, rest in _choices(slots, prof):
             if prev and sub & -sub > prev:  # {prev} is matched down
                 t, u = _count(slots - 1, rest, 0)[0], 0
             elif sub & (sub - 1):  # matched up at this slot
@@ -307,9 +303,7 @@ def _block_counts(s: int, canon: tuple) -> tuple:
     `cobar_ext` counts one block per decreasing profile and weights it by
     the profile's number of distinct permutations.  The rank is the number
     of cells matched up (module docstring), for every q."""
-    if max(canon, default=0) <= s <= sum(canon):
-        return _count(s, canon, 0)
-    return (0, 0)
+    return _count(s, canon, 0)
 
 
 def _subfield_spot_check(gf: GF, s: int, canon, rank: int):

@@ -9,12 +9,25 @@ rank-1 degree (every Lubin-Tate degree) that form is the valuation of
 1 - psi^j, so such a degree costs one multiplication mod p^N and one
 valuation, and only a wider degree runs `gmod.Smith`.  The generic
 `gmod.homology` serves only the tests, as the oracle for this reading.
+`psi_powers` is the one loop that steps psi^j, for `lubin_tate`,
+`character_window` and (at precision 1, psi = sigma mod p) `ssq.e2_page`.
 """
 
 from __future__ import annotations
 
 from .gmod import FgModule, ModMatrix, Smith
-from .padic import PadicInt, PrecisionError, int_valuation, psi_generator
+from .padic import (PadicInt, PrecisionError, int_valuation, psi_generator,
+                    vp)
+
+
+def psi_powers(psi: PadicInt, lo: int, hi: int):
+    """Yield (j, residue of psi^j) for j = lo, ..., hi: psi^lo is raised
+    once, and each later power is one multiplication mod p^N."""
+    pN = psi.modulus
+    power = (psi**lo).residue
+    for j in range(lo, hi + 1):
+        yield j, power
+        power = power * psi.residue % pN
 
 
 class PsiModule:
@@ -47,18 +60,14 @@ class PsiModule:
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
-        psi acting on u^j by the scalar psi^j, each power one
-        multiplication mod p^N past the one before.  psi^j is a unit mod p
-        exactly when psi is, so __init__ checks [[psi]] (degree 2) alone."""
+        psi acting on u^j by the scalar psi^j from `psi_powers`.  psi^j is
+        a unit mod p exactly when psi is, so __init__ checks [[psi]]
+        (degree 2) alone."""
         psi = psi_generator(p, N)
         module = cls({2: ModMatrix._empty(1, 1, p, N, [[psi.residue]])}, p, N)
-        pN = p**N
-        module._matrices = mats = {}
-        start = t_min + (t_min % 2)
-        scalar = (psi**(start // 2)).residue
-        for t in range(start, t_max + 1, 2):
-            mats[t] = ModMatrix._empty(1, 1, p, N, [[scalar]])
-            scalar = scalar * psi.residue % pN
+        module._matrices = {
+            2 * j: ModMatrix._empty(1, 1, p, N, [[power]])
+            for j, power in psi_powers(psi, (t_min + 1) // 2, t_max // 2)}
         return module
 
     def degrees(self) -> list[int]:
@@ -131,39 +140,28 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     return CohomologyReport(entries, p, N)
 
 
-def character_cohomology(k: int, p: int, N: int, *,
-                         psi: PadicInt | None = None) -> tuple[int, int, int]:
+def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
     """Rational ranks and integral torsion valuation for the character
     psi -> psi^k.
 
     Returns (h0_rank, h1_rank, v) with v = valuation of 1 - psi^k; only
     k = 0 carries rational cohomology.  Requires N > 1 + v_p(k) + 1 so the
-    torsion exponent is resolved away from the precision ceiling.  A caller
-    that holds psi = psi_generator(p, N) passes it instead of having it
-    rebuilt; one that loops over characters uses `character_window`."""
-    return next(character_window(k, k, p, N, psi=psi))[1]
+    torsion exponent is resolved away from the precision ceiling, and p an
+    odd prime, also at k = 0.  A caller that loops over characters uses
+    `character_window`, which builds psi once."""
+    return next(character_window(k, k, p, N))[1]
 
 
-def character_window(lo: int, hi: int, p: int, N: int, *,
-                     psi: PadicInt | None = None):
-    """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi: psi^k
-    is one multiplication mod p^N past psi^(k-1), from the first k != 0."""
-    power = None  # psi^k mod p^N from the first k != 0 on
+def character_window(lo: int, hi: int, p: int, N: int):
+    """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi, with
+    psi^k from `psi_powers`.  The precision of every k is checked before
+    the first row, so a failure names the first k that needs more."""
     for k in range(lo, hi + 1):
-        row = (1, 1, N)
-        if k:
-            # p^bits(k) > |k|, so the valuation is exact, not capped at N
-            vk = int_valuation(abs(k), p, abs(k).bit_length())
-            if N <= vk + 2:
-                raise PrecisionError(f"need N > {vk + 2} to resolve the "
-                                     f"torsion of character {k}")
-            if power is None:
-                psi = psi_generator(p, N) if psi is None else psi
-                power, pN = (psi**k).residue, psi.modulus
-            row = (0, 0, int_valuation(1 - power, p, N))
-        yield k, row
-        if power is not None:
-            power = power * psi.residue % pN
+        if k and N <= vp(k, p) + 2:
+            raise PrecisionError(f"need N > {vp(k, p) + 2} to resolve the "
+                                 f"torsion of character {k}")
+    for k, power in psi_powers(psi_generator(p, N), lo, hi):
+        yield k, (0, 0, int_valuation(1 - power, p, N)) if k else (1, 1, N)
 
 
 def abutment(p: int, window: tuple[int, int],
@@ -182,8 +180,7 @@ def abutment(p: int, window: tuple[int, int],
     max(4, 3 + v_p(k))."""
     t_min, t_max = window
     per = 2 * p - 2
-    # p^bits(t) > |t|, so the valuation of k = |t|/(2p-2) is exact
-    need = {t: 2 + int_valuation(abs(t) // per, p, abs(t).bit_length())
+    need = {t: 2 + vp(t // per, p)
             for t in range(t_min + t_min % 2, t_max + 1, 2)
             if t and t % per == 0}
     if N is None:

@@ -45,7 +45,7 @@ from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_window
-from .padic import PadicInt, int_valuation, psi_generator
+from .padic import PadicInt, psi_generator, vp
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -218,7 +218,7 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     if L < 2:
         raise ValueError("window too short to see the translation action")
     # det of the upper-triangular complement: sum of diagonal valuations
-    B = sum(1 + int_valuation(i, p, L) for i in range(1, L)
+    B = sum(1 + vp(i, p) for i in range(1, L)
             if i % (p - 1) == 0)
     Nw = N + B
     # eliminating -A flips the signs of the unit inverses and the row
@@ -268,11 +268,10 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
 
     Exactly the trivial character carries rational H^0 and H^1; every
     other character contributes only bounded torsion.  A violation means
-    the valuation engine is broken and raises.  The generator psi is built
-    once for the whole window and its powers are stepped, not raised."""
+    the valuation engine is broken and raises.  `character_window` builds
+    psi once for the whole window and steps its powers."""
     lo, hi = k_range
-    psi = psi_generator(p, N)
-    entries = dict(character_window(lo, hi, p, N, psi=psi))
+    entries = dict(character_window(lo, hi, p, N))
     rational = sorted(k for k, (_h0, h1, _tv) in entries.items() if h1)
     expected = [0] if lo <= 0 <= hi else []
     if rational != expected:

@@ -17,16 +17,21 @@ class PrecisionError(ArithmeticError):
     """Raised when an exact answer would need more than the available precision."""
 
 
-def int_valuation(n: int, p: int, N: int) -> int:
-    """p-adic valuation of the residue n mod p^N, capped at N; v(0) = N."""
-    n %= p**N
+def vp(n: int, p: int) -> int:
+    """The exact p-adic valuation of the nonzero integer n, of either sign."""
     if n == 0:
-        return N
+        raise ValueError("v_p(0) is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def int_valuation(n: int, p: int, N: int) -> int:
+    """p-adic valuation of the residue n mod p^N, capped at N; v(0) = N."""
+    n %= p**N
+    return vp(n, p) if n else N
 
 
 class PadicInt:

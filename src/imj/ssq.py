@@ -52,8 +52,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
                    sub_intersect, sub_preimage)
-from .grpcoh import CohomologyReport, PsiModule, boundary_snf
-from .padic import PrecisionError, int_valuation, smallest_primitive_root
+from .grpcoh import CohomologyReport, PsiModule, boundary_snf, psi_powers
+from .padic import PrecisionError, psi_generator, vp
 
 
 class WindowError(ValueError):
@@ -161,16 +161,15 @@ def e2_page(p: int, window: tuple[int, int], fmax: int) -> set[ChartClass]:
     the mod-p boundary on each graded line.
 
     The graded boundary in internal degree 2m multiplies by 1 - sigma^m
-    with sigma the Teichmueller unit, so it is computed mod p as
-    1 - g^m for a primitive root g.  fmax bounds the chart height s = f+c.
+    with sigma the Teichmueller unit, so it is computed mod p from the
+    powers of psi at precision 1, which is sigma mod p.  p must be an odd
+    prime.  fmax bounds the chart height s = f+c.
     """
     t_min, t_max = window
-    g = smallest_primitive_root(p)
     out: set[ChartClass] = set()
-    start = t_min + (t_min % 2)
-    for t in range(start, t_max + 1, 2):
-        m = t // 2
-        if (1 - pow(g, m, p)) % p != 0:
+    for m, power in psi_powers(psi_generator(p, 1), (t_min + 1) // 2,
+                               t_max // 2):
+        if power != 1:
             continue  # graded boundary is a unit: nothing survives
         k = m // (p - 1)
         for c in (0, 1):
@@ -343,8 +342,7 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     per = 2 * p - 2
     for t in ts:
         if t % per == 0 and t != 0:
-            # p^bits(t) > |t|, so the valuation of k = |t|/(2p-2) is exact
-            vk = 1 + int_valuation(abs(t) // per, p, abs(t).bit_length())
+            vk = 1 + vp(t // per, p)
             if N < 2 + vk:
                 raise PrecisionError(
                     f"degree t={t} needs N >= {2 + vk}, have {N}")

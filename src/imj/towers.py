@@ -260,7 +260,7 @@ def truncated_kernel(T: TowerSpec, R: int) -> frozenset:
                        for t in target], p, 1)
     K = kernel_gens(M)
     return frozenset(domain[i] for i in range(K.rows)
-                     for j in range(K.cols) if K.entry(i, j) != 0)
+                     for j in range(K.cols) if K.data[i][j])
 
 
 def moore_example(p: int) -> TowerSpec:

@@ -265,6 +265,33 @@ def test_matched_count_is_the_dense_rank(n, s_top, p, monkeypatch):
             (M.shape[1], rank_mod_p(M, p)), (s, profile)
 
 
+def cells_by_profile(n, s):
+    """Every tuple of s nonempty masks on n generators, in lexicographic
+    order, grouped by the multiset union of its slots.  Mask m weighs
+    sum((s+1)^i for bit i of m), so digit i in base s + 1 of a tuple's
+    total weight is the multiplicity of generator i."""
+    base = s + 1
+    weight = [sum(base**i for i in range(n) if m >> i & 1)
+              for m in range(1 << n)]
+    by_weight = {}
+    for cell in itertools.product(range(1, 1 << n), repeat=s):
+        by_weight.setdefault(sum(map(weight.__getitem__, cell)),
+                             []).append(cell)
+    return {tuple(w // base**i % base for i in range(n)): cells
+            for w, cells in by_weight.items()}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_block_basis_is_the_product_filtered_by_profile(n):
+    # independent of the slot choices that listing and counting share
+    from imj.cobar import _block_basis
+    for s in range(6):
+        cells = cells_by_profile(n, s)
+        for profile in itertools.product(range(s + 1), repeat=n):
+            assert _block_basis(s, profile) == cells.get(profile, []), \
+                (s, profile)
+
+
 @pytest.mark.parametrize("n,s_top", [(1, 6), (2, 6), (3, 6), (4, 5)])
 def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
     # every decreasing profile, empty blocks included: the prefix count

@@ -185,6 +185,14 @@ def test_character_window_steps_the_powers_of_psi(p, N, lo, hi):
         assert row == ((1, 1, N) if k == 0 else (0, 0, v))
 
 
+def test_trivial_character_needs_an_odd_prime():
+    # k = 0 reads no power of psi, but the contract holds there too
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        character_cohomology(0, 9, 6)
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        list(grpcoh.character_window(0, 0, 15, 6))
+
+
 @pytest.mark.parametrize("lo,hi,bad", [(-9, 9, -9), (3, 12, 9), (0, 0, None)])
 def test_character_window_names_the_first_failing_character(lo, hi, bad):
     # at p = 3, N = 4 a character k with v_3(k) >= 2 is refused

@@ -21,6 +21,7 @@ from imj.padic import (
     psi_generator,
     smallest_primitive_root,
     teichmuller,
+    vp,
 )
 
 
@@ -186,6 +187,44 @@ def test_psi_valuation_identity():
                 assert v == 1 + int_valuation(k, p, N), (p, k)
             else:
                 assert v == 0, (p, k)
+
+
+def test_vp_of_either_sign():
+    for p in (3, 5, 7):
+        for e in range(6):
+            for u in (1, 2, p - 1, p + 1):
+                assert vp(p**e * u, p) == vp(-p**e * u, p) == e
+    with pytest.raises(ValueError):
+        vp(0, 3)
+
+
+def test_vp_is_not_capped():
+    # int_valuation stops at the precision; vp reads every digit
+    for p in (3, 5, 1000003):
+        for u in (1, 2, -1):
+            assert vp(p**40 * u, p) == 40
+            assert int_valuation(p**40 * u, p, 8) == 8
+
+
+@pytest.mark.parametrize("p", [3, 5, 1000003])
+def test_vp_agrees_with_int_valuation_on_nonzero_residues(p):
+    rng = random.Random(p)
+    N = 6
+    pN = p**N
+    for _ in range(300):
+        x = p**rng.randrange(N) * rng.randrange(1, pN) % pN
+        if x:
+            assert vp(x, p) == vp(x - pN, p) == int_valuation(x, p, N), x
+
+
+def test_vp_of_a_negative_degree_index():
+    # k = t/(2p-2) in a degree t < 0 has the valuation of -k
+    for p in (3, 5, 7):
+        per = 2 * p - 2
+        for e in range(5):
+            for u in (1, 2, p + 1):
+                t = -per * p**e * u
+                assert vp(t // per, p) == vp(-t // per, p) == e
 
 
 def test_arithmetic_and_inverse():

@@ -31,6 +31,11 @@ def test_e2_page_dead_degree():
     assert e2_page(3, (2, 2), 4) == set()
 
 
+def test_e2_page_needs_an_odd_prime():
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        e2_page(9, (0, 40), 4)
+
+
 def test_e2_page_p5_stem8():
     got = e2_page(5, (8, 8), 0)
     assert names(got) == {"v1"}

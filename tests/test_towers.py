@@ -120,7 +120,12 @@ def test_stage_support_extends_past_explicit_stages():
 
 
 def test_truncated_exactness_every_window_up_to_64():
-    for t in (moore_example(3), bounded_tower(), constant_tower()):
+    # the last tower's first stage is larger than its limit, so the
+    # kernel is a proper part of the window
+    shrinking = TowerSpec(3, 2, 6, [{0, 1, 2, 3}, {1, 2, 3}, {2, 3}],
+                          TowerSpec.EVENTUALLY_CONSTANT)
+    for t in (moore_example(3), bounded_tower(), constant_tower(),
+              shrinking):
         lim, _, _ = lim_lim1(t)
         for R in range(1, 65):
             assert truncated_kernel(t, R) == lim.window(R)
