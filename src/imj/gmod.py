@@ -11,9 +11,10 @@ which keeps the transcript of its steps; each reader replays only what
 its caller needs:
 
 - `Smith.valuations`, from the elimination alone: the two-term complex
-  id - psi in a degree of rank > 1 (`grpcoh.boundary_snf`, used by
-  `two_term_cohomology` and `ssq.run`; a rank-1 degree reads its one
-  valuation without an elimination).
+  id - psi in a degree of rank > 1 (`grpcoh.boundary_snf`, the one pass
+  over a `PsiModule`'s stored rows that `two_term_cohomology` and
+  `ssq.run` iterate; a rank-1 degree reads its one valuation without an
+  elimination or a `ModMatrix`).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit

@@ -2,15 +2,17 @@
 
 The group is topologically generated by psi = omega(g)(1+p), so continuous
 cohomology collapses to the two-term complex M --(id - psi)--> M per
-internal degree, concentrated in s = 0, 1.  `boundary_snf` reads that
-complex from the Smith normal form of id - psi, written in one pass, per
-degree; `two_term_cohomology` and `ssq.run` both go through it.  In a
-rank-1 degree (every Lubin-Tate degree) that form is the valuation of
-1 - psi^j, so such a degree costs one multiplication mod p^N and one
-valuation, and only a wider degree runs `gmod.Smith`.  The generic
-`gmod.homology` serves only the tests, as the oracle for this reading.
-`psi_powers` is the one loop that steps psi^j, for `lubin_tate`,
-`character_window` and (at precision 1, psi = sigma mod p) `ssq.e2_page`.
+internal degree, concentrated in s = 0, 1.  A `PsiModule` stores each
+degree as rows of residues; `boundary_snf` makes one pass over them in
+increasing degree, writing id - psi and the valuations of its Smith
+normal form, and `two_term_cohomology` and `ssq.run` both iterate it.
+In a rank-1 degree (every Lubin-Tate degree) that form is the valuation
+of 1 - psi^j, so such a degree costs one subtraction and one valuation
+and builds no `ModMatrix`; only a wider degree runs `gmod.Smith`.  The
+generic `gmod.homology` serves only the tests, as the oracle for this
+reading.  `psi_powers` is the one loop that steps psi^j, for
+`lubin_tate`, `character_window` and (at precision 1, psi = sigma mod p)
+`ssq.e2_page`.
 """
 
 from __future__ import annotations
@@ -31,54 +33,60 @@ def psi_powers(psi: PadicInt, lo: int, hi: int):
 
 
 class PsiModule:
-    """Graded module with an action of psi: one square matrix per degree.
+    """Graded module with an action of psi: one square matrix per degree,
+    stored as rows of residues mod p^N; `matrix(t)` wraps them in a
+    `ModMatrix` for a caller that wants one.
 
     Matrices must be invertible mod p (psi is a group element): every
     pivot of the Smith form mod p, precision 1, is a unit.  That depends
     only on the residues mod p, so it is decided once per distinct
     residue matrix, and once per window in `lubin_tate`."""
 
-    __slots__ = ("prime", "precision", "_matrices")
+    __slots__ = ("prime", "precision", "_rows")
 
     def __init__(self, matrices: dict[int, ModMatrix], prime: int,
                  precision: int):
         self.prime = prime
         self.precision = precision
-        self._matrices = dict(matrices)
+        self._rows = {}
         invertible = set()  # residue matrices mod p already checked
-        for t, mat in self._matrices.items():
+        for t, mat in matrices.items():
             if mat.rows != mat.cols:
                 raise ValueError(f"psi matrix in degree {t} is not square")
+            self._rows[t] = mat.data
             key = tuple(tuple(x % prime for x in row) for row in mat.data)
-            if key in invertible:
-                continue
-            if any(Smith(ModMatrix(mat.data, prime, 1)).valuations):
-                raise ValueError(
-                    f"psi matrix in degree {t} is not invertible mod {prime}")
-            invertible.add(key)
+            if key not in invertible:
+                self._require_unit(t, mat.data)
+                invertible.add(key)
+
+    def _require_unit(self, t: int, rows: list[list[int]]) -> None:
+        if any(Smith(ModMatrix(rows, self.prime, 1)).valuations):
+            raise ValueError(f"psi matrix in degree {t} is not invertible "
+                             f"mod {self.prime}")
 
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
-        psi acting on u^j by the scalar psi^j from `psi_powers`.  psi^j is
-        a unit mod p exactly when psi is, so __init__ checks [[psi]]
-        (degree 2) alone."""
+        psi acting on u^j by the scalar psi^j from `psi_powers`, stored as
+        the row [psi^j].  psi^j is a unit mod p exactly when psi is, so
+        [[psi]] (degree 2) alone is checked."""
         psi = psi_generator(p, N)
-        module = cls({2: ModMatrix._empty(1, 1, p, N, [[psi.residue]])}, p, N)
-        module._matrices = {
-            2 * j: ModMatrix._empty(1, 1, p, N, [[power]])
-            for j, power in psi_powers(psi, (t_min + 1) // 2, t_max // 2)}
+        module = cls({}, p, N)
+        module._require_unit(2, [[psi.residue]])
+        module._rows = {2 * j: [[power]] for j, power in
+                        psi_powers(psi, (t_min + 1) // 2, t_max // 2)}
         return module
 
     def degrees(self) -> list[int]:
-        return sorted(self._matrices)
+        return sorted(self._rows)
 
     def matrix(self, t: int) -> ModMatrix:
-        return self._matrices[t]
+        rows = self._rows[t]
+        return ModMatrix._empty(len(rows), len(rows), self.prime,
+                                self.precision, [row[:] for row in rows])
 
     def rank(self, t: int) -> int:
-        mat = self._matrices.get(t)
-        return mat.rows if mat is not None else 0
+        return len(self._rows.get(t, ()))
 
 
 class CohomologyReport:
@@ -105,22 +113,27 @@ class CohomologyReport:
         return [f"H^({s},{t}) = {m.describe()}" for s, t, m in self.nonzero()]
 
 
-def boundary_snf(M: PsiModule, t: int) -> tuple[ModMatrix, list[int]]:
-    """bd = id - psi in degree t and the diagonal valuations v_j of its
-    Smith normal form U*bd*V = diag(p^v_j); v_j = N for a zero entry.
+def boundary_snf(M: PsiModule):
+    """Yield (t, bd, v) for every degree t of M, in increasing t: bd, as
+    rows of residues, is id - psi in degree t, and v lists the diagonal
+    valuations v_j of its Smith normal form U*bd*V = diag(p^v_j), with
+    v_j = N for a zero entry.
 
     In rank 1, bd = [[x]] is its own Smith form up to the unit of x, so
-    the one valuation is v_p(x), read without an elimination; a wider
-    degree runs `Smith`."""
-    mat = M.matrix(t)
+    the one valuation is v_p(x), read without an elimination or a
+    `ModMatrix`; a wider degree runs `Smith`."""
     p, N = M.prime, M.precision
-    pN = mat.modulus
-    bd = ModMatrix._empty(mat.rows, mat.rows, p, N,
-                          [[((i == j) - x) % pN for j, x in enumerate(row)]
-                           for i, row in enumerate(mat.data)])
-    if mat.rows == 1:
-        return bd, [int_valuation(bd.data[0][0], p, N)]
-    return bd, Smith(bd).valuations
+    pN = p**N
+    for t in M.degrees():
+        rows = M._rows[t]
+        if len(rows) == 1:
+            x = (1 - rows[0][0]) % pN
+            yield t, [[x]], [vp(x, p) if x else N]
+            continue
+        n = len(rows)
+        bd = [[((i == j) - x) % pN for j, x in enumerate(row)]
+              for i, row in enumerate(rows)]
+        yield t, bd, Smith(ModMatrix._empty(n, n, p, N, bd)).valuations
 
 
 def two_term_cohomology(M: PsiModule) -> CohomologyReport:
@@ -133,8 +146,8 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     both.  Degrees with no positive v_j are left out of the report."""
     p, N = M.prime, M.precision
     entries = {}
-    for t in M.degrees():
-        exps = [v for v in boundary_snf(M, t)[1] if v > 0]
+    for t, _, vals in boundary_snf(M):
+        exps = [v for v in vals if v > 0]
         if exps:
             entries[(0, t)] = entries[(1, t)] = FgModule(exps, p, N)
     return CohomologyReport(entries, p, N)

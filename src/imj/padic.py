@@ -12,6 +12,8 @@ and 0 otherwise, and that single identity produces the image-of-J pattern.
 
 from __future__ import annotations
 
+from functools import cache
+
 
 class PrecisionError(ArithmeticError):
     """Raised when an exact answer would need more than the available precision."""
@@ -123,15 +125,23 @@ def teichmuller(x0: int, p: int, N: int) -> PadicInt:
     """The Teichmuller representative: the unique omega with omega^(p-1) = 1
     in Z/p^N and omega = x0 mod p.
 
-    Computed by Frobenius iteration x -> x^p, which gains one p-adic digit
-    per step; N steps land on the fixed point exactly.
+    Computed by Hensel lifting: x0 is a root of x^(p-1) - 1 mod p (Fermat),
+    and each Newton step doubles the precision of the root, so about
+    log2 N steps land on omega.  The derivative (p-1)x^(p-2) is a unit,
+    and since x^(p-1) = 1 to the current precision it agrees there with
+    (p-1)/x, which is all a doubling step needs:
+    x -> x - (x^(p-1) - 1) * x / (p-1) mod p^k, where
+    1/(p-1) = -(1 + p + ... + p^(k-1)) = -(p^k - 1)/(p-1) needs no
+    modular inverse.
     """
     if x0 % p == 0:
         raise ValueError(f"{x0} is divisible by {p}")
-    pN = p**N
-    x = x0 % pN
-    for _ in range(N):
-        x = pow(x, p, pN)
+    x = x0 % p
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        pk = p**k
+        x = (x + (pow(x, p - 1, pk) - 1) * x * ((pk - 1) // (p - 1))) % pk
     return PadicInt(x, p, N)
 
 
@@ -184,8 +194,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Primality by trial division; desk-scale n."""
+    """Primality by trial division; desk-scale n.  Memoized, so the CLI's
+    check of -p and `psi_generator` share one trial division."""
     return n >= 2 and prime_factors(n) == [n]
 
 

@@ -4,9 +4,9 @@ Engine.  The filtration F^j = p^j M is stable under every automorphism
 of M, so the Smith normal form U*bd*V = diag(p^v) of the boundary
 bd = 1 - psi is an isomorphism of filtered complexes, and in each degree
 the spectral sequence splits into pieces Z/p^N --p^v--> Z/p^N.  `run`
-takes one SNF per degree through `grpcoh.boundary_snf`, the reading of
-the complex that `two_term_cohomology` also uses, and reads every page
-from v alone.  On internal page m (label r = m + 1):
+iterates `grpcoh.boundary_snf`, the one pass over the module's degrees
+that `two_term_cohomology` also reads, takes one SNF per degree from it,
+and reads every page from v alone.  On internal page m (label r = m + 1):
 
     (f, 0) survives  iff  m <= v  or  f >= N - v
     (f, 1) survives  iff  f < v   or  m <= v
@@ -20,7 +20,10 @@ So a class lives on the pages r = 2 .. v + 1, or forever when f >= N - v
 (c = 0) or f < v (c = 1), and a degree with v = 0 has nothing on page 2.
 `run` stores each class once with that last page label, and `RunResult`
 derives every page from it.  Classes come in (t, f, c) order and
-differentials in (r, t, f) order.
+differentials in (r, t, f) order.  A class is named by `monomial_name`,
+the head zeta^c b^f (`monomial_head`) joined with the tail v1^k
+(`monomial_tail`); `run` formats the N heads per c once and joins each
+live degree's one tail onto them.
 
 Oracle.  `FilteredComplexSS` computes the same pages from the generic
 filtered-complex subquotients
@@ -60,19 +63,25 @@ class WindowError(ValueError):
     """A requested window is empty or cuts a differential in half."""
 
 
+def monomial_head(j: int, eps: int) -> str:
+    """The zeta^eps b^j part of a monomial's name, "" when both are 0."""
+    zeta = "zeta" if eps else ""
+    b = "" if j == 0 else "b" if j == 1 else f"b^{j}"
+    return f"{zeta} {b}" if zeta and b else zeta or b
+
+
+def monomial_tail(k: int) -> str:
+    """The v1^k part of a monomial's name, "" at k = 0."""
+    return "" if k == 0 else "v1" if k == 1 else f"v1^{k}"
+
+
+def join_name(head: str, tail: str) -> str:
+    """A monomial's name from its head and tail; "1" when both are empty."""
+    return f"{head} {tail}" if head and tail else head or tail or "1"
+
+
 def monomial_name(k: int, j: int, eps: int) -> str:
-    parts = []
-    if eps:
-        parts.append("zeta")
-    if j == 1:
-        parts.append("b")
-    elif j:
-        parts.append(f"b^{j}")
-    if k == 1:
-        parts.append("v1")
-    elif k:
-        parts.append(f"v1^{k}")
-    return " ".join(parts) if parts else "1"
+    return join_name(monomial_head(j, eps), monomial_tail(k))
 
 
 class ChartClass:
@@ -326,9 +335,10 @@ class RunResult:
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     """Run the spectral sequence for Z_p[u^{+-1}] over an internal-degree
-    window at precision N, from one SNF of bd = 1 - psi per degree (see
-    the module docstring for how lifetimes and differentials follow
-    from v).
+    window at precision N, from one SNF of bd = 1 - psi per degree, read
+    in one pass by `boundary_snf` (see the module docstring for how
+    lifetimes and differentials follow from v).  Class names join a
+    per-run table of heads zeta^c b^f with each degree's v1^k tail.
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
     so each differential closes strictly below the precision horizon."""
@@ -347,26 +357,29 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
                 raise PrecisionError(
                     f"degree t={t} needs N >= {2 + vk}, have {N}")
     module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
+    heads = [[monomial_head(f, c) for f in range(N)] for c in (0, 1)]
     classes: list[tuple[ChartClass, int | None]] = []
     by_r: dict[int, list[DifferentialRecord]] = {}
     e_inf: list[ChartClass] = []
     artifacts: list[ChartClass] = []
-    for t in ts:
-        if module.rank(t) != 1:
-            raise RuntimeError(f"degree t={t} has rank {module.rank(t)}; "
+    for t, bd, vals in boundary_snf(module):
+        if len(vals) != 1:
+            raise RuntimeError(f"degree t={t} has rank {len(vals)}; "
                                f"run handles rank-1 degrees only")
-        bd, (v,) = boundary_snf(module, t)
+        v = vals[0]
         if v == 0:
             continue  # bd is a unit: nothing reaches page 2
-        k = t // per
-        zero = [ChartClass.monomial(p, k, f, 0) for f in range(N)]
-        one = [ChartClass.monomial(p, k, f, 1) for f in range(N)]
+        tail = monomial_tail(t // per)
+        zero = [ChartClass(join_name(head, tail), t, f, 0)
+                for f, head in enumerate(heads[0])]
+        one = [ChartClass(join_name(head, tail), t, f, 1)
+               for f, head in enumerate(heads[1])]
         for f in range(N):
             for cl, forever in ((zero[f], f >= N - v), (one[f], f < v)):
                 classes.append((cl, None if forever else v + 1))
                 if forever:
                     (artifacts if cl.c == 0 and t else e_inf).append(cl)
-        unit = bd.data[0][0] // p**v % p
+        unit = bd[0][0] // p**v % p
         by_r.setdefault(v, []).extend(
             DifferentialRecord(v, zero[f], one[f + v], unit)
             for f in range(N - v))

@@ -630,3 +630,24 @@ def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):
     assert (rc, out) == (1, "")
     assert err == ("internal error: Smith transcript: column 15 of V is not "
                    "a kernel vector\n")
+
+
+def test_one_primality_test_per_process(capsys, monkeypatch):
+    # the -p check and the engine's psi_generator share one memoized
+    # is_prime, so p itself is trial-divided once (p - 1 is factored for
+    # the primitive root, a different argument)
+    import imj.padic as padic
+    calls = []
+    factor = padic.prime_factors
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(padic, "prime_factors", counting)
+    padic.is_prime.cache_clear()
+    rc = main(["abutment", "-p", "2147483647", "-N", "64"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "p=2147483647 N=64" in out.splitlines()[0]
+    assert calls.count(2147483647) == 1

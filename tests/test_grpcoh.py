@@ -15,6 +15,7 @@ from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
 from imj.mahler import psi_matrix
 from imj.padic import PrecisionError, int_valuation, psi_generator
+from imj.ssq import run
 
 
 def test_lubin_tate_shape():
@@ -97,20 +98,54 @@ def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
     assert seen == [((1, 1), (0, 1)), ((2, 0), (0, 2))]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 1000003])
+def test_lubin_tate_window_builds_one_modmatrix(p, monkeypatch):
+    """A Lubin-Tate window stores rows, and boundary_snf reads them
+    without a ModMatrix: run, two_term_cohomology and abutment each build
+    one, [[psi]] mod p for the invertibility check."""
+    built = []
+    empty, init = ModMatrix._empty.__func__, ModMatrix.__init__
+
+    def counting_empty(cls, *args, **kwargs):
+        m = empty(cls, *args, **kwargs)
+        built.append((m.data, m.precision))
+        return m
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.data, self.precision))
+
+    monkeypatch.setattr(ModMatrix, "_empty", classmethod(counting_empty))
+    monkeypatch.setattr(ModMatrix, "__init__", counting_init)
+    per = 2 * p - 2
+    window = (per - 40, per + 40)
+    psi_mod_p = [([[psi_generator(p, 8).residue % p]], 1)]
+    for compute in (lambda: run(p, window, 8),
+                    lambda: two_term_cohomology(
+                        PsiModule.lubin_tate(p, 8, *window)),
+                    lambda: abutment(p, window, 8)):
+        built.clear()
+        compute()
+        assert built == psi_mod_p
+
+
 @pytest.mark.parametrize("p,N", [(3, 8), (5, 6), (7, 4), (1000003, 3)])
 def test_boundary_is_identity_minus_psi(p, N):
-    """boundary_snf writes id - psi itself, reduced, at ranks 1, 3 and 6
-    and in every degree of a Lubin-Tate window."""
-    M = PsiModule({0: psi_matrix(1, p, N), 2: psi_matrix(3, p, N),
-                   4: psi_matrix(6, p, N)}, p, N)
+    """The one pass of boundary_snf writes id - psi itself, reduced, at
+    ranks 1, 3 and 6 and in every degree of a Lubin-Tate window, in
+    increasing degree."""
+    M = PsiModule({4: psi_matrix(6, p, N), 0: psi_matrix(1, p, N),
+                   2: psi_matrix(3, p, N)}, p, N)
     LT = PsiModule.lubin_tate(p, N, -30, 30)
     for mod in (M, LT):
-        for t in mod.degrees():
+        seen = []
+        for t, bd, vals in grpcoh.boundary_snf(mod):
+            seen.append(t)
             n = mod.rank(t)
-            bd, vals = grpcoh.boundary_snf(mod, t)
-            assert bd == ModMatrix.identity(n, p, N) - mod.matrix(t)
-            assert (bd.rows, bd.cols) == (n, n)
-            assert vals == Smith(ModMatrix(bd.data, p, N)).valuations
+            assert bd == (ModMatrix.identity(n, p, N) - mod.matrix(t)).data
+            assert len(bd) == n and all(len(row) == n for row in bd)
+            assert vals == Smith(ModMatrix(bd, p, N)).valuations
+        assert seen == mod.degrees()
     assert [M.rank(t) for t in M.degrees()] == [1, 3, 6]
 
 

@@ -3,7 +3,8 @@
 Derived values are checked against independent characterizations (a
 Teichmuller lift is the unique (p-1)-st root of unity congruent to its
 seed; psi is sigma*(1+p)), never against the implementation's own
-algorithm.
+algorithm.  The Newton lift of `teichmuller` is also checked against
+`frobenius_teichmuller`, the Frobenius iteration, as an oracle.
 """
 
 import math
@@ -63,6 +64,32 @@ def test_teichmuller_characterization():
         w = teichmuller(x0, p, N)
         assert pow(w.residue, p - 1, p**N) == 1
         assert w.residue % p == x0 % p
+
+
+def frobenius_teichmuller(x0: int, p: int, N: int) -> int:
+    """The Teichmuller lift of x0 mod p^N by Frobenius iteration
+    x -> x^p, which gains one p-adic digit per step: N steps land on the
+    fixed point exactly."""
+    pN = p**N
+    x = x0 % pN
+    for _ in range(N):
+        x = pow(x, p, pN)
+    return x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 1000003, 2**31 - 1])
+def test_teichmuller_newton_lift_matches_frobenius(p):
+    """The lift mod p^N is the reduction of the lift mod p^64 (it is the
+    unique root of unity over x0), so one Frobenius run per seed checks
+    every N = 1..64; at small p each N is also iterated on its own."""
+    for x0 in sorted({2, p - 1, p + 1, 7 * p - 3, 12345, -5}):
+        if x0 % p == 0:
+            continue
+        omega = frobenius_teichmuller(x0, p, 64)
+        for N in range(1, 65):
+            assert teichmuller(x0, p, N).residue == omega % p**N
+            if p < 100:
+                assert frobenius_teichmuller(x0, p, N) == omega % p**N
 
 
 def test_teichmuller_rejects_p_divisible():
@@ -147,6 +174,20 @@ def test_psi_generator_frozen_values():
 def test_is_prime():
     assert [n for n in range(-2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_is_memoized(monkeypatch):
+    import imj.padic as padic
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(padic, "prime_factors", counting)
+    is_prime.cache_clear()
+    assert [is_prime(n) for n in (97, 91, 97, 91)] == [True, False] * 2
+    assert calls == [97, 91]
 
 
 def test_prime_factors():

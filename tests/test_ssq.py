@@ -15,7 +15,7 @@ from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
 from imj.ssq import (ChartClass, FilteredComplexSS, abutment_check, e2_page,
-                     json_class_rows, run)
+                     json_class_rows, monomial_name, run)
 
 
 def names(classes):
@@ -374,6 +374,35 @@ def test_run_refuses_a_wider_degree(monkeypatch):
     monkeypatch.setattr(PsiModule, "lubin_tate", staticmethod(rank_two))
     with pytest.raises(RuntimeError, match="rank 2"):
         run(3, (0, 0), 4)
+
+
+def test_monomial_name_rule():
+    assert [monomial_name(k, j, eps) for k, j, eps in [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 2, 1), (1, 0, 0), (-1, 0, 1),
+        (3, 1, 0), (-2, 5, 1)]] == [
+        "1", "zeta", "b", "zeta b^2", "v1", "zeta v1^-1", "b v1^3",
+        "zeta b^5 v1^-2"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("N", [4, 8, 64])
+def test_run_names_follow_monomial_name(p, N):
+    """run names classes from its per-run table of heads joined with each
+    degree's v1^k tail: every class and differential end is named as
+    monomial_name names it, over t = 0, negative t and k = +-1."""
+    per = 2 * p - 2
+    for window in [(-2 * per, 2 * per), (0, 0), (-per, -2), (1, per)]:
+        res = run(p, window, N)
+        ks = set()
+        for cl in [cl for cl, _ in res.classes] + [
+                end for rec in res.differentials
+                for end in (rec.source, rec.target)]:
+            assert cl.t % per == 0
+            assert cl.name == monomial_name(cl.t // per, cl.f, cl.c)
+            ks.add(cl.t // per)
+        assert ks == {k for k in range(-2, 3)
+                      if window[0] <= k * per <= window[1]}
+        assert res.classes
 
 
 def test_run_rejects_composite_p():
