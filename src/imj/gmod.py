@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .padic import PadicInt, int_valuation
+from .padic import int_valuation
 
 
 class ModMatrix:
@@ -88,9 +88,6 @@ class ModMatrix:
     @property
     def modulus(self) -> int:
         return self.prime**self.precision
-
-    def entry(self, i: int, j: int) -> PadicInt:
-        return PadicInt(self.data[i][j], self.prime, self.precision)
 
     def entry_valuation(self, i: int, j: int) -> int:
         return int_valuation(self.data[i][j], self.prime, self.precision)

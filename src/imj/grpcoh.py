@@ -5,31 +5,20 @@ cohomology collapses to the two-term complex M --(id - psi)--> M per
 internal degree, concentrated in s = 0, 1.  A `PsiModule` stores each
 degree as rows of residues; `boundary_snf` makes one pass over them in
 increasing degree, writing id - psi and the valuations of its Smith
-normal form, and `two_term_cohomology` and `ssq.run` both iterate it.
-In a rank-1 degree (every Lubin-Tate degree) that form is the valuation
-of 1 - psi^j, so such a degree costs one subtraction and one valuation
-and builds no `ModMatrix`; only a wider degree runs `gmod.Smith`.  The
-generic `gmod.homology` serves only the tests, as the oracle for this
-reading.  `psi_powers` is the one loop that steps psi^j, for
-`lubin_tate`, `character_window` and (at precision 1, psi = sigma mod p)
-`ssq.e2_page`.
+normal form.  In a rank-1 degree (every Lubin-Tate degree) that form is
+the valuation of 1 - psi^j, read with no `ModMatrix`; only a wider
+degree runs `gmod.Smith`.  The generic `gmod.homology` serves only the
+tests, as the oracle for this reading.  That pass over a
+`PsiModule.lubin_tate` window (which holds the one loop that steps
+psi^j) is the one reader of v_p(1 - psi^j): `two_term_cohomology`,
+`character_window`, `ssq.run` and, at precision 1, `ssq.e2_page` all
+iterate it.  `precision_needs` states the precision a degree needs.
 """
 
 from __future__ import annotations
 
 from .gmod import FgModule, ModMatrix, Smith
-from .padic import (PadicInt, PrecisionError, int_valuation, psi_generator,
-                    vp)
-
-
-def psi_powers(psi: PadicInt, lo: int, hi: int):
-    """Yield (j, residue of psi^j) for j = lo, ..., hi: psi^lo is raised
-    once, and each later power is one multiplication mod p^N."""
-    pN = psi.modulus
-    power = (psi**lo).residue
-    for j in range(lo, hi + 1):
-        yield j, power
-        power = power * psi.residue % pN
+from .padic import PrecisionError, psi_generator, vp
 
 
 class PsiModule:
@@ -67,14 +56,17 @@ class PsiModule:
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
         """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
-        psi acting on u^j by the scalar psi^j from `psi_powers`, stored as
-        the row [psi^j].  psi^j is a unit mod p exactly when psi is, so
-        [[psi]] (degree 2) alone is checked."""
+        psi acting on u^j by the scalar psi^j (each power one multiplication
+        mod p^N from the last), stored as the row [psi^j].  psi^j is a unit
+        mod p exactly when psi is, so [[psi]] (degree 2) alone is checked."""
         psi = psi_generator(p, N)
         module = cls({}, p, N)
         module._require_unit(2, [[psi.residue]])
-        module._rows = {2 * j: [[power]] for j, power in
-                        psi_powers(psi, (t_min + 1) // 2, t_max // 2)}
+        lo, g, pN = (t_min + 1) // 2, psi.residue, psi.modulus
+        power = (psi**lo).residue
+        for j in range(lo, t_max // 2 + 1):
+            module._rows[2 * j] = [[power]]
+            power = power * g % pN
         return module
 
     def degrees(self) -> list[int]:
@@ -166,15 +158,33 @@ def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
 
 
 def character_window(lo: int, hi: int, p: int, N: int):
-    """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi, with
-    psi^k from `psi_powers`.  The precision of every k is checked before
-    the first row, so a failure names the first k that needs more."""
+    """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
+    `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
+    (0, 0, v).  The precision of every k is checked before the first row,
+    so a failure names the first k that needs more."""
     for k in range(lo, hi + 1):
         if k and N <= vp(k, p) + 2:
             raise PrecisionError(f"need N > {vp(k, p) + 2} to resolve the "
                                  f"torsion of character {k}")
-    for k, power in psi_powers(psi_generator(p, N), lo, hi):
-        yield k, (0, 0, int_valuation(1 - power, p, N)) if k else (1, 1, N)
+    M = PsiModule.lubin_tate(p, N, 2 * lo, 2 * hi)
+    for t, _, (v,) in boundary_snf(M):
+        yield t // 2, (1, 1, N) if v == N else (0, 0, v)
+
+
+def precision_needs(p: int, ts, base: int):
+    """Yield (t, base + v_p(k)), the least N that the degree needs, for each
+    t = (2p-2)k, k != 0, of ts; base is the caller's margin."""
+    per = 2 * p - 2
+    for t in ts:
+        if t and t % per == 0:
+            yield t, base + vp(t // per, p)
+
+
+def require_precision(p: int, ts, N: int, base: int) -> None:
+    """Raise PrecisionError at the first degree of ts needing more than N."""
+    for t, need in precision_needs(p, ts, base):
+        if N < need:
+            raise PrecisionError(f"degree t={t} needs N >= {need}, have {N}")
 
 
 def abutment(p: int, window: tuple[int, int],
@@ -192,16 +202,10 @@ def abutment(p: int, window: tuple[int, int],
     shadow Z_p, so that raises PrecisionError.  N = None picks
     max(4, 3 + v_p(k))."""
     t_min, t_max = window
-    per = 2 * p - 2
-    need = {t: 2 + vp(t // per, p)
-            for t in range(t_min + t_min % 2, t_max + 1, 2)
-            if t and t % per == 0}
+    ts = range(t_min + t_min % 2, t_max + 1, 2)
     if N is None:
-        N = max([4] + [least + 1 for least in need.values()])
-    for t, least in need.items():
-        if N < least:
-            raise PrecisionError(f"degree t={t} needs N >= {least}, "
-                                 f"have {N}")
+        N = max([4] + [need + 1 for _, need in precision_needs(p, ts, 2)])
+    require_precision(p, ts, N, 2)
     M = PsiModule.lubin_tate(p, N, t_min, t_max)
     entries = two_term_cohomology(M).entries
     for t in [t for s, t in entries if s == 0]:

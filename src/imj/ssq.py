@@ -4,9 +4,9 @@ Engine.  The filtration F^j = p^j M is stable under every automorphism
 of M, so the Smith normal form U*bd*V = diag(p^v) of the boundary
 bd = 1 - psi is an isomorphism of filtered complexes, and in each degree
 the spectral sequence splits into pieces Z/p^N --p^v--> Z/p^N.  `run`
-iterates `grpcoh.boundary_snf`, the one pass over the module's degrees
-that `two_term_cohomology` also reads, takes one SNF per degree from it,
-and reads every page from v alone.  On internal page m (label r = m + 1):
+iterates `grpcoh.boundary_snf`, the one reader of a Lubin-Tate degree,
+takes one SNF per degree from it, and reads every page from v alone.
+On internal page m (label r = m + 1):
 
     (f, 0) survives  iff  m <= v  or  f >= N - v
     (f, 1) survives  iff  f < v   or  m <= v
@@ -36,10 +36,10 @@ the tests compare `run` against it.  It stays importable from `imj.ssq`
 because the benchmark tracer (perfbench/tracing.py) looks up its
 `piece` and `induced` methods by name when it installs.
 
-Page labels follow the indexing in which the homology of the associated
-graded is called E_2, so the label r page carries the subquotients of
-internal index m = r - 1, and a differential labeled d_r shifts
-filtration by exactly r.
+Page labels are Adams labels: the homology of the associated graded is
+E_2, and the label r page carries the subquotients of internal index
+m = r - 1.  A differential's label d_r is its filtration shift: it raises
+s = f + c by r + 1 and lowers the stem by 1, so it is the Adams d_{r+1}.
 
 Truncation honesty: mod p^N the filtration dies at level N, so in a degree
 whose boundary has valuation v the classes of filtration f >= N - v can
@@ -55,8 +55,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
                    sub_intersect, sub_preimage)
-from .grpcoh import CohomologyReport, PsiModule, boundary_snf, psi_powers
-from .padic import PrecisionError, psi_generator, vp
+from .grpcoh import (CohomologyReport, PsiModule, boundary_snf,
+                     require_precision)
 
 
 class WindowError(ValueError):
@@ -170,17 +170,17 @@ def e2_page(p: int, window: tuple[int, int], fmax: int) -> set[ChartClass]:
     the mod-p boundary on each graded line.
 
     The graded boundary in internal degree 2m multiplies by 1 - sigma^m
-    with sigma the Teichmueller unit, so it is computed mod p from the
-    powers of psi at precision 1, which is sigma mod p.  p must be an odd
-    prime.  fmax bounds the chart height s = f+c.
+    with sigma the Teichmueller unit, psi mod p, so it is `boundary_snf`
+    of the Lubin-Tate module at precision 1, and a degree survives when
+    its valuation is positive.  p must be an odd prime.  fmax bounds the
+    chart height s = f+c.
     """
     t_min, t_max = window
     out: set[ChartClass] = set()
-    for m, power in psi_powers(psi_generator(p, 1), (t_min + 1) // 2,
-                               t_max // 2):
-        if power != 1:
+    for t, _, (v,) in boundary_snf(PsiModule.lubin_tate(p, 1, t_min, t_max)):
+        if v == 0:
             continue  # graded boundary is a unit: nothing survives
-        k = m // (p - 1)
+        k = t // (2 * p - 2)
         for c in (0, 1):
             for f in range(0, fmax - c + 1):
                 out.add(ChartClass.monomial(p, k, f, c))
@@ -349,13 +349,8 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     ts = list(range(start, t_max + 1, 2))
     if not ts:
         raise WindowError("window contains no even degree")
+    require_precision(p, ts, N, 3)
     per = 2 * p - 2
-    for t in ts:
-        if t % per == 0 and t != 0:
-            vk = 1 + vp(t // per, p)
-            if N < 2 + vk:
-                raise PrecisionError(
-                    f"degree t={t} needs N >= {2 + vk}, have {N}")
     module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
     heads = [[monomial_head(f, c) for f in range(N)] for c in (0, 1)]
     classes: list[tuple[ChartClass, int | None]] = []

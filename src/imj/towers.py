@@ -7,6 +7,7 @@ detector only certifies patterns it can actually decide.
 """
 
 from .gmod import ModMatrix, kernel_gens
+from .padic import is_prime
 from .ssq import run
 
 
@@ -271,7 +272,7 @@ def moore_example(p: int) -> TowerSpec:
     k + 1, so page r keeps exactly the coordinates with k >= r - 2:
     nested sub-sums whose support threshold diverges.
     """
-    if p < 3 or p % 2 == 0:
+    if p == 2 or not is_prime(p):
         raise ValueError("the wedge tower needs an odd prime")
     g = SupportFunction(1, -2)
     width = 6

@@ -651,3 +651,45 @@ def test_one_primality_test_per_process(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     assert "p=2147483647 N=64" in out.splitlines()[0]
     assert calls.count(2147483647) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["e2", "-p", "3", "--stem-min", "-40", "--stem-max", "40"],
+    ["cohomology", "-p", "5", "--k-min", "-30", "--k-max", "30"],
+    ["abutment", "-p", "7", "--t-min", "-60", "--t-max", "60"],
+    ["run", "-p", "3", "-N", "8", "--stem-min", "0", "--stem-max", "40"],
+])
+def test_one_boundary_pass_per_subcommand(argv, monkeypatch, capsys):
+    # every Lubin-Tate degree these print is read by grpcoh.boundary_snf,
+    # in one pass over one window
+    from imj import grpcoh, ssq
+    calls = []
+    read = grpcoh.boundary_snf
+
+    def counting(M):
+        calls.append((M.prime, M.precision))
+        return read(M)
+
+    monkeypatch.setattr(grpcoh, "boundary_snf", counting)
+    monkeypatch.setattr(ssq, "boundary_snf", counting)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, err) == (0, "") and out
+    assert len(calls) == 1
+
+
+def test_rational_h1_self_check_can_fire(monkeypatch, capsys):
+    # a valuation engine that reads 1 - psi^6 as 0 at p = 3, N = 6 puts
+    # rational H^1 on the character 6, and cohomology reports the bug
+    from imj import grpcoh
+    read = grpcoh.boundary_snf
+
+    def broken(M):
+        for t, bd, vals in read(M):
+            yield t, bd, [M.precision] if t == 12 else vals
+
+    monkeypatch.setattr(grpcoh, "boundary_snf", broken)
+    rc, out, err = run_cli(["cohomology", "-p", "3", "-N", "6", "--k-min",
+                            "-10", "--k-max", "10"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("internal error: rational H^1 carried by [0, 6], "
+                   "expected [0]\n")

@@ -409,3 +409,15 @@ def test_run_rejects_composite_p():
     with pytest.raises(ValueError, match="odd prime, got 9"):
         run(9, (0, 40), 6)
 
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_filtration_d_r_is_the_adams_d_r_plus_1(p):
+    # a differential labeled d_r raises s = f + c by r + 1 and lowers the
+    # stem by 1, so it is the Adams d_{r+1}; it is printed as d_r
+    per = 2 * p - 2
+    out = run(p, (-20 * per, 20 * per), 6)
+    assert {rec.r for rec in out.differentials} >= {1, 2}
+    for rec in out.differentials:
+        assert rec.target.s - rec.source.s == rec.r + 1
+        assert rec.target.stem == rec.source.stem - 1

@@ -61,6 +61,13 @@ def test_moore_even_prime_refused():
         moore_example(2)
 
 
+@pytest.mark.parametrize("p", [1, 9, 15, 21])
+def test_moore_composite_refused(p):
+    # odd is not enough: the tower is over F_p
+    with pytest.raises(ValueError, match="the wedge tower needs an odd prime"):
+        moore_example(p)
+
+
 def test_moore_lim_vanishes_lim1_survives():
     lim, lim1_nonzero, witness = lim_lim1(moore_example(3))
     assert lim.is_zero()
