@@ -48,7 +48,13 @@ cell.  After a singleton {g}, a slot whose lowest generator is above g
 adds its tails with none matched up (g is matched down); otherwise a slot
 of two or more generators adds its tails, all matched up, and a singleton
 passes the count on as the previous singleton.  `_count` and the listing
-`_block_basis` walk the same memoized slot choices, `_choices`.
+`_block_basis` walk the same memoized slot choices, `_choices`, which
+enumerates only the admissible ones: a generator whose multiplicity
+equals the slots left is forced into the first slot (none fits if one
+exceeds them), the other generators present are free, and the slot
+holds at most sum(multiplicities) + 1 - slots generators.  It walks the
+submasks s of the free set in increasing order and keeps each nonzero
+forced | s within that popcount bound.
 
 `cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
 the tests compare it with the count on every small block.  `cobar_ext`
@@ -61,6 +67,7 @@ of the field is read, and the work does not depend on q.
 import functools
 import itertools
 import math
+import operator
 
 from .gmod import ModMatrix, Smith
 from .padic import prime_factors
@@ -149,20 +156,38 @@ class ExteriorHopf:
 
 
 @functools.cache
+def _bits(n: int) -> list:
+    """Entry m is the tuple of the n bits of mask m, lowest first."""
+    return [tuple(m >> i & 1 for i in range(n)) for m in range(1 << n)]
+
+
+@functools.cache
 def _choices(slots: int, prof: tuple) -> list:
     """(sub, rest) for each nonempty mask `sub` that the first of `slots`
     slots may take under multiplicities `prof`, in increasing order, if
     the `rest` it leaves fits the other slots, each a nonempty set:
-    max(rest) < slots <= sum(rest) + 1.  A profile no cell fits has none."""
-    allowed = sum(1 << i for i, m in enumerate(prof) if m)
+    max(rest) < slots <= sum(rest) + 1.  A profile no cell fits has none.
+    Only those masks are walked: `forced | s` for the submasks s of the
+    free generators, within a popcount bound (module docstring, Count)."""
+    forced = free = 0
+    for i, m in enumerate(prof):
+        if m > slots:
+            return []
+        if m == slots:
+            forced |= 1 << i
+        elif m:
+            free |= 1 << i
+    most = sum(prof) + 1 - slots
+    bits = _bits(len(prof))
     out = []
-    for sub in range(1, allowed + 1):
-        if sub & ~allowed:
-            continue
-        rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
-        if max(rest) < slots <= sum(rest) + 1:
-            out.append((sub, rest))
-    return out
+    s = 0
+    while True:
+        sub = forced | s
+        if sub and sub.bit_count() <= most:
+            out.append((sub, tuple(map(operator.sub, prof, bits[sub]))))
+        if s == free:
+            return out
+        s = (s - free) & free
 
 
 def _block_basis(s: int, profile) -> list:
@@ -282,19 +307,22 @@ def _count(slots: int, prof: tuple, prev: int) -> tuple:
     if slots == 0:
         return (0, 0) if any(prof) else (1, 0)
     key = (slots, prof, prev)
-    if key not in _BLOCKS:
+    got = _BLOCKS.get(key)
+    if got is None:
         tails = up = 0
         for sub, rest in _choices(slots, prof):
             if prev and sub & -sub > prev:  # {prev} is matched down
-                t, u = _count(slots - 1, rest, 0)[0], 0
+                tails += _count(slots - 1, rest, 0)[0]
             elif sub & (sub - 1):  # matched up at this slot
-                t = u = _count(slots - 1, rest, 0)[0]
+                t = _count(slots - 1, rest, 0)[0]
+                tails += t
+                up += t
             else:
                 t, u = _count(slots - 1, rest, sub)
-            tails += t
-            up += u
-        _BLOCKS[key] = (tails, up)
-    return _BLOCKS[key]
+                tails += t
+                up += u
+        got = _BLOCKS[key] = (tails, up)
+    return got
 
 
 def _block_counts(s: int, canon: tuple) -> tuple:

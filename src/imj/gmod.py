@@ -201,7 +201,8 @@ class Smith:
 
     Ties break column-major: the pivot is the first entry of minimal
     valuation in the leftmost column that has one, and the scan stops at
-    the first unit.  That suits the Mahler boundary psi - id, which is
+    the first unit, an entry x with x % p != 0, whose valuation it does
+    not compute.  That suits the Mahler boundary psi - id, which is
     upper triangular: a column holds nothing below its diagonal entry,
     so a unit taken from the leftmost live column leaves few rows below
     to clear.  A row-major tie-break, at a row whose diagonal entry is
@@ -238,11 +239,12 @@ class Smith:
                 for i in range(k, r):
                     x = M[i][j]
                     if x:
+                        if x % p:  # a unit: the pivot
+                            best, bi, bj = 0, i, j
+                            break
                         v = int_valuation(x, p, N)
                         if v < best:
                             best, bi, bj = v, i, j
-                            if v == 0:
-                                break
                 if best == 0:
                     break
             if bi < 0:

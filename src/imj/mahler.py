@@ -26,16 +26,20 @@ comes from column i with one wide product per entry; the other factor,
 i, is small.
 
 Precision.  With an integer residue a = psi mod p^M in place of psi,
-the recurrence runs over Z, and run mod p^M it gives the residues of the
-exact integers g_k[i] for a.  [T^i] S^k = g_k[i] / i! is an integer, so
-g_k[i] mod p^M is divisible by p^(v_p(i!)), and one exact division
-leaves [T^i] S^k mod p^(M - v_p(i!)); the unit part of i! is then
-inverted mod p^N, for every i < L from one inverse of the unit part of
-(L-1)! and a backward product.  The same count bounds the error of a
-against psi: [T^i] S^k is an integral polynomial in the binomials
-(a choose m), m <= i, and each of those is right mod p^(M - v_p(m!)).
-Only i < L reaches the window, so M = N + v_p((L-1)!) makes every entry
-right mod p^N.
+the recurrence runs over Z.  [T^i] S^k = g_k[i] / i! is an integer, so
+h_k[i] = g_k[i] / p^(v_p(i!)) is one too, and it obeys
+
+    h_k[i+1] = (k a (h_k[i] + h_(k-1)[i]) - i h_k[i]) / p^(v_p(i+1)),
+
+an exact division, only where p divides i+1.  Run mod p^M from h_0 =
+[1, 0, ...], each division leaves a residue mod a smaller power, so
+column i is h_k[i] mod p^(M - v_p(i!)).  [T^i] S^k is h_k[i] times the
+inverse of the unit part of i! mod p^N, for every i < L from one inverse
+of the unit part of (L-1)! and a backward product.  The same count
+bounds the error of a against psi: [T^i] S^k is an integral polynomial
+in the binomials (a choose m), m <= i, and each of those is right mod
+p^(M - v_p(m!)).  Only i < L reaches the window, so M = N + v_p((L-1)!)
+makes every entry right mod p^N.
 """
 
 from __future__ import annotations
@@ -133,47 +137,54 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
     column i is psi . b_i.  Upper triangular with diagonal psi^k.
 
-    Column i+1 comes from column i by the recurrence g_k[i+1] =
-    k a (g_k[i] + g_(k-1)[i]) - i g_k[i] for g_k[i] = i! [T^i] S^k, run
-    mod p^M with a = psi mod p^M and M = N + v_p((L-1)!); column i is
-    then divided by i! once (the p-part exactly, the unit part by its
-    inverse, all L inverses from one pow) and reduced mod p^N, and the
-    columns are transposed into rows.  The diagonal comes out of the
-    recurrence and is checked against a^i mod p^N; a mismatch, such as a
-    working precision too short for the division, raises
-    RuntimeError."""
+    Column i+1 comes from column i by the recurrence for h_k[i] =
+    g_k[i] / p^(v_p(i!)) (module docstring), run mod p^(M - v_p(i!)) with
+    a = psi mod p^M and M = N + v_p((L-1)!), dividing exactly by
+    p^(v_p(i+1)) where p divides i+1.  Column i is then multiplied by
+    the inverse of the unit part of i! mod p^N (all L inverses from one
+    pow), and the columns are transposed into rows.  The diagonal comes
+    out of the recurrence and is checked against a^i mod p^N; a
+    mismatch, such as a working precision too short for the division,
+    raises RuntimeError."""
     pN = p**N
     M = N + _vp_factorial(L - 1, p)
     pM = p**M
     a = psi_generator(p, M).residue
-    # i! = p^e u with u prime to p: divide by p^e, multiply by u^-1 mod p^N;
-    # the inverses come from one pow and a backward product
-    scale, units = [1], [1]
-    e = 0
+    # i = divs[i] * units[i] with units[i] prime to p
+    units, divs = [1], [1]
     for q in range(1, L):
+        d = 1
         while q % p == 0:
             q //= p
-            e += 1
-        scale.append(p**e)
+            d *= p
         units.append(q)
+        divs.append(d)
+    # the inverses of the unit parts of the i! mod p^N come from one pow
+    # and a backward product
     u = math.prod(units) % pN
     unit_inv = [pow(u, -1, pN)] * L
     for i in range(L - 1, 0, -1):
         unit_inv[i - 1] = unit_inv[i] * units[i] % pN
     ka = [k * a % pM for k in range(1, L)]
-    g = [1]  # g_k[i] for k <= i: column i of the recurrence
+    h = [1]  # h_k[i] = g_k[i] / p^(v_p(i!)) for k <= i: column i
+    m = pM  # p^(M - v_p(i!)), the modulus of column i of h
     cols = []
     power = 1  # a^i mod p^N
     for i in range(L):
-        s, v = scale[i], unit_inv[i]
-        col = [x // s * v % pN for x in g]
+        v = unit_inv[i]
+        col = [x * v % pN for x in h]
         if col[i] != power:
             raise RuntimeError(f"psi matrix row {i}: diagonal is not psi^{i}")
         cols.append(col + [0] * (L - 1 - i))
         power = power * a % pN
         if i + 1 < L:
-            g = [0] + [(c * (x + y) - i * x) % pM
-                       for c, x, y in zip(ka, g[1:] + [0], g)]
+            h = [0] + [(c * (x + y) - i * x) % m
+                       for c, x, y in zip(ka, h[1:] + [0], h)]
+            d = divs[i + 1]
+            if d > 1:
+                h = [x // d for x in h]
+                # at least 1: a short M reaches the diagonal check
+                m = max(m // d, 1)
     rows = [list(row) for row in zip(*cols)]
     return ModMatrix._empty(L, L, p, N, rows)
 

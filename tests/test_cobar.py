@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imj.cobar import (GF, ExtTable, ExteriorHopf, cobar_ext, cobar_matrix,
                        rank_mod_p, symmetric_oracle)
@@ -305,6 +307,57 @@ def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
             cells = _block_basis(s, canon)
             assert cobar._block_counts(s, canon) == \
                 (len(cells), sum(map(matched_up, cells))), (s, canon)
+
+
+def choices_oracle(slots, prof):
+    # every mask up to the generators present, kept if the multiplicities
+    # it leaves fit the other slots
+    allowed = sum(1 << i for i, m in enumerate(prof) if m)
+    out = []
+    for sub in range(1, allowed + 1):
+        if sub & ~allowed:
+            continue
+        rest = tuple(m - (sub >> i & 1) for i, m in enumerate(prof))
+        if max(rest) < slots <= sum(rest) + 1:
+            out.append((sub, rest))
+    return out
+
+
+def test_choices_walk_only_the_admissible_masks():
+    # the forced set, the free submasks and the popcount bound give the
+    # oracle's list, in its order, on every small profile
+    from imj.cobar import _choices
+    choices = _choices.__wrapped__
+    for n in range(6):
+        for prof in itertools.product(range(5), repeat=n):
+            for slots in range(1, 9):
+                assert choices(slots, prof) == choices_oracle(slots, prof), \
+                    (slots, prof)
+
+
+@st.composite
+def count_args(draw):
+    n = draw(st.integers(0, 4))
+    slots = draw(st.integers(0, 5))
+    prof = tuple(draw(st.lists(st.integers(0, slots + 1), min_size=n,
+                               max_size=n)))
+    prev = draw(st.sampled_from([0] + [1 << i for i in range(n)]))
+    return slots, prof, prev
+
+
+@settings(max_examples=300)
+@given(count_args())
+def test_count_is_the_listing_and_its_scan(args):
+    # profiles in any order and any previous singleton, each counted cold
+    from imj import cobar
+    from imj.cobar import _block_basis
+    slots, prof, prev = args
+    cells = _block_basis(slots, prof)
+    head = (prev,) if prev else ()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cobar, "_BLOCKS", {})
+        assert cobar._count(slots, prof, prev) == \
+            (len(cells), sum(matched_up(head + c) for c in cells))
 
 
 def test_cold_run_lists_one_small_block(monkeypatch):
