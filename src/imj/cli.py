@@ -40,8 +40,7 @@ from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
 from .padic import PrecisionError, is_prime
-from .ssq import (ChartClass, WindowError, e2_page, json_class_rows,
-                  json_list, run)
+from .ssq import WindowError, e2_page, json_class_rows, json_list, run
 from .towers import lim_lim1, moore_example
 
 _SVG_CELL = 28
@@ -242,10 +241,9 @@ def _write_lines(lines, fh) -> None:
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
           _STEM_MAX, _FMAX, _TABLE, _OUTPUT, window=_STEMS)
 def _cmd_e2(o) -> dict | list:
-    classes = sorted(
-        (cl for cl in e2_page(o.p, (o.stem_min, o.stem_max + 1), o.fmax)
-         if o.stem_min <= cl.stem <= o.stem_max),
-        key=ChartClass.sort_key)
+    classes = [cl for cl in e2_page(o.p, (o.stem_min, o.stem_max + 1),
+                                    o.fmax)
+               if o.stem_min <= cl.stem <= o.stem_max]
     if o.format == "json":
         rows = json_class_rows(classes, " " * 4)
         return ["{", f'  "prime": {o.p},', '  "window": [',

@@ -325,15 +325,6 @@ def _count(slots: int, prof: tuple, prev: int) -> tuple:
     return got
 
 
-def _block_counts(s: int, canon: tuple) -> tuple:
-    """(dim, rank of d^s) of the block of a decreasing profile, and of its
-    permutations: relabeling permutes the basis and flips signs, so
-    `cobar_ext` counts one block per decreasing profile and weights it by
-    the profile's number of distinct permutations.  The rank is the number
-    of cells matched up (module docstring), for every q."""
-    return _count(s, canon, 0)
-
-
 def _subfield_spot_check(gf: GF, s: int, canon, rank: int):
     """Re-rank one block of d^s and fail loudly if the matched count
     differs.  The rank is the number of v = 0 Smith valuations mod the
@@ -378,8 +369,11 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
     """Cohomology dimensions of the reduced cobar complex through S_max.
 
     Per cohomological degree s the complex is a direct sum of profile
-    blocks; each contributes dim - rank(out) - rank(in). The result must
-    land on the line t = -s; leakage means a rank is wrong and raises.
+    blocks; each contributes dim - rank(out) - rank(in), from `_count`.
+    Relabeling generators permutes a block's basis and flips signs, so
+    each decreasing profile is counted once, weighted by its number of
+    permutations. The result must land on the line t = -s; leakage means
+    a rank is wrong and raises.
     """
     if H.n > 4 or S_max > 6:
         raise ValueError("desk scale is n <= 4 and S_max <= 6")
@@ -397,12 +391,12 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
                 continue
             canon = low[::-1]
             cold = (s, canon, 0) not in _BLOCKS  # `_count`'s key for it
-            d, rank = _block_counts(s, canon)
+            d, rank = _count(s, canon, 0)
             if (cold and unchecked and d <= 30
-                    and 0 < _block_counts(s + 1, canon)[0] <= 30):
+                    and 0 < _count(s + 1, canon, 0)[0] <= 30):
                 _subfield_spot_check(H.field, s, canon, rank)
                 unchecked = False
-            h = d - rank - _block_counts(s - 1, canon)[1]
+            h = d - rank - _count(s - 1, canon, 0)[1]
             if h < 0:
                 raise RuntimeError("cobar ranks overshot a block dimension")
             if h:

@@ -20,10 +20,11 @@ So a class lives on the pages r = 2 .. v + 1, or forever when f >= N - v
 (c = 0) or f < v (c = 1), and a degree with v = 0 has nothing on page 2.
 `run` stores each class once with that last page label, and `RunResult`
 derives every page from it.  Classes come in (t, f, c) order and
-differentials in (r, t, f) order.  A class is named by `monomial_name`,
-the head zeta^c b^f (`monomial_head`) joined with the tail v1^k
-(`monomial_tail`); `run` formats the N heads per c once and joins each
-live degree's one tail onto them.
+differentials in (r, t, f) order.  `_page2_degrees` builds every live
+degree's page-2 classes for `run` (precision N) and `e2_page` (precision
+1), each named by the rule of `monomial_name`: a table of heads zeta^c b^f
+(`monomial_head`), formatted once, joined with the degree's tail v1^k
+(`monomial_tail`).
 
 Oracle.  `FilteredComplexSS` computes the same pages from the generic
 filtered-complex subquotients
@@ -112,9 +113,6 @@ class ChartClass:
     def stem(self) -> int:
         return self.t - self.c
 
-    def sort_key(self):
-        return (self.t, self.f, self.c)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChartClass)
                 and (self.name, self.t, self.f, self.c)
@@ -165,25 +163,47 @@ def json_list(rows: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
-def e2_page(p: int, window: tuple[int, int], fmax: int) -> set[ChartClass]:
-    """Named basis of the homology of the associated graded, computed from
-    the mod-p boundary on each graded line.
+def _page2_degrees(module: PsiModule, height: int):
+    """Yield (t, v, bd, zero, one) for each degree t of a Lubin-Tate
+    module with v > 0, in increasing t, as `boundary_snf` reads it:
+    zero[f] and one[f] are the page-2 classes at (t, f, 0) and (t, f, 1),
+    f < height, named by joining the degree's tail v1^k onto heads
+    zeta^c b^f formatted once.  Raises RuntimeError at rank other than 1."""
+    per = 2 * module.prime - 2
+    heads = [[monomial_head(f, c) for f in range(height)] for c in (0, 1)]
+    for t, bd, vals in boundary_snf(module):
+        if len(vals) != 1:
+            raise RuntimeError(f"degree t={t} has rank {len(vals)}; "
+                               f"page 2 is built for rank-1 degrees only")
+        v = vals[0]
+        if v == 0:
+            continue  # bd is a unit: nothing reaches page 2
+        tail = monomial_tail(t // per)
+        zero = [ChartClass(join_name(head, tail), t, f, 0)
+                for f, head in enumerate(heads[0])]
+        one = [ChartClass(join_name(head, tail), t, f, 1)
+               for f, head in enumerate(heads[1])]
+        yield t, v, bd, zero, one
+
+
+def e2_page(p: int, window: tuple[int, int], fmax: int) -> list[ChartClass]:
+    """`run`'s page 2 up to chart height s = f+c <= fmax, as a list in
+    (t, f, c) order: the named basis of the homology of the associated
+    graded.
 
     The graded boundary in internal degree 2m multiplies by 1 - sigma^m
     with sigma the Teichmueller unit, psi mod p, so it is `boundary_snf`
     of the Lubin-Tate module at precision 1, and a degree survives when
-    its valuation is positive.  p must be an odd prime.  fmax bounds the
-    chart height s = f+c.
+    its valuation is positive.  p must be an odd prime.
     """
-    t_min, t_max = window
-    out: set[ChartClass] = set()
-    for t, _, (v,) in boundary_snf(PsiModule.lubin_tate(p, 1, t_min, t_max)):
-        if v == 0:
-            continue  # graded boundary is a unit: nothing survives
-        k = t // (2 * p - 2)
-        for c in (0, 1):
-            for f in range(0, fmax - c + 1):
-                out.add(ChartClass.monomial(p, k, f, c))
+    module = PsiModule.lubin_tate(p, 1, *window)
+    if fmax < 0:
+        return []  # no chart height to fill
+    out: list[ChartClass] = []
+    for _, _, _, zero, one in _page2_degrees(module, fmax + 1):
+        for f in range(fmax):
+            out += zero[f], one[f]
+        out.append(zero[fmax])
     return out
 
 
@@ -337,8 +357,8 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     """Run the spectral sequence for Z_p[u^{+-1}] over an internal-degree
     window at precision N, from one SNF of bd = 1 - psi per degree, read
     in one pass by `boundary_snf` (see the module docstring for how
-    lifetimes and differentials follow from v).  Class names join a
-    per-run table of heads zeta^c b^f with each degree's v1^k tail.
+    lifetimes and differentials follow from v).  Each live degree's
+    classes come from `_page2_degrees` at height N.
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
     so each differential closes strictly below the precision horizon."""
@@ -350,25 +370,12 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     if not ts:
         raise WindowError("window contains no even degree")
     require_precision(p, ts, N, 3)
-    per = 2 * p - 2
     module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
-    heads = [[monomial_head(f, c) for f in range(N)] for c in (0, 1)]
     classes: list[tuple[ChartClass, int | None]] = []
     by_r: dict[int, list[DifferentialRecord]] = {}
     e_inf: list[ChartClass] = []
     artifacts: list[ChartClass] = []
-    for t, bd, vals in boundary_snf(module):
-        if len(vals) != 1:
-            raise RuntimeError(f"degree t={t} has rank {len(vals)}; "
-                               f"run handles rank-1 degrees only")
-        v = vals[0]
-        if v == 0:
-            continue  # bd is a unit: nothing reaches page 2
-        tail = monomial_tail(t // per)
-        zero = [ChartClass(join_name(head, tail), t, f, 0)
-                for f, head in enumerate(heads[0])]
-        one = [ChartClass(join_name(head, tail), t, f, 1)
-               for f, head in enumerate(heads[1])]
+    for t, v, bd, zero, one in _page2_degrees(module, N):
         for f in range(N):
             for cl, forever in ((zero[f], f >= N - v), (one[f], f < v)):
                 classes.append((cl, None if forever else v + 1))

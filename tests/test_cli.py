@@ -11,7 +11,7 @@ import pytest
 from imj.cli import main
 from imj.cobar import symmetric_oracle
 from imj.grpcoh import abutment
-from imj.ssq import ChartClass, e2_page, run
+from imj.ssq import e2_page, run
 from test_ssq import class_json_oracle, run_json_oracle
 
 
@@ -275,7 +275,8 @@ def test_e2_json_is_the_oracle_bytes(argv, capsys):
     lo, hi = o["--stem-min"], o["--stem-max"]
     fmax = o.get("--fmax", o.get("-N", 8))
     classes = sorted((cl for cl in e2_page(o["-p"], (lo, hi + 1), fmax)
-                      if lo <= cl.stem <= hi), key=ChartClass.sort_key)
+                      if lo <= cl.stem <= hi),
+                     key=lambda cl: (cl.t, cl.f, cl.c))
     doc = {"prime": o["-p"], "window": [lo, hi], "fmax": fmax,
            "classes": [class_json_oracle(cl) for cl in classes]}
     rc, out, _ = run_cli(["e2", *argv, "--format", "json"], capsys)

@@ -28,7 +28,23 @@ def test_e2_page_window_example():
 
 
 def test_e2_page_dead_degree():
-    assert e2_page(3, (2, 2), 4) == set()
+    assert e2_page(3, (2, 2), 4) == []
+
+
+def test_e2_page_below_height_zero_is_empty():
+    assert e2_page(3, (0, 0), -1) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("fmax", [0, 3, 5])
+def test_e2_page_is_run_page_2(p, fmax):
+    """e2 lists page 2 of the spectral sequence that run computes, cut at
+    chart height fmax: the same classes, names and (t, f, c) order, over
+    k = -2 .. p, where k = p needs N >= 4."""
+    per = 2 * p - 2
+    window, N = (-2 * per, p * per + 1), 6
+    want = [cl for cl in run(p, window, N).page(2) if cl.s <= fmax]
+    assert e2_page(p, window, fmax) == want
 
 
 def test_e2_page_needs_an_odd_prime():
