@@ -13,11 +13,12 @@ Exit codes are stable: 0 on success, 1 when an engine self-check failed
 on usage or configuration errors, matching the argparse convention, and
 on a value past its bound), 3 on window failure.
 
-Output formats. Tables are plain text, one record per line. JSON documents
-use two-space indentation and round-trip through json.loads/json.dumps;
-the `run` subcommand emits the page/differential schema stated in
-`RunResult.json_chunks`, one page at a time, and `run` and `e2` write
-their class rows with `ssq.json_class_rows`. Charts place a class at
+Output formats. Tables are plain text, one record per line. Every JSON
+document is written here, as the bytes json.dumps(doc, indent=2) writes:
+`_emit` dumps the dict documents, and `run` and `e2`, whose documents
+list one object per class, format each class row once with
+`_json_class_rows`; `run` writes the page/differential schema stated in
+`_run_json`, one page at a time. Charts place a class at
 (stem, s) = (t - c, f + c): ascii-chart draws one glyph per class ('o'
 for c = 0, 'z' for c = 1) in 3-column cells with '\\' in the cell
 up-left of a differential source; svg-chart is byte-deterministic with
@@ -34,13 +35,14 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
 from .padic import PrecisionError, is_prime
-from .ssq import WindowError, e2_page, json_class_rows, json_list, run
+from .ssq import WindowError, e2_page, run
 from .towers import lim_lim1, moore_example
 
 _SVG_CELL = 28
@@ -49,9 +51,9 @@ _SVG_RADIUS = 3
 _SVG_SQUARE = 6
 # Largest accepted `mahler -L` and `mahler -N`, inside the 10 s ceiling:
 # the slowest accepted corner, `imj mahler -p 2147483647 -N 64 -L 256
-# --format json`, takes 1.74 s, and p in {3, 5, 7} at most 0.51 s over
-# N in {8, 32, 64} (process wall time, median of 3, Python 3.11.7,
-# 2 CPUs; README, BENCH_19.json).
+# --format json`, takes 0.91 s (process wall time, median of 5, Python
+# 3.11.7, 2 CPUs; BENCH_23.json), and p in {3, 5, 7} at most 0.51 s over
+# N in {8, 32, 64} (README).
 _MAHLER_MAX_L = 256
 _MAHLER_MAX_N = 64
 # Largest accepted -N, --fmax and window spans of the other subcommands;
@@ -238,6 +240,58 @@ def _write_lines(lines, fh) -> None:
         fh.write("\n")
 
 
+def _json_class_rows(classes, indent: str) -> list[str]:
+    """Each class as the JSON object {"name", "t", "f", "c"} that
+    `json.dumps(..., indent=2)` writes at the depth of `indent`, a string
+    of spaces, with the name escaped as json.dumps escapes it."""
+    inner = indent + "  "
+    return [f'{indent}{{\n{inner}"name": {_quote(cl.name)},\n'
+            f'{inner}"t": {cl.t},\n{inner}"f": {cl.f},\n'
+            f'{inner}"c": {cl.c}\n{indent}}}' for cl in classes]
+
+
+def _json_list(rows: list[str], indent: str) -> str:
+    """JSON rows (each already indented) as the array json.dumps(...,
+    indent=2) writes, its closing bracket at the depth of `indent`."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def _run_json(result) -> Iterator[str]:
+    """An `ssq.RunResult` as a JSON document with two-space indentation,
+    yielded as its head, each page and its tail, which join with newlines
+    and end with no final newline.  Keys in this order: prime, precision,
+    window (the degrees [lo, hi]), pages (each {"r", "classes"} for
+    r = 2 .. last_page), differentials (each {"r", "source", "target"} by
+    name) and e_infinity; a class is {"name", "t", "f", "c"}.
+
+    Joined, these are the bytes json.dumps(..., indent=2) writes for that
+    document, but each class row is formatted once, a page joins the rows
+    of the classes still alive on it, and one page is held at a time."""
+    rows = _json_class_rows((cl for cl, _ in result.classes), " " * 8)
+    lasts = [last for _, last in result.classes]
+    lo, hi = result.window
+    # last_page >= 2, so the page list is never empty
+    yield (f'{{\n  "prime": {result.prime},\n'
+           f'  "precision": {result.precision},\n'
+           f'  "window": [\n    {lo},\n    {hi}\n  ],\n'
+           f'  "pages": [')
+    for r in range(2, result.last_page + 1):
+        alive = [row for row, last in zip(rows, lasts)
+                 if last is None or r <= last]
+        comma = "," if r < result.last_page else ""
+        yield (f'    {{\n      "r": {r},\n      "classes": '
+               f'{_json_list(alive, " " * 6)}\n    }}{comma}')
+    diffs = [f'    {{\n      "r": {rec.r},\n'
+             f'      "source": {_quote(rec.source.name)},\n'
+             f'      "target": {_quote(rec.target.name)}\n    }}'
+             for rec in result.differentials]
+    e_inf = _json_class_rows(result.e_infinity, " " * 4)
+    yield (f'  ],\n  "differentials": {_json_list(diffs, "  ")},\n'
+           f'  "e_infinity": {_json_list(e_inf, "  ")}\n}}')
+
+
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
           _STEM_MAX, _FMAX, _TABLE, _OUTPUT, window=_STEMS)
 def _cmd_e2(o) -> dict | list:
@@ -245,11 +299,11 @@ def _cmd_e2(o) -> dict | list:
                                     o.fmax)
                if o.stem_min <= cl.stem <= o.stem_max]
     if o.format == "json":
-        rows = json_class_rows(classes, " " * 4)
+        rows = _json_class_rows(classes, " " * 4)
         return ["{", f'  "prime": {o.p},', '  "window": [',
                 f"    {o.stem_min},", f"    {o.stem_max}", "  ],",
                 f'  "fmax": {o.fmax},',
-                f'  "classes": {json_list(rows, "  ")}', "}"]
+                f'  "classes": {_json_list(rows, "  ")}', "}"]
     lines = [f"E_2 p={o.p} stems {o.stem_min}..{o.stem_max} "
              f"fmax={o.fmax}"]
     for cl in classes:
@@ -263,7 +317,7 @@ def _cmd_e2(o) -> dict | list:
 def _cmd_run(o) -> list | Iterator[str]:
     result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
     if o.format == "json":
-        return result.json_chunks()
+        return _run_json(result)
     lo, hi = result.window
     lines = [f"run p={o.p} N={o.N} t-window {lo}..{hi}"]
     # every class lives on page 2; a class with label r leaves after page r

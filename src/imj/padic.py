@@ -48,12 +48,6 @@ class PadicInt:
         self.precision = precision
         self.residue = residue % prime**precision
 
-    # ---- constructors ----
-
-    @classmethod
-    def one(cls, p: int, N: int) -> "PadicInt":
-        return cls(1, p, N)
-
     # ---- structure ----
 
     def _check(self, other: "PadicInt") -> None:
@@ -155,7 +149,7 @@ def binom(a: PadicInt, i: int) -> PadicInt:
         raise ValueError("negative lower index")
     p, N = a.prime, a.precision
     if i == 0:
-        return PadicInt.one(p, N)
+        return PadicInt(1, p, N)
     pN = p**N
     num = 1
     fact_val = 0

@@ -51,9 +51,6 @@ and the abutment comparison.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii as _quote
-
 from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
                    sub_intersect, sub_preimage)
 from .grpcoh import (CohomologyReport, PsiModule, boundary_snf,
@@ -143,24 +140,6 @@ class DifferentialRecord:
     def __repr__(self) -> str:
         return (f"d_{self.r}({self.source.name}) = "
                 f"{self.coefficient}*{self.target.name}")
-
-
-def json_class_rows(classes, indent: str) -> list[str]:
-    """Each class as the JSON object {"name", "t", "f", "c"} that
-    `json.dumps(..., indent=2)` writes at the depth of `indent`, a string
-    of spaces, with the name escaped as json.dumps escapes it."""
-    inner = indent + "  "
-    return [f'{indent}{{\n{inner}"name": {_quote(cl.name)},\n'
-            f'{inner}"t": {cl.t},\n{inner}"f": {cl.f},\n'
-            f'{inner}"c": {cl.c}\n{indent}}}' for cl in classes]
-
-
-def json_list(rows: list[str], indent: str) -> str:
-    """JSON rows (each already indented) as the array json.dumps(...,
-    indent=2) writes, its closing bracket at the depth of `indent`."""
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
 def _page2_degrees(module: PsiModule, height: int):
@@ -292,10 +271,10 @@ class RunResult:
     `classes` lists every class of page 2 once, as a pair (class, label
     of the last page it lives on), the label None for a class that lives
     forever.  `page(r)` and `last_page`, the label of the stable page,
-    derive the pages from it, and `json_chunks` writes them.  Order
-    contract: `classes`, every `page(r)`, `e_infinity` and `artifacts`
-    are in (t, f, c) order and `differentials` in (r, t, f) order, so
-    consumers print them as they are."""
+    derive the pages from it.  Order contract: `classes`, every
+    `page(r)`, `e_infinity` and `artifacts` are in (t, f, c) order and
+    `differentials` in (r, t, f) order, so consumers print them as they
+    are."""
 
     __slots__ = ("prime", "precision", "window", "classes", "last_page",
                  "differentials", "e_infinity", "artifacts")
@@ -317,40 +296,6 @@ class RunResult:
         if r < 2:
             raise KeyError(r)
         return [cl for cl, last in self.classes if last is None or r <= last]
-
-    def json_chunks(self) -> Iterator[str]:
-        """The run as a JSON document with two-space indentation, yielded
-        as its head, each page and its tail, which join with newlines and
-        end with no final newline.  Keys in this order: prime, precision,
-        window (the degrees [lo, hi]), pages (each {"r", "classes"} for
-        r = 2 .. last_page), differentials (each {"r", "source", "target"}
-        by name) and e_infinity; a class is {"name", "t", "f", "c"}.
-
-        Joined, these are the bytes json.dumps(..., indent=2) writes for
-        that document, but each class row is formatted once, a page joins
-        the rows of the classes still alive on it, and one page is held
-        at a time."""
-        rows = json_class_rows((cl for cl, _ in self.classes), " " * 8)
-        lasts = [last for _, last in self.classes]
-        lo, hi = self.window
-        # last_page >= 2, so the page list is never empty
-        yield (f'{{\n  "prime": {self.prime},\n'
-               f'  "precision": {self.precision},\n'
-               f'  "window": [\n    {lo},\n    {hi}\n  ],\n'
-               f'  "pages": [')
-        for r in range(2, self.last_page + 1):
-            alive = [row for row, last in zip(rows, lasts)
-                     if last is None or r <= last]
-            comma = "," if r < self.last_page else ""
-            yield (f'    {{\n      "r": {r},\n      "classes": '
-                   f'{json_list(alive, " " * 6)}\n    }}{comma}')
-        diffs = [f'    {{\n      "r": {rec.r},\n'
-                 f'      "source": {_quote(rec.source.name)},\n'
-                 f'      "target": {_quote(rec.target.name)}\n    }}'
-                 for rec in self.differentials]
-        e_inf = json_class_rows(self.e_infinity, " " * 4)
-        yield (f'  ],\n  "differentials": {json_list(diffs, "  ")},\n'
-               f'  "e_infinity": {json_list(e_inf, "  ")}\n}}')
 
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:

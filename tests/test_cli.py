@@ -1,5 +1,8 @@
-"""Command-line surface: dispatch, config resolution, charts, exit codes."""
+"""Command-line surface: dispatch, config resolution, charts, JSON bytes,
+exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +10,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imj.cli import main
+from imj.cli import _json_class_rows, _run_json, main
 from imj.cobar import symmetric_oracle
 from imj.grpcoh import abutment
-from imj.ssq import e2_page, run
+from imj.ssq import ChartClass, e2_page, run
 from test_ssq import class_json_oracle, run_json_oracle
 
 
@@ -281,6 +286,74 @@ def test_e2_json_is_the_oracle_bytes(argv, capsys):
            "classes": [class_json_oracle(cl) for cl in classes]}
     rc, out, _ = run_cli(["e2", *argv, "--format", "json"], capsys)
     assert rc == 0 and out == json.dumps(doc, indent=2) + "\n"
+
+
+def _checked_doc(p, window, N):
+    """The oracle document of a run, after checking `_run_json` against
+    it: the head, one chunk per page and the tail."""
+    out = run(p, window, N)
+    doc = run_json_oracle(out)
+    chunks = list(_run_json(out))
+    assert "\n".join(chunks) == json.dumps(doc, indent=2)
+    assert len(chunks) == len(doc["pages"]) + 2
+    return doc
+
+
+def test_json_text_without_a_live_degree():
+    doc = _checked_doc(7, (2, 5), 4)
+    assert [page["classes"] for page in doc["pages"]] == [[]]
+    assert doc["differentials"] == [] == doc["e_infinity"]
+
+
+def test_json_text_one_page():
+    doc = _checked_doc(3, (0, 0), 4)
+    assert len(doc["pages"]) == 1 and doc["pages"][0]["classes"]
+    assert doc["differentials"] == [] and doc["e_infinity"]
+
+
+@pytest.mark.parametrize("p,window,N", [(3, (-40, 41), 6), (5, (-200, 9), 5)])
+def test_json_text_many_pages_negative_t(p, window, N):
+    doc = _checked_doc(p, window, N)
+    assert len(doc["pages"]) > 2 and doc["differentials"]
+    assert any(cl["t"] < 0 for cl in doc["pages"][0]["classes"])
+
+
+def test_json_class_rows_escape_as_json_dumps():
+    cl = ChartClass('q"\\\u00e9\n', -4, 2, 1)
+    row, = _json_class_rows([cl], "  ")
+    assert row == "  " + json.dumps(class_json_oracle(cl), indent=2).replace(
+        "\n", "\n  ")
+
+
+@st.composite
+def run_argv(draw):
+    """p, a stem window of at most 61 stems and an N from the least that
+    `run` and the -N floor accept (3 + v_p(k) for each k = t/(2p-2) != 0
+    of the degrees t in [a, b + 1], and 4) up to two more."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a = draw(st.integers(-60, 60))
+    b = a + draw(st.integers(0, 60))
+    need = 4
+    for t in range(a, b + 2):
+        k = t // (2 * p - 2) if t % (2 * p - 2) == 0 else 0
+        v = 0
+        while k and k % p == 0:
+            k, v = k // p, v + 1
+        need = max(need, 3 + v)
+    return p, a, b, need + draw(st.integers(0, 2))
+
+
+@settings(max_examples=200)
+@given(run_argv())
+def test_run_json_is_json_dumps_of_the_oracle(args):
+    """`imj run --format json` prints json.dumps(oracle, indent=2) and a
+    newline, on drawn primes, windows (negative stems included) and N."""
+    p, a, b, N = args
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(["run", "-p", str(p), "-N", str(N), "--stem-min", str(a),
+                   "--stem-max", str(b), "--format", "json"])
+    want = json.dumps(run_json_oracle(run(p, (a, b + 1), N)), indent=2)
+    assert rc == 0 and out.getvalue() == want + "\n"
 
 
 def test_precision_failure_exits_2(capsys):

@@ -7,15 +7,13 @@ this from one Smith normal form per degree.  The generic subquotient
 engine `FilteredComplexSS` is a second, independent oracle.
 """
 
-import json
-
 import pytest
 
 from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
 from imj.ssq import (ChartClass, FilteredComplexSS, abutment_check, e2_page,
-                     json_class_rows, monomial_name, run)
+                     monomial_name, run)
 
 
 def names(classes):
@@ -227,7 +225,7 @@ def class_json_oracle(cl):
 def run_json_oracle(result):
     """The `run` JSON document as a dict, built page by page from
     `page(r)`; json.dumps(run_json_oracle(result), indent=2) is the byte
-    oracle for the joined `RunResult.json_chunks`."""
+    oracle for the `run` JSON that `imj.cli` writes."""
     return {
         "prime": result.prime,
         "precision": result.precision,
@@ -254,43 +252,6 @@ def test_json_document_shape():
     d0 = doc["differentials"][0]
     assert list(d0) == ["r", "source", "target"]
     assert isinstance(d0["source"], str)
-
-
-def _checked_doc(p, window, N):
-    """The oracle document of a run, after checking json_chunks against
-    it: the head, one chunk per page and the tail."""
-    out = run(p, window, N)
-    doc = run_json_oracle(out)
-    chunks = list(out.json_chunks())
-    assert "\n".join(chunks) == json.dumps(doc, indent=2)
-    assert len(chunks) == len(doc["pages"]) + 2
-    return doc
-
-
-def test_json_text_without_a_live_degree():
-    doc = _checked_doc(7, (2, 5), 4)
-    assert [page["classes"] for page in doc["pages"]] == [[]]
-    assert doc["differentials"] == [] == doc["e_infinity"]
-
-
-def test_json_text_one_page():
-    doc = _checked_doc(3, (0, 0), 4)
-    assert len(doc["pages"]) == 1 and doc["pages"][0]["classes"]
-    assert doc["differentials"] == [] and doc["e_infinity"]
-
-
-@pytest.mark.parametrize("p,window,N", [(3, (-40, 41), 6), (5, (-200, 9), 5)])
-def test_json_text_many_pages_negative_t(p, window, N):
-    doc = _checked_doc(p, window, N)
-    assert len(doc["pages"]) > 2 and doc["differentials"]
-    assert any(cl["t"] < 0 for cl in doc["pages"][0]["classes"])
-
-
-def test_json_class_rows_escape_as_json_dumps():
-    cl = ChartClass('q"\\\u00e9\n', -4, 2, 1)
-    row, = json_class_rows([cl], "  ")
-    assert row == "  " + json.dumps(class_json_oracle(cl), indent=2).replace(
-        "\n", "\n  ")
 
 
 def _row(cl):
