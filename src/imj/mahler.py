@@ -33,9 +33,11 @@ h_k[i] = g_k[i] / p^(v_p(i!)) is one too, and it obeys
 
 an exact division, only where p divides i+1.  Run mod p^M from h_0 =
 [1, 0, ...], each division leaves a residue mod a smaller power, so
-column i is h_k[i] mod p^(M - v_p(i!)).  [T^i] S^k is h_k[i] times the
-inverse of the unit part of i! mod p^N, for every i < L from one inverse
-of the unit part of (L-1)! and a backward product.  The same count
+column i is h_k[i] mod p^(M - v_p(i!)).  [T^i] S^k is h_k[i] divided
+by U_i, the unit part of i!, so the matrix of psi is H diag(U)^-1 with
+H[k][i] = h_k[i].  `psi_matrix` takes that product, one per entry;
+`invariants` eliminates (psi - id) diag(U) = H - diag(U), which needs
+none, and multiplies its kernel column by U.  The same count
 bounds the error of a against psi: [T^i] S^k is an integral polynomial
 in the binomials (a choose m), m <= i, and each of those is right mod
 p^(M - v_p(m!)).  Only i < L reaches the window, so M = N + v_p((L-1)!)
@@ -132,60 +134,59 @@ def act_psi(f: MahlerFunction) -> MahlerFunction:
                            for row in psi_matrix(f.length, p, N).data])
 
 
+def _h_rows(L: int, p: int, N: int) -> tuple[list[list[int]], list[int]]:
+    """H mod p^N as rows, H[k][i] = h_k[i] (module docstring), and U,
+    U[i] the unit part of i! mod p^N, so that psi_matrix is H times the
+    inverse of diag(U).  H is upper triangular with diagonal psi^i * U[i].
+
+    Column i+1 comes from column i by the recurrence for h_k[i], run mod
+    p^(M - v_p(i!)) with a = psi mod p^M and M = N + v_p((L-1)!),
+    dividing exactly by p^(v_p(i+1)) where p divides i+1; U is the
+    forward product of the unit parts of 1..L-1.  The diagonal is
+    checked against a^i * U[i] mod p^N; a mismatch, such as a working
+    precision too short for the division, raises RuntimeError."""
+    pN = p**N
+    M = N + _vp_factorial(L - 1, p)
+    pM = p**M
+    a = psi_generator(p, M).residue
+    ka = [k * a % pM for k in range(1, L)]
+    h = [1]  # h_k[i] = g_k[i] / p^(v_p(i!)) for k <= i: column i
+    m = pM  # p^(M - v_p(i!)), the modulus of column i of h
+    cols, U = [], []
+    u = diag = 1  # U[i] and a^i * U[i], mod p^N
+    for i in range(L):
+        col = [x % pN for x in h]
+        if col[i] != diag:
+            raise RuntimeError(f"psi matrix row {i}: diagonal is not psi^{i}")
+        cols.append(col + [0] * (L - 1 - i))
+        U.append(u)
+        if i + 1 < L:
+            h = [0] + [(c * (x + y) - i * x) % m
+                       for c, x, y in zip(ka, h[1:] + [0], h)]
+            q, d = i + 1, 1  # i + 1 = q * d, q prime to p
+            while q % p == 0:
+                q //= p
+                d *= p
+            if d > 1:
+                h = [x // d for x in h]
+                # at least 1: a short M reaches the diagonal check
+                m = max(m // d, 1)
+            u = u * q % pN
+            diag = diag * a * q % pN
+    return [list(row) for row in zip(*cols)], U
+
+
 def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     """Matrix of act_psi on b_0..b_{L-1} over Z/p^N.  Entry [k][i] is the
     coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
     column i is psi . b_i.  Upper triangular with diagonal psi^k.
 
-    Column i+1 comes from column i by the recurrence for h_k[i] =
-    g_k[i] / p^(v_p(i!)) (module docstring), run mod p^(M - v_p(i!)) with
-    a = psi mod p^M and M = N + v_p((L-1)!), dividing exactly by
-    p^(v_p(i+1)) where p divides i+1.  Column i is then multiplied by
-    the inverse of the unit part of i! mod p^N (all L inverses from one
-    pow), and the columns are transposed into rows.  The diagonal comes
-    out of the recurrence and is checked against a^i mod p^N; a
-    mismatch, such as a working precision too short for the division,
-    raises RuntimeError."""
+    The rows of `_h_rows`, column i multiplied by the inverse of the
+    unit part of i! mod p^N: one product per entry."""
     pN = p**N
-    M = N + _vp_factorial(L - 1, p)
-    pM = p**M
-    a = psi_generator(p, M).residue
-    # i = divs[i] * units[i] with units[i] prime to p
-    units, divs = [1], [1]
-    for q in range(1, L):
-        d = 1
-        while q % p == 0:
-            q //= p
-            d *= p
-        units.append(q)
-        divs.append(d)
-    # the inverses of the unit parts of the i! mod p^N come from one pow
-    # and a backward product
-    u = math.prod(units) % pN
-    unit_inv = [pow(u, -1, pN)] * L
-    for i in range(L - 1, 0, -1):
-        unit_inv[i - 1] = unit_inv[i] * units[i] % pN
-    ka = [k * a % pM for k in range(1, L)]
-    h = [1]  # h_k[i] = g_k[i] / p^(v_p(i!)) for k <= i: column i
-    m = pM  # p^(M - v_p(i!)), the modulus of column i of h
-    cols = []
-    power = 1  # a^i mod p^N
-    for i in range(L):
-        v = unit_inv[i]
-        col = [x * v % pN for x in h]
-        if col[i] != power:
-            raise RuntimeError(f"psi matrix row {i}: diagonal is not psi^{i}")
-        cols.append(col + [0] * (L - 1 - i))
-        power = power * a % pN
-        if i + 1 < L:
-            h = [0] + [(c * (x + y) - i * x) % m
-                       for c, x, y in zip(ka, h[1:] + [0], h)]
-            d = divs[i + 1]
-            if d > 1:
-                h = [x // d for x in h]
-                # at least 1: a short M reaches the diagonal check
-                m = max(m // d, 1)
-    rows = [list(row) for row in zip(*cols)]
+    rows, U = _h_rows(L, p, N)
+    inv = [pow(u, -1, pN) for u in U]
+    rows = [[x * v % pN for x, v in zip(row, inv)] for row in rows]
     return ModMatrix._empty(L, L, p, N, rows)
 
 
@@ -222,29 +223,31 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     constant term 1 when that term is a unit.  The kernel module keeps
     the working precision, at which all its torsion exponents are exact.
 
-    The elimination runs on psi - id, which has the kernel, valuations
-    and V of id - psi and is formed by one subtraction per diagonal
-    entry.  Only the saturated columns of V are read, one at a time from
-    the Smith transcript; U and the rest of V are never built."""
+    The elimination runs on (psi - id) diag(U) = H - diag(U), with H and
+    U from `_h_rows`: one subtraction per diagonal entry, and no product
+    by the inverses of the U[i].  A right factor of units leaves every
+    entry's valuation alone, so the pivots and valuations are those of
+    id - psi, and U times a kernel column of H - diag(U) is a kernel
+    column of id - psi.  Only the saturated kernel columns are read, one
+    at a time from the Smith transcript; the row transform and the rest
+    of V are never built."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     # det of the upper-triangular complement: sum of diagonal valuations
     B = sum(1 + vp(i, p) for i in range(1, L)
             if i % (p - 1) == 0)
     Nw = N + B
-    # eliminating -A flips the signs of the unit inverses and the row
-    # multipliers only
-    A = psi_matrix(L, p, Nw)
-    pNw = A.modulus
-    for k, row in enumerate(A.data):
-        row[k] = (row[k] - 1) % pNw
-    S = Smith(A)
+    pNw = p**Nw
+    rows, U = _h_rows(L, p, Nw)
+    for k, row in enumerate(rows):
+        row[k] = (row[k] - U[k]) % pNw
+    S = Smith(ModMatrix._empty(L, L, p, Nw, rows))
     vals = S.valuations
     pN = p**N
     gens = []
     for j, v in enumerate(vals):
         if v == Nw:
-            col = [x % pN for x in S.kernel_column(j)]
+            col = [x * u % pN for x, u in zip(S.kernel_column(j), U)]
             if col[0] % p:
                 inv = pow(col[0], -1, pN)
                 col = [x * inv % pN for x in col]

@@ -3,7 +3,10 @@
 The SNF oracle is the round-trip identity U*A*V = D together with explicit
 invertibility of U and V, plus an independent full-sweep elimination with
 the same pivot rule (minimal valuation, ties column-major), which must give
-the same U, D and V.  The `Smith` readers that
+the same U, D and V.  The pivots are checked step by step against a
+plain elimination that picks them by the rule (first unit column-major,
+else first strict minimum of valuation), and the valuations of drawn
+matrices against their determinantal divisors.  The `Smith` readers that
 build no transform must agree with `snf` column by column.  Homology
 oracles are hand-computable kernels and cokernels and the
 transpose-duality of two-term complexes.
@@ -11,10 +14,13 @@ transpose-duality of two-term complexes.
 
 import random
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imj import cobar, gmod, grpcoh
+from imj import cobar, gmod, grpcoh, mahler
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.gmod import (
     FgModule,
@@ -32,7 +38,7 @@ from imj.gmod import (
 )
 from imj.grpcoh import PsiModule, abutment, boundary_snf, two_term_cohomology
 from imj.mahler import invariants, psi_matrix
-from imj.padic import int_valuation
+from imj.padic import int_valuation, vp
 from imj.ssq import run
 from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
 from test_ssq import run_json_oracle
@@ -197,6 +203,72 @@ def test_smith_row_operations_on_mahler_triangle(p):
     assert sum(len(ops) for _, _, _, ops, _ in S.steps) <= 4 * L
 
 
+def pivot_rule(M, k, p, N):
+    """The pivot of the block of M below and right of (k, k): its first
+    unit in column-major order, else its first entry of strictly minimal
+    valuation below N; None when every entry vanishes mod p^N."""
+    block = [(i, j) for j in range(k, len(M[0])) for i in range(k, len(M))]
+    for i, j in block:
+        if M[i][j] % p:
+            return i, j
+    best, piv = N, None
+    for i, j in block:
+        v = int_valuation(M[i][j], p, N)
+        if v < best:
+            best, piv = v, (i, j)
+    return piv
+
+
+def pivots_by_rule(A):
+    """(bi, bj) at each step of a plain elimination that picks its pivots
+    by `pivot_rule` and reduces every row operation mod p^N."""
+    p, N = A.prime, A.precision
+    pN = p**N
+    M = [row[:] for row in A.data]
+    out = []
+    for k in range(min(A.rows, A.cols)):
+        piv = pivot_rule(M, k, p, N)
+        if piv is None:
+            break
+        bi, bj = piv
+        M[k], M[bi] = M[bi], M[k]
+        for row in M:
+            row[k], row[bj] = row[bj], row[k]
+        pv = p ** int_valuation(M[k][k], p, N)
+        inv = pow(M[k][k] // pv, -1, pN)
+        for i in range(k + 1, A.rows):
+            if M[i][k]:
+                m = M[i][k] // pv * inv
+                M[i] = [(x - m * y) % pN for x, y in zip(M[i], M[k])]
+        out.append(piv)
+    return out
+
+
+def test_smith_pivots_follow_the_rule():
+    for A in [*mixed_matrices(), *(mahler_boundary(L, p)
+                                   for L in (64, 128) for p in (3, 5))]:
+        assert [step[:2] for step in Smith(A).steps] == pivots_by_rule(A), \
+            (A.prime, A.precision, A.data)
+
+
+def test_pivot_scan_takes_valuations_only_without_a_unit(monkeypatch):
+    # the scan looks for a unit by x % p alone and computes valuations
+    # only in a block that has none: 4 of the 128 pivots here, where a
+    # scan that takes the valuation of each non-unit it passes on the way
+    # to a unit makes 1503 calls
+    A = mahler_boundary(128, 3)
+    calls = []
+
+    def counted(x, p, N):
+        calls.append(x)
+        return int_valuation(x, p, N)
+
+    monkeypatch.setattr(gmod, "int_valuation", counted)
+    S = Smith(A)
+    assert sum(v > 0 for v in S.valuations[:len(S.steps)]) == 4
+    assert len(calls) == 30
+
+
 @pytest.mark.parametrize("L, p, N, exponents", [
     (128, 3, 8, [1, 7, 20, 65, 101]),
     (256, 3, 8, [1, 4, 13, 42, 128, 196]),
@@ -223,6 +295,89 @@ def test_psi_minus_id_has_the_transcript_readings_of_id_minus_psi(L, p):
         assert S.kernel_column(j) == T.kernel_column(j)
     for j in range(L):
         assert S.v_column(j) == T.v_column(j), j
+
+
+@pytest.mark.parametrize("L, p", [(64, 3), (64, 5), (128, 3)])
+def test_psi_minus_id_times_units_has_the_readings_of_psi_minus_id(L, p):
+    # `invariants` eliminates (psi - id) * diag(U) = H - diag(U), U[i] the
+    # unit part of i!: a right factor of units leaves every valuation
+    # alone, and U times a kernel column of H - diag(U) is one of psi - id
+    A = mahler_boundary(L, p).scale_int(-1)
+    Nw, pNw = A.precision, A.modulus
+    rows, U = mahler._h_rows(L, p, Nw)
+    for k, row in enumerate(rows):
+        row[k] = (row[k] - U[k]) % pNw
+    S, T = Smith(ModMatrix(rows, p, Nw)), Smith(A)
+    assert S.valuations == T.valuations
+    saturated = [j for j, v in enumerate(S.valuations) if v == Nw]
+    assert saturated
+    for j in saturated:
+        assert [x * u % pNw for x, u in zip(S.kernel_column(j), U)] == \
+            T.kernel_column(j)
+
+
+def det(rows):
+    """Determinant of a square integer matrix by Laplace expansion along
+    the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def determinantal_valuations(data, cols, p, N):
+    """min(N, d_k - d_(k-1)) for k = 1..cols, d_k the least valuation of a
+    k x k minor of the integer matrix `data` (d_0 = 0); N once every
+    k x k minor vanishes."""
+    out, prev = [], 0
+    for k in range(1, cols + 1):
+        minors = [det([[data[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(len(data)), k)
+                  for cs in combinations(range(cols), k)]
+        nonzero = [m for m in minors if m]
+        if not nonzero:
+            return out + [N] * (cols - len(out))
+        d = min(vp(m, p) for m in nonzero)
+        out.append(min(N, d - prev))
+        prev = d
+    return out
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4 x 4 over Z/p^N, p in {3, 5}, N <= 4: entries drawn as any
+    residue, 0 or a power of p, and some draws with a zero row, a zero
+    column, every entry a multiple of p, or the last row a combination
+    of the first two."""
+    p = draw(st.sampled_from([3, 5]))
+    N = draw(st.integers(1, 4))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(0, p**N - 1) | st.sampled_from(
+        [0] + [p**e for e in range(N)])
+    data = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    shape = draw(st.sampled_from(["any", "zero row", "zero column",
+                                  "no unit", "dependent rows"]))
+    if shape == "zero row" and r:
+        data[draw(st.integers(0, r - 1))] = [0] * c
+    elif shape == "dependent rows" and r > 1:
+        m = draw(st.integers(0, p**N - 1))
+        data[-1] = [(x + m * y) % p**N for x, y in zip(data[0], data[1])]
+    elif shape == "zero column" and c:
+        j = draw(st.integers(0, c - 1))
+        for row in data:
+            row[j] = 0
+    elif shape == "no unit":
+        data = [[x * p % p**N for x in row] for row in data]
+    return ModMatrix._empty(r, c, p, N, data)
+
+
+@settings(max_examples=200)
+@given(small_matrices())
+def test_smith_valuations_are_the_determinantal_divisors(A):
+    # an oracle that replays no step of the elimination: over Z_p the
+    # k-th invariant factor has valuation d_k - d_(k-1)
+    assert Smith(A).valuations == \
+        determinantal_valuations(A.data, A.cols, A.prime, A.precision)
 
 
 def test_smith_D_comes_back_reduced():
