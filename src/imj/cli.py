@@ -14,11 +14,10 @@ on usage or configuration errors, matching the argparse convention, and
 on a value past its bound), 3 on window failure.
 
 Output formats. Tables are plain text, one record per line. Every JSON
-document is written here, as the bytes json.dumps(doc, indent=2) writes:
-`_emit` dumps the dict documents, and `run` and `e2`, whose documents
-list one object per class, format each class row once with
-`_json_class_rows`; `run` writes the page/differential schema stated in
-`_run_json`, one page at a time. Charts place a class at
+document is written here, as the bytes json.dumps(doc, indent=2) writes,
+one %-format per row: `_json_dict` writes the dict documents, and `run`
+(the schema in `_run_json`), `e2` and the charts are written degree by
+degree from the records of `ssq` (`_texts`). Charts place a class at
 (stem, s) = (t - c, f + c): ascii-chart draws one glyph per class ('o'
 for c = 0, 'z' for c = 1) in 3-column cells with '\\' in the cell
 up-left of a differential source; svg-chart is byte-deterministic with
@@ -33,8 +32,9 @@ even-compatible.
 import argparse
 import json
 import sys
-from collections import Counter
 from collections.abc import Iterator
+from contextlib import nullcontext
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -42,7 +42,8 @@ from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
 from .padic import PrecisionError, is_prime
-from .ssq import WindowError, e2_page, run
+from .ssq import (WindowError, degree_records, join_name, last_page_of,
+                  monomial_head, run)
 from .towers import lim_lim1, moore_example
 
 _SVG_CELL = 28
@@ -220,153 +221,183 @@ def _command(name, summary, *options, window=None):
 
 
 def _emit(out, output) -> int:
-    """Write a handler's JSON document (a dict) with two-space indentation,
-    or its lines (any iterable; `run` and `e2` write their JSON text this
-    way), to stdout or the output path, each line and then its newline,
-    so a large document is not copied once more to join it."""
-    if isinstance(out, dict):
-        out = [json.dumps(out, indent=2)]
-    if output is None:
-        _write_lines(out, sys.stdout)
-    else:
-        with open(output, "w", encoding="ascii") as fh:
-            _write_lines(out, fh)
+    """Write a handler's dict document (`_json_dict`) or lines (JSON comes
+    in chunks that end where a line ends) to stdout or the output path."""
+    with (nullcontext(sys.stdout) if output is None
+          else open(output, "w", encoding="ascii")) as fh:
+        for line in [_json_dict(out)] if isinstance(out, dict) else out:
+            fh.write(line)
+            fh.write("\n")
     return 0
 
 
-def _write_lines(lines, fh) -> None:
-    for line in lines:
-        fh.write(line)
-        fh.write("\n")
+def _json_dict(doc: dict) -> str:
+    """json.dumps(doc, indent=2) for a document of JSON scalars and lists
+    of scalars, of such lists or of flat objects, one %-format per object."""
+    def text(val, indent):
+        if not isinstance(val, list) or not val:
+            return str(val) if type(val) is int else json.dumps(val)
+        inner = indent + "  "
+        if isinstance(val[0], dict):
+            row = f"{inner}{{\n" + ",\n".join(
+                f'{inner}  "{key}": %s' for key in val[0]) + f"\n{inner}}}"
+            rows = [row % tuple([x if type(x) is int else json.dumps(x)
+                                 for x in obj.values()]) for obj in val]
+        else:
+            rows = [inner + text(x, inner) for x in val]
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    return "{\n" + ",\n".join(f'  "{key}": {text(val, "  ")}'
+                               for key, val in doc.items()) + "\n}"
 
 
-def _json_class_rows(classes, indent: str) -> list[str]:
-    """Each class as the JSON object {"name", "t", "f", "c"} that
-    `json.dumps(..., indent=2)` writes at the depth of `indent`, a string
-    of spaces, with the name escaped as json.dumps escapes it."""
-    inner = indent + "  "
-    return [f'{indent}{{\n{inner}"name": {_quote(cl.name)},\n'
-            f'{inner}"t": {cl.t},\n{inner}"f": {cl.f},\n'
-            f'{inner}"c": {cl.c}\n{indent}}}' for cl in classes]
+def _json_chunks(opening: str, texts, indent: str, after: str):
+    """`opening`, the JSON array of `texts` (each one degree's rows) closed
+    at the depth of `indent`, and `after`, as chunks joined by newlines."""
+    held = None
+    for text in texts:
+        yield opening + "[" if held is None else held + ","
+        held = text
+    yield opening + "[]" + after if held is None else \
+        held + "\n" + indent + "]" + after
 
 
-def _json_list(rows: list[str], indent: str) -> str:
-    """JSON rows (each already indented) as the array json.dumps(...,
-    indent=2) writes, its closing bracket at the depth of `indent`."""
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+def _texts(build, degs) -> Iterator[str]:
+    """The nonempty text of each degree of `degs`, pairs (key, fields):
+    degrees of one shape (key) differ only by the fields (t, the tail v1^k
+    or pixel columns), so build(*key) formats them once as %-format text."""
+    shapes = {key: build(*key) for key in {key for key, _ in degs}}
+    return filter(None, (shapes[key] % fields for key, fields in degs))
+
+
+def _names(height: int) -> list:
+    """names[t0][c][f]: zeta^c b^f joined with the tail %(n)s, none at t0."""
+    heads = [[monomial_head(f, c) for f in range(height)] for c in (0, 1)]
+    return [[[join_name(head, tail) for head in row] for row in heads]
+            for tail in ("%(n)s", "")]
+
+
+def _kept(N: int, v: int, zero: bool = True) -> list[tuple[int, int]]:
+    """The (f, c) that live forever at valuation v; c = 1 only if not zero."""
+    return [(f, c) for f in range(N) for c in (0, 1)
+            if last_page_of(N, v, f, c) is None and (c or zero)]
+
+
+def _columns(o, t: int) -> tuple:
+    """The c for which the classes (t, f, c), at stem t - c, are shown."""
+    return tuple(c for c in (0, 1) if o.stem_min <= t - c <= o.stem_max)
+
+
+def _shown(height: int, cs: tuple, fmax: int) -> list[tuple[int, int]]:
+    """The (f, c) shown of a degree: f < height, c in cs, f + c <= fmax."""
+    return [(f, c) for f in range(height) for c in cs if f + c <= fmax]
+
+
+def _class_rows(names, pairs, i: str) -> str:
+    """The classes (f, c) of `pairs` as JSON objects at depth `i`."""
+    return ",\n".join(f'{i}{{\n{i}  "name": "{names[c][f]}",\n{i}  "t": '
+                      f'%(t)s,\n{i}  "f": {f},\n{i}  "c": {c}\n{i}}}'
+                      for f, c in pairs)
 
 
 def _run_json(result) -> Iterator[str]:
-    """An `ssq.RunResult` as a JSON document with two-space indentation,
-    yielded as its head, each page and its tail, which join with newlines
-    and end with no final newline.  Keys in this order: prime, precision,
-    window (the degrees [lo, hi]), pages (each {"r", "classes"} for
-    r = 2 .. last_page), differentials (each {"r", "source", "target"} by
-    name) and e_infinity; a class is {"name", "t", "f", "c"}.
-
-    Joined, these are the bytes json.dumps(..., indent=2) writes for that
-    document, but each class row is formatted once, a page joins the rows
-    of the classes still alive on it, and one page is held at a time."""
-    rows = _json_class_rows((cl for cl, _ in result.classes), " " * 8)
-    lasts = [last for _, last in result.classes]
+    """An `ssq.RunResult` as a JSON document with two-space indentation.
+    Keys in this order: prime, precision, window (the degrees [lo, hi]),
+    pages (each {"r", "classes"} for r = 2 .. last_page), differentials
+    (each {"r", "source", "target"} by name) and e_infinity; a class is
+    {"name", "t", "f", "c"}.  Joined with newlines, the chunks are the
+    bytes json.dumps(..., indent=2) writes.  Page r keeps every class of a
+    degree with r <= v + 1, and of the others those that live forever."""
+    N, last = result.precision, result.last_page
+    names = _names(N)
+    degs = [((v, t == 0), {"t": t, "n": _quote(tail)[1:-1]})
+            for t, v, _, tail in result.records]
     lo, hi = result.window
-    # last_page >= 2, so the page list is never empty
-    yield (f'{{\n  "prime": {result.prime},\n'
-           f'  "precision": {result.precision},\n'
-           f'  "window": [\n    {lo},\n    {hi}\n  ],\n'
-           f'  "pages": [')
+    opening = (f'{{\n  "prime": {result.prime},\n  "precision": {N},\n'
+               f'  "window": [\n    {lo},\n    {hi}\n  ],\n  "pages": [\n')
+    for r in range(2, last + 1):
+        yield from _json_chunks(
+            opening + f'    {{\n      "r": {r},\n      "classes": ', _texts(
+                lambda w, t0: _class_rows(names[t0], _kept(N, w), " " * 8),
+                [((N if r <= v + 1 else v, t0), fields)
+                 for (v, t0), fields in degs]),
+            " " * 6, "\n    }" + ("," if r < last else ""))
+        opening = ""
+    yield from _json_chunks('  ],\n  "differentials": ', _texts(
+        lambda v, t0: ",\n".join(
+            f'    {{\n      "r": {v},\n      "source": "{names[t0][0][f]}",'
+            f'\n      "target": "{names[t0][1][f + v]}"\n    }}'
+            for f in range(N - v)), sorted(degs, key=lambda d: d[0][0])),
+        "  ", ",")
+    yield from _json_chunks('  "e_infinity": ', _texts(
+        lambda v, t0: _class_rows(names[t0], _kept(N, v, t0), "    "),
+        degs), "  ", "\n}")
+
+
+def _run_table(result) -> Iterator[str]:
+    """An `ssq.RunResult` as a table: page sizes, differentials, E_infinity."""
+    N, recs, names = result.precision, result.records, _names(result.precision)
+    lo, hi = result.window
+    yield f"run p={result.prime} N={N} t-window {lo}..{hi}"
+    kept = {v: len(_kept(N, v)) for _, v, _, _ in recs}
     for r in range(2, result.last_page + 1):
-        alive = [row for row, last in zip(rows, lasts)
-                 if last is None or r <= last]
-        comma = "," if r < result.last_page else ""
-        yield (f'    {{\n      "r": {r},\n      "classes": '
-               f'{_json_list(alive, " " * 6)}\n    }}{comma}')
-    diffs = [f'    {{\n      "r": {rec.r},\n'
-             f'      "source": {_quote(rec.source.name)},\n'
-             f'      "target": {_quote(rec.target.name)}\n    }}'
-             for rec in result.differentials]
-    e_inf = _json_class_rows(result.e_infinity, " " * 4)
-    yield (f'  ],\n  "differentials": {_json_list(diffs, "  ")},\n'
-           f'  "e_infinity": {_json_list(e_inf, "  ")}\n}}')
+        size = sum(2 * N if r <= v + 1 else kept[v] for _, v, _, _ in recs)
+        yield f"page {r}: {size} classes"
+    yield "differentials:"
+    degs = [((v, t == 0), {"n": tail}) for t, v, _, tail in recs]
+    yield from _texts(lambda v, t0: "\n".join(
+        f"d_{v}: {names[t0][0][f]} -> {names[t0][1][f + v]}"
+        for f in range(N - v)), sorted(degs, key=lambda d: d[0][0]))
+    yield "e_infinity: " + (", ".join(_texts(lambda v, t0: ", ".join(
+        names[t0][c][f] for f, c in _kept(N, v, t0)), degs)) or "-")
 
 
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
           _STEM_MAX, _FMAX, _TABLE, _OUTPUT, window=_STEMS)
-def _cmd_e2(o) -> dict | list:
-    classes = [cl for cl in e2_page(o.p, (o.stem_min, o.stem_max + 1),
-                                    o.fmax)
-               if o.stem_min <= cl.stem <= o.stem_max]
-    if o.format == "json":
-        rows = _json_class_rows(classes, " " * 4)
-        return ["{", f'  "prime": {o.p},', '  "window": [',
-                f"    {o.stem_min},", f"    {o.stem_max}", "  ],",
-                f'  "fmax": {o.fmax},',
-                f'  "classes": {_json_list(rows, "  ")}', "}"]
-    lines = [f"E_2 p={o.p} stems {o.stem_min}..{o.stem_max} "
-             f"fmax={o.fmax}"]
-    for cl in classes:
-        lines.append(f"{cl.name}  t={cl.t} f={cl.f} c={cl.c}  "
-                     f"(stem {cl.stem}, s {cl.s})")
-    return lines
+def _cmd_e2(o) -> Iterator[str]:
+    a, b, fmax, json_out = o.stem_min, o.stem_max, o.fmax, o.format == "json"
+    names = _names(fmax + 1)
+    degs = [((_columns(o, t), t == 0), {"t": t, "u": t - 1, "n": _quote(
+        tail)[1:-1] if json_out else tail})
+        for t, _, _, tail in degree_records(o.p, (a, b + 1), 1)]
+    if json_out:
+        return _json_chunks(
+            f'{{\n  "prime": {o.p},\n  "window": [\n    {a},\n    {b}\n'
+            f'  ],\n  "fmax": {fmax},\n  "classes": ', _texts(
+                lambda cs, t0: _class_rows(names[t0], _shown(
+                    fmax + 1, cs, fmax), "    "), degs), "  ", "\n}")
+    return chain([f"E_2 p={o.p} stems {a}..{b} fmax={fmax}"], _texts(
+        lambda cs, t0: "\n".join(
+            f"{names[t0][c][f]}  t=%(t)s f={f} c={c}  "
+            f"(stem %({'u' if c else 't'})s, s {f + c})"
+            for f, c in _shown(fmax + 1, cs, fmax)), degs))
 
 
 @_command("run", "run the filtration spectral sequence", _P, _N,
           _STEM_MIN, _STEM_MAX, _TABLE, _OUTPUT, window=_STEMS)
-def _cmd_run(o) -> list | Iterator[str]:
-    result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
-    if o.format == "json":
-        return _run_json(result)
-    lo, hi = result.window
-    lines = [f"run p={o.p} N={o.N} t-window {lo}..{hi}"]
-    # every class lives on page 2; a class with label r leaves after page r
-    ends = Counter(last for _, last in result.classes)
-    alive = len(result.classes)
-    for r in range(2, result.last_page + 1):
-        lines.append(f"page {r}: {alive} classes")
-        alive -= ends[r]
-    lines.append("differentials:")
-    for rec in result.differentials:
-        lines.append(f"d_{rec.r}: {rec.source.name} -> {rec.target.name}")
-    names = ", ".join(cl.name for cl in result.e_infinity)
-    lines.append("e_infinity: " + (names or "-"))
-    return lines
+def _cmd_run(o) -> Iterator[str]:
+    return (_run_json if o.format == "json" else _run_table)(
+        run(o.p, (o.stem_min, o.stem_max + 1), o.N))
 
 
-def _chart_data(result, o):
-    def shown(cl):
-        return o.stem_min <= cl.stem <= o.stem_max and cl.s <= o.fmax
-
-    classes = [cl for cl in result.page(2) if shown(cl)]
-    arrows = [rec for rec in result.differentials
-              if shown(rec.source) and shown(rec.target)]
-    s_top = max([cl.s for cl in classes], default=0)
-    return classes, arrows, s_top
-
-
-def _render_ascii(result, o) -> list:
-    classes, arrows, s_top = _chart_data(result, o)
-    a, b = o.stem_min, o.stem_max
-    ncols = b - a + 1
-    cells = [[[" ", " "] for _ in range(ncols)] for _ in range(s_top + 1)]
-    for cl in classes:
-        cells[cl.s][cl.stem - a][0] = "z" if cl.c else "o"
-    for rec in arrows:
-        col, row = rec.source.stem - 1 - a, rec.source.s + 1
-        if 0 <= col < ncols and row <= s_top:
-            cells[row][col][1] = "\\"
-    lines = [f"p={o.p} N={o.N} page 2 stems {a}..{b}"]
-    for s in range(s_top, -1, -1):
-        lines.append(f"{s:3d} |" + "".join(g + m + " " for g, m in cells[s]))
-    lines.append("    +" + "-" * (3 * ncols))
-    lines.append("     " + "".join(f"{x:<3d}" for x in range(a, b + 1)))
-    return lines
+def _render_ascii(o, recs, s_top) -> list:
+    a, b, N, fmax = o.stem_min, o.stem_max, o.N, o.fmax
+    # three text columns per stem: the glyph, the differential mark, a gap
+    rows = [[" "] * (3 * (b - a + 1)) for _ in range(s_top + 1)]
+    for t, v, _, _ in recs:
+        cs = _columns(o, t)
+        for f, c in _shown(N, cs, fmax):
+            rows[f + c][3 * (t - c - a)] = "oz"[c]
+        # d_v (t, f, 0) -> (t, f + v, 1), both shown: '\\' up-left of f
+        for f in range(min(N, fmax) - v if cs == (0, 1) else 0):
+            rows[f + 1][3 * (t - 1 - a) + 1] = "\\"
+    return ([f"p={o.p} N={N} page 2 stems {a}..{b}"]
+            + [f"{s:3d} |" + "".join(rows[s]) for s in range(s_top, -1, -1)]
+            + ["    +" + "-" * (3 * (b - a + 1)),
+               "     " + "".join(f"{x:<3d}" for x in range(a, b + 1))])
 
 
-def _render_svg(result, o) -> list:
-    classes, arrows, s_top = _chart_data(result, o)
-    a, b = o.stem_min, o.stem_max
+def _render_svg(o, recs, s_top) -> Iterator[str]:
+    a, b, N, fmax = o.stem_min, o.stem_max, o.N, o.fmax
     ncols = b - a + 1
     w = 2 * _SVG_MARGIN + ncols * _SVG_CELL
     h = 2 * _SVG_MARGIN + (s_top + 1) * _SVG_CELL
@@ -377,59 +408,57 @@ def _render_svg(result, o) -> list:
     def ypix(s: int) -> int:
         return _SVG_MARGIN + (s_top - s) * _SVG_CELL + _SVG_CELL // 2
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
-           f'height="{h}" viewBox="0 0 {w} {h}">']
-    out.append(f'<rect width="{w}" height="{h}" fill="#ffffff"/>')
-    out.append(f'<text x="{_SVG_MARGIN}" y="{_SVG_MARGIN - 16}" '
-               f'font-family="monospace" font-size="12" fill="#000000">'
-               f'p={o.p} N={o.N} page 2 stems '
-               f'{a}..{b}</text>')
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+           f'height="{h}" viewBox="0 0 {w} {h}">')
+    yield f'<rect width="{w}" height="{h}" fill="#ffffff"/>'
+    yield (f'<text x="{_SVG_MARGIN}" y="{_SVG_MARGIN - 16}" '
+           f'font-family="monospace" font-size="12" fill="#000000">'
+           f'p={o.p} N={N} page 2 stems {a}..{b}</text>')
     x0, x1 = _SVG_MARGIN, _SVG_MARGIN + ncols * _SVG_CELL
     for s in range(s_top + 1):
         y = ypix(s)
-        out.append(f'<line x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" '
-                   f'stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{x0 - 18}" y="{y + 4}" '
-                   f'font-family="monospace" font-size="10" '
-                   f'fill="#555555">{s}</text>')
+        yield (f'<line x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" '
+               f'stroke="#dddddd" stroke-width="1"/>')
+        yield (f'<text x="{x0 - 18}" y="{y + 4}" font-family="monospace" '
+               f'font-size="10" fill="#555555">{s}</text>')
     y0, y1 = _SVG_MARGIN, _SVG_MARGIN + (s_top + 1) * _SVG_CELL
     for st in range(a, b + 1):
         x = xpix(st)
-        out.append(f'<line x1="{x}" y1="{y0}" x2="{x}" y2="{y1}" '
-                   f'stroke="#eeeeee" stroke-width="1"/>')
-        out.append(f'<text x="{x - 4}" y="{y1 + 18}" '
-                   f'font-family="monospace" font-size="10" '
-                   f'fill="#555555">{st}</text>')
-    for rec in arrows:
-        out.append(f'<line x1="{xpix(rec.source.stem)}" '
-                   f'y1="{ypix(rec.source.s)}" '
-                   f'x2="{xpix(rec.target.stem)}" '
-                   f'y2="{ypix(rec.target.s)}" '
-                   f'stroke="#bb2222" stroke-width="1">'
-                   f'<title>d_{rec.r}: {rec.source.name} -&gt; '
-                   f'{rec.target.name}</title></line>')
-    for cl in classes:
-        x, y = xpix(cl.stem), ypix(cl.s)
-        if cl.c:
-            half = _SVG_SQUARE // 2
-            out.append(f'<rect x="{x - half}" y="{y - half}" '
-                       f'width="{_SVG_SQUARE}" height="{_SVG_SQUARE}" '
-                       f'fill="#000000"><title>{cl.name}</title></rect>')
-        else:
-            out.append(f'<circle cx="{x}" cy="{y}" r="{_SVG_RADIUS}" '
-                       f'fill="#000000"><title>{cl.name}</title></circle>')
-    out.append("</svg>")
-    return out
+        yield (f'<line x1="{x}" y1="{y0}" x2="{x}" y2="{y1}" '
+               f'stroke="#eeeeee" stroke-width="1"/>')
+        yield (f'<text x="{x - 4}" y="{y1 + 18}" font-family="monospace" '
+               f'font-size="10" fill="#555555">{st}</text>')
+    names, half = _names(N), _SVG_SQUARE // 2
+    # pixel columns: %(x)s of stem t, %(w)s of t - 1, %(q)s a square there
+    degs = [((v, t == 0, _columns(o, t)), {"x": xpix(t), "w": xpix(t - 1),
+                                           "q": xpix(t - 1) - half, "n": tail})
+            for t, v, _, tail in recs]
+    yield from _texts(lambda v, t0, cs: "\n".join(
+        f'<line x1="%(x)s" y1="{ypix(f)}" x2="%(w)s" y2="{ypix(f + v + 1)}" '
+        f'stroke="#bb2222" stroke-width="1"><title>d_{v}: '
+        f'{names[t0][0][f]} -&gt; {names[t0][1][f + v]}</title></line>'
+        for f in range(min(N, fmax) - v if cs == (0, 1) else 0)),
+        sorted(degs, key=lambda d: d[0][0]))
+    yield from _texts(lambda _, t0, cs: "\n".join(
+        f'<rect x="%(q)s" y="{ypix(f + 1) - half}" width="{_SVG_SQUARE}" '
+        f'height="{_SVG_SQUARE}" fill="#000000"><title>{names[t0][1][f]}'
+        f'</title></rect>' if c else
+        f'<circle cx="%(x)s" cy="{ypix(f)}" r="{_SVG_RADIUS}" '
+        f'fill="#000000"><title>{names[t0][0][f]}</title></circle>'
+        for f, c in _shown(N, cs, fmax)), degs)
+    yield "</svg>"
 
 
 @_command("chart", "render the page-2 chart with differentials", _P, _N,
           _STEM_MIN, _STEM_MAX, _FMAX, _formats("ascii-chart", "svg-chart"),
           _OUTPUT, window=_STEMS)
-def _cmd_chart(o) -> dict | list:
-    result = run(o.p, (o.stem_min, o.stem_max + 1), o.N)
-    if o.format == "svg-chart":
-        return _render_svg(result, o)
-    return _render_ascii(result, o)
+def _cmd_chart(o) -> list | Iterator[str]:
+    recs = run(o.p, (o.stem_min, o.stem_max + 1), o.N).records
+    # the top chart height shown: s = f + c <= fmax with f < N
+    s_top = max((min(o.N - 1 + c, o.fmax) for t, _, _, _ in recs
+                 for c in _columns(o, t)), default=0)
+    return (_render_svg if o.format == "svg-chart" else _render_ascii)(
+        o, recs, s_top)
 
 
 @_command("abutment", "graded cohomology of the abutment", _P, _N, _T_MIN,

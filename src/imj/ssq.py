@@ -17,14 +17,13 @@ enters the engine: v comes out of the SNF.  `run` covers rank-1 degrees
 (the Lubin-Tate module) and raises RuntimeError on a wider one.
 
 So a class lives on the pages r = 2 .. v + 1, or forever when f >= N - v
-(c = 0) or f < v (c = 1), and a degree with v = 0 has nothing on page 2.
-`run` stores each class once with that last page label, and `RunResult`
-derives every page from it.  Classes come in (t, f, c) order and
-differentials in (r, t, f) order.  `_page2_degrees` builds every live
-degree's page-2 classes for `run` (precision N) and `e2_page` (precision
-1), each named by the rule of `monomial_name`: a table of heads zeta^c b^f
-(`monomial_head`), formatted once, joined with the degree's tail v1^k
-(`monomial_tail`).
+(c = 0) or f < v (c = 1) (`last_page_of`), and a degree with v = 0 has
+nothing on page 2.  A run keeps one record (t, v, unit, tail) per live
+degree (`degree_records`): the unit (bd / p^v) mod p and the tail v1^k of
+each class name there, which joins a head zeta^c b^f (`join_name`).
+`RunResult` builds its classes, pages and differentials from the records
+on each access, and `imj.cli` writes straight from them.  `e2_page` reads
+the same records at precision 1.
 
 Oracle.  `FilteredComplexSS` computes the same pages from the generic
 filtered-complex subquotients
@@ -50,6 +49,8 @@ and the abutment comparison.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
                    sub_intersect, sub_preimage)
@@ -78,11 +79,7 @@ def join_name(head: str, tail: str) -> str:
     return f"{head} {tail}" if head and tail else head or tail or "1"
 
 
-def monomial_name(k: int, j: int, eps: int) -> str:
-    return join_name(monomial_head(j, eps), monomial_tail(k))
-
-
-class ChartClass:
+class ChartClass(NamedTuple):
     """A named monomial class zeta^eps b^j v1^k with tridegree (t, f, c).
 
     t is the internal degree 2(p-1)k, f the p-power filtration (the b
@@ -90,17 +87,15 @@ class ChartClass:
     Chart coordinates: vertical s = f + c, horizontal stem = t - c.
     """
 
-    __slots__ = ("name", "t", "f", "c")
-
-    def __init__(self, name: str, t: int, f: int, c: int):
-        self.name = name
-        self.t = t
-        self.f = f
-        self.c = c
+    name: str
+    t: int
+    f: int
+    c: int
 
     @classmethod
     def monomial(cls, p: int, k: int, j: int, eps: int) -> "ChartClass":
-        return cls(monomial_name(k, j, eps), 2 * (p - 1) * k, j, eps)
+        name = join_name(monomial_head(j, eps), monomial_tail(k))
+        return cls(name, 2 * (p - 1) * k, j, eps)
 
     @property
     def s(self) -> int:
@@ -109,17 +104,6 @@ class ChartClass:
     @property
     def stem(self) -> int:
         return self.t - self.c
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ChartClass)
-                and (self.name, self.t, self.f, self.c)
-                == (other.name, other.t, other.f, other.c))
-
-    def __hash__(self):
-        return hash((self.name, self.t, self.f, self.c))
-
-    def __repr__(self) -> str:
-        return f"ChartClass({self.name!r}, t={self.t}, f={self.f}, c={self.c})"
 
 
 class DifferentialRecord:
@@ -142,48 +126,34 @@ class DifferentialRecord:
                 f"{self.coefficient}*{self.target.name}")
 
 
-def _page2_degrees(module: PsiModule, height: int):
-    """Yield (t, v, bd, zero, one) for each degree t of a Lubin-Tate
-    module with v > 0, in increasing t, as `boundary_snf` reads it:
-    zero[f] and one[f] are the page-2 classes at (t, f, 0) and (t, f, 1),
-    f < height, named by joining the degree's tail v1^k onto heads
-    zeta^c b^f formatted once.  Raises RuntimeError at rank other than 1."""
-    per = 2 * module.prime - 2
-    heads = [[monomial_head(f, c) for f in range(height)] for c in (0, 1)]
-    for t, bd, vals in boundary_snf(module):
+def last_page_of(N: int, v: int, f: int, c: int) -> int | None:
+    """The label of the last page (t, f, c) lives on at v; None: forever."""
+    return None if (f < v if c else f >= N - v) else v + 1
+
+
+def degree_records(p: int, window: tuple[int, int], N: int) -> list:
+    """The record (t, v, unit, tail) of each degree t with v > 0 of the
+    Lubin-Tate window at precision N, in increasing t; rank 1 only."""
+    per, out = 2 * p - 2, []
+    for t, bd, vals in boundary_snf(PsiModule.lubin_tate(p, N, *window)):
         if len(vals) != 1:
             raise RuntimeError(f"degree t={t} has rank {len(vals)}; "
                                f"page 2 is built for rank-1 degrees only")
         v = vals[0]
-        if v == 0:
-            continue  # bd is a unit: nothing reaches page 2
-        tail = monomial_tail(t // per)
-        zero = [ChartClass(join_name(head, tail), t, f, 0)
-                for f, head in enumerate(heads[0])]
-        one = [ChartClass(join_name(head, tail), t, f, 1)
-               for f, head in enumerate(heads[1])]
-        yield t, v, bd, zero, one
+        if v:  # v = 0: bd is a unit, nothing reaches page 2
+            out.append((t, v, bd[0][0] // p**v % p, monomial_tail(t // per)))
+    return out
 
 
 def e2_page(p: int, window: tuple[int, int], fmax: int) -> list[ChartClass]:
-    """`run`'s page 2 up to chart height s = f+c <= fmax, as a list in
-    (t, f, c) order: the named basis of the homology of the associated
-    graded.
-
-    The graded boundary in internal degree 2m multiplies by 1 - sigma^m
-    with sigma the Teichmueller unit, psi mod p, so it is `boundary_snf`
-    of the Lubin-Tate module at precision 1, and a degree survives when
-    its valuation is positive.  p must be an odd prime.
+    """`run`'s page 2 up to chart height s = f+c <= fmax in (t, f, c)
+    order, the homology of the associated graded: its boundary in degree
+    2m is 1 - sigma^m, sigma = psi mod p the Teichmueller unit, so its
+    live degrees are the records at precision 1.  p must be an odd prime.
     """
-    module = PsiModule.lubin_tate(p, 1, *window)
-    if fmax < 0:
-        return []  # no chart height to fill
-    out: list[ChartClass] = []
-    for _, _, _, zero, one in _page2_degrees(module, fmax + 1):
-        for f in range(fmax):
-            out += zero[f], one[f]
-        out.append(zero[fmax])
-    return out
+    return [ChartClass.monomial(p, t // (2 * p - 2), f, c)
+            for t, _, _, _ in degree_records(p, window, 1)
+            for f in range(fmax + 1) for c in (0, 1) if f + c <= fmax]
 
 
 class FilteredComplexSS:
@@ -265,31 +235,31 @@ class FilteredComplexSS:
         return out
 
 
-class RunResult:
-    """One spectral sequence run, each class stored once.
+class RunResult(NamedTuple):
+    """One spectral sequence run: one record (t, v, unit, tail) per live
+    degree in increasing t, and views built from them on each access.
+    `classes` lists every class of page 2 once with the label of the last
+    page it lives on (None: forever); `page(r)` and `last_page`, the label
+    of the stable page, derive the pages from it.  `classes`, `page(r)`,
+    `e_infinity` and `artifacts` are in (t, f, c) order and
+    `differentials` in (r, t, f) order."""
 
-    `classes` lists every class of page 2 once, as a pair (class, label
-    of the last page it lives on), the label None for a class that lives
-    forever.  `page(r)` and `last_page`, the label of the stable page,
-    derive the pages from it.  Order contract: `classes`, every
-    `page(r)`, `e_infinity` and `artifacts` are in (t, f, c) order and
-    `differentials` in (r, t, f) order, so consumers print them as they
-    are."""
+    prime: int
+    precision: int
+    window: tuple[int, int]
+    records: list[tuple[int, int, int, str]]
 
-    __slots__ = ("prime", "precision", "window", "classes", "last_page",
-                 "differentials", "e_infinity", "artifacts")
+    @property
+    def last_page(self) -> int:
+        return 2 + max((v for _, v, _, _ in self.records
+                        if v < self.precision), default=0)
 
-    def __init__(self, prime, precision, window, classes, differentials,
-                 e_infinity, artifacts):
-        self.prime = prime
-        self.precision = precision
-        self.window = window
-        self.classes = classes
-        self.last_page = 1 + max(
-            (last for _, last in classes if last is not None), default=1)
-        self.differentials = differentials
-        self.e_infinity = e_infinity
-        self.artifacts = artifacts
+    @property
+    def classes(self) -> list[tuple[ChartClass, int | None]]:
+        p, N = self.prime, self.precision
+        return [(ChartClass.monomial(p, t // (2 * p - 2), f, c),
+                 last_page_of(N, v, f, c)) for t, v, _, _ in self.records
+                for f in range(N) for c in (0, 1)]
 
     def page(self, r: int) -> list[ChartClass]:
         """Classes on page r; pages past `last_page` equal it."""
@@ -297,13 +267,29 @@ class RunResult:
             raise KeyError(r)
         return [cl for cl, last in self.classes if last is None or r <= last]
 
+    @property
+    def differentials(self) -> list[DifferentialRecord]:
+        p, N, at = self.prime, self.precision, ChartClass.monomial
+        return [DifferentialRecord(v, at(p, t // (2 * p - 2), f, 0),
+                                   at(p, t // (2 * p - 2), f + v, 1), unit)
+                for t, v, unit, _ in sorted(self.records, key=lambda r: r[1])
+                for f in range(N - v)]
+
+    @property
+    def e_infinity(self) -> list[ChartClass]:
+        return [cl for cl, last in self.classes
+                if last is None and (cl.c or not cl.t)]
+
+    @property
+    def artifacts(self) -> list[ChartClass]:
+        return [cl for cl, last in self.classes
+                if last is None and cl.c == 0 and cl.t]
+
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     """Run the spectral sequence for Z_p[u^{+-1}] over an internal-degree
     window at precision N, from one SNF of bd = 1 - psi per degree, read
-    in one pass by `boundary_snf` (see the module docstring for how
-    lifetimes and differentials follow from v).  Each live degree's
-    classes come from `_page2_degrees` at height N.
+    in one pass by `boundary_snf` into one record per live degree.
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
     so each differential closes strictly below the precision horizon."""
@@ -315,24 +301,8 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     if not ts:
         raise WindowError("window contains no even degree")
     require_precision(p, ts, N, 3)
-    module = PsiModule.lubin_tate(p, N, ts[0], ts[-1])
-    classes: list[tuple[ChartClass, int | None]] = []
-    by_r: dict[int, list[DifferentialRecord]] = {}
-    e_inf: list[ChartClass] = []
-    artifacts: list[ChartClass] = []
-    for t, v, bd, zero, one in _page2_degrees(module, N):
-        for f in range(N):
-            for cl, forever in ((zero[f], f >= N - v), (one[f], f < v)):
-                classes.append((cl, None if forever else v + 1))
-                if forever:
-                    (artifacts if cl.c == 0 and t else e_inf).append(cl)
-        unit = bd[0][0] // p**v % p
-        by_r.setdefault(v, []).extend(
-            DifferentialRecord(v, zero[f], one[f + v], unit)
-            for f in range(N - v))
-    records = [rec for r in sorted(by_r) for rec in by_r[r]]
-    return RunResult(p, N, (ts[0], ts[-1]), classes, records, e_inf,
-                     artifacts)
+    window = (ts[0], ts[-1])
+    return RunResult(p, N, window, degree_records(p, window, N))
 
 
 class AbutmentReport:

@@ -5,18 +5,24 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imj.cli import _json_class_rows, _run_json, main
-from imj.cobar import symmetric_oracle
+from imj.cli import _class_rows, _run_json, main
+from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.grpcoh import abutment
+from imj.mahler import h1_rational_profile, invariants
 from imj.ssq import ChartClass, e2_page, run
+from imj.towers import lim_lim1, moore_example
+from render_oracle import e2_table, render_ascii, render_svg, run_table
 from test_ssq import class_json_oracle, run_json_oracle
 
 
@@ -290,12 +296,18 @@ def test_e2_json_is_the_oracle_bytes(argv, capsys):
 
 def _checked_doc(p, window, N):
     """The oracle document of a run, after checking `_run_json` against
-    it: the head, one chunk per page and the tail."""
+    it: one chunk per degree of each page, of the differentials and of
+    E_infinity, plus one per list, each chunk holding one degree's rows."""
     out = run(p, window, N)
     doc = run_json_oracle(out)
     chunks = list(_run_json(out))
     assert "\n".join(chunks) == json.dumps(doc, indent=2)
-    assert len(chunks) == len(doc["pages"]) + 2
+    lists = [[cl["t"] for cl in page["classes"]] for page in doc["pages"]]
+    lists += [[rec.source.t for rec in out.differentials],
+              [cl["t"] for cl in doc["e_infinity"]]]
+    assert len(chunks) == sum(1 + len(set(ts)) for ts in lists)
+    assert all(len(set(re.findall(r'"t": (-?\d+)', chunk))) <= 1
+               for chunk in chunks)
     return doc
 
 
@@ -319,8 +331,12 @@ def test_json_text_many_pages_negative_t(p, window, N):
 
 
 def test_json_class_rows_escape_as_json_dumps():
+    # the row template of a class named by its tail alone, filled as the
+    # writers fill it: t, and the tail quoted by encode_basestring_ascii
     cl = ChartClass('q"\\\u00e9\n', -4, 2, 1)
-    row, = _json_class_rows([cl], "  ")
+    names = [[None] * 3, [None, None, "%(n)s"]]
+    row = _class_rows(names, [(cl.f, cl.c)], "  ") % {
+        "t": cl.t, "n": encode_basestring_ascii(cl.name)[1:-1]}
     assert row == "  " + json.dumps(class_json_oracle(cl), indent=2).replace(
         "\n", "\n  ")
 
@@ -354,6 +370,129 @@ def test_run_json_is_json_dumps_of_the_oracle(args):
                    "--stem-max", str(b), "--format", "json"])
     want = json.dumps(run_json_oracle(run(p, (a, b + 1), N)), indent=2)
     assert rc == 0 and out.getvalue() == want + "\n"
+
+
+@st.composite
+def chart_argv(draw):
+    """A `run_argv` and a chart height fmax in [0, N + 2]."""
+    p, a, b, N = draw(run_argv())
+    return p, a, b, N, draw(st.integers(0, N + 2))
+
+
+def _stdout(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    assert rc == 0
+    return out.getvalue()
+
+
+@settings(max_examples=150)
+@given(chart_argv())
+@example((3, -1, 3, 4, 4))     # t = 0 and its zeta column; cuts t = 4
+@example((5, 7, 7, 4, 2))      # t = 8: the c = 1 column alone
+@example((7, -12, -11, 4, 0))  # t = -12: the c = 0 column alone
+@example((3, -60, 0, 6, 8))    # negative stems, t = 0 on the edge
+def test_writers_are_the_per_class_oracles(args):
+    """The `run` table, both charts and the `e2` table and JSON, written
+    degree by degree from the records, print what the per-class oracles
+    (tests/render_oracle.py, test_ssq) print from the `RunResult` views
+    and `e2_page`, over drawn primes, windows and chart heights."""
+    p, a, b, N, fmax = args
+    o = SimpleNamespace(p=p, N=N, stem_min=a, stem_max=b, fmax=fmax)
+    result = run(p, (a, b + 1), N)
+    common = ["-p", str(p), "-N", str(N), "--stem-min", str(a),
+              "--stem-max", str(b)]
+    chart = ["chart", *common, "--fmax", str(fmax), "--format"]
+    e2 = ["e2", *common, "--fmax", str(fmax), "--format"]
+    classes = [class_json_oracle(cl)
+               for cl in e2_page(p, (a, b + 1), fmax) if a <= cl.stem <= b]
+    doc = {"prime": p, "window": [a, b], "fmax": fmax, "classes": classes}
+    for argv, want in [(["run", *common], run_table(result, o)),
+                       (chart + ["ascii-chart"], render_ascii(result, o)),
+                       (chart + ["svg-chart"], render_svg(result, o)),
+                       (e2 + ["table"], e2_table(o)),
+                       (e2 + ["json"], [json.dumps(doc, indent=2)])]:
+        assert _stdout(argv) == "".join(line + "\n" for line in want), argv
+
+
+def _dict_doc(argv):
+    """The dict document a subcommand prints as JSON, from the library
+    and json.dumps(doc, indent=2)."""
+    o = dict(zip(argv[1::2], argv[2::2]))
+    p, N = int(o.get("-p", 3)), int(o.get("-N", 8))
+    if argv[0] == "abutment":
+        lo, hi = int(o["--t-min"]), int(o["--t-max"])
+        return {"prime": p, "precision": N, "window": [lo, hi],
+                "groups": [{"s": s, "t": t, "group": m.describe()}
+                           for s, t, m in abutment(p, (lo, hi), N).nonzero()]}
+    if argv[0] == "cohomology":
+        lo, hi = int(o["--k-min"]), int(o["--k-max"])
+        entries = h1_rational_profile((lo, hi), p, N).entries
+        return {"prime": p, "precision": N, "window": [lo, hi],
+                "entries": [{"k": k, "h0": h0, "h1": h1,
+                             "torsion_valuation": tv}
+                            for k in sorted(entries)
+                            for h0, h1, tv in [entries[k]]]}
+    if argv[0] == "mahler":
+        rep = invariants(int(o["-L"]), p, N)
+        return {"prime": p, "precision": N, "length": rep.length,
+                "rank": rep.rank, "kernel": rep.kernel.describe(),
+                "generators": [[c.residue for c in g.coefficients]
+                               for g in rep.generators]}
+    if argv[0] == "cobar":
+        n, smax, q = int(o["-n"]), int(o["--smax"]), int(o.get("--q", p))
+        dims = cobar_ext(ExteriorHopf(n, q), smax).dims
+        return {"n": n, "q": q, "s_max": smax,
+                "dims": [{"s": s, "t": t, "dim": d}
+                         for (s, t), d in sorted(dims.items())]}
+    rep = lim_lim1(moore_example(p))
+    return {"prime": p, "lim": rep.lim.describe(),
+            "lim1_nonzero": rep.lim1_nonzero,
+            "witness": rep.witness.describe() if rep.witness else None}
+
+
+def _check_dict_doc(argv):
+    out = _stdout([*argv, "--format", "json"])
+    assert out == json.dumps(_dict_doc(argv), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["abutment", "-p", "3", "-N", "8", "--t-min", "0", "--t-max", "40"],
+    ["abutment", "-p", "5", "-N", "12", "--t-min", "-300", "--t-max", "-2"],
+    ["abutment", "-p", "3", "-N", "4", "--t-min", "2", "--t-max", "2"],
+    ["abutment", "-p", "7", "-N", "5", "--t-min", "-60", "--t-max", "60"]])
+def test_abutment_json_is_json_dumps(argv):
+    # the third window has no nonzero group: "groups": []
+    _check_dict_doc(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "-p", "3", "-N", "6", "--k-min", "-9", "--k-max", "-1"],
+    ["cohomology", "-p", "5", "-N", "8", "--k-min", "-30", "--k-max", "30"],
+    ["cohomology", "-p", "7", "-N", "4", "--k-min", "0", "--k-max", "0"]])
+def test_cohomology_json_is_json_dumps(argv):
+    _check_dict_doc(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mahler", "-p", "3", "-N", "4", "-L", "2"],
+    ["mahler", "-p", "5", "-N", "6", "-L", "16"],
+    ["mahler", "-p", "3", "-N", "8", "-L", "33"]])
+def test_mahler_json_is_json_dumps(argv):
+    _check_dict_doc(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cobar", "-p", "3", "-n", "1", "--smax", "0"],
+    ["cobar", "-p", "5", "-n", "2", "--smax", "4"],
+    ["cobar", "-p", "3", "-n", "3", "--smax", "3", "--q", "9"]])
+def test_cobar_json_is_json_dumps(argv):
+    _check_dict_doc(argv)
+
+
+@pytest.mark.parametrize("p", ["3", "7"])
+def test_limits_json_is_json_dumps(p):
+    _check_dict_doc(["limits", "-p", p, "--moore"])
 
 
 def test_precision_failure_exits_2(capsys):

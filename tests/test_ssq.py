@@ -12,8 +12,7 @@ import pytest
 from imj.gmod import ModMatrix
 from imj.grpcoh import PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
-from imj.ssq import (ChartClass, FilteredComplexSS, abutment_check, e2_page,
-                     monomial_name, run)
+from imj.ssq import ChartClass, FilteredComplexSS, abutment_check, e2_page, run
 
 
 def names(classes):
@@ -353,6 +352,10 @@ def test_run_refuses_a_wider_degree(monkeypatch):
         run(3, (0, 0), 4)
 
 
+def monomial_name(k, j, eps):
+    return ChartClass.monomial(3, k, j, eps).name
+
+
 def test_monomial_name_rule():
     assert [monomial_name(k, j, eps) for k, j, eps in [
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 2, 1), (1, 0, 0), (-1, 0, 1),
@@ -364,9 +367,10 @@ def test_monomial_name_rule():
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("N", [4, 8, 64])
 def test_run_names_follow_monomial_name(p, N):
-    """run names classes from its per-run table of heads joined with each
-    degree's v1^k tail: every class and differential end is named as
-    monomial_name names it, over t = 0, negative t and k = +-1."""
+    """Every class and differential end of a run's views is named as
+    monomial_name names it, over t = 0, negative t and k = +-1; the CLI
+    writers, which name from the records, are held to these views by
+    test_cli.py::test_writers_are_the_per_class_oracles."""
     per = 2 * p - 2
     for window in [(-2 * per, 2 * per), (0, 0), (-per, -2), (1, per)]:
         res = run(p, window, N)
