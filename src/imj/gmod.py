@@ -22,7 +22,8 @@ its caller needs:
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
   `mahler.invariants` (the saturated columns) and `kernel_gens`
   (`towers.truncated_kernel`);
-- `snf`, the full U, D, V: `solve`, `QuotPres` and acceptance check 8.
+- `snf`, the full U, D, V, with D = diag(p^v_k) built from
+  `Smith.valuations`: `solve`, `QuotPres` and acceptance check 8.
 
 The generic engine has no production caller and serves the tests as an
 oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
@@ -185,11 +186,11 @@ class Smith:
     column, so row operations start there.
 
     Row operations below a pivot do not reduce mod p^N.  A row is reduced
-    when it becomes the pivot row, each multiplier is read from the
-    reduced entry, and the rows left below the last pivot are reduced
-    once at the end, so D comes out reduced.  Valuations are those of the
-    residues (`int_valuation` reduces first), so the pivots are those of
-    an elimination that reduces every row operation.
+    when it becomes the pivot row and each multiplier is read from the
+    reduced entry; the rows left below the last pivot are zero mod p^N
+    and are never read again.  Valuations are those of the residues
+    (`int_valuation` reduces first), so the pivots are those of an
+    elimination that reduces every row operation.
 
     At a pivot u*p^v with v > 0 the pivot row is multiplied by u^-1.  A
     unit pivot row (v = 0) is only reduced: the rows below are cleared
@@ -222,13 +223,13 @@ class Smith:
     inverse, the row multipliers (i, q) and the column quotients qs:
     (x*u^-1 mod p^N) // p^v for the entries x of row k when v > 0, the
     reduced entries themselves at a unit pivot, None when row k was
-    already clear.  `valuations` and `D` come from
-    the elimination alone; `v_column` and `kernel_column` replay the
-    column steps backwards on one vector; `snf` replays every step
-    forwards into U and V.
+    already clear.  `valuations` comes from the elimination alone; the
+    work matrix it leaves is diag(p^v_k) mod p^N, so no D is kept.
+    `v_column` and `kernel_column` replay the column steps backwards on
+    one vector; `snf` replays every step forwards into U and V.
     """
 
-    __slots__ = ("A", "D", "steps", "valuations")
+    __slots__ = ("A", "steps", "valuations")
 
     def __init__(self, A: ModMatrix):
         p, N = A.prime, A.precision
@@ -279,11 +280,7 @@ class Smith:
                 qs = None
             steps.append((bi, bj, inv, ops, qs))
             vals.append(v)
-        # rows below the last pivot were left unreduced
-        for i in range(len(steps), r):
-            M[i] = [x % pN for x in M[i]]
         self.A = A
-        self.D = M
         self.steps = steps
         # v_j of D_jj = p^(v_j), N where the diagonal has no pivot
         self.valuations = vals + [N] * (c - len(vals))
@@ -321,7 +318,8 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
 
     The `Smith` transcript replayed forwards: row steps build U, column
-    steps build V.  That costs O(rows^3 + cols^3) on top of the
+    steps build V, and D is diag(p^v_k) of `Smith.valuations`, 0 where
+    v_k = N.  That costs O(rows^3 + cols^3) on top of the
     elimination; callers that need only the valuations or a few columns
     of V read `Smith` directly.
     """
@@ -349,7 +347,9 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
                         x = x * inv % pN
                     row[k + 1:] = [(y - q * x) % pN
                                    for y, q in zip(row[k + 1:], qs)]
-    return (ModMatrix._empty(r, r, p, N, U), ModMatrix._empty(r, c, p, N, S.D),
+    D = [[p**v if i == j and v < N else 0 for j, v in enumerate(S.valuations)]
+         for i in range(r)]
+    return (ModMatrix._empty(r, r, p, N, U), ModMatrix._empty(r, c, p, N, D),
             ModMatrix._empty(c, c, p, N, V))
 
 
@@ -423,13 +423,8 @@ class QuotPres:
         U, D, _ = snf(W)
         self.U = U
         vals = diagonal_valuations(D) + [self.precision] * (W.rows - W.cols)
-        self.exponents = []
-        self.indices = []
-        for i in range(W.rows):
-            e = min(vals[i], self.precision) if i < len(vals) else self.precision
-            if e > 0:
-                self.exponents.append(e)
-                self.indices.append(i)
+        self.indices = [i for i in range(W.rows) if vals[i] > 0]
+        self.exponents = [vals[i] for i in self.indices]
 
     def is_zero(self) -> bool:
         return not self.exponents

@@ -150,22 +150,23 @@ def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
     psi -> psi^k.
 
     Returns (h0_rank, h1_rank, v) with v = valuation of 1 - psi^k; only
-    k = 0 carries rational cohomology.  Requires N > 1 + v_p(k) + 1 so the
-    torsion exponent is resolved away from the precision ceiling, and p an
-    odd prime, also at k = 0.  A caller that loops over characters uses
-    `character_window`, which builds psi once."""
+    k = 0 carries rational cohomology.  Requires p an odd prime, also at
+    k = 0, and N >= 3 + v_p(k) when (p-1) | k, so the torsion exponent is
+    resolved below the precision ceiling; at any other k, 1 - psi^k is a
+    unit.  A loop over characters uses `character_window` (one psi)."""
     return next(character_window(k, k, p, N))[1]
 
 
 def character_window(lo: int, hi: int, p: int, N: int):
     """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
     `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
-    (0, 0, v).  The precision of every k is checked before the first row,
-    so a failure names the first k that needs more."""
-    for k in range(lo, hi + 1):
-        if k and N <= vp(k, p) + 2:
-            raise PrecisionError(f"need N > {vp(k, p) + 2} to resolve the "
-                                 f"torsion of character {k}")
+    (0, 0, v).  The window's precision is checked before the first row by
+    `precision_needs` of the degrees 2k at base 3, so only a k with
+    (p-1) | k is refused, and a failure names the first such k."""
+    for t, need in precision_needs(p, range(2 * lo, 2 * hi + 1, 2), 3):
+        if N < need:
+            raise PrecisionError(f"need N > {need - 1} to resolve the "
+                                 f"torsion of character {t // 2}")
     M = PsiModule.lubin_tate(p, N, 2 * lo, 2 * hi)
     for t, _, (v,) in boundary_snf(M):
         yield t // 2, (1, 1, N) if v == N else (0, 0, v)

@@ -8,7 +8,7 @@ detector only certifies patterns it can actually decide.
 
 from .gmod import ModMatrix, kernel_gens
 from .padic import is_prime
-from .ssq import run
+from .ssq import last_page_of, run
 
 
 class SupportFunction:
@@ -284,16 +284,19 @@ def moore_example(p: int) -> TowerSpec:
 def ssq_stage(p: int, r: int, kmax: int) -> frozenset:
     """Tower stage recomputed from the spectral sequence, one summand
     at a time: coordinate k survives to page r iff the filtration-zero
-    class in internal degree 2(p-1)p^k is still alive there.  Summand k
-    runs at precision k + 4, one past what `run` needs for that degree.
+    class in internal degree 2(p-1)p^k is still alive there (`last_page_of`
+    on the run's record of the degree; KeyError for r < 2, as `page`).
+    Summand k runs at precision k + 4, one past what `run` needs for it.
 
     Independent of the closed-form supports, so it cross-checks
     moore_example.
     """
+    if r < 2:
+        raise KeyError(r)
     alive = set()
     for k in range(kmax + 1):
         t = 2 * (p - 1) * p**k
-        out = run(p, (t, t), k + 4)
-        if any(c.t == t and c.f == 0 and c.c == 0 for c in out.page(r)):
-            alive.add(k)
+        for _, v, _, _ in run(p, (t, t), k + 4).records:
+            if (last_page_of(k + 4, v, 0, 0) or r) >= r:  # None: forever
+                alive.add(k)
     return frozenset(alive)

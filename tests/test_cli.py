@@ -497,9 +497,18 @@ def test_limits_json_is_json_dumps(p):
 
 def test_precision_failure_exits_2(capsys):
     rc, _, err = run_cli(["cohomology", "-p", "3", "-N", "4",
-                          "--k-min", "1", "--k-max", "9"], capsys)
+                          "--k-min", "1", "--k-max", "18"], capsys)
     assert rc == 2
     assert "precision" in err
+
+
+def test_character_without_torsion_is_not_refused(capsys):
+    # at p = 3 an odd k has no torsion, so N = 4 resolves k = 9
+    rc, out, _ = run_cli(["cohomology", "-p", "3", "-N", "4", "--k-min", "1",
+                          "--k-max", "9", "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["entries"][-1] == {
+        "k": 9, "h0": 0, "h1": 0, "torsion_valuation": 0}
 
 
 def test_run_precision_failure_exits_2(capsys):
@@ -594,9 +603,9 @@ _REFUSALS = [
     # one capped at N
     (["run", "-p", "3", "-N", "4", "--stem-min", "972", "--stem-max", "972"],
      2, "precision failure: degree t=972 needs N >= 8, have 4"),
-    (["cohomology", "-p", "3", "-N", "4", "--k-min", "243", "--k-max", "243"],
+    (["cohomology", "-p", "3", "-N", "4", "--k-min", "486", "--k-max", "486"],
      2, "precision failure: need N > 7 to resolve the torsion of "
-     "character 243"),
+     "character 486"),
     # one row per bound on the unbounded inputs
     (["run", "-N", "65"], 2,
      "error: run precision N=65 is above the bound N <= 64"),

@@ -381,12 +381,22 @@ def test_smith_valuations_are_the_determinantal_divisors(A):
 
 
 def test_smith_D_comes_back_reduced():
-    # row operations below a pivot skip the reduction mod p^N: here row 1
-    # holds -3 until the rows left below the last pivot are reduced
-    assert Smith(ModMatrix([[2, 2], [1, 1]], 3, 1)).D == [[1, 0], [0, 0]]
+    # row operations below a pivot skip the reduction mod p^N: here the
+    # work matrix keeps -3 in row 1, and D must still read 0 there
+    assert snf(ModMatrix([[2, 2], [1, 1]], 3, 1))[1].data == [[1, 0], [0, 0]]
     for A in mixed_matrices():
         pN = A.modulus
-        assert all(0 <= x < pN for row in Smith(A).D for x in row), \
+        assert all(0 <= x < pN for row in snf(A)[1].data for x in row), \
+            (A.prime, A.precision, A.data)
+
+
+def test_snf_D_is_diag_of_the_valuations():
+    for A in mixed_matrices():
+        # p^N is 0 mod p^N, so a column without a pivot is 0
+        vals = Smith(A).valuations
+        assert snf(A)[1].data == [
+            [pow(A.prime, v, A.modulus) if i == j else 0
+             for j, v in enumerate(vals)] for i in range(A.rows)], \
             (A.prime, A.precision, A.data)
 
 

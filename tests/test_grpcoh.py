@@ -228,9 +228,10 @@ def test_trivial_character_needs_an_odd_prime():
         list(grpcoh.character_window(0, 0, 15, 6))
 
 
-@pytest.mark.parametrize("lo,hi,bad", [(-9, 9, -9), (3, 12, 9), (0, 0, None)])
+@pytest.mark.parametrize("lo,hi,bad",
+                         [(-18, 18, -18), (3, 20, 18), (0, 0, None)])
 def test_character_window_names_the_first_failing_character(lo, hi, bad):
-    # at p = 3, N = 4 a character k with v_3(k) >= 2 is refused
+    # at p = 3, N = 4 a character k with 2 | k and v_3(k) >= 2 is refused
     rows = grpcoh.character_window(lo, hi, 3, 4)
     if bad is None:
         assert list(rows) == [(0, (1, 1, 4))]
@@ -239,6 +240,34 @@ def test_character_window_names_the_first_failing_character(lo, hi, bad):
                        match=f"need N > 4 to resolve the torsion of "
                              f"character {bad}$"):
         list(rows)
+
+
+@pytest.mark.parametrize("k", [9, 243])
+def test_character_without_torsion_needs_no_precision(k):
+    # (p - 1) does not divide k, so 1 - psi^k is a unit at every N
+    assert character_cohomology(k, 3, 4) == (0, 0, 0)
+    assert list(grpcoh.character_window(k, k, 3, 4)) == \
+        list(grpcoh.character_window(k, k, 3, 10)) == [(k, (0, 0, 0))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_window_refuses_exactly_what_precision_needs(p):
+    # windows inside |k| <= 60: refused iff some k has (p-1) | k and
+    # N < 3 + v_p(k), and the refusal names the first such k
+    rng = random.Random(p)
+    for N in range(4, 9):
+        windows = [(-60, 60)] + [tuple(sorted(rng.sample(range(-60, 61), 2)))
+                                 for _ in range(20)]
+        for lo, hi in windows:
+            bad = [k for k in range(lo, hi + 1) if k and k % (p - 1) == 0
+                   and N < 3 + int_valuation(k, p, 64)]
+            rows = grpcoh.character_window(lo, hi, p, N)
+            if not bad:
+                assert [k for k, _ in rows] == list(range(lo, hi + 1))
+                continue
+            with pytest.raises(PrecisionError,
+                               match=f"torsion of character {bad[0]}$"):
+                list(rows)
 
 
 def test_abutment_p3():

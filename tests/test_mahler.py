@@ -273,7 +273,7 @@ def test_h1_rational_profile_builds_psi_once(monkeypatch):
 
 def test_h1_rational_profile_propagates_precision():
     with pytest.raises(PrecisionError):
-        h1_rational_profile((-9, 9), 3, 4)
+        h1_rational_profile((-18, 18), 3, 4)
 
 
 def test_csv_dump():

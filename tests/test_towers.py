@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from imj.ssq import run
 from imj.towers import (Lim1Witness, SubSum, SupportFunction, TowerSpec,
                         lim_lim1, moore_example, ssq_stage, truncated_kernel)
 
@@ -156,6 +157,25 @@ def test_ssq_stage_matches_moore_supports_past_the_window(p, kmax):
         if r <= 7:
             assert (frozenset(k for k in got if k < tower.width)
                     == tower.stage_support(r))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ssq_stage_matches_the_class_list_reading(p):
+    # the oracle scans every class of page r for (t, 0, 0)
+    def from_classes(r, kmax):
+        alive = set()
+        for k in range(kmax + 1):
+            t = 2 * (p - 1) * p**k
+            if any(c.t == t and c.f == 0 and c.c == 0
+                   for c in run(p, (t, t), k + 4).page(r)):
+                alive.add(k)
+        return frozenset(alive)
+
+    for kmax in range(7):
+        for r in range(2, 10):
+            assert ssq_stage(p, r, kmax) == from_classes(r, kmax), (r, kmax)
+    with pytest.raises(KeyError):
+        ssq_stage(p, 1, 4)
 
 
 def test_ssq_stage_other_prime():
