@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
-from .padic import PrecisionError, is_prime
+from .padic import PrecisionError, require_odd_prime
 from .ssq import (WindowError, degree_records, join_name, last_page_of,
                   monomial_head, run)
 from .towers import lim_lim1, moore_example
@@ -50,15 +50,14 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
-# Largest accepted `mahler -L` and `mahler -N`, inside the 10 s ceiling:
-# the slowest accepted corner, `imj mahler -p 2147483647 -N 64 -L 256
-# --format json`, takes 0.88 s (process wall time, median of 5, Python
-# 3.11.7, 2 CPUs; BENCH_26.json), and p in {3, 5, 7} at most 0.35 s over
-# N in {8, 32, 64} (README).
+# Largest accepted `mahler -L`, inside the 10 s ceiling: the slowest
+# accepted corner, `imj mahler -p 2147483647 -N 64 -L 256 --format json`,
+# takes 0.88 s (process wall time, median of 5, Python 3.11.7, 2 CPUs;
+# BENCH_26.json), and p in {3, 5, 7} at most 0.35 s over N in {8, 32, 64}
+# (README).
 _MAHLER_MAX_L = 256
-_MAHLER_MAX_N = 64
-# Largest accepted -N, --fmax and window spans of the other subcommands;
-# README states the timing of each at its bound.
+# Largest accepted -N (which keeps that mahler corner under 10 s), --fmax
+# and window spans; README states the timing of each at its bound.
 _MAX_N = 64
 _MAX_FMAX = 64
 _MAX_STEMS = 5000
@@ -125,12 +124,9 @@ def _bounded(noun, hi, lo=None, low=None):
 
 
 def _odd_prime(v, key, cmd):
-    # the bound first, so trial division never starts past it
-    refusal = _bounded("prime", _MAX_P)(v, key, cmd)
-    if refusal:
-        return refusal
-    if v % 2 == 0 or not is_prime(v):
-        return f"p must be an odd prime, got {v}"
+    # the bound first, so trial division never starts past it; the gate's
+    # ValueError reaches main as the same one-line error
+    return _bounded("prime", _MAX_P)(v, key, cmd) or require_odd_prime(v)
 
 
 def _moore_only(v, key, cmd):
@@ -494,9 +490,7 @@ def _cmd_cohomology(o) -> dict | list:
     return lines
 
 
-@_command("mahler", "invariant functions in the Mahler model", _P,
-          _N._replace(help=f"working precision, 4 to {_MAHLER_MAX_N}",
-                      check=_bounded("precision", _MAHLER_MAX_N, 4)),
+@_command("mahler", "invariant functions in the Mahler model", _P, _N,
           _Opt("-L", f"window length, at most {_MAHLER_MAX_L}", 16,
                check=_bounded("length", _MAHLER_MAX_L)),
           _TABLE, _OUTPUT)

@@ -394,9 +394,8 @@ def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
 
 
 def sub_intersect(G1: ModMatrix, G2: ModMatrix) -> ModMatrix:
-    """Generators of im(G1) intersect im(G2)."""
-    K = kernel_gens(G1.hstack(G2.scale_int(-1)))
-    return G1 * K.take_rows(G1.cols)
+    """Generators of im(G1) intersect im(G2): G1 on `sub_preimage`."""
+    return G1 * sub_preimage(G1, G2)
 
 
 def sub_preimage(A: ModMatrix, G: ModMatrix) -> ModMatrix:
@@ -414,8 +413,7 @@ class QuotPres:
     class are (U*w) mod p^(e_i).
     """
 
-    __slots__ = ("prime", "precision", "gens", "U", "Uinv", "exponents",
-                 "indices")
+    __slots__ = ("prime", "precision", "gens", "U", "exponents", "indices")
 
     def __init__(self, gens: ModMatrix, W: ModMatrix):
         self.prime, self.precision = gens.prime, gens.precision

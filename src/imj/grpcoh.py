@@ -18,7 +18,7 @@ iterate it.  `precision_needs` states the precision a degree needs.
 from __future__ import annotations
 
 from .gmod import FgModule, ModMatrix, Smith
-from .padic import PrecisionError, psi_generator, vp
+from .padic import PrecisionError, psi_generator, require_odd_prime, vp
 
 
 class PsiModule:
@@ -174,7 +174,9 @@ def character_window(lo: int, hi: int, p: int, N: int):
 
 def precision_needs(p: int, ts, base: int):
     """Yield (t, base + v_p(k)), the least N that the degree needs, for each
-    t = (2p-2)k, k != 0, of ts; base is the caller's margin."""
+    t = (2p-2)k, k != 0, of ts; base is the caller's margin.  Every window
+    engine asks this first, and it asks `require_odd_prime` first."""
+    require_odd_prime(p)
     per = 2 * p - 2
     for t in ts:
         if t and t % per == 0:

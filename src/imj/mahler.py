@@ -51,7 +51,7 @@ from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_window
-from .padic import PadicInt, psi_generator, vp
+from .padic import PadicInt, psi_generator, require_odd_prime, vp
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -144,7 +144,9 @@ def _h_rows(L: int, p: int, N: int) -> tuple[list[list[int]], list[int]]:
     dividing exactly by p^(v_p(i+1)) where p divides i+1; U is the
     forward product of the unit parts of 1..L-1.  The diagonal is
     checked against a^i * U[i] mod p^N; a mismatch, such as a working
-    precision too short for the division, raises RuntimeError."""
+    precision too short for the division, raises RuntimeError.  The
+    first step is `require_odd_prime`."""
+    require_odd_prime(p)
     pN = p**N
     M = N + _vp_factorial(L - 1, p)
     pM = p**M
@@ -230,9 +232,10 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     id - psi, and U times a kernel column of H - diag(U) is a kernel
     column of id - psi.  Only the saturated kernel columns are read, one
     at a time from the Smith transcript; the row transform and the rest
-    of V are never built."""
+    of V are never built.  `require_odd_prime` is asked before B."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
+    require_odd_prime(p)
     # det of the upper-triangular complement: sum of diagonal valuations
     B = sum(1 + vp(i, p) for i in range(1, L)
             if i % (p - 1) == 0)

@@ -20,9 +20,11 @@ class PrecisionError(ArithmeticError):
 
 
 def vp(n: int, p: int) -> int:
-    """The exact p-adic valuation of the nonzero integer n, of either sign."""
+    """Exact v_p(n) of a nonzero integer n of either sign, for p >= 2."""
     if n == 0:
         raise ValueError("v_p(0) is infinite")
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, got {p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -156,11 +158,9 @@ def binom(a: PadicInt, i: int) -> PadicInt:
     fact_unit = 1
     for j in range(i):
         num = num * (a.residue - j) % pN
-        m = j + 1
-        while m % p == 0:
-            m //= p
-            fact_val += 1
-        fact_unit = fact_unit * m % pN
+        v = vp(j + 1, p)
+        fact_val += v
+        fact_unit = fact_unit * ((j + 1) // p**v) % pN
     N_out = N - fact_val
     if N_out <= 0:
         raise PrecisionError(
@@ -191,19 +191,26 @@ def prime_factors(n: int) -> list[int]:
 @cache
 def is_prime(n: int) -> bool:
     """Primality by trial division; desk-scale n.  Memoized, so the CLI's
-    check of -p and `psi_generator` share one trial division."""
+    -p check and `require_odd_prime` share one trial division."""
     return n >= 2 and prime_factors(n) == [n]
 
 
+def require_odd_prime(p: int) -> None:
+    """The one refusal of p, which every engine asks before any arithmetic
+    on p: its identities need an odd prime (Z_2^x is not topologically
+    cyclic; at p = 0 or +-1 the valuation loops would never end)."""
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def smallest_primitive_root(p: int) -> int:
-    """Smallest positive primitive root mod the odd prime p (deterministic)."""
-    if p < 3:
-        raise ValueError(f"{p} is not an odd prime")
+    """Smallest positive primitive root mod p (deterministic); ValueError
+    unless p is an odd prime, through `require_odd_prime`."""
+    require_odd_prime(p)
     factors = set(prime_factors(p - 1))
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
-    raise ValueError(f"{p} is not an odd prime")
 
 
 def psi_generator(p: int, N: int) -> PadicInt:
@@ -211,14 +218,8 @@ def psi_generator(p: int, N: int) -> PadicInt:
 
     sigma is the Teichmuller lift of the smallest primitive root mod p;
     the choice of root is a recorded convention, nothing downstream
-    depends on it.  Raises ValueError unless p is an odd prime: every
-    engine downstream (teichmuller, the Mahler matrix's division by i!
-    through its p-part and the inverse of its unit part) assumes it and
-    would not notice otherwise.
+    depends on it; `require_odd_prime` refuses any other p first.
     """
-    if p == 2:
-        raise ValueError("Z_2^x is not topologically cyclic")
-    if not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     sigma = teichmuller(smallest_primitive_root(p), p, N)
     return sigma * PadicInt(1 + p, p, N)

@@ -7,7 +7,7 @@ detector only certifies patterns it can actually decide.
 """
 
 from .gmod import ModMatrix, kernel_gens
-from .padic import is_prime
+from .padic import require_odd_prime
 from .ssq import last_page_of, run
 
 
@@ -270,10 +270,10 @@ def moore_example(p: int) -> TowerSpec:
 
     The degree-2(p-1)p^k generator carries a differential of length
     k + 1, so page r keeps exactly the coordinates with k >= r - 2:
-    nested sub-sums whose support threshold diverges.
+    nested sub-sums over F_p, p an odd prime (`require_odd_prime`), whose
+    support threshold diverges.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("the wedge tower needs an odd prime")
+    require_odd_prime(p)
     g = SupportFunction(1, -2)
     width = 6
     stages = [frozenset(k for k in range(width) if k >= g(r))

@@ -710,3 +710,9 @@ def test_fg_module_describe():
     assert "Z/3^2" in m.describe()
     assert "Z_3" in m.describe()  # saturated factor reported as Z_p
     assert FgModule([], 3, 4).describe() == "0"
+
+
+@pytest.mark.parametrize("exponents", [[0], [2, 5], [-1]])
+def test_fg_module_exponent_outside_1_to_N_refused(exponents):
+    with pytest.raises(ValueError, match=r"must lie in \[1, N\]"):
+        FgModule(exponents, 3, 4)

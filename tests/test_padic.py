@@ -7,8 +7,12 @@ algorithm.  The Newton lift of `teichmuller` is also checked against
 `frobenius_teichmuller`, the Frobenius iteration, as an oracle.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +24,7 @@ from imj.padic import (
     is_prime,
     prime_factors,
     psi_generator,
+    require_odd_prime,
     smallest_primitive_root,
     teichmuller,
     vp,
@@ -210,6 +215,86 @@ def test_prime_factors():
 def test_psi_generator_rejects_non_prime(p):
     with pytest.raises(ValueError, match=f"odd prime, got {p}"):
         psi_generator(p, 6)
+
+
+def test_require_odd_prime():
+    for p in (3, 5, 7, 97, 2**31 - 1):
+        require_odd_prime(p)
+    for p in (-3, -1, 0, 1, 2, 4, 9, 25, 2**31 + 1):
+        with pytest.raises(ValueError,
+                           match=fr"^p must be an odd prime, got {p}$"):
+            require_odd_prime(p)
+
+
+# Each call runs its refusal before any arithmetic on p; before the one
+# gate, the loops in vp, binom and the Mahler factorial valuation never
+# ended at p = +-1, p = 0 or 1 divided by 2p - 2 = 0, and
+# smallest_primitive_root answered 2 for composite n.
+_BAD_P_CALLS = """
+import json, sys
+from imj.grpcoh import abutment, character_cohomology, character_window
+from imj.mahler import act_psi, invariants, mahler_coeffs, psi_matrix
+from imj.padic import PadicInt, binom, smallest_primitive_root, vp
+from imj.ssq import run
+from imj.towers import moore_example, ssq_stage
+f = mahler_coeffs([PadicInt(x, 1, 5) for x in range(4)])
+calls = [  # (call, the p it refuses, thunk)
+    ("abutment(-1, (0, 8), 5)", -1, lambda: abutment(-1, (0, 8), 5)),
+    ("run(-1, (0, 8), 5)", -1, lambda: run(-1, (0, 8), 5)),
+    ("character_cohomology(4, -1, 5)", -1,
+     lambda: character_cohomology(4, -1, 5)),
+    ("psi_matrix(8, 1, 5)", 1, lambda: psi_matrix(8, 1, 5)),
+    ("psi_matrix(8, -1, 5)", -1, lambda: psi_matrix(8, -1, 5)),
+    ("act_psi(f), p = 1", 1, lambda: act_psi(f)),
+    ("invariants(8, -1, 5)", -1, lambda: invariants(8, -1, 5)),
+    ("ssq_stage(-1, 2, 2)", -1, lambda: ssq_stage(-1, 2, 2)),
+    ("abutment(1, (0, 4), 5)", 1, lambda: abutment(1, (0, 4), 5)),
+    ("abutment(0, (0, 4), 5)", 0, lambda: abutment(0, (0, 4), 5)),
+    ("invariants(8, 1, 5)", 1, lambda: invariants(8, 1, 5)),
+    ("character_window(0, 3, 1, 5)", 1,
+     lambda: list(character_window(0, 3, 1, 5))),
+    ("moore_example(-3)", -3, lambda: moore_example(-3)),
+]
+calls += [(f"smallest_primitive_root({n})", n,
+           lambda n=n: smallest_primitive_root(n))
+          for n in (4, 9, 15, 21, 25, 27)]
+calls += [(f"vp(4, {p})", p, lambda p=p: vp(4, p)) for p in (-1, 0, 1)]
+calls += [(f"vp(2, {p}) in binom", p,
+           lambda p=p: binom(PadicInt(3, p, 4), 2)) for p in (-1, 1)]
+out = []
+for name, p, call in calls:
+    try:
+        out.append([name, p, "returned", repr(call())])
+    except Exception as exc:
+        out.append([name, p, type(exc).__name__, str(exc)])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_bad_p_is_refused_at_once():
+    # in a process with a timeout, so a hang that comes back fails here
+    # instead of stalling the suite
+    import imj
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _BAD_P_CALLS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    assert len(got) == 24
+    for name, p, kind, message in got:
+        want = (f"v_p needs p >= 2, got {p}" if name.startswith("vp(")
+                else f"p must be an odd prime, got {p}")
+        assert (kind, message) == ("ValueError", want), name
+
+
+@pytest.mark.parametrize("contexts", [((3, 4), (5, 4)), ((3, 4), (3, 5))])
+def test_mixed_contexts_refused(contexts):
+    (p, N), (q, M) = contexts
+    x, y = PadicInt(1, p, N), PadicInt(1, q, M)
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError, match="mixed"):
+            getattr(x, op)(y)
 
 
 def test_psi_valuation_identity():

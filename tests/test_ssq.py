@@ -10,9 +10,11 @@ engine `FilteredComplexSS` is a second, independent oracle.
 import pytest
 
 from imj.gmod import ModMatrix
-from imj.grpcoh import PsiModule, abutment
+from imj.gmod import FgModule
+from imj.grpcoh import CohomologyReport, PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
-from imj.ssq import ChartClass, FilteredComplexSS, abutment_check, e2_page, run
+from imj.ssq import (ChartClass, FilteredComplexSS, WindowError,
+                     abutment_check, e2_page, run)
 
 
 def names(classes):
@@ -191,6 +193,31 @@ def test_abutment_check_p5_t40():
     rep = abutment_check(out, abutment(p, (40, 40), N))
     assert rep.entries[(1, 40)]["count"] == 2
     assert rep.entries[(1, 40)]["resolved"] == "Z/5^2"
+
+
+def test_abutment_check_refuses_a_different_precision():
+    with pytest.raises(ValueError, match="different precision"):
+        abutment_check(run(3, (0, 12), 5), abutment(3, (0, 12), 6))
+
+
+def test_abutment_check_refuses_a_count_mismatch():
+    # a hand-built report with Z/3 where the run leaves two classes
+    p, N = 3, 5
+    entries = dict(abutment(p, (0, 12), N).entries)
+    entries[(1, 12)] = FgModule([1], p, N)
+    with pytest.raises(RuntimeError,
+                       match=r"^abutment mismatch at \(s=1, t=12\): 2 "
+                             r"surviving classes vs order exponent 1$"):
+        abutment_check(run(p, (0, 12), N), CohomologyReport(entries, p, N))
+
+
+@pytest.mark.parametrize("window, message", [
+    ((5, 4), "empty degree window"), ((12, 0), "empty degree window"),
+    ((5, 5), "window contains no even degree"),
+    ((-3, -3), "window contains no even degree")])
+def test_run_refuses_a_window_without_even_degrees(window, message):
+    with pytest.raises(WindowError, match=f"^{message}$"):
+        run(3, window, 5)
 
 
 def test_precision_guard():

@@ -65,7 +65,7 @@ def test_moore_even_prime_refused():
 @pytest.mark.parametrize("p", [1, 9, 15, 21])
 def test_moore_composite_refused(p):
     # odd is not enough: the tower is over F_p
-    with pytest.raises(ValueError, match="the wedge tower needs an odd prime"):
+    with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
         moore_example(p)
 
 
