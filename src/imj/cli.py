@@ -50,10 +50,10 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
-# Largest accepted `mahler -L`, inside the 10 s ceiling: the slowest
-# accepted corner, `imj mahler -p 2147483647 -N 64 -L 256 --format json`,
-# takes 0.88 s (process wall time, median of 5, Python 3.11.7, 2 CPUs;
-# BENCH_26.json), and p in {3, 5, 7} at most 0.35 s over N in {8, 32, 64}
+# Largest accepted `mahler -L`, inside the 10 s ceiling: at the largest
+# p and N, `imj mahler -p 2147483647 -N 64 -L 256 --format json`
+# takes 0.17 s (process wall time, median of 5, Python 3.11.7, 2 CPUs;
+# BENCH_30.json), and p in {3, 5, 7} at most 0.20 s over N in {8, 32, 64}
 # (README).
 _MAHLER_MAX_L = 256
 # Largest accepted -N (which keeps that mahler corner under 10 s), --fmax

@@ -29,12 +29,14 @@ class PsiModule:
     Matrices must be invertible mod p (psi is a group element): every
     pivot of the Smith form mod p, precision 1, is a unit.  That depends
     only on the residues mod p, so it is decided once per distinct
-    residue matrix, and once per window in `lubin_tate`."""
+    residue matrix, and once per window in `lubin_tate`.  The first step
+    is `require_odd_prime`."""
 
     __slots__ = ("prime", "precision", "_rows")
 
     def __init__(self, matrices: dict[int, ModMatrix], prime: int,
                  precision: int):
+        require_odd_prime(prime)
         self.prime = prime
         self.precision = precision
         self._rows = {}

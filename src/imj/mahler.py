@@ -22,26 +22,38 @@ g_k[i] = i! [T^i] S^k obeys the linear recurrence
 
 which has no division and costs O(L^2) ring operations for the whole
 window, against O(L^3) for the powers S^k.  Column i+1 of the matrix
-comes from column i with one wide product per entry; the other factor,
-i, is small.
+comes from column i with one product by k psi per entry; the other
+factor, i, is small.
 
-Precision.  With an integer residue a = psi mod p^M in place of psi,
-the recurrence runs over Z.  [T^i] S^k = g_k[i] / i! is an integer, so
-h_k[i] = g_k[i] / p^(v_p(i!)) is one too, and it obeys
+Precision.  With an integer a in place of psi, the recurrence runs over
+Z.  [T^i] S^k = g_k[i] / i! is an integer, so h_k[i] = g_k[i] /
+p^(v_p(i!)) is one too, and it obeys
 
     h_k[i+1] = (k a (h_k[i] + h_(k-1)[i]) - i h_k[i]) / p^(v_p(i+1)),
 
 an exact division, only where p divides i+1.  Run mod p^M from h_0 =
 [1, 0, ...], each division leaves a residue mod a smaller power, so
 column i is h_k[i] mod p^(M - v_p(i!)).  [T^i] S^k is h_k[i] divided
-by U_i, the unit part of i!, so the matrix of psi is H diag(U)^-1 with
-H[k][i] = h_k[i].  `psi_matrix` takes that product, one per entry;
-`invariants` eliminates (psi - id) diag(U) = H - diag(U), which needs
-none, and multiplies its kernel column by U.  The same count
-bounds the error of a against psi: [T^i] S^k is an integral polynomial
-in the binomials (a choose m), m <= i, and each of those is right mod
+by U_i, the unit part of i!, so the matrix of the action of a is
+H diag(U)^-1 with H[k][i] = h_k[i].  `psi_matrix` takes a = psi mod
+p^M and that product, one per entry.  Its error against psi is
+bounded by the same count: [T^i] S^k is an integral polynomial in the
+binomials (a choose m), m <= i, and each of those is right mod
 p^(M - v_p(m!)).  Only i < L reaches the window, so M = N + v_p((L-1)!)
 makes every entry right mod p^N.
+
+Generator.  `invariants` runs the recurrence on a small integer g that
+topologically generates Z_p^x, so every product k g (h_k[i] +
+h_(k-1)[i]) has a factor of a few digits, and it eliminates
+(psi_g - id) diag(U) = H - diag(U), which needs no product by the
+inverses of the U_i.  The answer is that of psi.  At any precision
+the image of Z_p^x in GL((Z/p^n)^L) is a finite cyclic group, which
+psi and g both generate, so psi_g = psi^s and psi = psi_g^r for some
+integers s and r.  As psi^s - id = (psi - id)(id + psi + ... +
+psi^(s-1)), and the same holds the other way, psi_g - id and psi - id
+have the same image and the same kernel.  So the Smith valuations, the
+kernel module and the kernel mod p^N, which the saturated kernel
+columns span, are those of psi, and so is the normalized generator.
 """
 
 from __future__ import annotations
@@ -51,7 +63,8 @@ from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_window
-from .padic import PadicInt, psi_generator, require_odd_prime, vp
+from .padic import (PadicInt, psi_generator, require_odd_prime,
+                    smallest_primitive_root, vp)
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -134,23 +147,23 @@ def act_psi(f: MahlerFunction) -> MahlerFunction:
                            for row in psi_matrix(f.length, p, N).data])
 
 
-def _h_rows(L: int, p: int, N: int) -> tuple[list[list[int]], list[int]]:
-    """H mod p^N as rows, H[k][i] = h_k[i] (module docstring), and U,
-    U[i] the unit part of i! mod p^N, so that psi_matrix is H times the
-    inverse of diag(U).  H is upper triangular with diagonal psi^i * U[i].
+def _h_rows(L: int, p: int, N: int,
+            a: int) -> tuple[list[list[int]], list[int]]:
+    """H mod p^N as rows, H[k][i] = h_k[i] for the integer a (module
+    docstring), and U, U[i] the unit part of i! mod p^N, so that the
+    matrix of the action of a is H times the inverse of diag(U).  H is
+    upper triangular with diagonal a^i * U[i].  Only a mod p^M matters,
+    M = N + v_p((L-1)!); p is an odd prime, which both callers ask first.
 
     Column i+1 comes from column i by the recurrence for h_k[i], run mod
-    p^(M - v_p(i!)) with a = psi mod p^M and M = N + v_p((L-1)!),
-    dividing exactly by p^(v_p(i+1)) where p divides i+1; U is the
-    forward product of the unit parts of 1..L-1.  The diagonal is
-    checked against a^i * U[i] mod p^N; a mismatch, such as a working
-    precision too short for the division, raises RuntimeError.  The
-    first step is `require_odd_prime`."""
-    require_odd_prime(p)
+    p^(M - v_p(i!)), dividing exactly by p^(v_p(i+1)) where p divides
+    i+1; U is the forward product of the unit parts of 1..L-1.  The
+    diagonal is checked against a^i * U[i] mod p^N; a mismatch, such as
+    a working precision too short for the division, raises
+    RuntimeError."""
     pN = p**N
     M = N + _vp_factorial(L - 1, p)
     pM = p**M
-    a = psi_generator(p, M).residue
     ka = [k * a % pM for k in range(1, L)]
     h = [1]  # h_k[i] = g_k[i] / p^(v_p(i!)) for k <= i: column i
     m = pM  # p^(M - v_p(i!)), the modulus of column i of h
@@ -159,7 +172,8 @@ def _h_rows(L: int, p: int, N: int) -> tuple[list[list[int]], list[int]]:
     for i in range(L):
         col = [x % pN for x in h]
         if col[i] != diag:
-            raise RuntimeError(f"psi matrix row {i}: diagonal is not psi^{i}")
+            raise RuntimeError(f"recurrence row {i}: diagonal is not "
+                               f"a^{i} U[{i}]")
         cols.append(col + [0] * (L - 1 - i))
         U.append(u)
         if i + 1 < L:
@@ -178,15 +192,26 @@ def _h_rows(L: int, p: int, N: int) -> tuple[list[list[int]], list[int]]:
     return [list(row) for row in zip(*cols)], U
 
 
+def _integer_generator(p: int) -> int:
+    """A small integer that topologically generates Z_p^x: the smallest
+    primitive root g mod p, plus p when g^(p-1) = 1 mod p^2, so that it
+    is a primitive root mod p^2 (the first such p is 40487, g = 5)."""
+    g = smallest_primitive_root(p)
+    return g + p if pow(g, p - 1, p * p) == 1 else g
+
+
 def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     """Matrix of act_psi on b_0..b_{L-1} over Z/p^N.  Entry [k][i] is the
     coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
     column i is psi . b_i.  Upper triangular with diagonal psi^k.
 
-    The rows of `_h_rows`, column i multiplied by the inverse of the
-    unit part of i! mod p^N: one product per entry."""
+    The rows of `_h_rows` for a = psi mod p^(N + v_p((L-1)!)), column i
+    multiplied by the inverse of the unit part of i! mod p^N: one product
+    per entry.  The first step is `require_odd_prime`."""
+    require_odd_prime(p)
     pN = p**N
-    rows, U = _h_rows(L, p, N)
+    a = psi_generator(p, N + _vp_factorial(L - 1, p)).residue
+    rows, U = _h_rows(L, p, N, a)
     inv = [pow(u, -1, pN) for u in U]
     rows = [[x * v % pN for x, v in zip(row, inv)] for row in rows]
     return ModMatrix._empty(L, L, p, N, rows)
@@ -225,14 +250,16 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     constant term 1 when that term is a unit.  The kernel module keeps
     the working precision, at which all its torsion exponents are exact.
 
-    The elimination runs on (psi - id) diag(U) = H - diag(U), with H and
-    U from `_h_rows`: one subtraction per diagonal entry, and no product
-    by the inverses of the U[i].  A right factor of units leaves every
-    entry's valuation alone, so the pivots and valuations are those of
-    id - psi, and U times a kernel column of H - diag(U) is a kernel
-    column of id - psi.  Only the saturated kernel columns are read, one
-    at a time from the Smith transcript; the row transform and the rest
-    of V are never built.  `require_odd_prime` is asked before B."""
+    The elimination runs on (psi_g - id) diag(U) = H - diag(U), with H
+    and U from `_h_rows` for the small integer generator g of
+    `_integer_generator` (module docstring: the answer is that of psi):
+    one subtraction per diagonal entry, and no product by the inverses
+    of the U[i].  A right factor of units leaves every entry's valuation
+    alone, so the pivots and valuations are those of id - psi_g, and U
+    times a kernel column of H - diag(U) is a kernel column of
+    id - psi_g.  Only the saturated kernel columns are read, one at a
+    time from the Smith transcript; the row transform and the rest of V
+    are never built.  `require_odd_prime` is asked before B."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     require_odd_prime(p)
@@ -241,7 +268,7 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
             if i % (p - 1) == 0)
     Nw = N + B
     pNw = p**Nw
-    rows, U = _h_rows(L, p, Nw)
+    rows, U = _h_rows(L, p, Nw, _integer_generator(p))
     for k, row in enumerate(rows):
         row[k] = (row[k] - U[k]) % pNw
     S = Smith(ModMatrix._empty(L, L, p, Nw, rows))

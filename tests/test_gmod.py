@@ -38,7 +38,7 @@ from imj.gmod import (
 )
 from imj.grpcoh import PsiModule, abutment, boundary_snf, two_term_cohomology
 from imj.mahler import invariants, psi_matrix
-from imj.padic import int_valuation, vp
+from imj.padic import int_valuation, psi_generator, vp
 from imj.ssq import run
 from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
 from test_ssq import run_json_oracle
@@ -304,7 +304,8 @@ def test_psi_minus_id_times_units_has_the_readings_of_psi_minus_id(L, p):
     # alone, and U times a kernel column of H - diag(U) is one of psi - id
     A = mahler_boundary(L, p).scale_int(-1)
     Nw, pNw = A.precision, A.modulus
-    rows, U = mahler._h_rows(L, p, Nw)
+    psi = psi_generator(p, Nw + mahler._vp_factorial(L - 1, p))
+    rows, U = mahler._h_rows(L, p, Nw, psi.residue)
     for k, row in enumerate(rows):
         row[k] = (row[k] - U[k]) % pNw
     S, T = Smith(ModMatrix(rows, p, Nw)), Smith(A)

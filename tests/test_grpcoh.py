@@ -44,6 +44,15 @@ def test_psi_matrix_must_be_invertible():
         PsiModule({0: ModMatrix([[3]], p, N)}, p, N)
 
 
+@pytest.mark.parametrize("p", [9, 1, -3])
+def test_psi_module_needs_an_odd_prime(p):
+    # caller-supplied matrices meet the same gate as a Lubin-Tate window:
+    # at p = 9 no report, at p = 1 no "not invertible mod 1"
+    with pytest.raises(ValueError) as exc:
+        PsiModule({2: ModMatrix([[2]], p, 4)}, p, 4)
+    assert str(exc.value) == f"p must be an odd prime, got {p}"
+
+
 @pytest.mark.parametrize("t,rows", [
     (0, [[3]]),
     (6, [[1, 1], [1, 4]]),                  # unit entries, det = 3

@@ -6,7 +6,8 @@ is multiplication by psi.  The recurrence behind psi_matrix is checked
 against the sample-and-difference engine, kept here, including at the
 lengths where v_p((L-1)!) and so the working precision step up.  The
 invariants computation is checked against the expectation that constants
-are the only fixed functions.
+are the only fixed functions, and against a `Smith` elimination of
+id - psi itself, since it runs on a small integer generator instead.
 """
 
 import math
@@ -15,11 +16,12 @@ import random
 import pytest
 
 from imj import grpcoh, mahler
+from imj.gmod import ModMatrix, Smith
 from imj.grpcoh import character_cohomology
 from imj.mahler import (MahlerFunction, act_psi, h1_rational_profile,
                         invariants, mahler_coeffs, psi_matrix)
 from imj.padic import (PadicInt, PrecisionError, binom, int_valuation,
-                       psi_generator)
+                       prime_factors, psi_generator, vp)
 
 
 def pad(values, p, N):
@@ -240,6 +242,46 @@ def test_invariants_doubled_window_generator_is_exact_constant():
     assert all(c.residue == 0 for c in gen.coefficients[1:])
     assert rep.kernel.saturated_count() == 1
     assert 16 in rep.kernel.torsion_exponents()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 40487, 2**31 - 1])
+def test_integer_generator_is_a_primitive_root_mod_p_squared(p):
+    # order p - 1 mod p, and g^(p-1) != 1 mod p^2, so g topologically
+    # generates Z_p^x; at 40487 the smallest primitive root, 5, has
+    # 5^(p-1) = 1 mod p^2 and is not one
+    g = mahler._integer_generator(p)
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in set(prime_factors(p - 1)))
+    assert pow(g, p - 1, p * p) != 1
+    if p == 40487:
+        assert g != 5
+
+
+def invariants_oracle(L, p, N):
+    """Sorted Smith valuations of id - psi_matrix(L, p, Nw), psi =
+    sigma(1+p), at the working precision Nw of `invariants`, and its
+    saturated kernel columns mod p^N, normalized to constant term 1."""
+    Nw = N + sum(1 + vp(i, p) for i in range(1, L) if i % (p - 1) == 0)
+    S = Smith(ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw))
+    pN = p**N
+    gens = []
+    for j, v in enumerate(S.valuations):
+        if v == Nw:
+            col = [x % pN for x in S.kernel_column(j)]
+            inv = pow(col[0], -1, pN)
+            gens.append([x * inv % pN for x in col])
+    return sorted(S.valuations), gens
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("L", [2, 16, 64])
+@pytest.mark.parametrize("N", [4, 8])
+def test_invariants_of_the_integer_generator_are_those_of_psi(p, L, N):
+    vals, gens = invariants_oracle(L, p, N)
+    rep = invariants(L, p, N)
+    exps = rep.kernel.exponents
+    assert [0] * (L - len(exps)) + exps == vals
+    assert [[c.residue for c in g.coefficients] for g in rep.generators] \
+        == gens
 
 
 def test_invariants_rejects_composite_p():
