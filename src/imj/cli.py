@@ -64,8 +64,8 @@ _MAX_STEMS = 5000
 _MAX_T_SPAN = 40000
 _MAX_K_SPAN = 10000
 # Largest accepted -p and cobar --q: the trial division that decides
-# primality (and factors p - 1 for the primitive root) stops within about
-# 46,341 steps; README states the timing of each subcommand at this p.
+# primality (and, for `mahler` only, factors p - 1 for the primitive root)
+# stops within about 46,341 steps; README times each subcommand at this p.
 _MAX_P = 2**31 - 1
 
 

@@ -8,17 +8,21 @@ increasing degree, writing id - psi and the valuations of its Smith
 normal form.  In a rank-1 degree (every Lubin-Tate degree) that form is
 the valuation of 1 - psi^j, read with no `ModMatrix`; only a wider
 degree runs `gmod.Smith`.  The generic `gmod.homology` serves only the
-tests, as the oracle for this reading.  That pass over a
-`PsiModule.lubin_tate` window (which holds the one loop that steps
-psi^j) is the one reader of v_p(1 - psi^j): `two_term_cohomology`,
-`character_window`, `ssq.run` and, at precision 1, `ssq.e2_page` all
-iterate it.  `precision_needs` states the precision a degree needs.
+tests, as the oracle for this reading.  Since Z_p^x = mu_{p-1} x
+(1 + pZ_p) with p - 1 a unit, Hochschild-Serre gives H^*(Z_p^x; E_*) =
+H^*(1 + pZ_p; E_*^{mu_{p-1}}): the invariants are the degrees
+t = (2p-2)m, where psi^{(p-1)m} = (1+p)^{(p-1)m}, and in any other degree
+1 - psi^j is a unit.  So a `PsiModule.lubin_tate` window holds the
+invariant degrees alone, and its pass through `boundary_snf` is the one
+reader of v_p(1 - psi^j): `two_term_cohomology`, `character_window`,
+`ssq.run` and, at precision 1, `ssq.e2_page` all iterate it.
+`precision_needs` states the precision a degree needs.
 """
 
 from __future__ import annotations
 
 from .gmod import FgModule, ModMatrix, Smith
-from .padic import PrecisionError, psi_generator, require_odd_prime, vp
+from .padic import PrecisionError, require_odd_prime, vp
 
 
 class PsiModule:
@@ -26,17 +30,17 @@ class PsiModule:
     stored as rows of residues mod p^N; `matrix(t)` wraps them in a
     `ModMatrix` for a caller that wants one.
 
-    Matrices must be invertible mod p (psi is a group element): every
-    pivot of the Smith form mod p, precision 1, is a unit.  That depends
-    only on the residues mod p, so it is decided once per distinct
-    residue matrix, and once per window in `lubin_tate`.  The first step
-    is `require_odd_prime`."""
+    Matrices must be invertible mod p (psi is a group element): every pivot
+    of their Smith form at precision 1 is a unit, decided once per distinct
+    residue matrix mod p.  The first steps are `require_odd_prime`, N >= 1."""
 
     __slots__ = ("prime", "precision", "_rows")
 
     def __init__(self, matrices: dict[int, ModMatrix], prime: int,
                  precision: int):
         require_odd_prime(prime)
+        if precision < 1:
+            raise PrecisionError(f"precision {precision} < 1")
         self.prime = prime
         self.precision = precision
         self._rows = {}
@@ -47,28 +51,23 @@ class PsiModule:
             self._rows[t] = mat.data
             key = tuple(tuple(x % prime for x in row) for row in mat.data)
             if key not in invertible:
-                self._require_unit(t, mat.data)
+                if any(Smith(ModMatrix(mat.data, prime, 1)).valuations):
+                    raise ValueError(f"psi matrix in degree {t} is not "
+                                     f"invertible mod {prime}")
                 invertible.add(key)
-
-    def _require_unit(self, t: int, rows: list[list[int]]) -> None:
-        if any(Smith(ModMatrix(rows, self.prime, 1)).valuations):
-            raise ValueError(f"psi matrix in degree {t} is not invertible "
-                             f"mod {self.prime}")
 
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":
-        """Z_p[u^{+-1}] over a degree window: rank 1 in each even degree 2j,
-        psi acting on u^j by the scalar psi^j (each power one multiplication
-        mod p^N from the last), stored as the row [psi^j].  psi^j is a unit
-        mod p exactly when psi is, so [[psi]] (degree 2) alone is checked."""
-        psi = psi_generator(p, N)
+        """The mu_{p-1}-invariants of Z_p[u^{+-1}] over a degree window
+        (module docstring): in degree t = (2p-2)m the row [(1+p)^{(p-1)m}
+        mod p^N], one product from the last; 1 mod p, so none is checked."""
         module = cls({}, p, N)
-        module._require_unit(2, [[psi.residue]])
-        lo, g, pN = (t_min + 1) // 2, psi.residue, psi.modulus
-        power = (psi**lo).residue
-        for j in range(lo, t_max // 2 + 1):
-            module._rows[2 * j] = [[power]]
-            power = power * g % pN
+        per, pN = 2 * p - 2, p**N
+        lo, step = -(-t_min // per), pow(1 + p, p - 1, pN)
+        power = pow(step, lo, pN)
+        for m in range(lo, t_max // per + 1):
+            module._rows[per * m] = [[power]]
+            power = power * step % pN
         return module
 
     def degrees(self) -> list[int]:
@@ -155,23 +154,24 @@ def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
     k = 0 carries rational cohomology.  Requires p an odd prime, also at
     k = 0, and N >= 3 + v_p(k) when (p-1) | k, so the torsion exponent is
     resolved below the precision ceiling; at any other k, 1 - psi^k is a
-    unit.  A loop over characters uses `character_window` (one psi)."""
+    unit.  A loop over characters uses `character_window` (one window)."""
     return next(character_window(k, k, p, N))[1]
 
 
 def character_window(lo: int, hi: int, p: int, N: int):
     """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
     `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
-    (0, 0, v).  The window's precision is checked before the first row by
-    `precision_needs` of the degrees 2k at base 3, so only a k with
-    (p-1) | k is refused, and a failure names the first such k."""
+    (0, 0, v), with v = 0 at a k the window does not hold.  Its precision
+    is checked before the first row by `precision_needs` of the degrees 2k
+    at base 3, so only a k with (p-1) | k is refused, naming the first."""
     for t, need in precision_needs(p, range(2 * lo, 2 * hi + 1, 2), 3):
         if N < need:
             raise PrecisionError(f"need N > {need - 1} to resolve the "
                                  f"torsion of character {t // 2}")
     M = PsiModule.lubin_tate(p, N, 2 * lo, 2 * hi)
-    for t, _, (v,) in boundary_snf(M):
-        yield t // 2, (1, 1, N) if v == N else (0, 0, v)
+    held = {t // 2: v for t, _, (v,) in boundary_snf(M)}
+    for k in range(lo, hi + 1):
+        yield k, (1, 1, N) if held.get(k) == N else (0, 0, held.get(k, 0))
 
 
 def precision_needs(p: int, ts, base: int):

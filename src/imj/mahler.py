@@ -312,9 +312,9 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
 
     Exactly the trivial character carries rational H^0 and H^1; every
     other character contributes only bounded torsion.  The ranks come
-    from the engine (`character_window` reads one Lubin-Tate window, so
-    psi is built once), and a violation means the valuation engine is
-    broken and raises."""
+    from the engine (`character_window` reads one Lubin-Tate window and
+    builds no psi), and a violation means the valuation engine is broken
+    and raises."""
     lo, hi = k_range
     entries = dict(character_window(lo, hi, p, N))
     rational = sorted(k for k, (_h0, h1, _tv) in entries.items() if h1)

@@ -5,9 +5,9 @@ with the odd prime p and the precision exponent N.  The p-adic valuation
 of a nonzero residue is exact; zero has valuation N by convention, since
 it cannot be told apart from any element of valuation >= N.
 
-The generator psi = sigma*(1+p) of Z_p^x built here is the engine of the
-whole computation: valuation(1 - psi^k) is 1 + v_p(k) when (p-1) | k != 0
-and 0 otherwise, and that single identity produces the image-of-J pattern.
+psi = sigma*(1+p), built here, generates Z_p^x; v(1 - psi^k) = 1 + v_p(k)
+when (p-1) | k != 0, else 0: the image-of-J pattern.  It serves `mahler`
+and the tests; the `grpcoh` windows step (1+p)^(p-1) and never build it.
 """
 
 from __future__ import annotations

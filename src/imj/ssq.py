@@ -132,24 +132,24 @@ def last_page_of(N: int, v: int, f: int, c: int) -> int | None:
 
 
 def degree_records(p: int, window: tuple[int, int], N: int) -> list:
-    """The record (t, v, unit, tail) of each degree t with v > 0 of the
-    Lubin-Tate window at precision N, in increasing t; rank 1 only."""
+    """The record (t, v, unit, tail) of each degree t of the Lubin-Tate
+    window at precision N, in increasing t; rank 1 only.  Each degree it
+    holds, (2p-2)k, has bd = 0 mod p, so v > 0: it is live on page 2."""
     per, out = 2 * p - 2, []
     for t, bd, vals in boundary_snf(PsiModule.lubin_tate(p, N, *window)):
         if len(vals) != 1:
             raise RuntimeError(f"degree t={t} has rank {len(vals)}; "
                                f"page 2 is built for rank-1 degrees only")
         v = vals[0]
-        if v:  # v = 0: bd is a unit, nothing reaches page 2
-            out.append((t, v, bd[0][0] // p**v % p, monomial_tail(t // per)))
+        out.append((t, v, bd[0][0] // p**v % p, monomial_tail(t // per)))
     return out
 
 
 def e2_page(p: int, window: tuple[int, int], fmax: int) -> list[ChartClass]:
     """`run`'s page 2 up to chart height s = f+c <= fmax in (t, f, c)
-    order, the homology of the associated graded: its boundary in degree
-    2m is 1 - sigma^m, sigma = psi mod p the Teichmueller unit, so its
-    live degrees are the records at precision 1.  p must be an odd prime.
+    order, the homology of the associated graded: its boundary 1 - psi^j
+    is 0 mod p exactly in the window's degrees (2p-2)k, so its live
+    degrees are the records at precision 1.  p must be an odd prime.
     """
     return [ChartClass.monomial(p, t // (2 * p - 2), f, c)
             for t, _, _, _ in degree_records(p, window, 1)

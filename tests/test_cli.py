@@ -813,8 +813,9 @@ def test_import_leaves_numpy_unloaded():
     ["abutment", "--t-min", "-20000", "--t-max", "20000"],
     ["cohomology", "--k-min", "-5000", "--k-max", "5000"]])
 def test_large_prime_corner_finishes_under_the_ceiling(argv):
-    # the full window at p = 1000003, N = 64, as a process: every 1x1
-    # degree and every character costs one multiplication mod p^N
+    # the full window at p = 1000003, N = 64, as a process: every degree
+    # the window holds, a multiple of 2p - 2, costs one multiplication
+    # mod p^N
     import imj
     src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -855,9 +856,8 @@ def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):
 
 
 def test_one_primality_test_per_process(capsys, monkeypatch):
-    # the -p check and the engine's psi_generator share one memoized
-    # is_prime, so p itself is trial-divided once (p - 1 is factored for
-    # the primitive root, a different argument)
+    # the -p check and the engine's odd-prime gate share one memoized
+    # is_prime, so p itself is trial-divided once
     import imj.padic as padic
     calls = []
     factor = padic.prime_factors
@@ -873,6 +873,43 @@ def test_one_primality_test_per_process(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     assert "p=2147483647 N=64" in out.splitlines()[0]
     assert calls.count(2147483647) == 1
+
+
+_P31 = "2147483647"
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["e2", "-p", _P31, "--stem-max", "3", "--fmax", "2"],
+     f"E_2 p={_P31} stems -1..3 fmax=2\n"
+     "1  t=0 f=0 c=0  (stem 0, s 0)\nzeta  t=0 f=0 c=1  (stem -1, s 1)\n"
+     "b  t=0 f=1 c=0  (stem 0, s 1)\nzeta b  t=0 f=1 c=1  (stem -1, s 2)\n"
+     "b^2  t=0 f=2 c=0  (stem 0, s 2)\n"),
+    (["run", "-p", _P31, "-N", "4"],
+     f"run p={_P31} N=4 t-window 0..12\npage 2: 8 classes\n"
+     "differentials:\n"
+     "e_infinity: 1, zeta, b, zeta b, b^2, zeta b^2, b^3, zeta b^3\n"),
+    (["abutment", "-p", _P31, "-N", "64", "--t-min", "-20000", "--t-max",
+      "20000"],
+     f"abutment p={_P31} N=64 t -20000..20000\n"
+     f"H^(0,0) = Z_{_P31}\nH^(1,0) = Z_{_P31}\n"),
+    (["cohomology", "-p", _P31, "-N", "64", "--k-min", "-2", "--k-max", "2"],
+     f"character cohomology p={_P31} N=64 k -2..2\n"
+     + "".join(f"k={k}: h0={int(k == 0)} h1={int(k == 0)} "
+               f"torsion_valuation={64 if k == 0 else 0}\n"
+               for k in range(-2, 3))),
+], ids=["e2", "run", "abutment", "cohomology"])
+def test_windows_build_no_teichmuller_lift(argv, out, monkeypatch, capsys):
+    # a window reads the mu_{p-1}-invariant degrees, stepped from 1 + p,
+    # so the largest p prints the same bytes with no primitive root and
+    # no Teichmuller lift to be had
+    import imj.padic as padic
+
+    def refuse(*args):
+        raise RuntimeError("a window built psi")
+
+    monkeypatch.setattr(padic, "teichmuller", refuse)
+    monkeypatch.setattr(padic, "smallest_primitive_root", refuse)
+    assert run_cli(argv, capsys) == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", [

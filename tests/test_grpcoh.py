@@ -19,18 +19,21 @@ from imj.ssq import run
 
 
 def test_lubin_tate_shape():
+    # the mu_2-invariant degrees at p = 3, the multiples of 2p - 2 = 4
     M = PsiModule.lubin_tate(3, 6, -4, 8)
-    assert M.degrees() == [-4, -2, 0, 2, 4, 6, 8]
+    assert M.degrees() == [-4, 0, 4, 8]
 
 
 @pytest.mark.parametrize("p,N,lo,hi", [
     (3, 6, -4, 8), (3, 9, -41, 37), (5, 5, -17, -3), (7, 4, 0, 60),
     (11, 6, -30, 31)])
 def test_lubin_tate_matrices_are_powers_of_psi(p, N, lo, hi):
-    """Each degree's scalar, one multiplication past the one before, is
-    psi^j computed afresh (inverting first for j < 0)."""
+    """The window holds the multiples of 2p - 2 in it, and each degree's
+    scalar, (1+p)^{(p-1)m} one multiplication past the one before, is
+    psi^{t/2} computed afresh (inverting first for t < 0)."""
     M = PsiModule.lubin_tate(p, N, lo, hi)
-    assert M.degrees() == list(range(lo + lo % 2, hi + 1, 2))
+    per = 2 * p - 2
+    assert M.degrees() == [t for t in range(lo, hi + 1) if t % per == 0]
     psi = psi_generator(p, N)
     for t in M.degrees():
         mat = M.matrix(t)
@@ -87,7 +90,7 @@ def test_shared_residues_still_refuse_a_later_singular_degree(mats, bad):
 
 def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
     # one Smith elimination mod p (precision 1) per distinct residue matrix;
-    # a Lubin-Tate window checks psi alone, once
+    # a Lubin-Tate window, every entry 1 mod p, runs none
     seen = []
 
     def counting(A):
@@ -99,7 +102,7 @@ def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
     for p in (3, 5, 7, 1000003):
         seen.clear()
         PsiModule.lubin_tate(p, 8, -200, 200)
-        assert seen == [((psi_generator(p, 8).residue % p,),)]
+        assert seen == []
     seen.clear()
     PsiModule({0: ModMatrix([[1, 1], [0, 1]], 3, 4),
                2: ModMatrix([[4, 1], [3, 7]], 3, 4),
@@ -109,9 +112,9 @@ def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 1000003])
 def test_lubin_tate_window_builds_one_modmatrix(p, monkeypatch):
-    """A Lubin-Tate window stores rows, and boundary_snf reads them
-    without a ModMatrix: run, two_term_cohomology and abutment each build
-    one, [[psi]] mod p for the invertibility check."""
+    """A Lubin-Tate window stores rows, runs no invertibility check, and
+    boundary_snf reads them without a ModMatrix: run, two_term_cohomology
+    and abutment build none."""
     built = []
     empty, init = ModMatrix._empty.__func__, ModMatrix.__init__
 
@@ -128,14 +131,13 @@ def test_lubin_tate_window_builds_one_modmatrix(p, monkeypatch):
     monkeypatch.setattr(ModMatrix, "__init__", counting_init)
     per = 2 * p - 2
     window = (per - 40, per + 40)
-    psi_mod_p = [([[psi_generator(p, 8).residue % p]], 1)]
     for compute in (lambda: run(p, window, 8),
                     lambda: two_term_cohomology(
                         PsiModule.lubin_tate(p, 8, *window)),
                     lambda: abutment(p, window, 8)):
         built.clear()
         compute()
-        assert built == psi_mod_p
+        assert built == []
 
 
 @pytest.mark.parametrize("p,N", [(3, 8), (5, 6), (7, 4), (1000003, 3)])
@@ -156,6 +158,48 @@ def test_boundary_is_identity_minus_psi(p, N):
             assert vals == Smith(ModMatrix(bd, p, N)).valuations
         assert seen == mod.degrees()
     assert [M.rank(t) for t in M.degrees()] == [1, 3, 6]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_invariant_window_matches_the_unsplit_module(p, N):
+    """The Lubin-Tate window on its mu_{p-1}-invariants against the whole
+    module, psi^j on every even degree from psi_generator: the same
+    (v, unit) at every held degree, v = 0 at every dropped one, and the
+    same two-term cohomology."""
+    per = 2 * p - 2
+    psi = psi_generator(p, N)
+    for lo, hi in [(-40, 40), (-per - 3, per + 1), (-per * p, 2 * per * p),
+                   (-1, 0)]:
+        full = PsiModule({t: ModMatrix([[(psi ** (t // 2)).residue]], p, N)
+                          for t in range(lo + lo % 2, hi + 1, 2)}, p, N)
+        split = PsiModule.lubin_tate(p, N, lo, hi)
+
+        def reading(M):
+            return {t: (v, bd[0][0] // p**v % p)
+                    for t, bd, (v,) in grpcoh.boundary_snf(M)}
+
+        held, every = reading(split), reading(full)
+        assert held and set(held) <= set(every)
+        assert held == {t: every[t] for t in held}
+        assert all(every[t][0] == 0 for t in set(every) - set(held))
+        assert (two_term_cohomology(split).entries
+                == two_term_cohomology(full).entries)
+
+
+def test_precision_below_one_is_refused():
+    # the module asks N >= 1 right after the odd-prime gate, for a
+    # Lubin-Tate window (so for every window engine) and for
+    # caller-supplied matrices alike, before any invertibility check
+    for call in (lambda: character_cohomology(0, 3, 0),
+                 lambda: run(3, (0, 0), 0),
+                 lambda: PsiModule.lubin_tate(5, -2, -8, 8),
+                 lambda: PsiModule({0: ModMatrix([[1]], 3, 0)}, 3, 0),
+                 lambda: PsiModule({}, 3, -1)):
+        with pytest.raises(PrecisionError, match=r"^precision -?\d+ < 1$"):
+            call()
+    with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+        PsiModule({}, 9, 0)
 
 
 def test_two_term_degree_zero():
