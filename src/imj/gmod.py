@@ -4,8 +4,9 @@ Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
 needs no Euclidean steps, only valuation pivoting, with ties broken
 column-major so that the upper triangular Mahler boundary psi - id is
 eliminated with few row operations.  Rows are reduced mod p^N only when
-they become pivot rows, and a unit pivot row is left unscaled (see
-`Smith`).  All the homological
+they become pivot rows, a unit pivot row is left unscaled, its unit is
+inverted only where the inverse is read, and the pivot scan reads a
+column without a unit once (see `Smith`).  All the homological
 bookkeeping downstream reduces to the one elimination here, `Smith`,
 which keeps the transcript of its steps; each reader replays only what
 its caller needs:
@@ -192,25 +193,28 @@ class Smith:
     (`int_valuation` reduces first), so the pivots are those of an
     elimination that reduces every row operation.
 
-    At a pivot u*p^v with v > 0 the pivot row is multiplied by u^-1.  A
-    unit pivot row (v = 0) is only reduced: the rows below are cleared
-    with q*u^-1, and the readers multiply its quotients by u^-1.  That
-    saves one wide product per entry of the pivot row, most of the
-    elimination when few rows need clearing (every pivot of the Mahler
-    boundary at p = 2^31 - 1).  The quotients of a pivot with v > 0 are
-    residues mod p^(N-v) and cannot be scaled at replay time.
+    At a pivot u*p^v with v > 0 the pivot row is multiplied by u^-1; its
+    quotients are residues mod p^(N-v) and cannot be scaled at replay
+    time.  A unit pivot row (v = 0) is only reduced, and u^-1 is taken
+    only where it is read: at the first row cleared below the pivot
+    (with q*u^-1), in `v_column` where its quotients meet a nonzero
+    entry, and in `snf`.  The Mahler boundary at p = 2^31 - 1 has no row
+    to clear, so it takes no inverse and no wide product.
 
     Ties break column-major: the pivot is the first entry of minimal
     valuation in the leftmost column that has one.  The scan looks for
     the first unit, an entry x with x % p != 0, by that test alone, and
-    computes valuations only when the remaining block has no unit.  That
-    suits the Mahler boundary psi - id, which is upper triangular: a
+    computes valuations only when the remaining block has no unit.  A
+    column read to the bottom without a unit is flagged and not read
+    again: the pivot row has a non-unit y there, so x - m*y keeps each
+    entry's residue mod p, and after a v > 0 pivot no unit is left.
+    That suits the Mahler boundary psi - id, which is upper triangular: a
     column holds nothing below its diagonal entry, so a unit taken from
-    the leftmost live column leaves few rows below to clear.  A
-    row-major tie-break, at a row whose diagonal entry is
-    not a unit, takes a unit right of the diagonal, and the column
-    swapped in has entries on every row down to its own diagonal: for
-    L = 128 and p = 3 that is 1288 row operations against 392.
+    the leftmost live column leaves few rows below to clear.  A row-major
+    tie-break, at a row whose diagonal entry is not a unit, takes a unit
+    right of the diagonal, and the column swapped in has entries on every
+    row down to its own diagonal: for L = 128 and p = 3 that is 1288 row
+    operations against 392.
 
     Once the rows below the pivot are cleared, column k is zero off the
     pivot p^v, so the column operations that clear row k change only row
@@ -219,8 +223,8 @@ class Smith:
     above k are therefore zero from column k on, and a column swap
     touches only rows k and below.
 
-    Step k records the row and column swapped into place, the unit
-    inverse, the row multipliers (i, q) and the column quotients qs:
+    Step k records the row and column swapped into place, the pivot's
+    unit u, the row multipliers (i, q) and the column quotients qs:
     (x*u^-1 mod p^N) // p^v for the entries x of row k when v > 0, the
     reduced entries themselves at a unit pivot, None when row k was
     already clear.  `valuations` comes from the elimination alone; the
@@ -237,9 +241,16 @@ class Smith:
         r, c = A.rows, A.cols
         M = [row[:] for row in A.data]
         steps, vals = [], []
+        unitless = [False] * c  # no unit in rows >= k of column j
         for k in range(min(r, c)):
-            unit = next(((i, j) for j in range(k, c) for i in range(k, r)
-                         if M[i][j] % p), None)
+            unit = None
+            for j in range(k, c):
+                if not unitless[j]:
+                    unit = next(((i, j) for i in range(k, r) if M[i][j] % p),
+                                None)
+                    if unit:
+                        break
+                    unitless[j] = True
             if unit:
                 v, (bi, bj) = 0, unit
             else:
@@ -254,15 +265,17 @@ class Smith:
                 # rows above k are zero from column k on
                 for row in M[k:]:
                     row[k], row[bj] = row[bj], row[k]
+                unitless[k], unitless[bj] = unitless[bj], unitless[k]
             pv = p**v
             Mk = M[k]
-            inv = pow(Mk[k] % pN // pv, -1, pN)
+            u = Mk[k] % pN // pv
+            inv = pow(u, -1, pN) if v else None
             Mk[k] = pv
             if v:
                 tail = [x * inv % pN for x in Mk[k + 1:]]
                 qs = [x // pv for x in tail]
             else:
-                # a unit pivot row stays unscaled: readers scale qs by inv
+                # a unit pivot row stays unscaled: readers scale qs by u^-1
                 tail = qs = [x % pN for x in Mk[k + 1:]]
             Mk[k + 1:] = [0] * (c - k - 1)
             ops = []
@@ -272,13 +285,15 @@ class Smith:
                     q = Mi[k] % pN // pv
                     Mi[k] = 0
                     if q:
+                        if inv is None:
+                            inv = pow(u, -1, pN)
                         m = q if v else q * inv % pN
                         Mi[k + 1:] = [x - m * y
                                       for x, y in zip(Mi[k + 1:], tail)]
                         ops.append((i, q))
             if not any(qs):
                 qs = None
-            steps.append((bi, bj, inv, ops, qs))
+            steps.append((bi, bj, u, ops, qs))
             vals.append(v)
         self.A = A
         self.steps = steps
@@ -292,23 +307,26 @@ class Smith:
         x = [0] * self.A.cols
         x[j] = 1
         for k in range(len(self.steps) - 1, -1, -1):
-            _, bj, inv, _, qs = self.steps[k]
+            _, bj, u, _, qs = self.steps[k]
             if qs:
                 t = sum(map(mul, qs, x[k + 1:]))
-                x[k] = (x[k] - (t if vals[k] else t * inv)) % pN
+                if t and not vals[k]:
+                    t *= pow(u, -1, pN)
+                x[k] = (x[k] - t) % pN
             x[k], x[bj] = x[bj], x[k]
         return x
 
     def kernel_column(self, j: int) -> list[int]:
         """p^(N - v_j) * V*e_j, which A annihilates since A*V = U^-1 * D.
 
-        Checked against A; a nonzero product means the transcript was
-        replayed wrongly and raises RuntimeError."""
+        Checked against A on the column's support; a nonzero product means
+        the transcript was replayed wrongly and raises RuntimeError."""
         A = self.A
         pN = A.modulus
         s = A.prime ** (A.precision - self.valuations[j])
         x = [y * s % pN for y in self.v_column(j)]
-        if any(sum(map(mul, row, x)) % pN for row in A.data):
+        support = [(i, y) for i, y in enumerate(x) if y]
+        if any(sum(row[i] * y for i, y in support) % pN for row in A.data):
             raise RuntimeError(f"Smith transcript: column {j} of V is not "
                                f"a kernel vector")
         return x
@@ -329,7 +347,8 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     r, c = A.rows, A.cols
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    for k, (bi, bj, inv, ops, qs) in enumerate(S.steps):
+    for k, (bi, bj, u, ops, qs) in enumerate(S.steps):
+        inv = pow(u, -1, pN)
         if bi != k:
             U[k], U[bi] = U[bi], U[k]
         if bj != k:

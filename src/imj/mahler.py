@@ -59,6 +59,7 @@ columns span, are those of psi, and so is the normalized generator.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
@@ -174,7 +175,7 @@ def _h_rows(L: int, p: int, N: int,
         if col[i] != diag:
             raise RuntimeError(f"recurrence row {i}: diagonal is not "
                                f"a^{i} U[{i}]")
-        cols.append(col + [0] * (L - 1 - i))
+        cols.append(col)
         U.append(u)
         if i + 1 < L:
             h = [0] + [(c * (x + y) - i * x) % m
@@ -189,7 +190,7 @@ def _h_rows(L: int, p: int, N: int,
                 m = max(m // d, 1)
             u = u * q % pN
             diag = diag * a * q % pN
-    return [list(row) for row in zip(*cols)], U
+    return [list(row) for row in zip_longest(*cols, fillvalue=0)], U
 
 
 def _integer_generator(p: int) -> int:

@@ -251,6 +251,47 @@ def test_smith_pivots_follow_the_rule():
             (A.prime, A.precision, A.data)
 
 
+def scaled_column_matrices():
+    """240 seeded matrices up to 8 x 8 over Z/p^N, p in {3, 5, 7} and N in
+    1..6, with the columns at random positions scaled by p^e, e >= 1, so
+    that the pivot scan meets columns with no unit below row k.  Every
+    fourth matrix has all its columns scaled: no unit at all.  A column
+    scaled at e >= N, and every scaled column at precision 1, is zero."""
+    rng = random.Random(1618)
+    for n in range(240):
+        p = rng.choice([3, 5, 7])
+        N = rng.randint(1, 6)
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        data = [[mixed_entry(rng, p, N) if rng.randrange(2)
+                 else rng.randrange(p**N) for _ in range(c)]
+                for _ in range(r)]
+        scaled = (range(c) if n % 4 == 0
+                  else rng.sample(range(c), rng.randint(0, c)))
+        for j in scaled:
+            s = p ** rng.randint(1, N + 1)
+            for row in data:
+                row[j] = row[j] * s % p**N
+        yield ModMatrix._empty(r, c, p, N, data)
+
+
+def test_unitless_columns_keep_the_pivots_of_the_rule():
+    # the scan does not read again a column it read to the bottom without
+    # a unit: the pivot row has a non-unit there, so no row operation
+    # below a pivot makes one
+    shapes = set()
+    for A in scaled_column_matrices():
+        assert [step[:2] for step in Smith(A).steps] == pivots_by_rule(A), \
+            (A.prime, A.precision, A.data)
+        assert [m.data for m in snf(A)] == list(snf_full_sweep(A)), \
+            (A.prime, A.precision, A.data)
+        unitless = all(x % A.prime == 0 for row in A.data for x in row)
+        shapes.add((A.rows * A.cols == 0, A.rows != A.cols,
+                    A.precision == 1, unitless))
+    # empty, rectangular, precision-1 and unit-free blocks all occur
+    assert all(any(s[i] for s in shapes) for i in range(4))
+    assert (False, False, False, True) in shapes
+
+
 def test_pivot_scan_takes_valuations_only_without_a_unit(monkeypatch):
     # the scan looks for a unit by x % p alone and computes valuations
     # only in a block that has none: 4 of the 128 pivots here, where a
@@ -449,6 +490,32 @@ def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
         U, D, V = snf(A)
         assert D.data == [[p**v]]
         assert U * A * V == D
+
+
+def test_smith_inverts_a_unit_pivot_only_to_clear_below_it(monkeypatch):
+    """The third slot of a step keeps the pivot's unit u; the elimination
+    takes u^-1 for a unit pivot only at the first row it clears below
+    it, and v_column only where a quotient meets a nonzero entry.  At
+    p = 2^31 - 1 the Mahler boundary has no row to clear below any of
+    its 255 unit pivots, and its kernel column reads none of them."""
+    taken = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            taken.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(gmod, "pow", counted, raising=False)
+    inv = invariants(256, 2147483647, 64)
+    assert inv.rank == 1
+    assert [c.residue for c in inv.generators[0].coefficients] == \
+        [1] + [0] * 255
+    assert taken == []
+    # one unit pivot, 2, and one row below it to clear
+    S = Smith(ModMatrix([[2, 1], [4, 2]], 3, 2))
+    assert S.valuations == [0, 2]
+    assert S.steps[0][2] == 2
+    assert taken == [2]
 
 
 def test_production_builds_no_transform(monkeypatch):
