@@ -1,12 +1,14 @@
 """Command-line entry points for the invariant calculators.
 
-Subcommands: e2, run, chart, abutment, cohomology, mahler, limits, cobar.
-Flags: each subcommand takes only the options it reads (`imj CMD -h`),
-declared once with flag, type, default and range check in `_command`
-over its handler.  The config file is flat key=value text (# starts a
-comment) whose keys are the subcommand's options spelled like the long
-flags; an unknown key is a configuration error.  Precedence is flags >
-config file > defaults.
+Subcommands: e2, run, chart, abutment, cohomology, mahler, limits,
+cobar.  Flags: each subcommand takes only the options it reads
+(`imj CMD -h`), declared once with flag, type, default and range check
+in `_command` over its handler; an argv that starts with a subcommand goes
+straight to that subcommand's parser.  The config file is flat key=value
+text (# starts a comment) whose keys are the subcommand's options
+spelled like the long flags; an unknown key, or a value that does not
+parse (a boolean is one of 1, true, yes, on, 0, false, no, off), is a
+configuration error.  Precedence is flags > config file > defaults.
 
 Exit codes are stable: 0 on success, 1 when an engine self-check failed
 (a bug; one `internal error:` line on stderr), 2 on precision failure (and
@@ -14,15 +16,17 @@ on usage or configuration errors, matching the argparse convention, and
 on a value past its bound), 3 on window failure.
 
 Output formats. Tables are plain text, one record per line. Every JSON
-document is written here, as the bytes json.dumps(doc, indent=2) writes,
-one %-format per row: `_json_dict` writes the dict documents, and `run`
-(the schema in `_run_json`), `e2` and the charts are written degree by
-degree from the records of `ssq` (`_texts`). Charts place a class at
-(stem, s) = (t - c, f + c): ascii-chart draws one glyph per class ('o'
-for c = 0, 'z' for c = 1) in 3-column cells with '\\' in the cell
-up-left of a differential source; svg-chart is byte-deterministic with
-fixed layout constants (28 px cells, 40 px margins, radius-3 circles for
-c = 0, 6 px squares for c = 1).
+document is written here, as the bytes json.dumps(doc, indent=2) writes:
+`_json_dict` writes the dict documents, and `run` (the schema in
+`_run_json`), `e2` and the charts are written degree by degree from the
+records of `ssq`, each shape of a degree's rows formatted once and
+filled per degree (`_texts`); each `run` page text of a degree is
+formatted once. Charts place a class at (stem, s) = (t - c, f + c):
+ascii-chart draws one glyph per class ('o' for c = 0, 'z' for c = 1) in
+3-column cells with '\\' in the cell up-left of a differential source;
+svg-chart is byte-deterministic with fixed layout constants (28 px
+cells, 40 px margins, radius-3 circles for c = 0, 6 px squares for
+c = 1).
 
 Stem windows convert to internal-degree windows by t in [a, b + 1], which
 always contains its even interior, so any nonempty stem window is
@@ -36,7 +40,6 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple
 
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
@@ -67,28 +70,24 @@ _MAX_K_SPAN = 10000
 # primality (and, for `mahler` only, factors p - 1 for the primitive root)
 # stops within about 46,341 steps; README times each subcommand at this p.
 _MAX_P = 2**31 - 1
+# the config spellings of a boolean option
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False)
 
 
-class _Opt(NamedTuple):
+class _Opt:
     """One option of a subcommand; its config key is the last flag without
     dashes.  The value comes from the flag, else the config file, else
     `default` or, with `follows`, the value of that earlier option.
     `check(value, key, cmd)` returns a refusal message or None."""
 
-    flags: str
-    help: str
-    default: object = None
-    cast: type = int
-    check: object = None
-    follows: str | None = None
-
-    @property
-    def key(self) -> str:
-        return self.flags.split()[-1].lstrip("-")
-
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_")
+    def __init__(self, flags: str, help: str, default: object = None,
+                 cast: type = int, check=None, follows: str | None = None):
+        self.flags, self.help, self.default = flags, help, default
+        self.cast, self.check, self.follows = cast, check, follows
+        # once, at declaration: every call of main reads them
+        self.key = flags.split()[-1].lstrip("-")
+        self.dest = self.key.replace("-", "_")
 
     def add_to(self, parser) -> None:
         kind = {"action": "store_true"} if self.cast is bool else \
@@ -102,8 +101,14 @@ class _Opt(NamedTuple):
         val = getattr(args, self.dest)
         if val is None and self.key in filecfg:
             raw = filecfg[self.key]
-            val = (raw.lower() in ("1", "true", "yes", "on")
-                   if self.cast is bool else self.cast(raw))
+            try:
+                val = _BOOLS[raw.lower()] if self.cast is bool else \
+                    self.cast(raw)
+            except (KeyError, ValueError):
+                want = f"one of {', '.join(_BOOLS)}" if self.cast is bool \
+                    else "an integer"
+                raise ValueError(f"config key {self.key!r} in {args.config}: "
+                                 f"{raw!r} is not {want}") from None
         if val is None:
             val = self.default if self.follows is None else \
                 got[self.follows]
@@ -146,14 +151,16 @@ def _formats(*names) -> _Opt:
 def _resolve(args, options, window) -> argparse.Namespace:
     """The subcommand's values, flags > config file > defaults, checked
     option by option and then the window."""
-    filecfg = _read_config(args.config) if args.config else {}
-    valid = sorted(opt.key for opt in options)
-    unknown = sorted(set(filecfg) - set(valid))
-    if unknown:
-        raise ValueError(f"unknown config key "
-                         f"{', '.join(map(repr, unknown))} in "
-                         f"{args.config}; valid keys for {args.cmd}: "
-                         f"{', '.join(valid)}")
+    filecfg = {}
+    if args.config:
+        filecfg = _read_config(args.config)
+        valid = sorted(opt.key for opt in options)
+        unknown = sorted(set(filecfg) - set(valid))
+        if unknown:
+            raise ValueError(f"unknown config key "
+                             f"{', '.join(map(repr, unknown))} in "
+                             f"{args.config}; valid keys for {args.cmd}: "
+                             f"{', '.join(valid)}")
     got = {}
     for opt in options:
         got[opt.dest] = opt.resolve(args, filecfg, got)
@@ -310,12 +317,21 @@ def _run_json(result) -> Iterator[str]:
     lo, hi = result.window
     opening = (f'{{\n  "prime": {result.prime},\n  "precision": {N},\n'
                f'  "window": [\n    {lo},\n    {hi}\n  ],\n  "pages": [\n')
+    shapes = {(w, t0): _class_rows(names[t0], _kept(N, w), " " * 8)
+              for w, t0 in {(w, t0) for (v, t0), _ in degs for w in (v, N)}}
+    # a degree's text is its full text (shape (N, t0)) on pages 2 .. v + 1
+    # and its kept text (shape (v, t0)) after; each is formatted once, the
+    # full text held only where a later page repeats it (v >= 2) and the
+    # kept text only where a page shows it (v + 1 < last)
+    full = [shapes[N, t0] % fields if v >= 2 else None
+            for (v, t0), fields in degs]
+    kept = [shapes[v, t0] % fields if v + 1 < last else None
+            for (v, t0), fields in degs]
     for r in range(2, last + 1):
         yield from _json_chunks(
-            opening + f'    {{\n      "r": {r},\n      "classes": ', _texts(
-                lambda w, t0: _class_rows(names[t0], _kept(N, w), " " * 8),
-                [((N if r <= v + 1 else v, t0), fields)
-                 for (v, t0), fields in degs]),
+            opening + f'    {{\n      "r": {r},\n      "classes": ',
+            (text if r > v + 1 else held or shapes[N, t0] % fields
+             for ((v, t0), fields), held, text in zip(degs, full, kept)),
             " " * 6, "\n    }" + ("," if r < last else ""))
         opening = ""
     yield from _json_chunks('  ],\n  "differentials": ', _texts(
@@ -544,8 +560,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="height-one chromatic invariants at an odd prime")
     sub = parser.add_subparsers(dest="cmd", required=True,
                                 metavar="SUBCOMMAND")
+    parser.commands = {}  # subcommand name -> its parser, for main
     for name, (_, summary, options, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=summary)
+        sp = parser.commands[name] = sub.add_parser(name, help=summary)
         for opt in options:
             opt.add_to(sp)
         sp.add_argument("--config", default=None, metavar="PATH",
@@ -558,7 +575,18 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:  # none, -h, or an unknown or abbreviated subcommand
+        args = _PARSER.parse_args(argv)
+    else:
+        # what _PARSER would do, without first classifying every token:
+        # the subcommand's parser reads the rest, and what it leaves is
+        # reported as the top parser reports it
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.cmd = argv[0]
     handler, _, options, window = _COMMANDS[args.cmd]
     try:
         opts = _resolve(args, options, window)

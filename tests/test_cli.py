@@ -709,6 +709,78 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert rc == 0 and out
 
 
+class _Parsed(Exception):
+    """Raised in place of resolving, carrying what main parsed."""
+
+
+def _outcome(call, capsys):
+    """(exit code or parsed values, stdout, stderr) of a parse."""
+    try:
+        got = vars(call())
+    except SystemExit as exc:
+        got = exc.code
+    except _Parsed as exc:
+        got = vars(exc.args[0])
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--he"], ["nope"], ["ru"], ["ru", "-p", "3"],
+    ["run", "-h"], ["run", "--stem-m", "4"], ["run", "-N8"],
+    ["run", "--stem-min=-4"], ["run", "--stem-min", "-4"], ["run", "-p"],
+    ["run", "-N", "x"], ["run", "-p", "3", "-p", "5"],
+    ["run", "--", "-p", "3"], ["run", "--fmax", "3"],
+    ["run", "--stem-min", "0", "--stem-max", "10", "extra"],
+    ["run", "extra", "-h"], ["e2", "--st", "3"], ["limits", "--moore"],
+    ["cobar", "-n", "1", "--config"], ["-h", "run"], ["--", "run"],
+], ids=repr)
+def test_parser_dispatch_matches_argparse(argv, monkeypatch, capsys):
+    # main hands a subcommand's argv straight to that subcommand's parser;
+    # every exit code, stdout and stderr byte and every parsed value is
+    # what the whole parser gives
+    from imj import cli
+
+    def parsed(args, options, window):
+        raise _Parsed(args)
+
+    monkeypatch.setattr(cli, "_resolve", parsed)
+    assert _outcome(lambda: main(list(argv)), capsys) == _outcome(
+        lambda: cli._build_parser().parse_args(list(argv)), capsys)
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (["run"], "p = abc\n", "p"),
+    (["mahler"], "L = 1.5\n", "L"),
+    (["limits"], "moore = maybe\n", "moore"),
+    (["limits"], "moore =\n", "moore"),
+])
+def test_config_value_that_does_not_parse_names_key_and_file(
+        argv, cfg, key, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(cfg)
+    rc, out, err = run_cli(argv + ["--config", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: config key {key!r} in {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spelling,on", [
+    (word, on) for words, on in (("1 true yes on True YES", True),
+                                 ("0 false no off FALSE Off", False))
+    for word in words.split()])
+def test_config_booleans_accept_the_documented_spellings(spelling, on,
+                                                         tmp_path, capsys):
+    path = tmp_path / "moore.cfg"
+    path.write_text(f"moore = {spelling}\n")
+    rc, out, err = run_cli(["limits", "--config", str(path)], capsys)
+    if on:
+        assert (rc, err) == (0, "") and out
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: limits needs --moore")
+
+
 # Options a subcommand never reads are not options of it.
 _DEAD_FLAGS = [["run", "--fmax", "3"]] + [
     [cmd, flag, "4"] for cmd in ("abutment", "cohomology", "mahler")
