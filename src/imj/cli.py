@@ -13,7 +13,8 @@ configuration error.  Precedence is flags > config file > defaults.
 Exit codes are stable: 0 on success, 1 when an engine self-check failed
 (a bug; one `internal error:` line on stderr), 2 on precision failure (and
 on usage or configuration errors, matching the argparse convention, and
-on a value past its bound), 3 on window failure.
+on a value past its bound), 3 on window failure.  A reader that closes
+stdout early (`| head`) ends the run with 0 and nothing on stderr.
 
 Output formats. Tables are plain text, one record per line. Every JSON
 document is written here, as the bytes json.dumps(doc, indent=2) writes:
@@ -35,6 +36,7 @@ even-compatible.
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -597,6 +599,14 @@ def main(argv=None) -> int:
     except WindowError as exc:
         print(f"window failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early (`imj run ... | head`), which is
+        # not an error; fd 1 goes to devnull so the flush at exit passes
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

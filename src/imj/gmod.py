@@ -8,23 +8,27 @@ they become pivot rows, a unit pivot row is left unscaled, its unit is
 inverted only where the inverse is read, and the pivot scan reads a
 column without a unit once (see `Smith`).  All the homological
 bookkeeping downstream reduces to the one elimination here, `Smith`,
-which keeps the transcript of its steps; each reader replays only what
-its caller needs:
+which keeps the transcript of its steps.  Each output has one reader,
+and each caller reads only what it needs:
 
-- `Smith.valuations`, from the elimination alone: the two-term complex
-  id - psi in a degree of rank > 1 (`grpcoh.boundary_snf`, the one pass
-  over a `PsiModule`'s stored rows that `two_term_cohomology` and
-  `ssq.run` iterate; a rank-1 degree reads its one valuation without an
-  elimination or a `ModMatrix`).
+- `Smith.valuations`, the diagonal D = diag(p^v_k), from the elimination
+  alone: the two-term complex id - psi in a degree of rank > 1
+  (`grpcoh.boundary_snf`, the one pass over a `PsiModule`'s stored rows
+  that `two_term_cohomology` and `ssq.run` iterate; a rank-1 degree
+  reads its one valuation without an elimination or a `ModMatrix`).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit
-  (`grpcoh.PsiModule`, once for psi in a Lubin-Tate window);
+  (`grpcoh.PsiModule`, for caller-supplied matrices; a Lubin-Tate
+  window is 1 mod p and checks none);
+- `Smith.u_rows`, U, the row steps replayed forwards: `solve` and
+  `QuotPres`;
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
   `mahler.invariants` (the saturated columns) and `kernel_gens`
-  (`towers.truncated_kernel`);
-- `snf`, the full U, D, V, with D = diag(p^v_k) built from
-  `Smith.valuations`: `solve`, `QuotPres` and acceptance check 8.
+  (`towers.truncated_kernel`); `v_rows`, all of V from it: `solve`.
+
+`snf` puts the three together, U, D and V, for acceptance check 8 and
+the tests.
 
 The generic engine has no production caller and serves the tests as an
 oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .padic import int_valuation
+from .padic import PrecisionError, int_valuation
 
 
 class ModMatrix:
@@ -53,6 +57,8 @@ class ModMatrix:
     __slots__ = ("rows", "cols", "prime", "precision", "data")
 
     def __init__(self, data: list[list[int]], prime: int, precision: int):
+        if precision < 1:
+            raise PrecisionError(f"precision {precision} < 1")
         self.prime = prime
         self.precision = precision
         pN = prime**precision
@@ -90,9 +96,6 @@ class ModMatrix:
     @property
     def modulus(self) -> int:
         return self.prime**self.precision
-
-    def entry_valuation(self, i: int, j: int) -> int:
-        return int_valuation(self.data[i][j], self.prime, self.precision)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -198,7 +201,7 @@ class Smith:
     time.  A unit pivot row (v = 0) is only reduced, and u^-1 is taken
     only where it is read: at the first row cleared below the pivot
     (with q*u^-1), in `v_column` where its quotients meet a nonzero
-    entry, and in `snf`.  The Mahler boundary at p = 2^31 - 1 has no row
+    entry, and in `u_rows`.  The Mahler boundary at p = 2^31 - 1 has no row
     to clear, so it takes no inverse and no wide product.
 
     Ties break column-major: the pivot is the first entry of minimal
@@ -227,10 +230,11 @@ class Smith:
     unit u, the row multipliers (i, q) and the column quotients qs:
     (x*u^-1 mod p^N) // p^v for the entries x of row k when v > 0, the
     reduced entries themselves at a unit pivot, None when row k was
-    already clear.  `valuations` comes from the elimination alone; the
-    work matrix it leaves is diag(p^v_k) mod p^N, so no D is kept.
-    `v_column` and `kernel_column` replay the column steps backwards on
-    one vector; `snf` replays every step forwards into U and V.
+    already clear.  Each output has one reader: `valuations` comes from
+    the elimination alone (the work matrix it leaves is diag(p^v_k) mod
+    p^N, so no D is kept), `u_rows` replays the row steps forwards into
+    U, and `v_column` replays the column steps backwards on one vector
+    (`kernel_column` and `v_rows` read V through it).
     """
 
     __slots__ = ("A", "steps", "valuations")
@@ -300,6 +304,20 @@ class Smith:
         # v_j of D_jj = p^(v_j), N where the diagonal has no pivot
         self.valuations = vals + [N] * (c - len(vals))
 
+    def u_rows(self) -> list[list[int]]:
+        """U as rows: the row steps run forwards on the identity."""
+        pN = self.A.modulus
+        r = self.A.rows
+        U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        for k, (bi, _, u, ops, _) in enumerate(self.steps):
+            inv = pow(u, -1, pN)
+            if bi != k:
+                U[k], U[bi] = U[bi], U[k]
+            Uk = U[k] = [x * inv % pN for x in U[k]]
+            for i, q in ops:
+                U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]
+        return U
+
     def v_column(self, j: int) -> list[int]:
         """V*e_j: the column steps run backwards on e_j, O(rows*cols)."""
         pN = self.A.modulus
@@ -315,6 +333,11 @@ class Smith:
                 x[k] = (x[k] - t) % pN
             x[k], x[bj] = x[bj], x[k]
         return x
+
+    def v_rows(self) -> list[list[int]]:
+        """V as rows; column j is `v_column(j)`."""
+        return [list(row) for row in zip(*map(self.v_column,
+                                              range(self.A.cols)))]
 
     def kernel_column(self, j: int) -> list[int]:
         """p^(N - v_j) * V*e_j, which A annihilates since A*V = U^-1 * D.
@@ -335,47 +358,19 @@ class Smith:
 def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """Smith normal form over Z/p^N: U*A*V = D, U and V invertible.
 
-    The `Smith` transcript replayed forwards: row steps build U, column
-    steps build V, and D is diag(p^v_k) of `Smith.valuations`, 0 where
-    v_k = N.  That costs O(rows^3 + cols^3) on top of the
-    elimination; callers that need only the valuations or a few columns
-    of V read `Smith` directly.
+    Read off one `Smith`: U from `u_rows`, V from `v_rows` and D =
+    diag(p^v_k) from `valuations`, 0 where v_k = N.  That costs
+    O(rows^3 + cols^3) on top of the elimination; callers that need only
+    the valuations or a few columns of V read `Smith` directly.
     """
     S = Smith(A)
     p, N = A.prime, A.precision
-    pN = p**N
     r, c = A.rows, A.cols
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    for k, (bi, bj, u, ops, qs) in enumerate(S.steps):
-        inv = pow(u, -1, pN)
-        if bi != k:
-            U[k], U[bi] = U[bi], U[k]
-        if bj != k:
-            for row in V:
-                row[k], row[bj] = row[bj], row[k]
-        Uk = U[k] = [x * inv % pN for x in U[k]]
-        for i, q in ops:
-            U[i] = [(x - q * y) % pN for x, y in zip(U[i], Uk)]
-        if qs:
-            unit = S.valuations[k] == 0
-            for row in V:
-                x = row[k]
-                if x:
-                    if unit:
-                        x = x * inv % pN
-                    row[k + 1:] = [(y - q * x) % pN
-                                   for y, q in zip(row[k + 1:], qs)]
     D = [[p**v if i == j and v < N else 0 for j, v in enumerate(S.valuations)]
          for i in range(r)]
-    return (ModMatrix._empty(r, r, p, N, U), ModMatrix._empty(r, c, p, N, D),
-            ModMatrix._empty(c, c, p, N, V))
-
-
-def diagonal_valuations(D: ModMatrix) -> list[int]:
-    """Valuation of D_jj per column j, taking N for absent diagonal entries."""
-    return [D.entry_valuation(j, j) if j < D.rows else D.precision
-            for j in range(D.cols)]
+    return (ModMatrix._empty(r, r, p, N, S.u_rows()),
+            ModMatrix._empty(r, c, p, N, D),
+            ModMatrix._empty(c, c, p, N, S.v_rows()))
 
 
 def kernel_gens(A: ModMatrix) -> ModMatrix:
@@ -393,10 +388,9 @@ def kernel_gens(A: ModMatrix) -> ModMatrix:
 def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
     """Some X with A*X = B over Z/p^N, or None when B is not in the image."""
     p, N = A.prime, A.precision
-    pN = p**N
-    U, D, V = snf(A)
-    C = U * B
-    vals = diagonal_valuations(D)
+    S = Smith(A)
+    C = ModMatrix._empty(A.rows, A.rows, p, N, S.u_rows()) * B
+    vals = S.valuations
     Y = [[0] * B.cols for _ in range(A.cols)]
     for i in range(A.rows):
         v = vals[i] if i < A.cols else None
@@ -409,7 +403,8 @@ def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
                 if int_valuation(cij, p, N) < v:
                     return None
                 Y[i][j] = cij // p**v
-    return V * ModMatrix(Y, p, N)
+    return ModMatrix._empty(A.cols, A.cols, p, N, S.v_rows()) * \
+        ModMatrix(Y, p, N)
 
 
 def sub_intersect(G1: ModMatrix, G2: ModMatrix) -> ModMatrix:
@@ -437,9 +432,10 @@ class QuotPres:
     def __init__(self, gens: ModMatrix, W: ModMatrix):
         self.prime, self.precision = gens.prime, gens.precision
         self.gens = gens
-        U, D, _ = snf(W)
-        self.U = U
-        vals = diagonal_valuations(D) + [self.precision] * (W.rows - W.cols)
+        S = Smith(W)
+        self.U = ModMatrix._empty(W.rows, W.rows, W.prime, W.precision,
+                                  S.u_rows())
+        vals = S.valuations + [self.precision] * (W.rows - W.cols)
         self.indices = [i for i in range(W.rows) if vals[i] > 0]
         self.exponents = [vals[i] for i in self.indices]
 

@@ -64,8 +64,8 @@ from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_window
-from .padic import (PadicInt, psi_generator, require_odd_prime,
-                    smallest_primitive_root, vp)
+from .padic import (PadicInt, PrecisionError, psi_generator,
+                    require_odd_prime, smallest_primitive_root, vp)
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -208,8 +208,10 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
 
     The rows of `_h_rows` for a = psi mod p^(N + v_p((L-1)!)), column i
     multiplied by the inverse of the unit part of i! mod p^N: one product
-    per entry.  The first step is `require_odd_prime`."""
+    per entry.  The first steps are `require_odd_prime`, N >= 1."""
     require_odd_prime(p)
+    if N < 1:
+        raise PrecisionError(f"precision {N} < 1")
     pN = p**N
     a = psi_generator(p, N + _vp_factorial(L - 1, p)).residue
     rows, U = _h_rows(L, p, N, a)
@@ -260,10 +262,13 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     times a kernel column of H - diag(U) is a kernel column of
     id - psi_g.  Only the saturated kernel columns are read, one at a
     time from the Smith transcript; the row transform and the rest of V
-    are never built.  `require_odd_prime` is asked before B."""
+    are never built.  `require_odd_prime` and N >= 1 are asked before
+    B, so the working precision N + B never hides a precision below 1."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     require_odd_prime(p)
+    if N < 1:
+        raise PrecisionError(f"precision {N} < 1")
     # det of the upper-triangular complement: sum of diagonal valuations
     B = sum(1 + vp(i, p) for i in range(1, L)
             if i % (p - 1) == 0)

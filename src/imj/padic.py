@@ -6,8 +6,10 @@ of a nonzero residue is exact; zero has valuation N by convention, since
 it cannot be told apart from any element of valuation >= N.
 
 psi = sigma*(1+p), built here, generates Z_p^x; v(1 - psi^k) = 1 + v_p(k)
-when (p-1) | k != 0, else 0: the image-of-J pattern.  It serves `mahler`
-and the tests; the `grpcoh` windows step (1+p)^(p-1) and never build it.
+when (p-1) | k != 0, else 0: the image-of-J pattern.  Only
+`mahler.psi_matrix`, the tests and demo 01 build it: `mahler.invariants`
+runs on a small integer generator, and the `grpcoh` windows step
+(1+p)^(p-1).
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ def test_moore_convergence_witness():
     # moore_example(3): lim = 0 with lim1 != 0 at the modeled bidegree,
     # and the declared stages match per-summand engine runs through page 6.
     rep = lim_lim1(moore_example(3))
-    assert rep.lim.is_zero
+    assert rep.lim.is_zero()
     assert rep.lim1_nonzero
     assert rep.witness is not None
     assert rep.witness.refutes_preimage_window(8)

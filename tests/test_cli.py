@@ -1024,3 +1024,28 @@ def test_rational_h1_self_check_can_fire(monkeypatch, capsys):
     assert (rc, out) == (1, "")
     assert err == ("internal error: rational H^1 carried by [0, 6], "
                    "expected [0]\n")
+
+
+def test_a_reader_that_stops_early_is_not_an_error(tmp_path):
+    # `imj run ... | head -c 10`: the writes after the reader closes the
+    # pipe end the run with exit 0 and nothing on stderr, not even from
+    # the interpreter's flush at exit; an unwritable -o PATH still fails
+    import imj
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imj.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "imj.cli", "run", "-p", "3", "-N", "64",
+            "--stem-min", "0", "--stem-max", "200", "--format", "json"]
+    # a 1.4 MB document, far past what the pipe buffers
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err, head) == (0, b"", b'{\n  "prime')
+    target = tmp_path / "missing" / "run.json"
+    proc = subprocess.run(argv + ["-o", str(target)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
+    assert proc.stdout == ""

@@ -289,6 +289,20 @@ def test_invariants_rejects_composite_p():
         invariants(16, 9, 6)
 
 
+def test_precision_below_one_is_refused_up_front():
+    # both Mahler entry points name the caller's N, even where the working
+    # precision N + B of invariants is >= 1, and a matrix keeps int residues
+    for call in (lambda: invariants(2, 3, 0),
+                 lambda: invariants(8, 3, -10),
+                 lambda: invariants(8, 3, -3),
+                 lambda: psi_matrix(4, 3, 0),
+                 lambda: ModMatrix([[1]], 3, -1)):
+        with pytest.raises(PrecisionError, match=r"^precision -?\d+ < 1$"):
+            call()
+    with pytest.raises(PrecisionError, match=r"^precision -10 < 1$"):
+        invariants(8, 3, -10)
+
+
 def test_h1_rational_profile_window():
     rep = h1_rational_profile((-20, 20), 3, 6)
     assert rep.rational_h1 == [0]

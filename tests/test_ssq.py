@@ -98,6 +98,31 @@ def test_differential_set_matches_closed_form():
         assert got == expected, f"p={p}"
 
 
+def closed_form_unit(m, p):
+    """(1 + v_p(m), m / p^(v_p(m)) mod p) for m != 0, in integer arithmetic
+    alone: 1 - (1+p)^((p-1)m) = -(p-1)mp(1 + pO(1)) and -(p-1) = 1 mod p."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return 1 + v, m % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_differential_units_have_the_closed_form(p):
+    # in degree t = 2(p-1)m != 0 the unit of d_{1+v_p(m)} is
+    # m / p^(v_p(m)) mod p: every record and every differential, |m| <= 2p^2
+    per, N = 2 * p - 2, 5
+    out = run(p, (-2 * p * p * per, 2 * p * p * per), N)
+    expected = {per * m: closed_form_unit(m, p)
+                for m in range(-2 * p * p, 2 * p * p + 1) if m}
+    assert {t: (v, unit) for t, v, unit, _ in out.records if t} == expected
+    diffs = out.differentials
+    assert {d.source.t for d in diffs} == set(expected)
+    for d in diffs:
+        assert (d.r, d.coefficient) == expected[d.source.t], (p, d)
+
+
 def test_differential_record_invariants():
     out = run(3, (0, 12), 5)
     for rec in out.differentials:
@@ -326,8 +351,8 @@ def oracle_run(p, window, N):
                                 _row(ChartClass.monomial(p, k, f + m, 1)),
                                 coeff))
         pages.append((m + 1, _rows(classes)))
-    artifacts = [cl for cl in classes if cl.c == 0 and cl.t != 0
-                 and cl.f >= N - ss.boundary(cl.t).entry_valuation(0, 0)]
+    artifacts = [cl for cl in classes if cl.c == 0 and cl.t != 0 and cl.f >=
+                 N - int_valuation(ss.boundary(cl.t).data[0][0], p, N)]
     e_inf = [cl for cl in classes if cl not in set(artifacts)]
     return pages, records, _rows(e_inf), _rows(artifacts), (ts[0], ts[-1])
 
