@@ -3,8 +3,13 @@
 Subcommands: e2, run, chart, abutment, cohomology, mahler, limits,
 cobar.  Flags: each subcommand takes only the options it reads
 (`imj CMD -h`), declared once with flag, type, default and range check
-in `_command` over its handler; an argv that starts with a subcommand goes
-straight to that subcommand's parser.  The config file is flat key=value
+in `_command` over its handler; its parser and a flag table
+(`_read_flags`) are both built from those declarations at import.  An
+argv of a subcommand and whole flags, each followed by a value its type
+takes, is read from the table; argparse reads every other argv (help,
+abbreviations, FLAG=VALUE, values that start with '-' and are not
+negative numbers, errors), the subcommand's parser after a subcommand,
+so argparse writes all help and usage text.  The config file is flat key=value
 text (# starts a comment) whose keys are the subcommand's options
 spelled like the long flags; an unknown key, or a value that does not
 parse (a boolean is one of 1, true, yes, on, 0, false, no, off), is a
@@ -37,6 +42,7 @@ even-compatible.
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -84,16 +90,18 @@ class _Opt:
     `check(value, key, cmd)` returns a refusal message or None."""
 
     def __init__(self, flags: str, help: str, default: object = None,
-                 cast: type = int, check=None, follows: str | None = None):
+                 cast: type = int, check=None, follows: str | None = None,
+                 metavar: str | None = None):
         self.flags, self.help, self.default = flags, help, default
         self.cast, self.check, self.follows = cast, check, follows
+        self.metavar = metavar
         # once, at declaration: every call of main reads them
         self.key = flags.split()[-1].lstrip("-")
         self.dest = self.key.replace("-", "_")
 
     def add_to(self, parser) -> None:
         kind = {"action": "store_true"} if self.cast is bool else \
-            {"type": self.cast}
+            {"type": self.cast, "metavar": self.metavar}
         shown = "" if self.default is None or self.cast is bool else \
             f" (default {self.default})"
         parser.add_argument(*self.flags.split(), default=None,
@@ -211,6 +219,9 @@ _TABLE = _formats("table", "json")
 _OUTPUT = _Opt("-o --output", "write to this path instead of stdout",
                cast=str)
 _STEMS = (_STEM_MIN, _STEM_MAX, "stem", _MAX_STEMS)
+# every subcommand's, read by `_resolve` itself rather than resolved
+_CONFIG = _Opt("--config", "flat key=value config file; flags win",
+               cast=str, metavar="PATH")
 
 _COMMANDS = {}
 
@@ -241,18 +252,24 @@ def _json_dict(doc: dict) -> str:
     of scalars, of such lists or of flat objects, one %-format per object."""
     def text(val, indent):
         if not isinstance(val, list) or not val:
-            return str(val) if type(val) is int else json.dumps(val)
+            return str(val) if type(val) is int else _scalar(val)
         inner = indent + "  "
         if isinstance(val[0], dict):
             row = f"{inner}{{\n" + ",\n".join(
                 f'{inner}  "{key}": %s' for key in val[0]) + f"\n{inner}}}"
-            rows = [row % tuple([x if type(x) is int else json.dumps(x)
+            rows = [row % tuple([x if type(x) is int else _scalar(x)
                                  for x in obj.values()]) for obj in val]
         else:
             rows = [inner + text(x, inner) for x in val]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     return "{\n" + ",\n".join(f'  "{key}": {text(val, "  ")}'
                                for key, val in doc.items()) + "\n}"
+
+
+def _scalar(val) -> str:
+    """json.dumps(val) for a JSON scalar; a string through the quoting
+    function json.dumps itself calls for one."""
+    return _quote(val) if type(val) is str else json.dumps(val)
 
 
 def _json_chunks(opening: str, texts, indent: str, after: str):
@@ -352,7 +369,7 @@ def _run_table(result) -> Iterator[str]:
     N, recs, names = result.precision, result.records, _names(result.precision)
     lo, hi = result.window
     yield f"run p={result.prime} N={N} t-window {lo}..{hi}"
-    kept = {v: len(_kept(N, v)) for _, v, _, _ in recs}
+    kept = {v: len(_kept(N, v)) for v in {v for _, v, _, _ in recs}}
     for r in range(2, result.last_page + 1):
         size = sum(2 * N if r <= v + 1 else kept[v] for _, v, _, _ in recs)
         yield f"page {r}: {size} classes"
@@ -483,8 +500,8 @@ def _cmd_abutment(o) -> dict | list:
     report = abutment(o.p, (t_min, t_max), o.N)
     if o.format == "json":
         return {"prime": o.p, "precision": o.N, "window": [t_min, t_max],
-                "groups": [{"s": s, "t": t, "group": m.describe()}
-                           for s, t, m in report.nonzero()]}
+                "groups": [{"s": s, "t": t, "group": group}
+                           for s, t, group in report.described()]}
     lines = [f"abutment p={o.p} N={o.N} t {t_min}..{t_max}"]
     lines.extend(report.table_lines())
     return lines
@@ -565,15 +582,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.commands = {}  # subcommand name -> its parser, for main
     for name, (_, summary, options, _) in _COMMANDS.items():
         sp = parser.commands[name] = sub.add_parser(name, help=summary)
-        for opt in options:
+        for opt in (*options, _CONFIG):
             opt.add_to(sp)
-        sp.add_argument("--config", default=None, metavar="PATH",
-                        help="flat key=value config file; flags win")
     return parser
 
 
-# a constant: built once per process, not on every call of main
+# constants: built once per process, not on every call of main
 _PARSER = _build_parser()
+# subcommand -> (its flags, each to its _Opt; the values of an empty argv)
+_FLAGS = {name: ({flag: opt for opt in (*options, _CONFIG)
+                  for flag in opt.flags.split()},
+                 dict.fromkeys([opt.dest for opt in (*options, _CONFIG)]))
+          for name, (_, _, options, _) in _COMMANDS.items()}
+# the values argparse reads although they start with '-': its rule for a
+# negative number, on a parser with no option that looks like one
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_flags(cmd: str, tokens) -> argparse.Namespace | None:
+    """What `main` gets from argparse for `cmd` and its `tokens` (the
+    subcommand's Namespace and cmd) when the tokens are whole flags of
+    `cmd`, each followed by a value its cast takes (a store_true flag
+    takes none); a repeated flag keeps its last value, as in argparse.
+    Any other argv (-h, an abbreviation, FLAG=VALUE, a missing value, one
+    starting with '-' that is not a negative number, one the cast
+    refuses, a stray token) gives None, for argparse to read: it alone
+    writes help and usage errors."""
+    flags, empty = _FLAGS[cmd]
+    got = dict(empty, cmd=cmd)
+    rest = iter(tokens)
+    for token in rest:
+        opt = flags.get(token)
+        if opt is None:
+            return None
+        if opt.cast is bool:
+            got[opt.dest] = True
+            continue
+        val = next(rest, None)
+        if val is None or val[:1] == "-" and not _NEGATIVE.match(val):
+            return None
+        try:
+            got[opt.dest] = opt.cast(val)
+        except ValueError:
+            return None
+    return argparse.Namespace(**got)
 
 
 def main(argv=None) -> int:
@@ -581,7 +633,7 @@ def main(argv=None) -> int:
     sub = _PARSER.commands.get(argv[0]) if argv else None
     if sub is None:  # none, -h, or an unknown or abbreviated subcommand
         args = _PARSER.parse_args(argv)
-    else:
+    elif (args := _read_flags(argv[0], argv[1:])) is None:
         # what _PARSER would do, without first classifying every token:
         # the subcommand's parser reads the rest, and what it leaves is
         # reported as the top parser reports it
@@ -589,6 +641,12 @@ def main(argv=None) -> int:
         if extra:
             _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
         args.cmd = argv[0]
+        for opt in _FLAGS[args.cmd][0].values():
+            # argparse (Python 3.11) drops the '--' of FLAG=--,
+            # leaving [], where it refuses `FLAG --` as a missing value
+            if getattr(args, opt.dest) == []:
+                sub.error(f"argument {'/'.join(opt.flags.split())}: "
+                          f"expected one argument")
     handler, _, options, window = _COMMANDS[args.cmd]
     try:
         opts = _resolve(args, options, window)

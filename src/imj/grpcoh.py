@@ -14,8 +14,9 @@ H^*(1 + pZ_p; E_*^{mu_{p-1}}): the invariants are the degrees
 t = (2p-2)m, where psi^{(p-1)m} = (1+p)^{(p-1)m}, and in any other degree
 1 - psi^j is a unit.  So a `PsiModule.lubin_tate` window holds the
 invariant degrees alone, and its pass through `boundary_snf` is the one
-reader of v_p(1 - psi^j): `two_term_cohomology`, `character_window`,
-`ssq.run` and, at precision 1, `ssq.e2_page` all iterate it.
+reader of v_p(1 - psi^j): `two_term_cohomology`, `abutment`,
+`character_window`, `ssq.run` and, at precision 1, `ssq.e2_page` all
+iterate it.
 `precision_needs` states the precision a degree needs.
 """
 
@@ -102,8 +103,16 @@ class CohomologyReport:
         return sorted(((s, t, m) for (s, t), m in self.entries.items()),
                       key=lambda row: (row[1], row[0]))
 
+    def described(self) -> list[tuple[int, int, str]]:
+        """`nonzero` with each group's text, each distinct module (one
+        shared by several bidegrees) described once."""
+        rows = self.nonzero()
+        text = {id(m): m for _, _, m in rows}
+        text = {key: m.describe() for key, m in text.items()}
+        return [(s, t, text[id(m)]) for s, t, m in rows]
+
     def table_lines(self) -> list[str]:
-        return [f"H^({s},{t}) = {m.describe()}" for s, t, m in self.nonzero()]
+        return [f"H^({s},{t}) = {group}" for s, t, group in self.described()]
 
 
 def boundary_snf(M: PsiModule):
@@ -196,27 +205,33 @@ def abutment(p: int, window: tuple[int, int],
              N: int | None = None) -> CohomologyReport:
     """H^{s,t}(Z_p^x, Z_p[u^{+-1}]) over an even-degree window.
 
-    Computed from the two-term complex, then H^0 factors below the
-    precision ceiling are dropped: they are truncation shadows of 0.
-    (H^0 gets a new module; H^1 keeps the one they shared.)  The
-    surviving table is Z_p at (0,0) and (1,0), Z/p^{1+v_p(k)} at
-    (1, 2(p-1)k), zero (not stored) elsewhere.
+    Read in one `boundary_snf` pass over the Lubin-Tate window: H^1 is
+    every torsion degree's group, and H^0 keeps only its factors at the
+    precision ceiling, since one below it is a truncation shadow of 0.
+    Each distinct exponent list is one module, which every bidegree with
+    that group shares.  The table is Z_p at (0,0) and (1,0),
+    Z/p^{1+v_p(k)} at (1, 2(p-1)k), zero (not stored) elsewhere.
 
     Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
     at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
     shadow Z_p, so that raises PrecisionError.  N = None picks
-    max(4, 3 + v_p(k))."""
+    max(4, 3 + v_p(k)).  Only the degrees (2p-2)k are stepped for this;
+    no other degree has a need."""
     t_min, t_max = window
-    ts = range(t_min + t_min % 2, t_max + 1, 2)
+    require_odd_prime(p)
+    per = 2 * p - 2
+    ts = range(-(-t_min // per) * per, t_max + 1, per)
     if N is None:
         N = max([4] + [need + 1 for _, need in precision_needs(p, ts, 2)])
-    require_precision(p, ts, N, 2)
-    M = PsiModule.lubin_tate(p, N, t_min, t_max)
-    entries = two_term_cohomology(M).entries
-    for t in [t for s, t in entries if s == 0]:
-        kept = [e for e in entries[(0, t)].exponents if e == N]
-        if kept:
-            entries[(0, t)] = FgModule(kept, p, N)
-        else:
-            del entries[(0, t)]
+    else:
+        require_precision(p, ts, N, 2)
+    modules, entries = {}, {}
+    for t, _, vals in boundary_snf(PsiModule.lubin_tate(p, N, t_min, t_max)):
+        exps = [v for v in vals if v > 0]
+        for s, group in ((0, [v for v in exps if v == N]), (1, exps)):
+            if group:
+                key = tuple(group)
+                if key not in modules:
+                    modules[key] = FgModule(group, p, N)
+                entries[(s, t)] = modules[key]
     return CohomologyReport(entries, p, N)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -736,9 +737,9 @@ def _outcome(call, capsys):
     ["cobar", "-n", "1", "--config"], ["-h", "run"], ["--", "run"],
 ], ids=repr)
 def test_parser_dispatch_matches_argparse(argv, monkeypatch, capsys):
-    # main hands a subcommand's argv straight to that subcommand's parser;
-    # every exit code, stdout and stderr byte and every parsed value is
-    # what the whole parser gives
+    # main reads a subcommand's argv from the flag table or hands it
+    # straight to that subcommand's parser; every exit code, stdout and
+    # stderr byte and every parsed value is what the whole parser gives
     from imj import cli
 
     def parsed(args, options, window):
@@ -747,6 +748,150 @@ def test_parser_dispatch_matches_argparse(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_resolve", parsed)
     assert _outcome(lambda: main(list(argv)), capsys) == _outcome(
         lambda: cli._build_parser().parse_args(list(argv)), capsys)
+
+
+# values a token may take: small numbers, negative ones, and the empty,
+# flag-like, spaced, joined and unparsable strings argparse reads in its
+# own ways
+_NUMBERS = [str(i) for i in range(-12, 13)]
+_VALUES = _NUMBERS + [
+    "", "-", "--", "-x", "-h", "--format", "-1.5", "-.5", "1.5", "abc",
+    "json", "table", "ascii-chart", " -4", "-4 ", "-4\n", "+3", "1_0", "٣",
+    "-٣", "2147483647", "2147483659", "=", "a=1", "-=1", "- 1"]
+_KINDS = ["whole"] * 4 + ["any", "abbreviated", "joined", "glued", "bare",
+                          "help", "stray"]
+
+
+_ITEMS = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(_KINDS),
+                            st.sampled_from(_VALUES),
+                            st.sampled_from(_NUMBERS)), max_size=5)
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, whole): a subcommand and up to five drawn items, each a whole
+    flag and its value (or a bare store_true flag), a flag with any value,
+    an abbreviated, joined (FLAG=VALUE), glued (-N8) or value-less flag, a
+    help flag or a stray token; `whole` says every item was a whole flag
+    with a value its cast takes.  Flags repeat as they are drawn."""
+    from imj import cli
+    cmd = draw(st.sampled_from(sorted(cli._FLAGS)))
+    opts = cli._FLAGS[cmd][0]
+    flags = sorted(opts)
+    items = draw(_ITEMS)
+    argv = [cmd]
+    for i, kind, value, number in items:
+        flag = flags[i % len(flags)]
+        cast = opts[flag].cast
+        if kind == "whole":
+            argv += [flag] if cast is bool else [flag, number if cast is int
+                                                 else value.strip("-")]
+        elif kind == "any":
+            argv += [flag, value]
+        elif kind == "abbreviated":
+            argv += [flag[:-1] if flag.startswith("--") else flag + "x",
+                     value]
+        elif kind in ("joined", "glued"):
+            argv.append(flag + "=" * (kind == "joined") + value)
+        else:
+            argv.append({"bare": flag, "help": "-h", "stray": value}[kind])
+    return argv, all(kind == "whole" for _, kind, _, _ in items)
+
+
+@settings(max_examples=120)
+@given(cli_argv())
+@example((["run", "--stem-min", "-4\n", "-p", "5", "-p", "7"], True))
+@example((["limits", "--moore", "--moore", "-o", "-5"], True))
+@example((["abutment", "--format", "-x"], False))
+@example((["cobar", "-n=2", "3"], False))
+def test_flag_reader_is_argparse_or_declines(drawn):
+    """`_read_flags` reads every argv of whole flags and values, and on any
+    argv it reads it returns exactly the Namespace the subcommand's parser
+    returns, with nothing left over; every other argv it declines."""
+    from imj import cli
+    argv, whole = drawn
+    got = cli._read_flags(argv[0], argv[1:])
+    assert got is not None or not whole
+    if got is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            want, extra = cli._PARSER.commands[argv[0]].parse_known_args(
+                argv[1:])
+        want.cmd = argv[0]
+        assert (vars(got), extra) == (vars(want), [])
+
+
+@settings(max_examples=75)
+@given(cli_argv())
+@example((["run", "-p=--"], False))  # argparse reads the value as []
+@example((["limits", "--moore", "--config=--"], False))
+def test_cli_grammar_exits_0_2_or_3_without_traceback(drawn):
+    """Every drawn argv, run in process, exits 0, 2 or 3 and raises
+    nothing else: a refusal is one stderr line, a usage error (argparse's
+    SystemExit) ends in one `error:` line after the usage, and a success
+    writes nothing to stderr.  It runs in an empty directory, where any
+    -o file lands."""
+    argv, _ = drawn
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc, usage = main(list(argv)), False
+                except SystemExit as exc:
+                    rc, usage = exc.code, True
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3), (argv, rc, lines)
+    if rc == 0:
+        assert lines == []
+    elif usage:
+        assert lines[0].startswith("usage: imj") and re.match(
+            r"imj( \w+)?: error: ", lines[-1]), (argv, lines)
+    else:
+        assert len(lines) == 1 and err.getvalue().endswith("\n"), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "-p=--"], ["e2", "--stem-min=--"], ["cobar", "--q=--"],
+    ["abutment", "--format=--"], ["mahler", "-o=--"],
+    ["limits", "--config=--"]], ids=" ".join)
+def test_flag_joined_to_a_double_dash_is_a_missing_value(argv, capsys):
+    # argparse reads FLAG=-- as the value [], which reached the checks as a
+    # TypeError traceback; it is refused as `FLAG --` is
+    flag = argv[1].split("=")[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].startswith(f"imj {argv[0]}: error: argument "
+                                           f"{flag}")
+    assert err.endswith(": expected one argument\n")
+
+
+def test_well_formed_argv_skips_argparse(monkeypatch, capsys):
+    # whole flags and their values are read from the option table; help,
+    # abbreviations and FLAG=VALUE still go to argparse
+    from imj import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed argv")
+
+    for sub in cli._PARSER.commands.values():
+        monkeypatch.setattr(sub, "parse_known_args", refuse)
+    for argv in (["run", "-p", "5", "-N", "6", "--stem-min", "-8",
+                  "--stem-max", "30", "--format", "json"],
+                 ["abutment", "-p", "7", "--t-min", "-60", "--t-max", "60",
+                  "-N", "5", "-N", "6", "--format", "json"],
+                 ["limits", "--moore", "-p", "5"],
+                 ["cobar", "-n", "2", "--smax", "3", "--q", "9"]):
+        assert run_cli(argv, capsys)[0] == 0
+    for argv in (["run", "-h"], ["run", "--stem-m", "4"],
+                 ["run", "--stem-min=4"]):
+        with pytest.raises(AssertionError, match="argparse read"):
+            main(argv)
 
 
 @pytest.mark.parametrize("argv,cfg,key", [

@@ -384,6 +384,65 @@ def test_abutment_picks_precision_from_every_even_degree(window):
     assert rep.h(1, 108 if window[1] > 0 else -108).exponents == [4]
 
 
+def abutment_oracle(p, window, N=None):
+    """The reading `abutment` replaced: the precision checked at every even
+    degree of the window, `two_term_cohomology` of the Lubin-Tate window,
+    and then H^0 kept only at exponent N."""
+    t_min, t_max = window
+    ts = range(t_min + t_min % 2, t_max + 1, 2)
+    if N is None:
+        N = max([4] + [need + 1 for _, need in
+                       grpcoh.precision_needs(p, ts, 2)])
+    grpcoh.require_precision(p, ts, N, 2)
+    M = PsiModule.lubin_tate(p, N, t_min, t_max)
+    entries = two_term_cohomology(M).entries
+    for t in [t for s, t in entries if s == 0]:
+        kept = [e for e in entries[(0, t)].exponents if e == N]
+        if kept:
+            entries[(0, t)] = FgModule(kept, p, N)
+        else:
+            del entries[(0, t)]
+    return grpcoh.CohomologyReport(entries, p, N)
+
+
+def _reading(call, *args):
+    """The entries in order, the table and the precision of a report, or
+    the refusal's type and message."""
+    try:
+        rep = call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([(key, m.exponents) for key, m in rep.entries.items()],
+            rep.table_lines(), rep.precision)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_abutment_is_the_two_term_reading(p):
+    # the acceptance window |t| <= 2(2p-2)p^2 and windows with odd or
+    # unaligned edges, each at N = None, at the least N the oracle
+    # accepts, one above it and one below it (a refusal)
+    T = 2 * (2 * p - 2) * p * p
+    for window in [(-T, T), (1, T - 1), (-T + 3, -1), (-7, 9), (2, 2),
+                   (3, 3), (0, 0)]:
+        least = next(N for N in range(1, 20) if not isinstance(
+            _reading(abutment_oracle, p, window, N)[0], str))
+        for N in (None, least - 1, least, least + 1):
+            want = _reading(abutment_oracle, p, window, N)
+            assert _reading(abutment, p, window, N) == want, (window, N)
+        rep = abutment(p, window, least)
+        modules = list(rep.entries.values())
+        assert len({id(m) for m in modules}) == len(
+            {tuple(m.exponents) for m in modules})
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 9])
+@pytest.mark.parametrize("N", [None, 5])
+def test_abutment_refuses_p_as_the_two_term_reading(p, N):
+    want = _reading(abutment_oracle, p, (-40, 40), N)
+    assert want == ("ValueError", f"p must be an odd prime, got {p}")
+    assert _reading(abutment, p, (-40, 40), N) == want
+
+
 def _random_unit_matrix(rng, n, p, N):
     """Random invertible matrix mod p^N: unit-triangular L, U and a unit
     diagonal, so the determinant is a unit."""
