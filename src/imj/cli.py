@@ -6,14 +6,15 @@ cobar.  Flags: each subcommand takes only the options it reads
 in `_command` over its handler; its parser and a flag table
 (`_read_flags`) are both built from those declarations at import.  An
 argv of a subcommand and whole flags, each followed by a value its type
-takes, is read from the table; argparse reads every other argv (help,
-abbreviations, FLAG=VALUE, values that start with '-' and are not
-negative numbers, errors), the subcommand's parser after a subcommand,
-so argparse writes all help and usage text.  The config file is flat key=value
-text (# starts a comment) whose keys are the subcommand's options
-spelled like the long flags; an unknown key, or a value that does not
-parse (a boolean is one of 1, true, yes, on, 0, false, no, off), is a
-configuration error.  Precedence is flags > config file > defaults.
+takes, is read from the table; the top parser (`_PARSER.parse_args`)
+reads every other argv (help, abbreviations, FLAG=VALUE, values that
+start with '-' and are not negative numbers, errors) and refuses
+FLAG=-- as it refuses `FLAG --`, so argparse writes all help and usage
+text.  The config file is flat key=value text (# starts a comment) whose
+keys are the subcommand's options spelled like the long flags; an
+unknown key, or a value that does not parse (a boolean is one of 1,
+true, yes, on, 0, false, no, off), is a configuration error.
+Precedence is flags > config file > defaults.
 
 Exit codes are stable: 0 on success, 1 when an engine self-check failed
 (a bug; one `internal error:` line on stderr), 2 on precision failure (and
@@ -579,9 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="height-one chromatic invariants at an odd prime")
     sub = parser.add_subparsers(dest="cmd", required=True,
                                 metavar="SUBCOMMAND")
-    parser.commands = {}  # subcommand name -> its parser, for main
     for name, (_, summary, options, _) in _COMMANDS.items():
-        sp = parser.commands[name] = sub.add_parser(name, help=summary)
+        sp = sub.add_parser(name, help=summary)
         for opt in (*options, _CONFIG):
             opt.add_to(sp)
     return parser
@@ -600,14 +600,13 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _read_flags(cmd: str, tokens) -> argparse.Namespace | None:
-    """What `main` gets from argparse for `cmd` and its `tokens` (the
-    subcommand's Namespace and cmd) when the tokens are whole flags of
-    `cmd`, each followed by a value its cast takes (a store_true flag
-    takes none); a repeated flag keeps its last value, as in argparse.
-    Any other argv (-h, an abbreviation, FLAG=VALUE, a missing value, one
-    starting with '-' that is not a negative number, one the cast
-    refuses, a stray token) gives None, for argparse to read: it alone
-    writes help and usage errors."""
+    """What `_PARSER.parse_args([cmd, *tokens])` returns when the tokens
+    are whole flags of `cmd`, each followed by a value its cast takes (a
+    store_true flag takes none); a repeated flag keeps its last value, as
+    in argparse.  Any other argv (-h, an abbreviation, FLAG=VALUE, a
+    missing value, one starting with '-' that is not a negative number,
+    one the cast refuses, a stray token) gives None, for `_PARSER` to
+    read: it alone writes help and usage errors."""
     flags, empty = _FLAGS[cmd]
     got = dict(empty, cmd=cmd)
     rest = iter(tokens)
@@ -630,23 +629,15 @@ def _read_flags(cmd: str, tokens) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    sub = _PARSER.commands.get(argv[0]) if argv else None
-    if sub is None:  # none, -h, or an unknown or abbreviated subcommand
+    args = _read_flags(argv[0], argv[1:]) if argv and argv[0] in _FLAGS \
+        else None
+    if args is None:
         args = _PARSER.parse_args(argv)
-    elif (args := _read_flags(argv[0], argv[1:])) is None:
-        # what _PARSER would do, without first classifying every token:
-        # the subcommand's parser reads the rest, and what it leaves is
-        # reported as the top parser reports it
-        args, extra = sub.parse_known_args(argv[1:])
-        if extra:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.cmd = argv[0]
         for opt in _FLAGS[args.cmd][0].values():
-            # argparse (Python 3.11) drops the '--' of FLAG=--,
-            # leaving [], where it refuses `FLAG --` as a missing value
+            # argparse (Python 3.11) drops the '--' of FLAG=--, leaving
+            # [], where it refuses `FLAG --` as a missing value
             if getattr(args, opt.dest) == []:
-                sub.error(f"argument {'/'.join(opt.flags.split())}: "
-                          f"expected one argument")
+                _PARSER.parse_args([args.cmd, opt.flags.split()[0], "--"])
     handler, _, options, window = _COMMANDS[args.cmd]
     try:
         opts = _resolve(args, options, window)

@@ -2,6 +2,7 @@
 exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -706,7 +707,9 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
         raise AssertionError("parser rebuilt per call")
 
     monkeypatch.setattr(cli, "_build_parser", rebuilt)
-    rc, out, _ = run_cli(["cobar", "-n", "1", "--smax", "1"], capsys)
+    # FLAG=VALUE: the flag table declines it, so argparse reads it
+    assert cli._read_flags("cobar", ["-n=1", "--smax", "1"]) is None
+    rc, out, _ = run_cli(["cobar", "-n=1", "--smax", "1"], capsys)
     assert rc == 0 and out
 
 
@@ -737,9 +740,9 @@ def _outcome(call, capsys):
     ["cobar", "-n", "1", "--config"], ["-h", "run"], ["--", "run"],
 ], ids=repr)
 def test_parser_dispatch_matches_argparse(argv, monkeypatch, capsys):
-    # main reads a subcommand's argv from the flag table or hands it
-    # straight to that subcommand's parser; every exit code, stdout and
-    # stderr byte and every parsed value is what the whole parser gives
+    # main reads a subcommand's argv from the flag table or hands it to
+    # the parser built at import; every exit code, stdout and stderr byte
+    # and every parsed value is what a freshly built parser gives
     from imj import cli
 
     def parsed(args, options, window):
@@ -806,17 +809,15 @@ def cli_argv(draw):
 @example((["cobar", "-n=2", "3"], False))
 def test_flag_reader_is_argparse_or_declines(drawn):
     """`_read_flags` reads every argv of whole flags and values, and on any
-    argv it reads it returns exactly the Namespace the subcommand's parser
-    returns, with nothing left over; every other argv it declines."""
+    argv it reads it returns exactly the Namespace the top parser returns,
+    with nothing left over; every other argv it declines."""
     from imj import cli
     argv, whole = drawn
     got = cli._read_flags(argv[0], argv[1:])
     assert got is not None or not whole
     if got is not None:
         with contextlib.redirect_stderr(io.StringIO()):
-            want, extra = cli._PARSER.commands[argv[0]].parse_known_args(
-                argv[1:])
-        want.cmd = argv[0]
+            want, extra = cli._PARSER.parse_known_args(argv)
         assert (vars(got), extra) == (vars(want), [])
 
 
@@ -879,8 +880,8 @@ def test_well_formed_argv_skips_argparse(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("argparse read a well-formed argv")
 
-    for sub in cli._PARSER.commands.values():
-        monkeypatch.setattr(sub, "parse_known_args", refuse)
+    # parse_args reads through it, so this refuses either entry point
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
     for argv in (["run", "-p", "5", "-N", "6", "--stem-min", "-8",
                   "--stem-max", "30", "--format", "json"],
                  ["abutment", "-p", "7", "--t-min", "-60", "--t-max", "60",
@@ -892,6 +893,26 @@ def test_well_formed_argv_skips_argparse(monkeypatch, capsys):
                  ["run", "--stem-min=4"]):
         with pytest.raises(AssertionError, match="argparse read"):
             main(argv)
+
+
+def test_flag_table_reads_every_benchmark_argv():
+    # the benchmark's jobs are the traffic the flag table is for: a change
+    # that sent them through argparse would move every workload's timing
+    from imj import cli
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # it imports nothing from imj
+    argvs = [job.argv for w in ("spectral", "mahler", "cobar")
+             for seed in range(1, 4)
+             for batch in range(workloads.BATCHES_PER_24_S[w])
+             for job in workloads.batch_jobs(w, seed, batch) if job.argv]
+    assert len(argvs) > 800
+    for argv in argvs:
+        got = cli._read_flags(argv[0], argv[1:])
+        assert got is not None, argv
+        assert vars(got) == vars(cli._PARSER.parse_args(argv)), argv
 
 
 @pytest.mark.parametrize("argv,cfg,key", [

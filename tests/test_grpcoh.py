@@ -5,6 +5,7 @@ Closed-form oracle: on the rank-1 piece in degree t = 2(p-1)k the map
 degrees not divisible by 2(p-1) die.  Degree 0 carries Z_p in both spots.
 """
 
+import math
 import random
 
 import pytest
@@ -387,13 +388,26 @@ def test_abutment_picks_precision_from_every_even_degree(window):
 def abutment_oracle(p, window, N=None):
     """The reading `abutment` replaced: the precision checked at every even
     degree of the window, `two_term_cohomology` of the Lubin-Tate window,
-    and then H^0 kept only at exponent N."""
+    and then H^0 kept only at exponent N.  It states the gate and the
+    precision rule itself (t = (2p-2)k, k != 0, needs N >= 2 + v_p(k);
+    N = None picks max(4, 3 + v_p(k))), so a wrong rule in the engine
+    cannot agree with it."""
+    if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be an odd prime, got {p}")
     t_min, t_max = window
-    ts = range(t_min + t_min % 2, t_max + 1, 2)
+    per = 2 * p - 2
+    needs = []
+    for t in range(t_min + t_min % 2, t_max + 1, 2):
+        if t and t % per == 0:
+            k, v = abs(t // per), 0
+            while k % p == 0:
+                k, v = k // p, v + 1
+            needs.append((t, 2 + v))
     if N is None:
-        N = max([4] + [need + 1 for _, need in
-                       grpcoh.precision_needs(p, ts, 2)])
-    grpcoh.require_precision(p, ts, N, 2)
+        N = max([4] + [need + 1 for _, need in needs])
+    for t, need in needs:
+        if N < need:
+            raise PrecisionError(f"degree t={t} needs N >= {need}, have {N}")
     M = PsiModule.lubin_tate(p, N, t_min, t_max)
     entries = two_term_cohomology(M).entries
     for t in [t for s, t in entries if s == 0]:
