@@ -54,7 +54,7 @@ from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
 from .mahler import h1_rational_profile, invariants
 from .padic import PrecisionError, require_odd_prime
-from .ssq import (WindowError, degree_records, join_name, last_page_of,
+from .ssq import (WindowError, degree_records, join_name, kept,
                   monomial_head, run)
 from .towers import lim_lim1, moore_example
 
@@ -299,12 +299,6 @@ def _names(height: int) -> list:
             for tail in ("%(n)s", "")]
 
 
-def _kept(N: int, v: int, zero: bool = True) -> list[tuple[int, int]]:
-    """The (f, c) that live forever at valuation v; c = 1 only if not zero."""
-    return [(f, c) for f in range(N) for c in (0, 1)
-            if last_page_of(N, v, f, c) is None and (c or zero)]
-
-
 def _columns(o, t: int) -> tuple:
     """The c for which the classes (t, f, c), at stem t - c, are shown."""
     return tuple(c for c in (0, 1) if o.stem_min <= t - c <= o.stem_max)
@@ -337,7 +331,7 @@ def _run_json(result) -> Iterator[str]:
     lo, hi = result.window
     opening = (f'{{\n  "prime": {result.prime},\n  "precision": {N},\n'
                f'  "window": [\n    {lo},\n    {hi}\n  ],\n  "pages": [\n')
-    shapes = {(w, t0): _class_rows(names[t0], _kept(N, w), " " * 8)
+    shapes = {(w, t0): _class_rows(names[t0], kept(N, w), " " * 8)
               for w, t0 in {(w, t0) for (v, t0), _ in degs for w in (v, N)}}
     # a degree's text is its full text (shape (N, t0)) on pages 2 .. v + 1
     # and its kept text (shape (v, t0)) after; each is formatted once, the
@@ -345,13 +339,13 @@ def _run_json(result) -> Iterator[str]:
     # kept text only where a page shows it (v + 1 < last)
     full = [shapes[N, t0] % fields if v >= 2 else None
             for (v, t0), fields in degs]
-    kept = [shapes[v, t0] % fields if v + 1 < last else None
-            for (v, t0), fields in degs]
+    stable = [shapes[v, t0] % fields if v + 1 < last else None
+              for (v, t0), fields in degs]
     for r in range(2, last + 1):
         yield from _json_chunks(
             opening + f'    {{\n      "r": {r},\n      "classes": ',
             (text if r > v + 1 else held or shapes[N, t0] % fields
-             for ((v, t0), fields), held, text in zip(degs, full, kept)),
+             for ((v, t0), fields), held, text in zip(degs, full, stable)),
             " " * 6, "\n    }" + ("," if r < last else ""))
         opening = ""
     yield from _json_chunks('  ],\n  "differentials": ', _texts(
@@ -361,7 +355,7 @@ def _run_json(result) -> Iterator[str]:
             for f in range(N - v)), sorted(degs, key=lambda d: d[0][0])),
         "  ", ",")
     yield from _json_chunks('  "e_infinity": ', _texts(
-        lambda v, t0: _class_rows(names[t0], _kept(N, v, t0), "    "),
+        lambda v, t0: _class_rows(names[t0], kept(N, v, t0), "    "),
         degs), "  ", "\n}")
 
 
@@ -370,9 +364,9 @@ def _run_table(result) -> Iterator[str]:
     N, recs, names = result.precision, result.records, _names(result.precision)
     lo, hi = result.window
     yield f"run p={result.prime} N={N} t-window {lo}..{hi}"
-    kept = {v: len(_kept(N, v)) for v in {v for _, v, _, _ in recs}}
+    forever = {v: len(kept(N, v)) for v in {v for _, v, _, _ in recs}}
     for r in range(2, result.last_page + 1):
-        size = sum(2 * N if r <= v + 1 else kept[v] for _, v, _, _ in recs)
+        size = sum(2 * N if r <= v + 1 else forever[v] for _, v, _, _ in recs)
         yield f"page {r}: {size} classes"
     yield "differentials:"
     degs = [((v, t == 0), {"n": tail}) for t, v, _, tail in recs]
@@ -380,7 +374,7 @@ def _run_table(result) -> Iterator[str]:
         f"d_{v}: {names[t0][0][f]} -> {names[t0][1][f + v]}"
         for f in range(N - v)), sorted(degs, key=lambda d: d[0][0]))
     yield "e_infinity: " + (", ".join(_texts(lambda v, t0: ", ".join(
-        names[t0][c][f] for f, c in _kept(N, v, t0)), degs)) or "-")
+        names[t0][c][f] for f, c in kept(N, v, t0)), degs)) or "-")
 
 
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
@@ -503,9 +497,8 @@ def _cmd_abutment(o) -> dict | list:
         return {"prime": o.p, "precision": o.N, "window": [t_min, t_max],
                 "groups": [{"s": s, "t": t, "group": group}
                            for s, t, group in report.described()]}
-    lines = [f"abutment p={o.p} N={o.N} t {t_min}..{t_max}"]
-    lines.extend(report.table_lines())
-    return lines
+    return [f"abutment p={o.p} N={o.N} t {t_min}..{t_max}",
+            *report.table_lines()]
 
 
 @_command("cohomology", "per-character cohomology over a k window", _P,
@@ -520,10 +513,8 @@ def _cmd_cohomology(o) -> dict | list:
                              "torsion_valuation": tv}
                             for k in sorted(profile.entries)
                             for h0, h1, tv in [profile.entries[k]]]}
-    lines = [f"character cohomology p={o.p} N={o.N} "
-             f"k {k_min}..{k_max}"]
-    lines.extend(profile.lines())
-    return lines
+    return [f"character cohomology p={o.p} N={o.N} k {k_min}..{k_max}",
+            *profile.lines()]
 
 
 @_command("mahler", "invariant functions in the Mahler model", _P, _N,
@@ -569,13 +560,19 @@ def _cmd_cobar(o) -> dict | list:
         return {"n": n, "q": q, "s_max": smax,
                 "dims": [{"s": s, "t": t, "dim": d}
                          for (s, t), d in sorted(table.dims.items())]}
-    lines = [f"cobar Ext n={n} q={q} smax={smax}"]
-    lines.extend(table.lines())
-    return lines
+    return [f"cobar Ext n={n} q={q} smax={smax}", *table.lines()]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Keeps a usage error on one line: what does not print, repr escapes."""
+
+    def error(self, message):
+        super().error("".join(c if c.isprintable() else repr(c)[1:-1]
+                              for c in message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imj",
         description="height-one chromatic invariants at an odd prime")
     sub = parser.add_subparsers(dest="cmd", required=True,

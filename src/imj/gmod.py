@@ -14,9 +14,9 @@ and each caller reads only what it needs:
 - `Smith.valuations`, the diagonal D = diag(p^v_k), from the elimination
   alone: the two-term complex id - psi in a degree of rank > 1
   (`grpcoh.boundary_snf`, the one pass over a `PsiModule`'s stored rows
-  that `two_term_cohomology`, `abutment` and `ssq.run` iterate; a rank-1
-  degree reads its one valuation without an elimination or a
-  `ModMatrix`).
+  that `two_term_cohomology` (and through it `abutment`) and `ssq.run`
+  iterate; a rank-1 degree reads its one valuation without an
+  elimination or a `ModMatrix`).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit

@@ -14,10 +14,10 @@ H^*(1 + pZ_p; E_*^{mu_{p-1}}): the invariants are the degrees
 t = (2p-2)m, where psi^{(p-1)m} = (1+p)^{(p-1)m}, and in any other degree
 1 - psi^j is a unit.  So a `PsiModule.lubin_tate` window holds the
 invariant degrees alone, and its pass through `boundary_snf` is the one
-reader of v_p(1 - psi^j): `two_term_cohomology`, `abutment`,
-`character_window`, `ssq.run` and, at precision 1, `ssq.e2_page` all
-iterate it.
-`precision_needs` states the precision a degree needs.
+reader of v_p(1 - psi^j).  `two_term_cohomology` reads it into groups,
+`abutment` through it; `character_window` and `ssq.degree_records` read
+its valuations directly.  `precision_needs` steps a window's invariant
+degrees and states the precision each needs.
 """
 
 from __future__ import annotations
@@ -144,14 +144,17 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     U and V are invertible, so (U, V^-1) is an isomorphism from the
     complex M --bd--> M to M --D--> M with D = diag(p^v_j).  For square
     D, ker D and coker D are both the sum of Z/p^{v_j} over v_j > 0, so
-    H^0 and H^1 have the same invariant factors, and one module serves
-    both.  Degrees with no positive v_j are left out of the report."""
+    H^0 and H^1 have the same invariant factors: each distinct exponent
+    list is one module, which every bidegree with that group shares.
+    Degrees with no positive v_j are left out of the report."""
     p, N = M.prime, M.precision
-    entries = {}
+    modules, entries = {}, {}
     for t, _, vals in boundary_snf(M):
-        exps = [v for v in vals if v > 0]
+        exps = tuple(sorted([v for v in vals if v > 0]))
         if exps:
-            entries[(0, t)] = entries[(1, t)] = FgModule(exps, p, N)
+            if exps not in modules:
+                modules[exps] = FgModule(exps, p, N)
+            entries[(0, t)] = entries[(1, t)] = modules[exps]
     return CohomologyReport(entries, p, N)
 
 
@@ -171,9 +174,9 @@ def character_window(lo: int, hi: int, p: int, N: int):
     """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
     `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
     (0, 0, v), with v = 0 at a k the window does not hold.  Its precision
-    is checked before the first row by `precision_needs` of the degrees 2k
+    is checked before the first row by `precision_needs` of t = 2lo .. 2hi
     at base 3, so only a k with (p-1) | k is refused, naming the first."""
-    for t, need in precision_needs(p, range(2 * lo, 2 * hi + 1, 2), 3):
+    for t, need in precision_needs(p, 2 * lo, 2 * hi, 3):
         if N < need:
             raise PrecisionError(f"need N > {need - 1} to resolve the "
                                  f"torsion of character {t // 2}")
@@ -183,20 +186,22 @@ def character_window(lo: int, hi: int, p: int, N: int):
         yield k, (1, 1, N) if held.get(k) == N else (0, 0, held.get(k, 0))
 
 
-def precision_needs(p: int, ts, base: int):
+def precision_needs(p: int, t_min: int, t_max: int, base: int):
     """Yield (t, base + v_p(k)), the least N that the degree needs, for each
-    t = (2p-2)k, k != 0, of ts; base is the caller's margin.  Every window
-    engine asks this first, and it asks `require_odd_prime` first."""
+    t = (2p-2)k, k != 0, in [t_min, t_max] by increasing k (no other degree
+    has a need); base is the caller's margin.  Every window engine asks
+    this first, and it asks `require_odd_prime` first."""
     require_odd_prime(p)
     per = 2 * p - 2
-    for t in ts:
-        if t and t % per == 0:
-            yield t, base + vp(t // per, p)
+    for k in range(-(-t_min // per), t_max // per + 1):
+        if k:
+            yield per * k, base + vp(k, p)
 
 
-def require_precision(p: int, ts, N: int, base: int) -> None:
-    """Raise PrecisionError at the first degree of ts needing more than N."""
-    for t, need in precision_needs(p, ts, base):
+def require_precision(p: int, t_min: int, t_max: int, N: int,
+                      base: int) -> None:
+    """Raise PrecisionError at the first degree needing more than N."""
+    for t, need in precision_needs(p, t_min, t_max, base):
         if N < need:
             raise PrecisionError(f"degree t={t} needs N >= {need}, have {N}")
 
@@ -205,33 +210,20 @@ def abutment(p: int, window: tuple[int, int],
              N: int | None = None) -> CohomologyReport:
     """H^{s,t}(Z_p^x, Z_p[u^{+-1}]) over an even-degree window.
 
-    Read in one `boundary_snf` pass over the Lubin-Tate window: H^1 is
-    every torsion degree's group, and H^0 keeps only its factors at the
-    precision ceiling, since one below it is a truncation shadow of 0.
-    Each distinct exponent list is one module, which every bidegree with
-    that group shares.  The table is Z_p at (0,0) and (1,0),
-    Z/p^{1+v_p(k)} at (1, 2(p-1)k), zero (not stored) elsewhere.
+    `two_term_cohomology` of the Lubin-Tate window, with H^0 kept only
+    where it is Z_p (exponent N): the window has rank 1, so any other
+    H^0 is a truncation shadow of 0.  The table is Z_p at (0,0) and
+    (1,0), Z/p^{1+v_p(k)} at (1, 2(p-1)k), zero (not stored) elsewhere.
 
     Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
     at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
     shadow Z_p, so that raises PrecisionError.  N = None picks
-    max(4, 3 + v_p(k)).  Only the degrees (2p-2)k are stepped for this;
-    no other degree has a need."""
-    t_min, t_max = window
-    require_odd_prime(p)
-    per = 2 * p - 2
-    ts = range(-(-t_min // per) * per, t_max + 1, per)
+    max(4, 3 + v_p(k))."""
     if N is None:
-        N = max([4] + [need + 1 for _, need in precision_needs(p, ts, 2)])
+        N = max([4] + [need + 1 for _, need in precision_needs(p, *window, 2)])
     else:
-        require_precision(p, ts, N, 2)
-    modules, entries = {}, {}
-    for t, _, vals in boundary_snf(PsiModule.lubin_tate(p, N, t_min, t_max)):
-        exps = [v for v in vals if v > 0]
-        for s, group in ((0, [v for v in exps if v == N]), (1, exps)):
-            if group:
-                key = tuple(group)
-                if key not in modules:
-                    modules[key] = FgModule(group, p, N)
-                entries[(s, t)] = modules[key]
-    return CohomologyReport(entries, p, N)
+        require_precision(p, *window, N, 2)
+    report = two_term_cohomology(PsiModule.lubin_tate(p, N, *window))
+    report.entries = {key: m for key, m in report.entries.items()
+                      if key[0] or m.exponents == [N]}
+    return report

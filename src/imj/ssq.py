@@ -45,7 +45,8 @@ Truncation honesty: mod p^N the filtration dies at level N, so in a degree
 whose boundary has valuation v the classes of filtration f >= N - v can
 never be seen to die.  They are kept on the pages (that is what the
 formula yields) but reported in `artifacts`, and excluded from E_infinity
-and the abutment comparison.
+and the abutment comparison; `kept` states this rule for `RunResult` and
+the `imj.cli` writers.
 """
 
 from __future__ import annotations
@@ -129,6 +130,13 @@ class DifferentialRecord:
 def last_page_of(N: int, v: int, f: int, c: int) -> int | None:
     """The label of the last page (t, f, c) lives on at v; None: forever."""
     return None if (f < v if c else f >= N - v) else v + 1
+
+
+def kept(N: int, v: int, zero: bool = True) -> list[tuple[int, int]]:
+    """The (f, c), in (f, c) order, that live forever at valuation v; c = 0
+    only if zero.  zero = (t == 0) gives E_infinity; the rest, `artifacts`."""
+    return [(f, c) for f in range(N) for c in (0, 1)
+            if last_page_of(N, v, f, c) is None and (c or zero)]
 
 
 def degree_records(p: int, window: tuple[int, int], N: int) -> list:
@@ -277,13 +285,15 @@ class RunResult(NamedTuple):
 
     @property
     def e_infinity(self) -> list[ChartClass]:
-        return [cl for cl, last in self.classes
-                if last is None and (cl.c or not cl.t)]
+        p, at = self.prime, ChartClass.monomial
+        return [at(p, t // (2 * p - 2), f, c) for t, v, _, _ in self.records
+                for f, c in kept(self.precision, v, t == 0)]
 
     @property
     def artifacts(self) -> list[ChartClass]:
-        return [cl for cl, last in self.classes
-                if last is None and cl.c == 0 and cl.t]
+        p, at = self.prime, ChartClass.monomial
+        return [at(p, t // (2 * p - 2), f, 0) for t, v, _, _ in self.records
+                if t for f, c in kept(self.precision, v) if not c]
 
 
 def run(p: int, window: tuple[int, int], N: int) -> RunResult:
@@ -296,12 +306,10 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     t_min, t_max = window
     if t_min > t_max:
         raise WindowError("empty degree window")
-    start = t_min + (t_min % 2)
-    ts = list(range(start, t_max + 1, 2))
-    if not ts:
+    window = (t_min + t_min % 2, t_max - t_max % 2)
+    if window[0] > window[1]:
         raise WindowError("window contains no even degree")
-    require_precision(p, ts, N, 3)
-    window = (ts[0], ts[-1])
+    require_precision(p, *window, N, 3)
     return RunResult(p, N, window, degree_records(p, window, N))
 
 

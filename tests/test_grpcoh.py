@@ -16,7 +16,7 @@ from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
 from imj.mahler import psi_matrix
 from imj.padic import PrecisionError, int_valuation, psi_generator
-from imj.ssq import run
+from imj.ssq import WindowError, run
 
 
 def test_lubin_tate_shape():
@@ -324,6 +324,47 @@ def test_character_window_refuses_exactly_what_precision_needs(p):
                 list(rows)
 
 
+def _needs(p, lo, hi, base):
+    """(t, base + v_p(k)) for each t = (2p-2)k, k != 0, found by a scan of
+    every even degree of [lo, hi], with its own valuation loop: the test's
+    independent statement of the precision each degree needs."""
+    per, out = 2 * p - 2, []
+    for t in range(lo + lo % 2, hi + 1, 2):
+        if t and t % per == 0:
+            k, v = abs(t // per), 0
+            while k % p == 0:
+                k, v = k // p, v + 1
+            out.append((t, base + v))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_precision_needs_steps_the_invariant_degrees(p):
+    """`precision_needs` of a window yields, in order, what a scan of its
+    every even degree t yields: (t, base + v_p(k)) for t = (2p-2)k, k != 0,
+    with its own valuation loop; on odd, negative and inverted edges,
+    windows holding only t = 0 and windows with no invariant degree.
+    `run` still refuses the inverted windows and those with no even
+    degree, and reads every other one at its even edges."""
+    per = 2 * p - 2
+    T = 2 * per * p * p
+    windows = [(-T, T), (-T - 1, T + 3), (1 - T, -1), (-per - 1, per + 1),
+               (-1, 1), (0, 0), (1, per - 1), (-per + 1, -1), (3, 3),
+               (per, per), (-per, -per), (5, -5), (per, -per), (1, 0)]
+    for base in (2, 3):
+        for lo, hi in windows:
+            got = list(grpcoh.precision_needs(p, lo, hi, base))
+            assert got == _needs(p, lo, hi, base), (lo, hi, base)
+    for lo, hi in windows:
+        even = (lo + lo % 2, hi - hi % 2)
+        if even[0] > even[1]:
+            why = "empty degree" if lo > hi else "no even degree"
+            with pytest.raises(WindowError, match=why):
+                run(p, (lo, hi), 8)
+        else:
+            assert run(p, (lo, hi), 8).window == even
+
+
 def test_abutment_p3():
     rep = abutment(3, (0, 40))
     # t = 4: n=0, m=1
@@ -395,14 +436,7 @@ def abutment_oracle(p, window, N=None):
     if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be an odd prime, got {p}")
     t_min, t_max = window
-    per = 2 * p - 2
-    needs = []
-    for t in range(t_min + t_min % 2, t_max + 1, 2):
-        if t and t % per == 0:
-            k, v = abs(t // per), 0
-            while k % p == 0:
-                k, v = k // p, v + 1
-            needs.append((t, 2 + v))
+    needs = _needs(p, t_min, t_max, 2)
     if N is None:
         N = max([4] + [need + 1 for _, need in needs])
     for t, need in needs:
@@ -510,8 +544,10 @@ def test_two_term_cohomology_matches_homology_oracle(p, N):
         assert rep.h(0, t) == h0, f"t={t}"
         assert rep.h(1, t) == h1, f"t={t}"
         shapes.add((h1.saturated_count(), len(h1.torsion_exponents())))
-    # only nonzero groups are stored
+    # only nonzero groups are stored, one module per distinct exponent list
     assert not any(m.is_zero() for m in rep.entries.values())
+    assert len({id(m) for m in rep.entries.values()}) == len(
+        {tuple(m.exponents) for m in rep.entries.values()})
     # saturated, torsion and mixed cases all came up
     assert (0, 0) in shapes and (1, 0) in shapes
     if N > 1:
