@@ -16,7 +16,9 @@ and each caller reads only what it needs:
   (`grpcoh.boundary_snf`, the one pass over a `PsiModule`'s stored rows
   that `two_term_cohomology` (and through it `abutment`) and `ssq.run`
   iterate; a rank-1 degree reads its one valuation without an
-  elimination or a `ModMatrix`).
+  elimination or a `ModMatrix`), and the Mahler boundary without its
+  constant column, whose valuations sum to its determinant valuation
+  (`mahler.invariants`).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit
@@ -25,8 +27,8 @@ and each caller reads only what it needs:
 - `Smith.u_rows`, U, the row steps replayed forwards: `solve` and
   `QuotPres`;
 - `Smith.v_column` / `kernel_column`, one column of V in O(rows*cols):
-  `mahler.invariants` (the saturated columns) and `kernel_gens`
-  (`towers.truncated_kernel`); `v_rows`, all of V from it: `solve`.
+  `kernel_gens` (`towers.truncated_kernel`); `v_rows`, all of V from
+  it: `solve`.
 
 `snf` puts the three together, U, D and V, for acceptance check 8 and
 the tests.

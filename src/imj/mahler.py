@@ -51,14 +51,28 @@ the image of Z_p^x in GL((Z/p^n)^L) is a finite cyclic group, which
 psi and g both generate, so psi_g = psi^s and psi = psi_g^r for some
 integers s and r.  As psi^s - id = (psi - id)(id + psi + ... +
 psi^(s-1)), and the same holds the other way, psi_g - id and psi - id
-have the same image and the same kernel.  So the Smith valuations, the
-kernel module and the kernel mod p^N, which the saturated kernel
-columns span, are those of psi, and so is the normalized generator.
+have the same image and the same kernel, so the same Smith valuations
+and the same saturated kernel.
+
+Determinant.  h_0 = [1, 0, ...], h_k[0] = 0 for k >= 1 and U[0] = 1,
+so row 0 and column 0 of H - diag(U) vanish: it is 0 (+) C, with C
+the upper triangular block on 1..L-1, whose diagonal U[k](g^k - 1)
+has valuation 1 + v_p(k) where p - 1 divides k and 0 elsewhere.  These
+sum to B = v_p(det C), and so do the Smith valuations of C, each at
+most B: below the working precision N + B of `invariants` for every
+N >= 1, and exact already at precision B + 1, whatever N is.  So the
+zero column is the only saturated factor, exponent N + B, and the
+rank is 1.  A saturated kernel vector (x_0, x') has C x' = 0 mod
+p^(N+B); as adj(C) C = det(C) I, p^B x' = 0 mod p^(N+B), so x' = 0
+mod p^N, and x_0 is a unit, since the vector is a column of an
+invertible V.  The normalized generator is the constant function 1,
+and the result depends on N only through the exponent N + B.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import zip_longest
 from operator import mul
 
@@ -154,7 +168,8 @@ def _h_rows(L: int, p: int, N: int,
     docstring), and U, U[i] the unit part of i! mod p^N, so that the
     matrix of the action of a is H times the inverse of diag(U).  H is
     upper triangular with diagonal a^i * U[i].  Only a mod p^M matters,
-    M = N + v_p((L-1)!); p is an odd prime, which both callers ask first.
+    M = N + v_p((L-1)!); p is an odd prime, which `psi_matrix` and
+    `invariants` ask first.
 
     Column i+1 comes from column i by the recurrence for h_k[i], run mod
     p^(M - v_p(i!)), dividing exactly by p^(v_p(i+1)) where p divides
@@ -237,6 +252,28 @@ class InvariantsReport:
                 f"{self.kernel.describe()}) at length {self.length}")
 
 
+@cache
+def _complement_valuations(L: int, p: int) -> tuple[int, ...]:
+    """The positive Smith valuations of C, sorted: C is H - diag(U) for
+    the integer generator of `_integer_generator` without its zero row
+    and column, eliminated at precision B + 1 (module docstring,
+    Determinant).  They do not depend on N, so they are kept per (L, p).
+    Unless they sum to B, the sum of the diagonal valuations, the
+    elimination is wrong and RuntimeError is raised."""
+    B = sum(1 + vp(k, p) for k in range(1, L) if k % (p - 1) == 0)
+    m = p**(B + 1)
+    rows, U = _h_rows(L, p, B + 1, _integer_generator(p))
+    C = [row[1:] for row in rows[1:]]
+    for k, row in enumerate(C):
+        row[k] = (row[k] - U[k + 1]) % m
+    vals = Smith(ModMatrix._empty(L - 1, L - 1, p, B + 1, C)).valuations
+    if sum(vals) != B:
+        raise RuntimeError(f"Smith valuations of the length-{L} complement "
+                           f"sum to {sum(vals)}, not to its determinant "
+                           f"valuation {B}")
+    return tuple(sorted(v for v in vals if v))
+
+
 def invariants(L: int, p: int, N: int) -> InvariantsReport:
     """Saturated kernel of id - act_psi: the genuinely invariant functions.
 
@@ -245,51 +282,26 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     per-degree torsion into a single invariant factor as large as the
     determinant valuation B of the complement of the constant column.
     Whenever N <= B that accumulated factor also hits the precision
-    ceiling and masquerades as a second free generator.  Working
-    internally at N + B separates the two: every finite invariant factor
-    is bounded by B, so only exact kernel vectors saturate.  Tail
-    coordinates of a saturated column then carry valuation at least N
-    and vanish from the reported generator, which is normalized to
-    constant term 1 when that term is a unit.  The kernel module keeps
-    the working precision, at which all its torsion exponents are exact.
+    ceiling and masquerades as a second free generator.  Working at
+    N + B separates the two: every finite invariant factor is at most
+    B, so only the constant column saturates (module docstring,
+    Determinant).  The kernel module keeps that precision, at which all
+    its torsion exponents are exact.
 
-    The elimination runs on (psi_g - id) diag(U) = H - diag(U), with H
-    and U from `_h_rows` for the small integer generator g of
-    `_integer_generator` (module docstring: the answer is that of psi):
-    one subtraction per diagonal entry, and no product by the inverses
-    of the U[i].  A right factor of units leaves every entry's valuation
-    alone, so the pivots and valuations are those of id - psi_g, and U
-    times a kernel column of H - diag(U) is a kernel column of
-    id - psi_g.  Only the saturated kernel columns are read, one at a
-    time from the Smith transcript; the row transform and the rest of V
-    are never built.  `require_odd_prime` and N >= 1 are asked before
-    B, so the working precision N + B never hides a precision below 1."""
+    The torsion exponents come from `_complement_valuations`, one
+    elimination per (L, p) at precision B + 1; the report adds the
+    saturated factor N + B, rank 1 and the constant generator 1.
+    `require_odd_prime` and N >= 1 are asked first, so the working
+    precision N + B never hides a precision below 1."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
     require_odd_prime(p)
     if N < 1:
         raise PrecisionError(f"precision {N} < 1")
-    # det of the upper-triangular complement: sum of diagonal valuations
-    B = sum(1 + vp(i, p) for i in range(1, L)
-            if i % (p - 1) == 0)
-    Nw = N + B
-    pNw = p**Nw
-    rows, U = _h_rows(L, p, Nw, _integer_generator(p))
-    for k, row in enumerate(rows):
-        row[k] = (row[k] - U[k]) % pNw
-    S = Smith(ModMatrix._empty(L, L, p, Nw, rows))
-    vals = S.valuations
-    pN = p**N
-    gens = []
-    for j, v in enumerate(vals):
-        if v == Nw:
-            col = [x * u % pN for x, u in zip(S.kernel_column(j), U)]
-            if col[0] % p:
-                inv = pow(col[0], -1, pN)
-                col = [x * inv % pN for x in col]
-            gens.append(MahlerFunction([PadicInt(x, p, N) for x in col]))
-    kernel = FgModule(sorted(v for v in vals if v > 0), p, Nw)
-    return InvariantsReport(len(gens), gens, kernel, L)
+    torsion = _complement_valuations(L, p)
+    Nw = N + sum(torsion)  # sum(torsion) = B, checked
+    one = MahlerFunction([PadicInt(int(i == 0), p, N) for i in range(L)])
+    return InvariantsReport(1, [one], FgModule([*torsion, Nw], p, Nw), L)
 
 
 class RationalProfile:

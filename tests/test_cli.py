@@ -1110,15 +1110,24 @@ def test_slowest_mahler_corner_finishes_under_the_ceiling():
     assert elapsed < 10.0, f"mahler took {elapsed:.1f} s"
 
 
-def test_wrong_kernel_column_fails_the_check(monkeypatch, capsys):
-    # a saturated column of V that 1 - psi does not annihilate is a bug
+def test_wrong_complement_valuations_fail_the_check(monkeypatch, capsys):
+    # Smith valuations of the complement C that do not sum to v_p(det C)
+    # are a bug; the cache is cleared so that (16, 3) is eliminated here
+    from imj import mahler
     from imj.gmod import Smith
-    monkeypatch.setattr(Smith, "v_column",
-                        lambda self, j: [0] * (self.A.cols - 1) + [1])
+    init = Smith.__init__
+
+    def shifted(self, A):
+        init(self, A)
+        self.valuations = [v + 1 for v in self.valuations]
+
+    monkeypatch.setattr(Smith, "__init__", shifted)
+    mahler._complement_valuations.cache_clear()
     rc, out, err = run_cli(["mahler", "-p", "3", "-L", "16"], capsys)
     assert (rc, out) == (1, "")
-    assert err == ("internal error: Smith transcript: column 15 of V is not "
-                   "a kernel vector\n")
+    assert err == ("internal error: Smith valuations of the length-16 "
+                   "complement sum to 24, not to its determinant "
+                   "valuation 9\n")
 
 
 def test_one_primality_test_per_process(capsys, monkeypatch):

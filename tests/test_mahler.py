@@ -7,7 +7,8 @@ against the sample-and-difference engine, kept here, including at the
 lengths where v_p((L-1)!) and so the working precision step up.  The
 invariants computation is checked against the expectation that constants
 are the only fixed functions, and against a `Smith` elimination of
-id - psi itself, since it runs on a small integer generator instead.
+id - psi itself, with `kernel_column`, since it runs on a small integer
+generator and eliminates only the complement of the constant column.
 """
 
 import math
@@ -256,11 +257,17 @@ def test_integer_generator_is_a_primitive_root_mod_p_squared(p):
         assert g != 5
 
 
+def det_valuation(L, p):
+    """B, the valuation of the determinant of the complement of the
+    constant column: v_p(1 - psi^i) summed over i = 1..L-1."""
+    return sum(1 + vp(i, p) for i in range(1, L) if i % (p - 1) == 0)
+
+
 def invariants_oracle(L, p, N):
     """Sorted Smith valuations of id - psi_matrix(L, p, Nw), psi =
     sigma(1+p), at the working precision Nw of `invariants`, and its
     saturated kernel columns mod p^N, normalized to constant term 1."""
-    Nw = N + sum(1 + vp(i, p) for i in range(1, L) if i % (p - 1) == 0)
+    Nw = N + det_valuation(L, p)
     S = Smith(ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw))
     pN = p**N
     gens = []
@@ -282,6 +289,54 @@ def test_invariants_of_the_integer_generator_are_those_of_psi(p, L, N):
     assert [0] * (L - len(exps)) + exps == vals
     assert [[c.residue for c in g.coefficients] for g in rep.generators] \
         == gens
+
+
+@pytest.mark.parametrize("L, p", [(2, 3), (16, 5), (96, 3),
+                                  (64, 40487), (256, 2**31 - 1)])
+def test_invariants_depend_on_n_only_through_the_working_precision(L, p):
+    B = det_valuation(L, p)
+    low, high = invariants(L, p, 1), invariants(L, p, 12)
+    torsion = low.kernel.torsion_exponents()
+    assert high.kernel.torsion_exponents() == torsion
+    assert sum(torsion) == B
+    for N, rep in ((1, low), (12, high)):
+        assert rep.kernel.precision == N + B
+        assert rep.kernel.saturated_count() == rep.rank == 1
+        assert [[(c.residue, c.precision) for c in g.coefficients]
+                for g in rep.generators] == [[(1, N)] + [(0, N)] * (L - 1)]
+
+
+def test_a_second_precision_runs_no_elimination(monkeypatch):
+    calls = []
+    init = Smith.__init__
+
+    def counted(self, A):
+        calls.append((A.rows, A.precision))
+        init(self, A)
+
+    monkeypatch.setattr(Smith, "__init__", counted)
+    mahler._complement_valuations.cache_clear()
+    invariants(32, 5, 8)
+    # one elimination of the 31 x 31 complement at precision B + 1
+    assert calls == [(31, det_valuation(32, 5) + 1)]
+    invariants(32, 5, 12)
+    assert len(calls) == 1
+
+
+def test_determinant_check_raises(monkeypatch):
+    # valuations that do not sum to B are a wrong elimination; the
+    # RuntimeError (unlike assert) also runs under python -O
+    init = Smith.__init__
+
+    def dropped(self, A):
+        init(self, A)
+        self.valuations = [0] * len(self.valuations)
+
+    monkeypatch.setattr(Smith, "__init__", dropped)
+    mahler._complement_valuations.cache_clear()
+    with pytest.raises(RuntimeError, match="sum to 0, not to its "
+                                           "determinant valuation 9"):
+        invariants(16, 3, 8)
 
 
 def test_invariants_rejects_composite_p():
