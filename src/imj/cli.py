@@ -3,12 +3,12 @@
 Subcommands: e2, run, chart, abutment, cohomology, mahler, limits,
 cobar.  Flags: each subcommand takes only the options it reads
 (`imj CMD -h`), declared once with flag, type, default and range check
-in `_command` over its handler; its parser and a flag table
-(`_read_flags`) are both built from those declarations at import.  An
-argv of a subcommand and whole flags, each followed by a value its type
-takes, is read from the table; the top parser (`_PARSER.parse_args`)
-reads every other argv (help, abbreviations, FLAG=VALUE, values that
-start with '-' and are not negative numbers, errors) and refuses
+in `_command` over its handler; a flag table (`_read_flags`), built at
+import, and the parser (`_parser()`), built on first use, both come
+from those declarations.  An argv of a subcommand and whole flags, each
+followed by a value its type takes, is read from the table; the top
+parser reads every other argv (help, abbreviations, FLAG=VALUE, values
+that start with '-' and are not negative numbers, errors) and refuses
 FLAG=-- as it refuses `FLAG --`, so argparse writes all help and usage
 text.  The config file is flat key=value text (# starts a comment) whose
 keys are the subcommand's options spelled like the long flags; an
@@ -25,10 +25,13 @@ stdout early (`| head`) ends the run with 0 and nothing on stderr.
 Output formats. Tables are plain text, one record per line. Every JSON
 document is written here, as the bytes json.dumps(doc, indent=2) writes:
 `_json_dict` writes the dict documents, and `run` (the schema in
-`_run_json`), `e2` and the charts are written degree by degree from the
-records of `ssq`, each shape of a degree's rows formatted once and
-filled per degree (`_texts`); each `run` page text of a degree is
-formatted once. Charts place a class at (stem, s) = (t - c, f + c):
+`_run_json`) and `e2` are written degree by degree from the records of
+`ssq`, each shape of a degree's rows split once where the degree's own
+text (tail and t) goes and filled by one str.join per degree
+(`_joined`); each `run` page text of a degree is filled once.  The
+tables and charts, whose shapes hold several fields per class, are
+%-formatted per degree (`_texts`).  Charts place a class at (stem, s) =
+(t - c, f + c):
 ascii-chart draws one glyph per class ('o' for c = 0, 'z' for c = 1) in
 3-column cells with '\\' in the cell up-left of a differential source;
 svg-chart is byte-deterministic with fixed layout constants (28 px
@@ -47,6 +50,7 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -292,11 +296,20 @@ def _texts(build, degs) -> Iterator[str]:
     return filter(None, (shapes[key] % fields for key, fields in degs))
 
 
-def _names(height: int) -> list:
+def _joined(build, degs) -> Iterator[str]:
+    """The nonempty JSON text of each degree of `degs`, pairs (key, sep):
+    build(*key) gives the pieces of the degree's rows split where `sep`,
+    its own text, goes, once per shape (key), and sep.join fills them."""
+    shapes = {key: build(*key) for key in {key for key, _ in degs}}
+    return filter(None, (sep.join(shapes[key]) for key, sep in degs))
+
+
+@cache
+def _names(height: int) -> tuple:
     """names[t0][c][f]: zeta^c b^f joined with the tail %(n)s, none at t0."""
     heads = [[monomial_head(f, c) for f in range(height)] for c in (0, 1)]
-    return [[[join_name(head, tail) for head in row] for row in heads]
-            for tail in ("%(n)s", "")]
+    return tuple(tuple(tuple(join_name(head, tail) for head in row)
+                       for row in heads) for tail in ("%(n)s", ""))
 
 
 def _columns(o, t: int) -> tuple:
@@ -309,11 +322,20 @@ def _shown(height: int, cs: tuple, fmax: int) -> list[tuple[int, int]]:
     return [(f, c) for f in range(height) for c in cs if f + c <= fmax]
 
 
-def _class_rows(names, pairs, i: str) -> str:
-    """The classes (f, c) of `pairs` as JSON objects at depth `i`."""
-    return ",\n".join(f'{i}{{\n{i}  "name": "{names[c][f]}",\n{i}  "t": '
-                      f'%(t)s,\n{i}  "f": {f},\n{i}  "c": {c}\n{i}}}'
-                      for f, c in pairs)
+def _sep(i: str, tail: str, t) -> str:
+    """A degree's text in each of its class rows at depth `i`: the tail
+    that ends the name, the glue to "t" and t; t alone at t = 0, whose
+    names have no tail."""
+    return f'{tail}",\n{i}  "t": {t}' if tail else str(t)
+
+
+def _class_rows(names, t0: bool, pairs, i: str) -> list[str]:
+    """The classes (f, c) of `pairs` in a degree (t = 0 if t0) as JSON
+    objects at depth `i`, split where the degree's `_sep` goes."""
+    return ",\n".join(
+        f'{i}{{\n{i}  "name": "{names[t0][c][f]}",\n{i}  "t": %(t)s,\n'
+        f'{i}  "f": {f},\n{i}  "c": {c}\n{i}}}' for f, c in pairs).split(
+            _sep(i, "" if t0 else "%(n)s", "%(t)s"))
 
 
 def _run_json(result) -> Iterator[str]:
@@ -325,38 +347,43 @@ def _run_json(result) -> Iterator[str]:
     bytes json.dumps(..., indent=2) writes.  Page r keeps every class of a
     degree with r <= v + 1, and of the others those that live forever."""
     N, last = result.precision, result.last_page
-    names = _names(N)
-    degs = [((v, t == 0), {"t": t, "n": _quote(tail)[1:-1]})
+    names, page, top = _names(N), " " * 8, "    "
+    # (v, t0, the quoted tail, t) of each degree
+    degs = [(v, t == 0, _quote(tail)[1:-1], t)
             for t, v, _, tail in result.records]
     lo, hi = result.window
     opening = (f'{{\n  "prime": {result.prime},\n  "precision": {N},\n'
                f'  "window": [\n    {lo},\n    {hi}\n  ],\n  "pages": [\n')
-    shapes = {(w, t0): _class_rows(names[t0], kept(N, w), " " * 8)
-              for w, t0 in {(w, t0) for (v, t0), _ in degs for w in (v, N)}}
+    shapes = {(w, t0): _class_rows(names, t0, kept(N, w), page)
+              for w, t0 in {(w, t0) for v, t0, _, _ in degs for w in (v, N)}}
+    seps = [_sep(page, tail, t) for _, _, tail, t in degs]
     # a degree's text is its full text (shape (N, t0)) on pages 2 .. v + 1
-    # and its kept text (shape (v, t0)) after; each is formatted once, the
+    # and its kept text (shape (v, t0)) after; each is filled once, the
     # full text held only where a later page repeats it (v >= 2) and the
     # kept text only where a page shows it (v + 1 < last)
-    full = [shapes[N, t0] % fields if v >= 2 else None
-            for (v, t0), fields in degs]
-    stable = [shapes[v, t0] % fields if v + 1 < last else None
-              for (v, t0), fields in degs]
+    full = [sep.join(shapes[N, t0]) if v >= 2 else None
+            for (v, t0, _, _), sep in zip(degs, seps)]
+    stable = [sep.join(shapes[v, t0]) if v + 1 < last else None
+              for (v, t0, _, _), sep in zip(degs, seps)]
     for r in range(2, last + 1):
         yield from _json_chunks(
             opening + f'    {{\n      "r": {r},\n      "classes": ',
-            (text if r > v + 1 else held or shapes[N, t0] % fields
-             for ((v, t0), fields), held, text in zip(degs, full, stable)),
+            (text if r > v + 1 else held or sep.join(shapes[N, t0])
+             for (v, t0, _, _), sep, held, text
+             in zip(degs, seps, full, stable)),
             " " * 6, "\n    }" + ("," if r < last else ""))
         opening = ""
-    yield from _json_chunks('  ],\n  "differentials": ', _texts(
+    yield from _json_chunks('  ],\n  "differentials": ', _joined(
         lambda v, t0: ",\n".join(
             f'    {{\n      "r": {v},\n      "source": "{names[t0][0][f]}",'
             f'\n      "target": "{names[t0][1][f + v]}"\n    }}'
-            for f in range(N - v)), sorted(degs, key=lambda d: d[0][0])),
-        "  ", ",")
-    yield from _json_chunks('  "e_infinity": ', _texts(
-        lambda v, t0: _class_rows(names[t0], kept(N, v, t0), "    "),
-        degs), "  ", "\n}")
+            for f in range(N - v)).split("%(n)s"),
+        sorted([((v, t0), tail) for v, t0, tail, _ in degs],
+               key=lambda d: d[0][0])), "  ", ",")
+    yield from _json_chunks('  "e_infinity": ', _joined(
+        lambda v, t0: _class_rows(names, t0, kept(N, v, t0), top),
+        [((v, t0), _sep(top, tail, t)) for v, t0, tail, t in degs]),
+        "  ", "\n}")
 
 
 def _run_table(result) -> Iterator[str]:
@@ -380,17 +407,18 @@ def _run_table(result) -> Iterator[str]:
 @_command("e2", "page-2 classes in a stem window", _P, _N, _STEM_MIN,
           _STEM_MAX, _FMAX, _TABLE, _OUTPUT, window=_STEMS)
 def _cmd_e2(o) -> Iterator[str]:
-    a, b, fmax, json_out = o.stem_min, o.stem_max, o.fmax, o.format == "json"
-    names = _names(fmax + 1)
-    degs = [((_columns(o, t), t == 0), {"t": t, "u": t - 1, "n": _quote(
-        tail)[1:-1] if json_out else tail})
-        for t, _, _, tail in degree_records(o.p, (a, b + 1), 1)]
-    if json_out:
+    a, b, fmax = o.stem_min, o.stem_max, o.fmax
+    names, recs = _names(fmax + 1), degree_records(o.p, (a, b + 1), 1)
+    if o.format == "json":
+        rows = _joined(lambda cs, t0: _class_rows(
+            names, t0, _shown(fmax + 1, cs, fmax), "    "),
+            [((_columns(o, t), t == 0), _sep("    ", _quote(tail)[1:-1], t))
+             for t, _, _, tail in recs])
         return _json_chunks(
             f'{{\n  "prime": {o.p},\n  "window": [\n    {a},\n    {b}\n'
-            f'  ],\n  "fmax": {fmax},\n  "classes": ', _texts(
-                lambda cs, t0: _class_rows(names[t0], _shown(
-                    fmax + 1, cs, fmax), "    "), degs), "  ", "\n}")
+            f'  ],\n  "fmax": {fmax},\n  "classes": ', rows, "  ", "\n}")
+    degs = [((_columns(o, t), t == 0), {"t": t, "u": t - 1, "n": tail})
+            for t, _, _, tail in recs]
     return chain([f"E_2 p={o.p} stems {a}..{b} fmax={fmax}"], _texts(
         lambda cs, t0: "\n".join(
             f"{names[t0][c][f]}  t=%(t)s f={f} c={c}  "
@@ -584,8 +612,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# constants: built once per process, not on every call of main
-_PARSER = _build_parser()
+# the top parser, built on the first argv the flag table declines, then
+# kept: `import imj.cli` and a flag-table argv build none
+_parser = cache(_build_parser)
 # subcommand -> (its flags, each to its _Opt; the values of an empty argv)
 _FLAGS = {name: ({flag: opt for opt in (*options, _CONFIG)
                   for flag in opt.flags.split()},
@@ -597,12 +626,12 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _read_flags(cmd: str, tokens) -> argparse.Namespace | None:
-    """What `_PARSER.parse_args([cmd, *tokens])` returns when the tokens
+    """What `_parser().parse_args([cmd, *tokens])` returns when the tokens
     are whole flags of `cmd`, each followed by a value its cast takes (a
     store_true flag takes none); a repeated flag keeps its last value, as
     in argparse.  Any other argv (-h, an abbreviation, FLAG=VALUE, a
     missing value, one starting with '-' that is not a negative number,
-    one the cast refuses, a stray token) gives None, for `_PARSER` to
+    one the cast refuses, a stray token) gives None, for `_parser()` to
     read: it alone writes help and usage errors."""
     flags, empty = _FLAGS[cmd]
     got = dict(empty, cmd=cmd)
@@ -629,12 +658,12 @@ def main(argv=None) -> int:
     args = _read_flags(argv[0], argv[1:]) if argv and argv[0] in _FLAGS \
         else None
     if args is None:
-        args = _PARSER.parse_args(argv)
+        args = _parser().parse_args(argv)
         for opt in _FLAGS[args.cmd][0].values():
             # argparse (Python 3.11) drops the '--' of FLAG=--, leaving
             # [], where it refuses `FLAG --` as a missing value
             if getattr(args, opt.dest) == []:
-                _PARSER.parse_args([args.cmd, opt.flags.split()[0], "--"])
+                _parser().parse_args([args.cmd, opt.flags.split()[0], "--"])
     handler, _, options, window = _COMMANDS[args.cmd]
     try:
         opts = _resolve(args, options, window)

@@ -1,9 +1,10 @@
-"""The `run` and `e2` tables and the chart renderers written class by
-class: test oracles that read the `RunResult` views (`page(2)`,
-`classes`, `differentials`, `e_infinity`) and `e2_page`, against which
-the CLI's writers, which write degree by degree from the records of
-`imj.ssq`, are compared byte for byte.  Each takes the options `o` of
-the subcommand (p, N, stem_min, stem_max, fmax)."""
+"""The `run` and `e2` documents and tables and the chart renderers
+written class by class: test oracles that read the `RunResult` views
+(`page(r)`, `classes`, `differentials`, `e_infinity`) and `e2_page`,
+against which the CLI's writers, which write degree by degree from the
+records of `imj.ssq`, are compared byte for byte (a document through
+json.dumps(doc, indent=2)).  Each takes the options `o` of the
+subcommand (p, N, stem_min, stem_max, fmax) where it reads them."""
 
 from collections import Counter
 
@@ -13,6 +14,36 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
+
+
+def class_json_oracle(cl) -> dict:
+    return {"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
+
+
+def run_json_oracle(result) -> dict:
+    """The `run` JSON document, built page by page from `page(r)`."""
+    return {
+        "prime": result.prime,
+        "precision": result.precision,
+        "window": [result.window[0], result.window[1]],
+        "pages": [{"r": r,
+                   "classes": [class_json_oracle(cl)
+                               for cl in result.page(r)]}
+                  for r in range(2, result.last_page + 1)],
+        "differentials": [{"r": rec.r, "source": rec.source.name,
+                           "target": rec.target.name}
+                          for rec in result.differentials],
+        "e_infinity": [class_json_oracle(cl) for cl in result.e_infinity],
+    }
+
+
+def e2_json_oracle(o) -> dict:
+    """The `e2` JSON document, from `e2_page`."""
+    a, b = o.stem_min, o.stem_max
+    return {"prime": o.p, "window": [a, b], "fmax": o.fmax,
+            "classes": [class_json_oracle(cl)
+                        for cl in e2_page(o.p, (a, b + 1), o.fmax)
+                        if a <= cl.stem <= b]}
 
 
 def run_table(result, o) -> list:

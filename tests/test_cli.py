@@ -20,14 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imj import cli
-from imj.cli import _class_rows, _run_json, main
+from imj.cli import _class_rows, _run_json, _sep, main
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
 from imj.grpcoh import abutment
 from imj.mahler import h1_rational_profile, invariants
-from imj.ssq import ChartClass, e2_page, run
+from imj.ssq import ChartClass, run
 from imj.towers import lim_lim1, moore_example
-from render_oracle import e2_table, render_ascii, render_svg, run_table
-from test_ssq import class_json_oracle, run_json_oracle
+from render_oracle import (class_json_oracle, e2_json_oracle, e2_table,
+                           render_ascii, render_svg, run_json_oracle,
+                           run_table)
 
 
 def run_cli(args, capsys):
@@ -287,13 +288,9 @@ def test_run_json_is_the_oracle_bytes(to_file, tmp_path, capsys):
     ["-p", "3", "--stem-min", "0", "--stem-max", "0", "--fmax", "0"]])
 def test_e2_json_is_the_oracle_bytes(argv, capsys):
     o = dict(zip(argv[::2], map(int, argv[1::2])))
-    lo, hi = o["--stem-min"], o["--stem-max"]
-    fmax = o.get("--fmax", o.get("-N", 8))
-    classes = sorted((cl for cl in e2_page(o["-p"], (lo, hi + 1), fmax)
-                      if lo <= cl.stem <= hi),
-                     key=lambda cl: (cl.t, cl.f, cl.c))
-    doc = {"prime": o["-p"], "window": [lo, hi], "fmax": fmax,
-           "classes": [class_json_oracle(cl) for cl in classes]}
+    doc = e2_json_oracle(SimpleNamespace(
+        p=o["-p"], stem_min=o["--stem-min"], stem_max=o["--stem-max"],
+        fmax=o.get("--fmax", o.get("-N", 8))))
     rc, out, _ = run_cli(["e2", *argv, "--format", "json"], capsys)
     assert rc == 0 and out == json.dumps(doc, indent=2) + "\n"
 
@@ -335,12 +332,13 @@ def test_json_text_many_pages_negative_t(p, window, N):
 
 
 def test_json_class_rows_escape_as_json_dumps():
-    # the row template of a class named by its tail alone, filled as the
-    # writers fill it: t, and the tail quoted by encode_basestring_ascii
+    # the row of a class named by its tail alone, filled as the writers
+    # fill it: joined by the degree's text, the tail quoted by
+    # encode_basestring_ascii and t
     cl = ChartClass('q"\\\u00e9\n', -4, 2, 1)
-    names = [[None] * 3, [None, None, "%(n)s"]]
-    row = _class_rows(names, [(cl.f, cl.c)], "  ") % {
-        "t": cl.t, "n": encode_basestring_ascii(cl.name)[1:-1]}
+    names = [[[None] * 3, [None, None, "%(n)s"]], None]
+    row = _sep("  ", encode_basestring_ascii(cl.name)[1:-1], cl.t).join(
+        _class_rows(names, False, [(cl.f, cl.c)], "  "))
     assert row == "  " + json.dumps(class_json_oracle(cl), indent=2).replace(
         "\n", "\n  ")
 
@@ -390,6 +388,42 @@ def _stdout(argv):
     return out.getvalue()
 
 
+# per p, with d = 2p - 2: t = 0 among negative t and the degrees +-d p^2
+# of v = 3 (pages 2 .. 4); the one degree t = d, by its c = 0 and by its
+# c = 1 column; negative t alone, v = 3 among them; t = 0 and t = d p of
+# v = 2 (pages 2 .. 3)
+_JSON_GRID = [(p, a, b, N) for p, d in ((3, 4), (5, 8), (7, 12))
+              for a, b, N in [(-d * p * p - 1, d * p * p, 5), (d, d, 4),
+                              (d - 1, d - 1, 4), (-d * p * p - 3, -3, 6),
+                              (-1, d * p, 4)]]
+
+
+def test_json_grid_holds_its_cases():
+    for p in (3, 5, 7):
+        runs = [run(p, (a, b + 1), N) for q, a, b, N in _JSON_GRID if q == p]
+        ts = [[t for t, _, _, _ in result.records] for result in runs]
+        assert any(0 in x and min(x) < 0 for x in ts)
+        assert any(x and max(x) < 0 for x in ts)
+        assert sum(len(x) == 1 for x in ts) == 2
+        assert any(result.last_page >= 4 for result in runs)
+
+
+@pytest.mark.parametrize("p,a,b,N", _JSON_GRID)
+def test_run_and_e2_json_on_a_fixed_grid(p, a, b, N):
+    """The `run` and `e2` JSON, each degree's rows filled by one join, are
+    json.dumps(doc, indent=2) of the oracle documents, at chart heights
+    below, inside and above N for `e2`."""
+    common = ["-p", str(p), "-N", str(N), "--stem-min", str(a),
+              "--stem-max", str(b)]
+    want = json.dumps(run_json_oracle(run(p, (a, b + 1), N)), indent=2)
+    assert _stdout(["run", *common, "--format", "json"]) == want + "\n"
+    for fmax in (0, 3, N + 1):
+        o = SimpleNamespace(p=p, stem_min=a, stem_max=b, fmax=fmax)
+        want = json.dumps(e2_json_oracle(o), indent=2)
+        assert _stdout(["e2", *common, "--fmax", str(fmax), "--format",
+                        "json"]) == want + "\n", fmax
+
+
 @settings(max_examples=150)
 @given(chart_argv())
 @example((3, -1, 3, 4, 4))     # t = 0 and its zeta column; cuts t = 4
@@ -408,9 +442,7 @@ def test_writers_are_the_per_class_oracles(args):
               "--stem-max", str(b)]
     chart = ["chart", *common, "--fmax", str(fmax), "--format"]
     e2 = ["e2", *common, "--fmax", str(fmax), "--format"]
-    classes = [class_json_oracle(cl)
-               for cl in e2_page(p, (a, b + 1), fmax) if a <= cl.stem <= b]
-    doc = {"prime": p, "window": [a, b], "fmax": fmax, "classes": classes}
+    doc = e2_json_oracle(o)
     for argv, want in [(["run", *common], run_table(result, o)),
                        (chart + ["ascii-chart"], render_ascii(result, o)),
                        (chart + ["svg-chart"], render_svg(result, o)),
@@ -702,17 +734,19 @@ def test_each_subcommand_takes_only_the_options_it_reads(cmd, tmp_path,
     assert sum(len(keys.split(", ")) for keys in _KEYS.values()) == 47
 
 
-def test_main_reuses_one_parser(monkeypatch, capsys):
+def test_main_reuses_one_parser(capsys):
+    # a flag-table argv builds no parser; the first argv the table
+    # declines builds it, and every later one reuses it
     from imj import cli
-
-    def rebuilt():
-        raise AssertionError("parser rebuilt per call")
-
-    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    cli._parser.cache_clear()
+    rc, out, _ = run_cli(["cobar", "-n", "1", "--smax", "1"], capsys)
+    assert rc == 0 and out and cli._parser.cache_info().misses == 0
     # FLAG=VALUE: the flag table declines it, so argparse reads it
     assert cli._read_flags("cobar", ["-n=1", "--smax", "1"]) is None
-    rc, out, _ = run_cli(["cobar", "-n=1", "--smax", "1"], capsys)
-    assert rc == 0 and out
+    for _ in range(2):
+        rc, out, _ = run_cli(["cobar", "-n=1", "--smax", "1"], capsys)
+        assert rc == 0 and out
+    assert cli._parser.cache_info().misses == 1
 
 
 class _Parsed(Exception):
@@ -834,7 +868,7 @@ def test_flag_reader_is_argparse_or_declines(drawn):
     assert got is not None or not whole
     if got is not None:
         with contextlib.redirect_stderr(io.StringIO()):
-            want, extra = cli._PARSER.parse_known_args(argv)
+            want, extra = cli._parser().parse_known_args(argv)
         assert (vars(got), extra) == (vars(want), [])
 
 
@@ -899,7 +933,7 @@ def test_well_formed_argv_skips_argparse(monkeypatch, capsys):
         raise AssertionError("argparse read a well-formed argv")
 
     # parse_args reads through it, so this refuses either entry point
-    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
     for argv in (["run", "-p", "5", "-N", "6", "--stem-min", "-8",
                   "--stem-max", "30", "--format", "json"],
                  ["abutment", "-p", "7", "--t-min", "-60", "--t-max", "60",
@@ -930,7 +964,7 @@ def test_flag_table_reads_every_benchmark_argv():
     for argv in argvs:
         got = cli._read_flags(argv[0], argv[1:])
         assert got is not None, argv
-        assert vars(got) == vars(cli._PARSER.parse_args(argv)), argv
+        assert vars(got) == vars(cli._parser().parse_args(argv)), argv
 
 
 @pytest.mark.parametrize("argv,cfg,key", [

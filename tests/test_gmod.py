@@ -41,7 +41,7 @@ from imj.mahler import invariants, psi_matrix
 from imj.padic import int_valuation, psi_generator, vp
 from imj.ssq import run
 from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
-from test_ssq import run_json_oracle
+from render_oracle import run_json_oracle
 
 
 def rand_matrix(rng, p, N, r, c):

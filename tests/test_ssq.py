@@ -15,6 +15,7 @@ from imj.grpcoh import CohomologyReport, PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
 from imj.ssq import (ChartClass, FilteredComplexSS, WindowError,
                      abutment_check, e2_page, run)
+from render_oracle import run_json_oracle
 
 
 def names(classes):
@@ -267,29 +268,6 @@ def test_pages_past_the_last_are_stable(p, window, N):
 def test_pages_below_two_raise_keyerror(r):
     with pytest.raises(KeyError):
         run(3, (0, 12), 5).page(r)
-
-
-def class_json_oracle(cl):
-    return {"name": cl.name, "t": cl.t, "f": cl.f, "c": cl.c}
-
-
-def run_json_oracle(result):
-    """The `run` JSON document as a dict, built page by page from
-    `page(r)`; json.dumps(run_json_oracle(result), indent=2) is the byte
-    oracle for the `run` JSON that `imj.cli` writes."""
-    return {
-        "prime": result.prime,
-        "precision": result.precision,
-        "window": [result.window[0], result.window[1]],
-        "pages": [{"r": r,
-                   "classes": [class_json_oracle(cl)
-                               for cl in result.page(r)]}
-                  for r in range(2, result.last_page + 1)],
-        "differentials": [{"r": rec.r, "source": rec.source.name,
-                           "target": rec.target.name}
-                          for rec in result.differentials],
-        "e_infinity": [class_json_oracle(cl) for cl in result.e_infinity],
-    }
 
 
 def test_json_document_shape():
