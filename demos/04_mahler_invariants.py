@@ -24,7 +24,7 @@ print(f"  f(0), f(1), f(2) = "
       f"{[f.evaluate(x).residue for x in range(3)]}\n")
 
 # The invariants of the group action. Position-by-position the matrix
-# id - act_psi looks like it has a huge kernel at any finite precision;
+# id - psi looks like it has a huge kernel at any finite precision;
 # the certified computation works at boosted internal precision so that
 # accumulated torsion cannot masquerade as a second free generator.
 rep = invariants(L, p, N)

@@ -350,9 +350,6 @@ class ExtTable:
         self.dims = {k: int(v) for k, v in dims.items() if v}
         self.s_max = s_max
 
-    def dim(self, s: int, t: int) -> int:
-        return self.dims.get((s, t), 0)
-
     def __eq__(self, other):
         if not isinstance(other, ExtTable):
             return NotImplemented

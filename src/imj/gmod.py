@@ -442,9 +442,6 @@ class QuotPres:
         self.indices = [i for i in range(W.rows) if vals[i] > 0]
         self.exponents = [vals[i] for i in self.indices]
 
-    def is_zero(self) -> bool:
-        return not self.exponents
-
     def express(self, vector: list[int]) -> list[int] | None:
         """Coordinates of an ambient vector in the cyclic factors; None if
         the vector is not in im(gens)."""
@@ -492,9 +489,6 @@ class FgModule:
 
     def is_zero(self) -> bool:
         return not self.exponents
-
-    def saturated_flags(self) -> list[bool]:
-        return [e == self.precision for e in self.exponents]
 
     def saturated_count(self) -> int:
         return sum(1 for e in self.exponents if e == self.precision)

@@ -5,7 +5,7 @@ the binomial functions b_i(a) = (a choose i); semantics are exact modulo
 (p^N, b_{>=L}).  The psi-action is translation on the source,
 (psi . f)(x) = f(x psi).  Since x -> (x psi choose i) is a degree-i
 polynomial, the length-L window is genuinely psi-stable: no truncation
-error enters act_psi.
+error enters the action of psi.
 
 The matrix of the action comes from one series identity.  With
 S = (1+T)^psi - 1,
@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import zip_longest
-from operator import mul
 
 from .gmod import FgModule, ModMatrix, Smith
 from .grpcoh import character_window
@@ -108,10 +107,6 @@ class MahlerFunction:
         prec = min(c.precision for c in coefficients)
         self.coefficients = [c.reduce(prec) for c in coefficients]
         self.precision = prec
-
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
 
     def evaluate(self, x: int) -> PadicInt:
         """Exact value at an integer point (binomials stay integral)."""
@@ -154,14 +149,6 @@ def mahler_coeffs(values: list[PadicInt]) -> MahlerFunction:
     return MahlerFunction(coeffs)
 
 
-def act_psi(f: MahlerFunction) -> MahlerFunction:
-    """(psi . f)(x) = f(x psi): the coefficient vector times psi_matrix."""
-    p, N = f.prime, f.precision
-    c = [x.residue for x in f.coefficients]
-    return MahlerFunction([PadicInt(sum(map(mul, row, c)), p, N)
-                           for row in psi_matrix(f.length, p, N).data])
-
-
 def _h_rows(L: int, p: int, N: int,
             a: int) -> tuple[list[list[int]], list[int]]:
     """H mod p^N as rows, H[k][i] = h_k[i] for the integer a (module
@@ -195,10 +182,8 @@ def _h_rows(L: int, p: int, N: int,
         if i + 1 < L:
             h = [0] + [(c * (x + y) - i * x) % m
                        for c, x, y in zip(ka, h[1:] + [0], h)]
-            q, d = i + 1, 1  # i + 1 = q * d, q prime to p
-            while q % p == 0:
-                q //= p
-                d *= p
+            d = p**vp(i + 1, p)
+            q = (i + 1) // d  # i + 1 = q * d, q prime to p
             if d > 1:
                 h = [x // d for x in h]
                 # at least 1: a short M reaches the diagonal check
@@ -217,9 +202,10 @@ def _integer_generator(p: int) -> int:
 
 
 def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
-    """Matrix of act_psi on b_0..b_{L-1} over Z/p^N.  Entry [k][i] is the
-    coefficient of T^i in S^k, S = (1+T)^psi - 1 (module docstring), so
-    column i is psi . b_i.  Upper triangular with diagonal psi^k.
+    """Matrix of the action of psi on b_0..b_{L-1} over Z/p^N.  Entry
+    [k][i] is the coefficient of T^i in S^k, S = (1+T)^psi - 1 (module
+    docstring), so column i is psi . b_i.  Upper triangular with
+    diagonal psi^k.
 
     The rows of `_h_rows` for a = psi mod p^(N + v_p((L-1)!)), column i
     multiplied by the inverse of the unit part of i! mod p^N: one product
@@ -236,7 +222,7 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
 
 
 class InvariantsReport:
-    """Kernel of id - act_psi on the length-L window."""
+    """Kernel of id - psi on the length-L window."""
 
     __slots__ = ("rank", "generators", "kernel", "length")
 
@@ -275,9 +261,9 @@ def _complement_valuations(L: int, p: int) -> tuple[int, ...]:
 
 
 def invariants(L: int, p: int, N: int) -> InvariantsReport:
-    """Saturated kernel of id - act_psi: the genuinely invariant functions.
+    """Saturated kernel of id - psi: the genuinely invariant functions.
 
-    Naive saturation counting at precision N lies: id - act_psi is
+    Naive saturation counting at precision N lies: id - psi is
     triangular with unit off-diagonal entries, and those merge the
     per-degree torsion into a single invariant factor as large as the
     determinant valuation B of the complement of the constant column.

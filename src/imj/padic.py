@@ -72,9 +72,6 @@ class PadicInt:
     def valuation(self) -> int:
         return int_valuation(self.residue, self.prime, self.precision)
 
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0
 

@@ -214,10 +214,6 @@ class FilteredComplexSS:
         self._pres[key] = pres
         return pres
 
-    def dim(self, m: int, t: int, f: int, c: int) -> int:
-        pres = self.piece(m, t, f, c)
-        return 0 if pres is None else len(pres.exponents)
-
     def induced(self, m: int, t: int) -> list[tuple[int, int, int, int]]:
         """Nonzero entries of d_m in degree t: (f, src_idx, tgt_idx, coeff)."""
         p = self.prime

@@ -69,9 +69,6 @@ class SubSum:
             return k in self.finite
         return k >= self.threshold
 
-    def window(self, R: int) -> frozenset:
-        return frozenset(k for k in range(R) if self.contains(k))
-
     def describe(self) -> str:
         if self.threshold is not None:
             return f"sum_{{k>={self.threshold}}} F_{self.prime}"
@@ -107,9 +104,6 @@ class Lim1Witness:
         if k < 0:
             raise ValueError("coordinates are indexed by k >= 0")
         return 1
-
-    def truncation(self, R: int) -> tuple:
-        return tuple(self.entry(k) for k in range(R))
 
     def refutes_preimage_window(self, R: int) -> bool:
         # an element supported below R maps to something vanishing at R

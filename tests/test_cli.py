@@ -947,15 +947,20 @@ def test_well_formed_argv_skips_argparse(monkeypatch, capsys):
             main(argv)
 
 
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # it imports nothing from imj
+    return module
+
+
 def test_flag_table_reads_every_benchmark_argv():
     # the benchmark's jobs are the traffic the flag table is for: a change
     # that sent them through argparse would move every workload's timing
     from imj import cli
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)  # it imports nothing from imj
+    workloads = _perfbench_module("workloads")
     argvs = [job.argv for w in ("spectral", "mahler", "cobar")
              for seed in range(1, 4)
              for batch in range(workloads.BATCHES_PER_24_S[w])
@@ -965,6 +970,19 @@ def test_flag_table_reads_every_benchmark_argv():
         got = cli._read_flags(argv[0], argv[1:])
         assert got is not None, argv
         assert vars(got) == vars(cli._parser().parse_args(argv)), argv
+
+
+def test_every_traced_name_resolves():
+    # resolved as Tracer.install does: a module attribute, or a function
+    # defined on the class itself; a renamed or removed one would leave the
+    # benchmark's traced run without its span
+    for mod, path in _perfbench_module("tracing").TRACED:
+        owner = importlib.import_module(f"imj.{mod}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            assert attr in vars(getattr(owner, cls_name)), (mod, path)
+        else:
+            assert callable(getattr(owner, path, None)), (mod, path)
 
 
 @pytest.mark.parametrize("argv,cfg,key", [

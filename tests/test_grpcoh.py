@@ -209,8 +209,8 @@ def test_two_term_degree_zero():
     M = PsiModule.lubin_tate(p, N, 0, 0)
     rep = two_term_cohomology(M)
     h0, h1 = rep.h(0, 0), rep.h(1, 0)
-    assert h0.exponents == [N] and h0.saturated_flags() == [True]
-    assert h1.exponents == [N] and h1.saturated_flags() == [True]
+    assert h0.exponents == [N] and h0.saturated_count() == 1
+    assert h1.exponents == [N] and h1.saturated_count() == 1
 
 
 def test_two_term_degree_two_vanishes():
@@ -227,7 +227,7 @@ def test_two_term_degree_twelve():
     assert rep.h(1, 12).exponents == [2]
     # ker(p^2 * unit) mod p^N is a truncation shadow, reported unsaturated
     h0 = rep.h(0, 12)
-    assert h0.exponents == [2] and h0.saturated_flags() == [False]
+    assert h0.exponents == [2] and h0.saturated_count() == 0
 
 
 def test_character_examples():
@@ -376,8 +376,8 @@ def test_abutment_p3():
     # t = 2 not divisible by 2p-2
     assert rep.h(1, 2).is_zero()
     # degree 0 keeps both saturated lines
-    assert rep.h(0, 0).saturated_flags() == [True]
-    assert rep.h(1, 0).saturated_flags() == [True]
+    for h in (rep.h(0, 0), rep.h(1, 0)):
+        assert h.exponents == [h.precision]
     # H^0 truncation shadows are filtered out of the abutment
     assert rep.h(0, 12).is_zero()
 
@@ -395,7 +395,7 @@ def test_abutment_matches_closed_form_across_window():
     for t in range(-40, 41, 2):
         h1 = rep.h(1, t)
         if t == 0:
-            assert h1.saturated_flags() == [True]
+            assert h1.exponents == [h1.precision]
         elif t % (2 * p - 2) == 0:
             k = abs(t) // (2 * p - 2)
             expected = 1 + int_valuation(k, p, rep.precision)

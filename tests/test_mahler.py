@@ -19,8 +19,8 @@ import pytest
 from imj import mahler, padic
 from imj.gmod import ModMatrix, Smith
 from imj.grpcoh import character_cohomology
-from imj.mahler import (MahlerFunction, act_psi, h1_rational_profile,
-                        invariants, mahler_coeffs, psi_matrix)
+from imj.mahler import (MahlerFunction, h1_rational_profile, invariants,
+                        mahler_coeffs, psi_matrix)
 from imj.padic import (PadicInt, PrecisionError, binom, int_valuation,
                        prime_factors, psi_generator, vp)
 
@@ -32,6 +32,14 @@ def pad(values, p, N):
 def basis(i, L, p, N):
     """The binomial function b_i on the length-L window."""
     return MahlerFunction(pad([1 if j == i else 0 for j in range(L)], p, N))
+
+
+def act_psi(f):
+    """(psi . f)(x) = f(x psi): the coefficient vector times psi_matrix."""
+    p, N = f.prime, f.precision
+    c = [x.residue for x in f.coefficients]
+    return MahlerFunction([PadicInt(sum(x * y for x, y in zip(row, c)), p, N)
+                           for row in psi_matrix(len(c), p, N).data])
 
 
 def test_mahler_coeffs_square():
@@ -187,7 +195,7 @@ def pointwise_product(f, g):
     """f * g, exact modulo b_{>=L}: coefficients of the products of the
     samples at 0..L-1."""
     return mahler_coeffs([f.evaluate(x) * g.evaluate(x)
-                          for x in range(f.length)])
+                          for x in range(len(f.coefficients))])
 
 
 def test_act_psi_is_ring_action():

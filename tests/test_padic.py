@@ -233,11 +233,10 @@ def test_require_odd_prime():
 _BAD_P_CALLS = """
 import json, sys
 from imj.grpcoh import abutment, character_cohomology, character_window
-from imj.mahler import act_psi, invariants, mahler_coeffs, psi_matrix
+from imj.mahler import invariants, psi_matrix
 from imj.padic import PadicInt, binom, smallest_primitive_root, vp
 from imj.ssq import run
 from imj.towers import moore_example, ssq_stage
-f = mahler_coeffs([PadicInt(x, 1, 5) for x in range(4)])
 calls = [  # (call, the p it refuses, thunk)
     ("abutment(-1, (0, 8), 5)", -1, lambda: abutment(-1, (0, 8), 5)),
     ("run(-1, (0, 8), 5)", -1, lambda: run(-1, (0, 8), 5)),
@@ -245,7 +244,6 @@ calls = [  # (call, the p it refuses, thunk)
      lambda: character_cohomology(4, -1, 5)),
     ("psi_matrix(8, 1, 5)", 1, lambda: psi_matrix(8, 1, 5)),
     ("psi_matrix(8, -1, 5)", -1, lambda: psi_matrix(8, -1, 5)),
-    ("act_psi(f), p = 1", 1, lambda: act_psi(f)),
     ("invariants(8, -1, 5)", -1, lambda: invariants(8, -1, 5)),
     ("ssq_stage(-1, 2, 2)", -1, lambda: ssq_stage(-1, 2, 2)),
     ("abutment(1, (0, 4), 5)", 1, lambda: abutment(1, (0, 4), 5)),
@@ -281,7 +279,7 @@ def test_bad_p_is_refused_at_once():
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     got = json.loads(proc.stdout)
-    assert len(got) == 24
+    assert len(got) == 23
     for name, p, kind, message in got:
         want = (f"v_p needs p >= 2, got {p}" if name.startswith("vp(")
                 else f"p must be an odd prime, got {p}")

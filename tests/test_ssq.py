@@ -291,6 +291,11 @@ def _rows(classes):
     return [_row(cl) for cl in classes]
 
 
+def _dim(ss, m, t, f, c):
+    pres = ss.piece(m, t, f, c)
+    return 0 if pres is None else len(pres.exponents)
+
+
 def oracle_run(p, window, N):
     """Reference for `run`: the same window guard, then what a run shows
     (see `_shown`), built page by page from the generic page pieces of
@@ -309,7 +314,7 @@ def oracle_run(p, window, N):
                     f"degree t={t} needs N >= {2 + vk}, have {N}")
             vmax = max(vmax, vk)
     ss = FilteredComplexSS(PsiModule.lubin_tate(p, N, ts[0], ts[-1]))
-    live = {t: any(ss.dim(1, t, f, c) for f in range(N) for c in (0, 1))
+    live = {t: any(_dim(ss, 1, t, f, c) for f in range(N) for c in (0, 1))
             for t in ts}
     pages, records = [], []
     for m in range(1, vmax + 2):
@@ -320,7 +325,7 @@ def oracle_run(p, window, N):
             k = t // per
             for f in range(N):
                 for c in (0, 1):
-                    d = ss.dim(m, t, f, c)
+                    d = _dim(ss, m, t, f, c)
                     assert d <= 1
                     if d:
                         classes.append(ChartClass.monomial(p, k, f, c))

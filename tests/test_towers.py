@@ -74,7 +74,7 @@ def test_moore_lim_vanishes_lim1_survives():
     assert lim.is_zero()
     assert lim1_nonzero is True
     assert witness.entry(0) == witness.entry(63) == 1
-    assert witness.truncation(5) == (1, 1, 1, 1, 1)
+    assert [witness.entry(k) for k in range(5)] == [1, 1, 1, 1, 1]
     for R in (1, 8, 64):
         assert witness.refutes_preimage_window(R)
 
@@ -136,7 +136,8 @@ def test_truncated_exactness_every_window_up_to_64():
               shrinking):
         lim, _, _ = lim_lim1(t)
         for R in range(1, 65):
-            assert truncated_kernel(t, R) == lim.window(R)
+            assert truncated_kernel(t, R) == \
+                frozenset(k for k in range(R) if lim.contains(k))
 
 
 def test_stages_match_ssq_through_page_6():
