@@ -62,6 +62,12 @@ lists one small cold block, sized by the count first, and re-ranks it
 by `gmod.Smith` mod the characteristic p (precision 1), whose unit
 pivots count the rank over F_p.  That is also the rank over F_q: only p
 of the field is read, and the work does not depend on q.
+
+Walk: `_profiles(n, s)`, memoized, lists the decreasing profiles of weight
+>= s with their weights, and the permutation count of each of weight s.
+It depends on (n, s) alone, not on q, S_max or `_BLOCKS`: structure, not
+a cached answer.  Every call still reads each block and the rank below
+it, counts only a missing block, and re-checks h >= 0 and t = -s.
 """
 
 import functools
@@ -70,7 +76,7 @@ import math
 import operator
 
 from .gmod import ModMatrix, Smith
-from .padic import prime_factors
+from .padic import prime_power
 
 
 class GF:
@@ -85,10 +91,10 @@ class GF:
     def __init__(self, q: int):
         if q < 2:
             raise ValueError("field order must be a prime power")
-        factors = prime_factors(q)
-        p, e = factors[0], len(factors)
-        if factors != [p] * e:
+        pe = prime_power(q)
+        if pe is None:
             raise ValueError(f"{q} is not a prime power")
+        p, e = pe
         if p == 2:
             raise ValueError("even characteristic out of scope")
         self.q = q
@@ -341,6 +347,21 @@ def _subfield_spot_check(gf: GF, s: int, canon, rank: int):
                            "count of a cobar block")
 
 
+@functools.cache
+def _profiles(n: int, s: int) -> tuple:
+    """(canon, weight, perms) per decreasing profile of weight >= s, in the
+    order of its first permutation in `itertools.product(range(s + 1),
+    repeat=n)`; perms counts the permutations at weight s, else it is 0."""
+    out = []
+    for low in itertools.combinations_with_replacement(range(s + 1), n):
+        w = sum(low)
+        if w >= s:
+            perms = 0 if w > s else math.factorial(n) // math.prod(
+                math.factorial(low.count(m)) for m in set(low))
+            out.append((low[::-1], w, perms))
+    return tuple(out)
+
+
 class ExtTable:
     """Bigraded Ext dimensions dims[(s, t_internal)], zeros dropped."""
 
@@ -379,26 +400,19 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
     dims = {(0, 0): 1}
     unchecked = True  # until a small cold block is re-ranked over F_q
     for s in range(1, S_max + 1):
-        # each profile's first permutation in itertools.product order, so
-        # the cold blocks come in the order of a walk over all profiles
-        for low in itertools.combinations_with_replacement(range(s + 1),
-                                                          H.n):
-            w = sum(low)
-            if w < s:
-                continue
-            canon = low[::-1]
-            cold = (s, canon, 0) not in _BLOCKS  # `_count`'s key for it
-            d, rank = _count(s, canon, 0)
-            if (cold and unchecked and d <= 30
-                    and 0 < _count(s + 1, canon, 0)[0] <= 30):
-                _subfield_spot_check(H.field, s, canon, rank)
-                unchecked = False
-            h = d - rank - _count(s - 1, canon, 0)[1]
+        for canon, w, perms in _profiles(H.n, s):
+            got = _BLOCKS.get((s, canon, 0))  # `_count`'s key for it
+            if got is None:
+                got = _count(s, canon, 0)
+                if (unchecked and got[0] <= 30
+                        and 0 < _count(s + 1, canon, 0)[0] <= 30):
+                    _subfield_spot_check(H.field, s, canon, got[1])
+                    unchecked = False
+            below = _BLOCKS.get((s - 1, canon, 0)) or _count(s - 1, canon, 0)
+            h = got[0] - got[1] - below[1]
             if h < 0:
                 raise RuntimeError("cobar ranks overshot a block dimension")
-            if h:
-                perms = math.factorial(H.n) // math.prod(
-                    math.factorial(low.count(m)) for m in set(low))
+            if h:  # perms is 0 off t = -s, where the key alone is a leak
                 dims[(s, -w)] = dims.get((s, -w), 0) + h * perms
     for s, t in dims:
         if t != -s:

@@ -14,9 +14,9 @@ runs on a small integer generator, and the `grpcoh` windows step
 
 `require_odd_prime` is the one odd-prime gate: every engine, and the
 CLI's -p check after its bound, asks it before any arithmetic on p.
-`prime_factors` is the one trial-division loop, behind `is_prime`
-(memoized, so p is trial-divided once per process) and `cobar.GF`'s
-field-order check.
+`prime_factors` is the one trial-division loop, behind `prime_power`
+(memoized, so p or q is trial-divided once per process), which `is_prime`
+and `cobar.GF`'s field-order check read.
 """
 
 from __future__ import annotations
@@ -195,10 +195,19 @@ def prime_factors(n: int) -> list[int]:
 
 
 @cache
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e, p prime, else None; desk-scale n.  Memoized:
+    each n is trial-divided once per process (`is_prime`, `cobar.GF`)."""
+    if n < 2:
+        return None
+    factors = prime_factors(n)
+    return (factors[0], len(factors)) if factors[0] == factors[-1] else None
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; desk-scale n.  Memoized, so the CLI's
-    -p check and `require_odd_prime` share one trial division."""
-    return n >= 2 and prime_factors(n) == [n]
+    """Primality by trial division; desk-scale n.  The CLI's -p check and
+    `require_odd_prime` share one trial division, through `prime_power`."""
+    return prime_power(n) == (n, 1)
 
 
 def require_odd_prime(p: int) -> None:

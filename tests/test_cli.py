@@ -1183,8 +1183,9 @@ def test_wrong_complement_valuations_fail_the_check(monkeypatch, capsys):
 
 
 def test_one_primality_test_per_process(capsys, monkeypatch):
-    # the -p check and the engine's odd-prime gate share one memoized
-    # is_prime, so p itself is trial-divided once
+    # the -p check, the engine's odd-prime gate and cobar's field-order
+    # check (q defaults to p) share one memoized prime_power, so p itself
+    # is trial-divided once, on a first run and on every repeat
     import imj.padic as padic
     calls = []
     factor = padic.prime_factors
@@ -1194,12 +1195,18 @@ def test_one_primality_test_per_process(capsys, monkeypatch):
         return factor(n)
 
     monkeypatch.setattr(padic, "prime_factors", counting)
-    padic.is_prime.cache_clear()
-    rc = main(["abutment", "-p", "2147483647", "-N", "64"])
-    out, err = capsys.readouterr()
-    assert (rc, err) == (0, "")
-    assert "p=2147483647 N=64" in out.splitlines()[0]
-    assert calls.count(2147483647) == 1
+    padic.prime_power.cache_clear()
+    for argv, head in ((["abutment", "-p", "2147483647", "-N", "64"],
+                        "p=2147483647 N=64"),
+                       (["cobar", "-p", "2147483647", "-n", "2", "--smax",
+                         "3"], "cobar Ext n=2 q=2147483647 smax=3"),
+                       (["cobar", "-p", "2147483647", "-n", "2", "--smax",
+                         "3"], "cobar Ext n=2 q=2147483647 smax=3")):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert head in out.splitlines()[0]
+        assert calls.count(2147483647) == 1
 
 
 _P31 = "2147483647"

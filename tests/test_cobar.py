@@ -382,6 +382,65 @@ def test_cold_run_lists_one_small_block(monkeypatch):
     assert len(listed) == 1
 
 
+def profiles_oracle(n, s):
+    # the first occurrence of each decreasing profile of weight >= s in
+    # the product walk, with its permutations counted by listing them
+    seen, out = set(), []
+    for prof in itertools.product(range(s + 1), repeat=n):
+        canon = tuple(sorted(prof, reverse=True))
+        w = sum(prof)
+        if w >= s and canon not in seen:
+            seen.add(canon)
+            perms = len(set(itertools.permutations(canon))) if w == s else 0
+            out.append((canon, w, perms))
+    return out
+
+
+def test_profiles_are_the_product_walk():
+    from imj.cobar import _profiles
+    for n in range(5):
+        for s in range(7):
+            assert list(_profiles(n, s)) == profiles_oracle(n, s), (n, s)
+
+
+def test_warm_repeat_reads_the_plan_and_the_cache(monkeypatch):
+    # a repeat at another characteristic reuses the plan of the cold walk
+    # and counts nothing: the only `_count` calls are at zero slots, which
+    # `_count` answers before it reads its memo
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    cold = cobar_ext(ExteriorHopf(4, 3), 6)
+    assert cold == symmetric_oracle(4, 6)
+    blocks = dict(cobar._BLOCKS)
+    misses = cobar._profiles.cache_info().misses
+    calls = []
+    count = cobar._count
+
+    def counting(slots, prof, prev):
+        calls.append((slots, prof, prev))
+        return count(slots, prof, prev)
+
+    monkeypatch.setattr(cobar, "_count", counting)
+    for q in (5, 25, 7):
+        assert cobar_ext(ExteriorHopf(4, q), 6) == cold
+    assert cobar._profiles.cache_info().misses == misses
+    assert cobar._BLOCKS == blocks
+    assert calls and all(slots == 0 for slots, _, _ in calls)
+
+
+@pytest.mark.parametrize("n,S_max", [(4, 6), (3, 5)])
+def test_spot_check_block_is_pinned(n, S_max, monkeypatch):
+    # the first small cold block of the walk: d^1 on two generators once
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    checked = []
+    monkeypatch.setattr(cobar, "_subfield_spot_check",
+                        lambda gf, s, canon, rank:
+                        checked.append((gf.p, s, canon, rank)))
+    cobar_ext(ExteriorHopf(n, 9), S_max)
+    assert checked == [(3, 1, (1, 1) + (0,) * (n - 2), 1)]
+
+
 @pytest.mark.parametrize("q", [191, 32771, 4294967311])
 def test_ext_at_primes_past_int16(q):
     # products of residues overflow int16 at 191 and int64 at 2^32 + 15;

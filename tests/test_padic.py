@@ -190,9 +190,13 @@ def test_is_prime_is_memoized(monkeypatch):
         return prime_factors(n)
 
     monkeypatch.setattr(padic, "prime_factors", counting)
-    is_prime.cache_clear()
+    padic.prime_power.cache_clear()
     assert [is_prime(n) for n in (97, 91, 97, 91)] == [True, False] * 2
     assert calls == [97, 91]
+    # a prime power read after is_prime is not factored again
+    assert [padic.prime_power(n) for n in (97, 91, 3**5, 3**5, 1)] == \
+        [(97, 1), None, (3, 5), (3, 5), None]
+    assert calls == [97, 91, 3**5]
 
 
 def test_prime_factors():
