@@ -42,19 +42,25 @@ no (s+1)-cells and rank d^s = 0 = u_s.  So rank d^s = u_s for every q.
 Count: the scan decides a cell at a slot of two or more generators (up)
 or at a singleton below the next slot's lowest generator (down), and no
 later slot can change that, so a prefix decides a cell.  `_count` gives
-(dim, u_s) by a recursion over slot prefixes, memoized on (slots left,
-multiplicities left, bit of the previous singleton or 0), and lists no
-cell.  After a singleton {g}, a slot whose lowest generator is above g
-adds its tails with none matched up (g is matched down); otherwise a slot
-of two or more generators adds its tails, all matched up, and a singleton
-passes the count on as the previous singleton.  `_count` and the listing
-`_block_basis` walk the same memoized slot choices, `_choices`, which
-enumerates only the admissible ones: a generator whose multiplicity
-equals the slots left is forced into the first slot (none fits if one
-exceeds them), the other generators present are free, and the slot
-holds at most sum(multiplicities) + 1 - slots generators.  It walks the
-submasks s of the free set in increasing order and keeps each nonzero
-forced | s within that popcount bound.
+(dim, u_s) by a recursion over slot prefixes and lists no cell.  The
+multiplicities left are one integer (`_pack`): digit i, of 3 bits, holds
+generator i's, up to 7 = S_max + 1 at the guard, under a top digit 1 at
+position n.  A slot of mask m leaves `prof - _spread(n)[m]`, and no
+multiplicity is left once only the top digit is.  The memo key is three
+small ints, (slots left, packed multiplicities, bit of the previous
+singleton or 0); the top digit keeps n in it, so (1, 1) and (1, 1, 0)
+are two entries.  After a singleton {g}, a slot whose lowest generator
+is above g adds its tails with none matched up (g is matched down);
+otherwise a slot of two or more generators adds its tails, all matched
+up, and a singleton passes the count on as the previous singleton.
+`_count` and the listing `_block_basis` walk the same memoized slot
+choices, `_choices`, which enumerates only the admissible ones: a
+generator whose multiplicity equals the slots left is forced into the
+first slot (none fits if one exceeds them), the other generators present
+are free, and the slot holds at most sum(multiplicities) + 1 - slots
+generators.  It reads those digit by digit, walks the submasks s of the
+free set in increasing order and keeps each nonzero forced | s within
+that popcount bound.
 
 `cobar_matrix` with the dense `rank_mod_p` (numpy) stays as an oracle:
 the tests compare it with the count on every small block.  `cobar_ext`
@@ -64,16 +70,16 @@ pivots count the rank over F_p.  That is also the rank over F_q: only p
 of the field is read, and the work does not depend on q.
 
 Walk: `_profiles(n, s)`, memoized, lists the decreasing profiles of weight
->= s with their weights, and the permutation count of each of weight s.
-It depends on (n, s) alone, not on q, S_max or `_BLOCKS`: structure, not
-a cached answer.  Every call still reads each block and the rank below
-it, counts only a missing block, and re-checks h >= 0 and t = -s.
+>= s, packed, with their weights, and the permutation count of each of
+weight s.  It depends on (n, s) alone, not on q, S_max or `_BLOCKS`:
+structure, not a cached answer.  Every call still reads each block and
+the rank below it, counts only a missing block, and re-checks h >= 0 and
+t = -s.
 """
 
 import functools
 import itertools
 import math
-import operator
 
 from .gmod import ModMatrix, Smith
 from .padic import prime_power
@@ -161,48 +167,73 @@ class ExteriorHopf:
         return out
 
 
-@functools.cache
-def _bits(n: int) -> list:
-    """Entry m is the tuple of the n bits of mask m, lowest first."""
-    return [tuple(m >> i & 1 for i in range(n)) for m in range(1 << n)]
+_WIDTH = 3  # bits per multiplicity digit of a packed profile
+_DIGIT = (1 << _WIDTH) - 1  # the widest multiplicity: S_max + 1 at the guard
+
+
+def _pack(profile) -> int:
+    """A multiplicity profile as one integer: digit i (of _WIDTH bits)
+    holds generator i's multiplicity, under a top digit 1 at position n,
+    so that (1, 1) and (1, 1, 0) stay apart.  A wider multiplicity would
+    carry into the next generator's digit, and raises."""
+    prof = 1
+    for m in reversed(profile):
+        if not 0 <= m <= _DIGIT:
+            raise ValueError(f"multiplicity {m} is outside 0..{_DIGIT}")
+        prof = prof << _WIDTH | m
+    return prof
 
 
 @functools.cache
-def _choices(slots: int, prof: tuple) -> list:
+def _spread(n: int) -> list:
+    """Entry m is mask m as a packed profile without its top digit: a 1 in
+    the digit of each generator in m."""
+    return [sum(1 << _WIDTH * i for i in range(n) if m >> i & 1)
+            for m in range(1 << n)]
+
+
+@functools.cache
+def _choices(slots: int, prof: int) -> list:
     """(sub, rest) for each nonempty mask `sub` that the first of `slots`
-    slots may take under multiplicities `prof`, in increasing order, if
-    the `rest` it leaves fits the other slots, each a nonempty set:
+    slots may take under the packed profile `prof`, in increasing order,
+    if the `rest` it leaves fits the other slots, each a nonempty set:
     max(rest) < slots <= sum(rest) + 1.  A profile no cell fits has none.
     Only those masks are walked: `forced | s` for the submasks s of the
-    free generators, within a popcount bound (module docstring, Count)."""
-    forced = free = 0
-    for i, m in enumerate(prof):
+    free generators, within a popcount bound (module docstring, Count).
+    No multiplicity in `sub` is 0, so `rest` is one subtraction."""
+    forced = free = total = 0
+    bit = 1
+    digits = prof
+    while digits > 1:  # down to the top digit's 1
+        m = digits & _DIGIT
         if m > slots:
             return []
         if m == slots:
-            forced |= 1 << i
+            forced |= bit
         elif m:
-            free |= 1 << i
-    most = sum(prof) + 1 - slots
-    bits = _bits(len(prof))
+            free |= bit
+        total += m
+        digits >>= _WIDTH
+        bit <<= 1
+    most = total + 1 - slots
+    spread = _spread(bit.bit_length() - 1)
     out = []
     s = 0
     while True:
         sub = forced | s
         if sub and sub.bit_count() <= most:
-            out.append((sub, tuple(map(operator.sub, prof, bits[sub]))))
+            out.append((sub, prof - spread[sub]))
         if s == free:
             return out
         s = (s - free) & free
 
 
-def _block_basis(s: int, profile) -> list:
+def _block_basis(s: int, prof: int) -> list:
     """Tuples of s nonempty generator masks whose multiset union has the
-    given multiplicity per generator, in lexicographic slot order."""
-    profile = tuple(profile)
+    packed profile `prof`, in lexicographic slot order."""
     if s == 0:
-        return [] if any(profile) else [()]
-    return [(sub,) + tail for sub, rest in _choices(s, profile)
+        return [] if prof & (prof - 1) else [()]  # only the top digit left
+    return [(sub,) + tail for sub, rest in _choices(s, prof)
             for tail in _block_basis(s - 1, rest)]
 
 
@@ -219,14 +250,15 @@ def _block_entries(tpl):
             sub = (sub - 1) & mask
 
 
-def _block(s: int, profile):
-    """d^s on one occurrence-profile block: (domain basis, target basis,
-    entries).  Basis elements are tuples of generator masks; entries are
-    the parallel lists (row, column, shuffle sign) of the nonzero
-    entries.  No (row, column) pair repeats: a target determines the slot
-    that was split, as the first slot where it differs from the source."""
-    cols = _block_basis(s, profile)
-    rows = _block_basis(s + 1, profile)
+def _block(s: int, prof: int):
+    """d^s on the block of packed profile `prof`: (domain basis, target
+    basis, entries).  Basis elements are tuples of generator masks;
+    entries are the parallel lists (row, column, shuffle sign) of the
+    nonzero entries.  No (row, column) pair repeats: a target determines
+    the slot that was split, as the first slot where it differs from the
+    source."""
+    cols = _block_basis(s, prof)
+    rows = _block_basis(s + 1, prof)
     index = {t: i for i, t in enumerate(rows)}
     ri, ci, val = [], [], []
     for c, tpl in enumerate(cols):
@@ -265,9 +297,9 @@ def cobar_matrix(H: ExteriorHopf, s: int, profile):
     live in the prime field for every F_q of that characteristic.
     """
     profile = tuple(profile)
-    if len(profile) != H.n or any(m < 0 for m in profile):
+    if len(profile) != H.n:
         raise ValueError("profile must list one multiplicity per generator")
-    cols, rows, entries = _block(s, profile)
+    cols, rows, entries = _block(s, _pack(profile))
     unmask = ExteriorHopf._unmask
     return ([tuple(unmask(m) for m in t) for t in cols],
             [tuple(unmask(m) for m in t) for t in rows],
@@ -305,13 +337,13 @@ def rank_mod_p(M, p: int) -> int:
 _BLOCKS = {}
 
 
-def _count(slots: int, prof: tuple, prev: int) -> tuple:
+def _count(slots: int, prof: int, prev: int) -> tuple:
     """(tails, tails matched up): the tuples of `slots` nonempty masks with
-    multiplicities `prof`, as `_block_basis` lists them, and how many of
+    packed profile `prof`, as `_block_basis` lists them, and how many of
     them the scan matches up after a singleton of bit `prev` (0: none)
     still undecided.  Memoized in `_BLOCKS`, which all blocks share."""
     if slots == 0:
-        return (0, 0) if any(prof) else (1, 0)
+        return (0, 0) if prof & (prof - 1) else (1, 0)
     key = (slots, prof, prev)
     got = _BLOCKS.get(key)
     if got is None:
@@ -349,16 +381,17 @@ def _subfield_spot_check(gf: GF, s: int, canon, rank: int):
 
 @functools.cache
 def _profiles(n: int, s: int) -> tuple:
-    """(canon, weight, perms) per decreasing profile of weight >= s, in the
-    order of its first permutation in `itertools.product(range(s + 1),
-    repeat=n)`; perms counts the permutations at weight s, else it is 0."""
+    """(canon, weight, perms) per decreasing profile of weight >= s, canon
+    packed, in the order of its first permutation in
+    `itertools.product(range(s + 1), repeat=n)`; perms counts the
+    permutations at weight s, else it is 0."""
     out = []
     for low in itertools.combinations_with_replacement(range(s + 1), n):
         w = sum(low)
         if w >= s:
             perms = 0 if w > s else math.factorial(n) // math.prod(
                 math.factorial(low.count(m)) for m in set(low))
-            out.append((low[::-1], w, perms))
+            out.append((_pack(low[::-1]), w, perms))
     return tuple(out)
 
 

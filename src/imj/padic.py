@@ -72,9 +72,6 @@ class PadicInt:
     def valuation(self) -> int:
         return int_valuation(self.residue, self.prime, self.precision)
 
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
-
     def reduce(self, precision: int) -> "PadicInt":
         if precision > self.precision:
             raise PrecisionError(
@@ -99,16 +96,9 @@ class PadicInt:
         return PadicInt(-self.residue, self.prime, self.precision)
 
     def __pow__(self, k: int) -> "PadicInt":
-        if k < 0:
-            return self.inverse() ** (-k)
+        """A negative k inverts a unit; pow refuses a non-unit with
+        ValueError."""
         return PadicInt(pow(self.residue, k, self.modulus), self.prime,
-                        self.precision)
-
-    def inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self.residue} is not a unit mod "
-                                    f"{self.prime}^{self.precision}")
-        return PadicInt(pow(self.residue, -1, self.modulus), self.prime,
                         self.precision)
 
     def __eq__(self, other: object) -> bool:

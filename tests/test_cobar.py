@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imj.cobar import (GF, ExtTable, ExteriorHopf, cobar_ext, cobar_matrix,
-                       rank_mod_p, symmetric_oracle)
+from imj.cobar import (GF, ExtTable, ExteriorHopf, _pack, cobar_ext,
+                       cobar_matrix, rank_mod_p, symmetric_oracle)
 from imj.gmod import ModMatrix, Smith
 
 
@@ -180,7 +180,7 @@ def test_block_entries_never_repeat():
     for n in (1, 2, 3):
         for s in range(1, 5):
             for profile in itertools.product(range(s + 1), repeat=n):
-                cols, rows, (ri, ci, val) = _block(s, profile)
+                cols, rows, (ri, ci, val) = _block(s, _pack(profile))
                 assert cols == sorted(set(cols))
                 assert len(set(zip(ri, ci))) == len(val)
                 assert set(val) <= {-1, 1}
@@ -212,7 +212,7 @@ def test_matching_is_acyclic(n, s_top):
     # every other entry pointing down: it drains iff there is no cycle
     from imj.cobar import _block
     for s, profile in blocks(n, s_top):
-        cols, rows, (ri, ci, _) = _block(s, profile)
+        cols, rows, (ri, ci, _) = _block(s, _pack(profile))
         index = {t: r for r, t in enumerate(rows)}
         matched = {(index[up_partner(x)], c)
                    for c, x in enumerate(cols) if matched_up(x)}
@@ -243,11 +243,12 @@ def test_critical_cells_are_decreasing_singletons(n, s_top):
     # neither matched up nor the partner of a cell matched up
     from imj.cobar import _block_basis
     for s, profile in blocks(n, s_top):
-        down = {up_partner(x) for x in _block_basis(s - 1, profile)
+        prof = _pack(profile)
+        down = {up_partner(x) for x in _block_basis(s - 1, prof)
                 if matched_up(x)}
-        critical = [x for x in _block_basis(s, profile)
+        critical = [x for x in _block_basis(s, prof)
                     if not matched_up(x) and x not in down]
-        decreasing = [x for x in _block_basis(s, profile)
+        decreasing = [x for x in _block_basis(s, prof)
                       if all(m & (m - 1) == 0 for m in x)
                       and list(x) == sorted(x, reverse=True)]
         assert critical == decreasing
@@ -262,7 +263,7 @@ def test_matched_count_is_the_dense_rank(n, s_top, p, monkeypatch):
     H = ExteriorHopf(n, p)
     for s, profile in blocks(n, s_top):
         _, _, M = cobar_matrix(H, s, profile)
-        canon = tuple(sorted(profile, reverse=True))
+        canon = _pack(sorted(profile, reverse=True))
         assert cobar._count(s, canon, 0) == \
             (M.shape[1], rank_mod_p(M, p)), (s, profile)
 
@@ -290,8 +291,8 @@ def test_block_basis_is_the_product_filtered_by_profile(n):
     for s in range(6):
         cells = cells_by_profile(n, s)
         for profile in itertools.product(range(s + 1), repeat=n):
-            assert _block_basis(s, profile) == cells.get(profile, []), \
-                (s, profile)
+            assert _block_basis(s, _pack(profile)) == \
+                cells.get(profile, []), (s, profile)
 
 
 @pytest.mark.parametrize("n,s_top", [(1, 6), (2, 6), (3, 6), (4, 5)])
@@ -303,7 +304,7 @@ def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
     monkeypatch.setattr(cobar, "_BLOCKS", {})
     for s in range(s_top + 1):
         for low in itertools.combinations_with_replacement(range(s + 1), n):
-            canon = low[::-1]
+            canon = _pack(low[::-1])
             cells = _block_basis(s, canon)
             assert cobar._count(s, canon, 0) == \
                 (len(cells), sum(map(matched_up, cells))), (s, canon)
@@ -311,7 +312,7 @@ def test_count_equals_the_listing_oracle(n, s_top, monkeypatch):
 
 def choices_oracle(slots, prof):
     # every mask up to the generators present, kept if the multiplicities
-    # it leaves fit the other slots
+    # it leaves fit the other slots; profiles are tuples here
     allowed = sum(1 << i for i, m in enumerate(prof) if m)
     out = []
     for sub in range(1, allowed + 1):
@@ -331,7 +332,9 @@ def test_choices_walk_only_the_admissible_masks():
     for n in range(6):
         for prof in itertools.product(range(5), repeat=n):
             for slots in range(1, 9):
-                assert choices(slots, prof) == choices_oracle(slots, prof), \
+                assert choices(slots, _pack(prof)) == \
+                    [(sub, _pack(rest))
+                     for sub, rest in choices_oracle(slots, prof)], \
                     (slots, prof)
 
 
@@ -351,13 +354,101 @@ def test_count_is_the_listing_and_its_scan(args):
     # profiles in any order and any previous singleton, each counted cold
     from imj import cobar
     from imj.cobar import _block_basis
-    slots, prof, prev = args
+    slots, profile, prev = args
+    prof = _pack(profile)
     cells = _block_basis(slots, prof)
     head = (prev,) if prev else ()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cobar, "_BLOCKS", {})
         assert cobar._count(slots, prof, prev) == \
             (len(cells), sum(matched_up(head + c) for c in cells))
+
+
+def test_widest_multiplicity_packs_and_one_more_is_refused():
+    # the widest multiplicity a digit holds lists the block the product
+    # walk lists; one more would carry into the next generator's digit
+    from imj.cobar import _DIGIT, _block_basis
+    cells = cells_by_profile(2, _DIGIT)
+    for profile in ((_DIGIT, 0), (_DIGIT, 1), (1, _DIGIT), (_DIGIT, _DIGIT)):
+        assert cells[profile]
+        assert _block_basis(_DIGIT, _pack(profile)) == cells[profile]
+    H = ExteriorHopf(2, 3)
+    for profile in ((_DIGIT + 1, 0), (0, _DIGIT + 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            _pack(profile)
+        with pytest.raises(ValueError):
+            cobar_matrix(H, _DIGIT + 1, profile)
+
+
+def unpack(prof):
+    # the multiplicities of a packed profile, generator 1 first, down to
+    # the top digit's 1
+    from imj.cobar import _DIGIT, _WIDTH
+    out = []
+    while prof > 1:
+        out.append(prof & _DIGIT)
+        prof >>= _WIDTH
+    return tuple(out)
+
+
+def tuple_walk(sizes):
+    # the memo keys of cold `cobar_ext` walks at `sizes`, in the order
+    # they are first stored, from a recursion keyed on profile tuples:
+    # the prefix count over `choices_oracle`, walked over `profiles_oracle`
+    # with the spot check's sizing of one small block per walk
+    memo = {}
+
+    def count(slots, prof, prev):
+        if slots == 0:
+            return (0, 0) if any(prof) else (1, 0)
+        if (slots, prof, prev) not in memo:
+            tails = up = 0
+            for sub, rest in choices_oracle(slots, prof):
+                if prev and sub & -sub > prev:
+                    tails += count(slots - 1, rest, 0)[0]
+                elif sub & (sub - 1):
+                    t = count(slots - 1, rest, 0)[0]
+                    tails += t
+                    up += t
+                else:
+                    t, u = count(slots - 1, rest, sub)
+                    tails += t
+                    up += u
+            memo[slots, prof, prev] = (tails, up)
+        return memo[slots, prof, prev]
+
+    for n, S in sizes:
+        unchecked = True
+        for s in range(1, S + 1):
+            for canon, _, _ in profiles_oracle(n, s):
+                if (s, canon, 0) not in memo:
+                    dim = count(s, canon, 0)[0]
+                    if (unchecked and dim <= 30
+                            and 0 < count(s + 1, canon, 0)[0] <= 30):
+                        unchecked = False
+                count(s - 1, canon, 0)
+    return list(memo)
+
+
+def test_cold_walks_store_the_listed_blocks_in_order(monkeypatch):
+    # the five benchmark sizes cold in one process: each memo entry,
+    # unpacked, is the listing and its scan, and the keys come in the
+    # tuple recursion's order; n stays in the key, so (1, 1) and
+    # (1, 1, 0) are two entries
+    from imj import cobar
+    from imj.cobar import _block_basis
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    sizes = [(2, 6), (3, 4), (3, 5), (4, 3), (4, 4)]
+    for n, S in sizes:
+        assert cobar_ext(ExteriorHopf(n, 3), S) == symmetric_oracle(n, S)
+    assert [(slots, unpack(prof), prev)
+            for slots, prof, prev in cobar._BLOCKS] == tuple_walk(sizes)
+    for (slots, prof, prev), got in cobar._BLOCKS.items():
+        cells = _block_basis(slots, prof)
+        head = (prev,) if prev else ()
+        assert got == (len(cells),
+                       sum(matched_up(head + c) for c in cells)), \
+            (slots, unpack(prof), prev)
 
 
 def test_cold_run_lists_one_small_block(monkeypatch):
@@ -400,7 +491,9 @@ def test_profiles_are_the_product_walk():
     from imj.cobar import _profiles
     for n in range(5):
         for s in range(7):
-            assert list(_profiles(n, s)) == profiles_oracle(n, s), (n, s)
+            assert list(_profiles(n, s)) == \
+                [(_pack(canon), w, perms)
+                 for canon, w, perms in profiles_oracle(n, s)], (n, s)
 
 
 def test_warm_repeat_reads_the_plan_and_the_cache(monkeypatch):
@@ -438,7 +531,7 @@ def test_spot_check_block_is_pinned(n, S_max, monkeypatch):
                         lambda gf, s, canon, rank:
                         checked.append((gf.p, s, canon, rank)))
     cobar_ext(ExteriorHopf(n, 9), S_max)
-    assert checked == [(3, 1, (1, 1) + (0,) * (n - 2), 1)]
+    assert checked == [(3, 1, _pack((1, 1) + (0,) * (n - 2)), 1)]
 
 
 @pytest.mark.parametrize("q", [191, 32771, 4294967311])

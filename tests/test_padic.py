@@ -358,9 +358,10 @@ def test_vp_of_a_negative_degree_index():
 def test_arithmetic_and_inverse():
     p, N = 5, 4
     x = PadicInt(7, p, N)
-    y = x.inverse()
+    y = x ** -1
     assert (x * y).residue == 1
-    with pytest.raises(ZeroDivisionError):
-        PadicInt(10, p, N).inverse()
+    assert (x ** -3 * x ** 3).residue == 1
+    with pytest.raises(ValueError):  # 10 is not a unit mod 5^4
+        PadicInt(10, p, N) ** -1
     assert (-PadicInt(1, p, N)).residue == p**N - 1
     assert (PadicInt(2, p, N) ** 3).residue == 8
