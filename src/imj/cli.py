@@ -143,10 +143,13 @@ def _bounded(noun, hi, lo=None, low=None):
     return check
 
 
+_PRIME_BOUND = _bounded("prime", _MAX_P)
+
+
 def _odd_prime(v, key, cmd):
     # the bound first, so trial division never starts past it; the gate's
     # ValueError reaches main as the same one-line error
-    return _bounded("prime", _MAX_P)(v, key, cmd) or require_odd_prime(v)
+    return _PRIME_BOUND(v, key, cmd) or require_odd_prime(v)
 
 
 def _moore_only(v, key, cmd):
@@ -265,7 +268,8 @@ def _json_dict(doc: dict) -> str:
             rows = [row % tuple([x if type(x) is int else _scalar(x)
                                  for x in obj.values()]) for obj in val]
         else:
-            rows = [inner + text(x, inner) for x in val]
+            rows = [inner + (str(x) if type(x) is int else text(x, inner))
+                    for x in val]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     return "{\n" + ",\n".join(f'  "{key}": {text(val, "  ")}'
                                for key, val in doc.items()) + "\n}"

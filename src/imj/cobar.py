@@ -5,7 +5,9 @@ internal degree -1 is a symmetric algebra on classes in (s, t) = (1, -1).
 The module verifies that by the rank of every block of the reduced cobar
 complex, which splits by occurrence profile (how often each generator
 appears across the tensor slots).  An s-cell is a tuple of s nonempty
-generator sets; d splits one slot into two in every way, entries +-1.
+generator sets; d splits one slot into two nonempty sets in every way,
+entries the Koszul signs +-1.  `ExteriorHopf.coproduct` and d read the
+same splits of a monomial, `_splits`.
 
 Ranks come from an acyclic matching of entries of d (algebraic discrete
 Morse theory: Skoldberg, Trans. AMS 2006; Jollenbeck-Welker, Mem. AMS
@@ -120,6 +122,20 @@ def _shuffle_sign(a_mask: int, b_mask: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def _splits(mask: int):
+    """Yield (sub, rest, sign) for every split of the monomial `mask` into
+    sub and rest = mask ^ sub, sub running over the submasks of mask in
+    decreasing order, from mask itself down to 0, with the Koszul sign of
+    the split."""
+    sub = mask
+    while True:
+        rest = mask ^ sub
+        yield sub, rest, _shuffle_sign(sub, rest)
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 class ExteriorHopf:
     """Exterior Hopf algebra on n primitive odd generators over F_q.
 
@@ -154,17 +170,9 @@ class ExteriorHopf:
         return frozenset(out)
 
     def coproduct(self, S) -> list:
-        mask = self._mask(S)
-        out = []
-        sub = mask
-        while True:
-            b = mask ^ sub
-            out.append((self._unmask(sub), self._unmask(b),
-                        _shuffle_sign(sub, b)))
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        return out
+        unmask = self._unmask
+        return [(unmask(sub), unmask(rest), sign)
+                for sub, rest, sign in _splits(self._mask(S))]
 
 
 _WIDTH = 3  # bits per multiplicity digit of a packed profile
@@ -243,11 +251,9 @@ def _block_entries(tpl):
         if mask.bit_count() < 2:
             continue
         pos = -1 if (i + 1) % 2 else 1
-        sub = (mask - 1) & mask
-        while sub:
-            b = mask ^ sub
-            yield tpl[:i] + (sub, b) + tpl[i + 1:], pos * _shuffle_sign(sub, b)
-            sub = (sub - 1) & mask
+        for sub, rest, sign in _splits(mask):
+            if sub and rest:  # a slot splits into two nonempty slots
+                yield tpl[:i] + (sub, rest) + tpl[i + 1:], pos * sign
 
 
 def _block(s: int, prof: int):

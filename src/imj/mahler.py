@@ -105,7 +105,8 @@ class MahlerFunction:
             raise ValueError("empty coefficient list")
         self.prime = coefficients[0].prime
         prec = min(c.precision for c in coefficients)
-        self.coefficients = [c.reduce(prec) for c in coefficients]
+        self.coefficients = [c if c.precision == prec else c.reduce(prec)
+                             for c in coefficients]
         self.precision = prec
 
     def evaluate(self, x: int) -> PadicInt:
@@ -286,7 +287,7 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
         raise PrecisionError(f"precision {N} < 1")
     torsion = _complement_valuations(L, p)
     Nw = N + sum(torsion)  # sum(torsion) = B, checked
-    one = MahlerFunction([PadicInt(int(i == 0), p, N) for i in range(L)])
+    one = MahlerFunction([PadicInt(1, p, N), *[PadicInt(0, p, N)] * (L - 1)])
     return InvariantsReport(1, [one], FgModule([*torsion, Nw], p, Nw), L)
 
 

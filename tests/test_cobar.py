@@ -38,7 +38,9 @@ def sort_parity_sign(left, right):
 
 
 # The Hopf-algebra structure around `ExteriorHopf.coproduct`, which the
-# axioms below check and `cobar_ext` never needs.
+# axioms below check.  The coproduct and the cobar differential read one
+# split generator, `cobar._splits`, so the axioms and the sign test also
+# cover the splits of a slot that `cobar_ext` uses.
 
 def basis(H):
     """The subsets of {1..n}, by size and then lexicographically."""

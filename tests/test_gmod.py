@@ -193,6 +193,23 @@ def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
     assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
 
 
+def mahler_complement(L, p):
+    """The matrix `mahler.invariants` eliminates: H - diag(U) for its
+    integer generator without row and column 0, at precision B + 1."""
+    B = sum(1 + vp(k, p) for k in range(1, L) if k % (p - 1) == 0)
+    rows, U = mahler._h_rows(L, p, B + 1, mahler._integer_generator(p))
+    return ModMatrix([[x - U[i] * (i == j) for j, x in enumerate(row)][1:]
+                      for i, row in enumerate(rows)][1:], p, B + 1)
+
+
+@pytest.mark.parametrize("L, p", [(64, 3), (48, 5)])
+def test_snf_matches_full_sweep_oracle_on_mahler_complement(L, p):
+    # the row operations of `Smith` stop at the pivot row's last nonzero
+    # entry; the full sweep runs every row operation over the whole row
+    A = mahler_complement(L, p)
+    assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_smith_row_operations_on_mahler_triangle(p):
     # id - psi is upper triangular, so the column-major tie-break takes a
@@ -501,12 +518,15 @@ def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
             raise AssertionError("unit inverse taken")
         return pow(base, exp, mod)
 
+    def no_unit_inverse(u, p, N):
+        raise AssertionError("unit inverse taken")
+
     for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
                        (1000003, 8, 999, 3)]:
         A = ModMatrix([[u * p**v]], p, N)
         M = PsiModule({0: ModMatrix([[1 - u * p**v]], p, N)}, p, N)
         monkeypatch.setattr(grpcoh, "pow", no_inverse, raising=False)
-        monkeypatch.setattr(gmod, "pow", no_inverse, raising=False)
+        monkeypatch.setattr(gmod, "unit_inverse", no_unit_inverse)
         [(t, bd, vals)] = boundary_snf(M)
         monkeypatch.undo()
         assert t == 0
@@ -525,13 +545,13 @@ def test_smith_inverts_a_unit_pivot_only_to_clear_below_it(monkeypatch):
     p = 2^31 - 1 the Mahler boundary has no row to clear below any of
     its 255 unit pivots, and its kernel column reads none of them."""
     taken = []
+    unit_inverse = gmod.unit_inverse
 
-    def counted(base, exp, mod=None):
-        if exp == -1:
-            taken.append(base)
-        return pow(base, exp, mod)
+    def counted(u, p, N):
+        taken.append(u)
+        return unit_inverse(u, p, N)
 
-    monkeypatch.setattr(gmod, "pow", counted, raising=False)
+    monkeypatch.setattr(gmod, "unit_inverse", counted)
     inv = invariants(256, 2147483647, 64)
     assert inv.rank == 1
     assert [c.residue for c in inv.generators[0].coefficients] == \
