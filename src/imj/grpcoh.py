@@ -16,8 +16,8 @@ t = (2p-2)m, where psi^{(p-1)m} = (1+p)^{(p-1)m}, and in any other degree
 invariant degrees alone, and its pass through `boundary_snf` is the one
 reader of v_p(1 - psi^j).  `two_term_cohomology` reads it into groups,
 `abutment` through it; `character_window` and `ssq.degree_records` read
-its valuations directly.  `precision_needs` steps a window's invariant
-degrees and states the precision each needs.
+its valuations directly.  Each of these window engines refuses from that
+same pass the first degree whose precision need passes N (`past_horizon`).
 """
 
 from __future__ import annotations
@@ -173,37 +173,27 @@ def character_cohomology(k: int, p: int, N: int) -> tuple[int, int, int]:
 def character_window(lo: int, hi: int, p: int, N: int):
     """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
     `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
-    (0, 0, v), with v = 0 at a k the window does not hold.  Its precision
-    is checked before the first row by `precision_needs` of t = 2lo .. 2hi
-    at base 3, so only a k with (p-1) | k is refused, naming the first."""
-    for t, need in precision_needs(p, 2 * lo, 2 * hi, 3):
-        if N < need:
-            raise PrecisionError(f"need N > {need - 1} to resolve the "
-                                 f"torsion of character {t // 2}")
+    (0, 0, v), with v = 0 at a k the window does not hold.  Before the first
+    row, `past_horizon` reads that pass keyed by k (per = p - 1) at base 3,
+    so only a k with (p-1) | k is refused, naming the first."""
     M = PsiModule.lubin_tate(p, N, 2 * lo, 2 * hi)
     held = {t // 2: v for t, _, (v,) in boundary_snf(M)}
+    if hit := past_horizon(p, N, held.items(), 3, p - 1):
+        raise PrecisionError(f"need N > {hit[1] - 1} to resolve the "
+                             f"torsion of character {hit[0]}")
     for k in range(lo, hi + 1):
         yield k, (1, 1, N) if held.get(k) == N else (0, 0, held.get(k, 0))
 
 
-def precision_needs(p: int, t_min: int, t_max: int, base: int):
-    """Yield (t, base + v_p(k)), the least N that the degree needs, for each
-    t = (2p-2)k, k != 0, in [t_min, t_max] by increasing k (no other degree
-    has a need); base is the caller's margin.  Every window engine asks
-    this first, and it asks `require_odd_prime` first."""
-    require_odd_prime(p)
-    per = 2 * p - 2
-    for k in range(-(-t_min // per), t_max // per + 1):
-        if k:
-            yield per * k, base + vp(k, p)
-
-
-def require_precision(p: int, t_min: int, t_max: int, N: int,
-                      base: int) -> None:
-    """Raise PrecisionError at the first degree needing more than N."""
-    for t, need in precision_needs(p, t_min, t_max, base):
-        if N < need:
-            raise PrecisionError(f"degree t={t} needs N >= {need}, have {N}")
+def past_horizon(p: int, N: int, pairs, base: int, per: int):
+    """The first (t, need) of a pass's pairs (t, v), in increasing t, with
+    t != 0 and need = base + v_p(t/per) > N, or None; base is the caller's
+    margin.  A Lubin-Tate degree has v = min(N, 1 + v_p(t/per)), so need
+    passes N only where v > N - base + 1, and v_p is read only there: a
+    misread v alone is never taken for a precision failure."""
+    for t, v in pairs:
+        if t and v > N - base + 1 and (need := base + vp(t // per, p)) > N:
+            return t, need
 
 
 def abutment(p: int, window: tuple[int, int],
@@ -217,13 +207,17 @@ def abutment(p: int, window: tuple[int, int],
 
     Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
     at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
-    shadow Z_p, so that raises PrecisionError.  N = None picks
-    max(4, 3 + v_p(k))."""
+    shadow Z_p, so `past_horizon` of the report's H^1 at base 2 raises
+    PrecisionError at the first such t.  N = None picks max(4, 3 + v_p(k))."""
     if N is None:
-        N = max([4] + [need + 1 for _, need in precision_needs(p, *window, 2)])
-    else:
-        require_precision(p, *window, N, 2)
+        require_odd_prime(p)
+        ks = range(-(-window[0] // (2 * p - 2)), window[1] // (2 * p - 2) + 1)
+        N = max([4] + [3 + vp(k, p) for k in ks if k])
     report = two_term_cohomology(PsiModule.lubin_tate(p, N, *window))
+    h1 = ((t, m.exponents[0]) for (s, t), m in report.entries.items() if s)
+    if hit := past_horizon(p, N, h1, 2, 2 * p - 2):
+        raise PrecisionError(f"degree t={hit[0]} needs N >= {hit[1]}, "
+                             f"have {N}")
     report.entries = {key: m for key, m in report.entries.items()
                       if key[0] or m.exponents == [N]}
     return report

@@ -54,19 +54,21 @@ psi^(s-1)), and the same holds the other way, psi_g - id and psi - id
 have the same image and the same kernel, so the same Smith valuations
 and the same saturated kernel.
 
-Determinant.  h_0 = [1, 0, ...], h_k[0] = 0 for k >= 1 and U[0] = 1,
-so row 0 and column 0 of H - diag(U) vanish: it is 0 (+) C, with C
-the upper triangular block on 1..L-1, whose diagonal U[k](g^k - 1)
-has valuation 1 + v_p(k) where p - 1 divides k and 0 elsewhere.  These
-sum to B = v_p(det C), and so do the Smith valuations of C, each at
-most B: below the working precision N + B of `invariants` for every
-N >= 1, and exact already at precision B + 1, whatever N is.  So the
-zero column is the only saturated factor, exponent N + B, and the
-rank is 1.  A saturated kernel vector (x_0, x') has C x' = 0 mod
-p^(N+B); as adj(C) C = det(C) I, p^B x' = 0 mod p^(N+B), so x' = 0
-mod p^N, and x_0 is a unit, since the vector is a column of an
-invertible V.  The normalized generator is the constant function 1,
-and the result depends on N only through the exponent N + B.
+Determinant.  h_0 = [1, 0, ...], h_k[0] = 0 for k >= 1 and U[0] = 1, so
+row 0 and column 0 of H - diag(U) vanish: it is 0 (+) C, with C the
+upper triangular block on 1..L-1, whose diagonal U[k](g^k - 1) has
+valuation 1 + v_p(k) where p - 1 divides k and 0 elsewhere.  These sum
+to B = v_p(det C), one Legendre sum: k = (p - 1)j for j = 1 .. J,
+J = floor((L - 1)/(p - 1)), v_p(k) = v_p(j), so B = J + v_p(J!).  The
+Smith valuations of C sum to B too, each at most B: below the working
+precision N + B of `invariants` for every N >= 1, and exact already at
+precision B + 1, whatever N is.  So the zero column is the only
+saturated factor, exponent N + B, and the rank is 1.  A saturated kernel
+vector (x_0, x') has C x' = 0 mod p^(N+B); as adj(C) C = det(C) I,
+p^B x' = 0 mod p^(N+B), so x' = 0 mod p^N, and x_0 is a unit, since the
+vector is a column of an invertible V.  The normalized generator is the
+constant function 1, and the result depends on N only through the
+exponent N + B.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def _complement_valuations(L: int, p: int) -> tuple[int, ...]:
     Determinant).  They do not depend on N, so they are kept per (L, p).
     Unless they sum to B, the sum of the diagonal valuations, the
     elimination is wrong and RuntimeError is raised."""
-    B = sum(1 + vp(k, p) for k in range(1, L) if k % (p - 1) == 0)
+    B = (J := (L - 1) // (p - 1)) + _vp_factorial(J, p)
     m = p**(B + 1)
     rows, U = _h_rows(L, p, B + 1, _integer_generator(p))
     C = [row[1:] for row in rows[1:]]

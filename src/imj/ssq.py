@@ -55,8 +55,8 @@ from typing import NamedTuple
 
 from .gmod import (FgModule, ModMatrix, QuotPres, quotient_presentation,
                    sub_intersect, sub_preimage)
-from .grpcoh import (CohomologyReport, PsiModule, boundary_snf,
-                     require_precision)
+from .grpcoh import CohomologyReport, PsiModule, boundary_snf, past_horizon
+from .padic import PrecisionError
 
 
 class WindowError(ValueError):
@@ -298,15 +298,19 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     in one pass by `boundary_snf` into one record per live degree.
 
     Requires N >= 2 + (1 + v_p(k)) for every k = t/(2p-2) in the window,
-    so each differential closes strictly below the precision horizon."""
+    so each differential closes strictly below the precision horizon;
+    `past_horizon` of its records (base 3) refuses the first t past it."""
     t_min, t_max = window
     if t_min > t_max:
         raise WindowError("empty degree window")
     window = (t_min + t_min % 2, t_max - t_max % 2)
     if window[0] > window[1]:
         raise WindowError("window contains no even degree")
-    require_precision(p, *window, N, 3)
-    return RunResult(p, N, window, degree_records(p, window, N))
+    records = degree_records(p, window, N)
+    if hit := past_horizon(p, N, (r[:2] for r in records), 3, 2 * p - 2):
+        raise PrecisionError(f"degree t={hit[0]} needs N >= {hit[1]}, "
+                             f"have {N}")
+    return RunResult(p, N, window, records)
 
 
 class AbutmentReport:

@@ -642,6 +642,13 @@ _REFUSALS = [
     (["cohomology", "-p", "3", "-N", "4", "--k-min", "486", "--k-max", "486"],
      2, "precision failure: need N > 7 to resolve the torsion of "
      "character 486"),
+    # the first failing degree inside the window, not at its first
+    # divisible degree (the CI refusal loop runs the same two)
+    (["abutment", "-p", "5", "-N", "4", "--t-min", "-992", "--t-max",
+      "1000"], 2, "precision failure: degree t=1000 needs N >= 5, have 4"),
+    (["cohomology", "-p", "5", "-N", "4", "--k-min", "-299", "--k-max",
+      "300"], 2, "precision failure: need N > 4 to resolve the torsion of "
+     "character -200"),
     # one row per bound on the unbounded inputs
     (["run", "-N", "65"], 2,
      "error: run precision N=65 is above the bound N <= 64"),

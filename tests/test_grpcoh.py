@@ -11,6 +11,7 @@ import random
 import pytest
 
 import imj.grpcoh as grpcoh
+import imj.ssq as ssq
 from imj.gmod import FgModule, ModMatrix, Smith, homology
 from imj.grpcoh import (PsiModule, abutment, character_cohomology,
                         two_term_cohomology)
@@ -339,22 +340,51 @@ def _needs(p, lo, hi, base):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_precision_needs_steps_the_invariant_degrees(p):
-    """`precision_needs` of a window yields, in order, what a scan of its
-    every even degree t yields: (t, base + v_p(k)) for t = (2p-2)k, k != 0,
-    with its own valuation loop; on odd, negative and inverted edges,
-    windows holding only t = 0 and windows with no invariant degree.
-    `run` still refuses the inverted windows and those with no even
-    degree, and reads every other one at its even edges."""
+def test_window_engines_refuse_exactly_what_the_needs_scan_finds(p,
+                                                                 monkeypatch):
+    """`run` (base 3) and `abutment` (base 2) at N = least - 1, least and
+    least + 1, with least the largest need of the test's own `_needs` scan:
+    refused exactly when some need passes N, naming the first such t, and
+    otherwise reading v = 1 + v_p(k) = need - base + 1 at each degree; on
+    odd, negative and inverted edges, windows holding only t = 0 and
+    windows with no invariant degree.  `padic.vp` runs once per degree
+    below the horizon (1 + v_p(k) < N) plus once at a refused degree, so
+    the gate reads v_p(k) only there.  `run` still refuses the inverted
+    windows and those with no even degree, and reads every other one at
+    its even edges."""
     per = 2 * p - 2
     T = 2 * per * p * p
     windows = [(-T, T), (-T - 1, T + 3), (1 - T, -1), (-per - 1, per + 1),
                (-1, 1), (0, 0), (1, per - 1), (-per + 1, -1), (3, 3),
                (per, per), (-per, -per), (5, -5), (per, -per), (1, 0)]
-    for base in (2, 3):
+    calls = []
+    monkeypatch.setattr(grpcoh, "vp", lambda n, q: calls.append(n) or
+                        int_valuation(n, q, 64))
+    for base, engine, read in (
+            (3, run, lambda res: {t: v for t, v, _, _ in res.records if t}),
+            (2, abutment, lambda rep: {t: m.exponents[0] for (s, t), m
+                                       in rep.entries.items() if s and t})):
         for lo, hi in windows:
-            got = list(grpcoh.precision_needs(p, lo, hi, base))
-            assert got == _needs(p, lo, hi, base), (lo, hi, base)
+            if engine is run and lo + lo % 2 > hi - hi % 2:
+                continue
+            needs = _needs(p, lo, hi, base)
+            least = max([need for _, need in needs], default=base)
+            for N in (least - 1, least, least + 1):
+                calls.clear()
+                bad = [(t, need) for t, need in needs if need > N]
+                below = sum(1 + need - base < N for _, need in needs)
+                if bad:
+                    with pytest.raises(PrecisionError) as exc:
+                        engine(p, (lo, hi), N)
+                    t, need = bad[0]
+                    assert str(exc.value) == \
+                        f"degree t={t} needs N >= {need}, have {N}"
+                    assert len(calls) == below + 1, (base, lo, hi, N)
+                    continue
+                got = read(engine(p, (lo, hi), N))
+                assert got == {t: need - base + 1 for t, need in needs}, \
+                    (base, lo, hi, N)
+                assert len(calls) == below, (base, lo, hi, N)
     for lo, hi in windows:
         even = (lo + lo % 2, hi - hi % 2)
         if even[0] > even[1]:
@@ -363,6 +393,26 @@ def test_precision_needs_steps_the_invariant_degrees(p):
                 run(p, (lo, hi), 8)
         else:
             assert run(p, (lo, hi), 8).window == even
+
+
+@pytest.mark.parametrize("p,N,t,window", [
+    (3, 6, 12, (-40, 40)), (5, 5, 40, (-80, 80)), (7, 4, -12, (-60, 60))])
+def test_a_misread_valuation_is_not_a_precision_failure(monkeypatch, p, N,
+                                                         t, window):
+    """`boundary_snf` patched to read v = N at degree t, where N covers
+    every need of the window: `run` and `abutment` return the misread (a
+    record with v = N, a shadow Z_p in H^0) and do not refuse it as a
+    precision failure, since the gate asks v_p(k) before it refuses."""
+    read = grpcoh.boundary_snf
+
+    def misread(M):
+        for u, bd, vals in read(M):
+            yield u, bd, [M.precision] if u == t else vals
+
+    monkeypatch.setattr(grpcoh, "boundary_snf", misread)
+    monkeypatch.setattr(ssq, "boundary_snf", misread)
+    assert {u: v for u, v, _, _ in run(p, window, N).records}[t] == N
+    assert abutment(p, window, N).h(0, t).exponents == [N]
 
 
 def test_abutment_p3():
