@@ -56,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .cobar import ExteriorHopf, cobar_ext
 from .grpcoh import abutment
-from .mahler import h1_rational_profile, invariants
+from .mahler import MAX_LENGTH, h1_rational_profile, invariants
 from .padic import PrecisionError, require_odd_prime
 from .ssq import (WindowError, degree_records, join_name, kept,
                   monomial_head, run)
@@ -66,22 +66,16 @@ _SVG_CELL = 28
 _SVG_MARGIN = 40
 _SVG_RADIUS = 3
 _SVG_SQUARE = 6
-# Largest accepted `mahler -L`, inside the 10 s ceiling: at the largest
-# p and N, `imj mahler -p 2147483647 -N 64 -L 256 --format json`
-# takes 0.17 s (process wall time, median of 5, Python 3.11.7, 2 CPUs;
-# BENCH_30.json), and p in {3, 5, 7} at most 0.20 s over N in {8, 32, 64}
-# (README).
-_MAHLER_MAX_L = 256
-# Largest accepted -N (which keeps that mahler corner under 10 s), --fmax
-# and window spans; README states the timing of each at its bound.
+# Largest accepted -N, --fmax and window spans; README states the timing
+# of each at its bound.  `mahler -L` reads its bound from `mahler`.
 _MAX_N = 64
 _MAX_FMAX = 64
 _MAX_STEMS = 5000
 _MAX_T_SPAN = 40000
 _MAX_K_SPAN = 10000
 # Largest accepted -p and cobar --q: the trial division that decides
-# primality (and, for `mahler` only, factors p - 1 for the primitive root)
-# stops within about 46,341 steps; README times each subcommand at this p.
+# primality stops within about 46,341 steps; README times each subcommand
+# at this p.
 _MAX_P = 2**31 - 1
 # the config spellings of a boolean option
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
@@ -550,8 +544,8 @@ def _cmd_cohomology(o) -> dict | list:
 
 
 @_command("mahler", "invariant functions in the Mahler model", _P, _N,
-          _Opt("-L", f"window length, at most {_MAHLER_MAX_L}", 16,
-               check=_bounded("length", _MAHLER_MAX_L)),
+          _Opt("-L", f"window length, at most {MAX_LENGTH}", 16,
+               check=_bounded("length", MAX_LENGTH)),
           _TABLE, _OUTPUT)
 def _cmd_mahler(o) -> dict | list:
     rep = invariants(o.L, o.p, o.N)

@@ -17,9 +17,7 @@ reader, and each caller reads only what it needs:
   (`grpcoh.boundary_snf`, the one pass over a `PsiModule`'s stored rows
   that `two_term_cohomology` (and through it `abutment`) and `ssq.run`
   iterate; a rank-1 degree reads its one valuation without an
-  elimination or a `ModMatrix`), and the Mahler boundary without its
-  constant column, whose valuations sum to its determinant valuation
-  (`mahler.invariants`).
+  elimination or a `ModMatrix`).
   At precision 1 every nonzero residue is a unit, so the v = 0 pivots
   count the rank over F_p (`cobar._subfield_spot_check`), and a square
   matrix is invertible mod p exactly when every pivot is a unit

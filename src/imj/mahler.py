@@ -42,27 +42,35 @@ binomials (a choose m), m <= i, and each of those is right mod
 p^(M - v_p(m!)).  Only i < L reaches the window, so M = N + v_p((L-1)!)
 makes every entry right mod p^N.
 
-Generator.  `invariants` runs the recurrence on a small integer g that
-topologically generates Z_p^x, so every product k g (h_k[i] +
-h_(k-1)[i]) has a factor of a few digits, and it eliminates
-(psi_g - id) diag(U) = H - diag(U), which needs no product by the
-inverses of the U_i.  The answer is that of psi.  At any precision
-the image of Z_p^x in GL((Z/p^n)^L) is a finite cyclic group, which
-psi and g both generate, so psi_g = psi^s and psi = psi_g^r for some
-integers s and r.  As psi^s - id = (psi - id)(id + psi + ... +
-psi^(s-1)), and the same holds the other way, psi_g - id and psi - id
-have the same image and the same kernel, so the same Smith valuations
-and the same saturated kernel.
+Determinant.  psi b_0 = b_0 and no psi b_i, i >= 1, has a b_0 term, so
+psi - id = 0 (+) C, with C the upper triangular block on 1..L-1 whose
+diagonal psi^k - 1 has valuation 1 + v_p(k) where p - 1 divides k and
+0 elsewhere.  These sum to B = v_p(det C), one Legendre sum: k =
+(p - 1)j for j = 1 .. J = floor((L - 1)/(p - 1)), so B = J + v_p(J!).
+The torsion of H^1(W_L) = coker(psi - id), that of coker(C), depends on
+J alone: in the long exact sequence of 0 -> W_L -> W_(L+1) ->
+Z_p(psi^L) -> 0 the quotient has no cohomology unless p - 1 divides L,
+since psi^L - 1 is a unit, so H^1(W_L) = H^1(W_(L+1)).  Its exponents
+follow a law: each k = (p - 1)j < L adds Z/p^(1 + v_p(j)), one unit of
+which joins factor 0 at once, and for each m <= v_p(j) one more unit
+reaches factor r <= m at J = j + t(m, r), t(m, r) = (p^r - 1)/(p - 1)
++ min(m - r, p - 1) p^(r-1).  With n_m(x) = floor(x/p^m) for x > 0,
+else 0, and M the largest m with p^m <= J, that counts
 
-Determinant.  h_0 = [1, 0, ...], h_k[0] = 0 for k >= 1 and U[0] = 1, so
-row 0 and column 0 of H - diag(U) vanish: it is 0 (+) C, with C the
-upper triangular block on 1..L-1, whose diagonal U[k](g^k - 1) has
-valuation 1 + v_p(k) where p - 1 divides k and 0 elsewhere.  These sum
-to B = v_p(det C), one Legendre sum: k = (p - 1)j for j = 1 .. J,
-J = floor((L - 1)/(p - 1)), v_p(k) = v_p(j), so B = J + v_p(J!).  The
-Smith valuations of C sum to B too, each at most B: below the working
-precision N + B of `invariants` for every N >= 1, and exact already at
-precision B + 1, whatever N is.  So the zero column is the only
+    e_0 = J + sum_(m=1..M) [n_m(J) - n_m(J - t(m, 1))],
+    e_r = sum_(m=r..M) [n_m(J - t(m, r)) - n_m(J - t(m, r+1))],
+
+the second term dropped at m = r; the torsion exponents are the
+positive e_r, and they sum to J + sum_m n_m(J) = B (at p = 3, L = 7:
+(4)).  The law is a fit, not a proof.  It equals the Smith valuations
+of C for every odd p <= 256 and J >= 1 with (p - 1)J < 256, so for
+every L <= MAX_LENGTH = 256 (p > L has no torsion), and at p <= 13 up
+to L about 800, but fails at p = 3 for J = 246, 247 and 253; so
+`invariants` refuses L > MAX_LENGTH.  Inside the bound the cap p - 1
+matters only at p = 3, J = 84 (L = 169, 170).
+
+Every Smith valuation of C is at most B: below the working precision
+N + B of `invariants` for every N >= 1, so the zero column is the only
 saturated factor, exponent N + B, and the rank is 1.  A saturated kernel
 vector (x_0, x') has C x' = 0 mod p^(N+B); as adj(C) C = det(C) I,
 p^B x' = 0 mod p^(N+B), so x' = 0 mod p^N, and x_0 is a unit, since the
@@ -74,13 +82,15 @@ exponent N + B.
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import zip_longest
 
-from .gmod import FgModule, ModMatrix, Smith
+from .gmod import FgModule, ModMatrix
 from .grpcoh import character_window
 from .padic import (PadicInt, PrecisionError, psi_generator,
-                    require_odd_prime, smallest_primitive_root, vp)
+                    require_odd_prime, vp)
+
+# Largest window `invariants` accepts, where its law is checked (Determinant)
+MAX_LENGTH = 256
 
 
 def _vp_factorial(n: int, p: int) -> int:
@@ -158,8 +168,8 @@ def _h_rows(L: int, p: int, N: int,
     docstring), and U, U[i] the unit part of i! mod p^N, so that the
     matrix of the action of a is H times the inverse of diag(U).  H is
     upper triangular with diagonal a^i * U[i].  Only a mod p^M matters,
-    M = N + v_p((L-1)!); p is an odd prime, which `psi_matrix` and
-    `invariants` ask first.
+    M = N + v_p((L-1)!); p is an odd prime, which `psi_matrix` asks
+    first.
 
     Column i+1 comes from column i by the recurrence for h_k[i], run mod
     p^(M - v_p(i!)), dividing exactly by p^(v_p(i+1)) where p divides
@@ -194,14 +204,6 @@ def _h_rows(L: int, p: int, N: int,
             u = u * q % pN
             diag = diag * a * q % pN
     return [list(row) for row in zip_longest(*cols, fillvalue=0)], U
-
-
-def _integer_generator(p: int) -> int:
-    """A small integer that topologically generates Z_p^x: the smallest
-    primitive root g mod p, plus p when g^(p-1) = 1 mod p^2, so that it
-    is a primitive root mod p^2 (the first such p is 40487, g = 5)."""
-    g = smallest_primitive_root(p)
-    return g + p if pow(g, p - 1, p * p) == 1 else g
 
 
 def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
@@ -241,26 +243,21 @@ class InvariantsReport:
                 f"{self.kernel.describe()}) at length {self.length}")
 
 
-@cache
-def _complement_valuations(L: int, p: int) -> tuple[int, ...]:
-    """The positive Smith valuations of C, sorted: C is H - diag(U) for
-    the integer generator of `_integer_generator` without its zero row
-    and column, eliminated at precision B + 1 (module docstring,
-    Determinant).  They do not depend on N, so they are kept per (L, p).
-    Unless they sum to B, the sum of the diagonal valuations, the
-    elimination is wrong and RuntimeError is raised."""
-    B = (J := (L - 1) // (p - 1)) + _vp_factorial(J, p)
-    m = p**(B + 1)
-    rows, U = _h_rows(L, p, B + 1, _integer_generator(p))
-    C = [row[1:] for row in rows[1:]]
-    for k, row in enumerate(C):
-        row[k] = (row[k] - U[k + 1]) % m
-    vals = Smith(ModMatrix._empty(L - 1, L - 1, p, B + 1, C)).valuations
-    if sum(vals) != B:
-        raise RuntimeError(f"Smith valuations of the length-{L} complement "
-                           f"sum to {sum(vals)}, not to its determinant "
-                           f"valuation {B}")
-    return tuple(sorted(v for v in vals if v))
+def _complement_valuations(J: int, p: int) -> list[int]:
+    """e_0, ..., e_M, the Smith valuations of C that can be positive, by
+    the law of the module docstring (Determinant)."""
+    e, q = [J], p
+    while q <= J:
+        e.append(0)
+        m = len(e) - 1
+        moved = J // q
+        for r in range(1, m + 1):
+            t = (p**r - 1) // (p - 1) + min(m - r, p - 1) * p**(r - 1)
+            left, moved = moved, max(J - t, 0) // q
+            e[r - 1] += left - moved
+        e[m] += moved
+        q *= p
+    return e
 
 
 def invariants(L: int, p: int, N: int) -> InvariantsReport:
@@ -277,18 +274,26 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     Determinant).  The kernel module keeps that precision, at which all
     its torsion exponents are exact.
 
-    The torsion exponents come from `_complement_valuations`, one
-    elimination per (L, p) at precision B + 1; the report adds the
-    saturated factor N + B, rank 1 and the constant generator 1.
-    `require_odd_prime` and N >= 1 are asked first, so the working
-    precision N + B never hides a precision below 1."""
+    The torsion exponents come from the law `_complement_valuations`,
+    checked to sum to B (else RuntimeError); the report adds the
+    saturated factor N + B, rank 1 and the constant generator 1.  L
+    outside 2 .. MAX_LENGTH, then `require_odd_prime` and N >= 1 are
+    asked first, so N + B never hides a precision below 1."""
     if L < 2:
         raise ValueError("window too short to see the translation action")
+    if L > MAX_LENGTH:
+        raise ValueError(f"window length {L} is above the bound L <= "
+                         f"{MAX_LENGTH}, where the torsion law is checked")
     require_odd_prime(p)
     if N < 1:
         raise PrecisionError(f"precision {N} < 1")
-    torsion = _complement_valuations(L, p)
-    Nw = N + sum(torsion)  # sum(torsion) = B, checked
+    B = (J := (L - 1) // (p - 1)) + _vp_factorial(J, p)
+    vals = _complement_valuations(J, p)
+    if sum(vals) != B:
+        raise RuntimeError(f"Smith valuations of the length-{L} complement "
+                           f"sum to {sum(vals)}, not to its determinant "
+                           f"valuation {B}")
+    torsion, Nw = sorted(v for v in vals if v), N + B
     one = MahlerFunction([PadicInt(1, p, N), *[PadicInt(0, p, N)] * (L - 1)])
     return InvariantsReport(1, [one], FgModule([*torsion, Nw], p, Nw), L)
 

@@ -8,10 +8,9 @@ it cannot be told apart from any element of valuation >= N.
 psi = sigma*(1+p), built here, generates Z_p^x; v(1 - psi^k) = 1 + v_p(k)
 when (p-1) | k != 0, else 0: the image-of-J pattern.  Only
 `mahler.psi_matrix`, the tests and demo 01 build it: `mahler.invariants`
-runs on a small integer generator, and the `grpcoh` windows step
-(1+p)^(p-1).  Outside this module `smallest_primitive_root` serves
-`mahler` alone, and `unit_inverse`, a Newton lift like `teichmuller`,
-inverts the pivot units of `gmod.Smith`.
+reads a law, and the `grpcoh` windows step (1+p)^(p-1).  Outside this
+module `unit_inverse`, a Newton lift like `teichmuller`, inverts the
+pivot units of `gmod.Smith`.
 
 `require_odd_prime` is the one odd-prime gate: every engine, and the
 CLI's -p check after its bound, asks it before any arithmetic on p.

@@ -1170,18 +1170,17 @@ def test_slowest_mahler_corner_finishes_under_the_ceiling():
 
 
 def test_wrong_complement_valuations_fail_the_check(monkeypatch, capsys):
-    # Smith valuations of the complement C that do not sum to v_p(det C)
-    # are a bug; the cache is cleared so that (16, 3) is eliminated here
+    # torsion exponents of the complement C that do not sum to v_p(det C)
+    # are a bug: here the law's exponents, padded with zeros to the L - 1
+    # Smith valuations of C, each one too large
     from imj import mahler
-    from imj.gmod import Smith
-    init = Smith.__init__
+    law = mahler._complement_valuations
 
-    def shifted(self, A):
-        init(self, A)
-        self.valuations = [v + 1 for v in self.valuations]
+    def shifted(J, p):
+        vals = law(J, p)
+        return [v + 1 for v in vals + [0] * (15 - len(vals))]
 
-    monkeypatch.setattr(Smith, "__init__", shifted)
-    mahler._complement_valuations.cache_clear()
+    monkeypatch.setattr(mahler, "_complement_valuations", shifted)
     rc, out, err = run_cli(["mahler", "-p", "3", "-L", "16"], capsys)
     assert (rc, out) == (1, "")
     assert err == ("internal error: Smith valuations of the length-16 "

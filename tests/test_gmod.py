@@ -41,6 +41,7 @@ from imj.mahler import invariants, psi_matrix
 from imj.padic import int_valuation, psi_generator, vp
 from imj.ssq import run
 from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
+from mahler_oracle import mahler_complement
 from render_oracle import run_json_oracle
 
 
@@ -191,15 +192,6 @@ def test_snf_matches_full_sweep_oracle_random():
 def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
     A = mahler_boundary(64, p)
     assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
-
-
-def mahler_complement(L, p):
-    """The matrix `mahler.invariants` eliminates: H - diag(U) for its
-    integer generator without row and column 0, at precision B + 1."""
-    B = sum(1 + vp(k, p) for k in range(1, L) if k % (p - 1) == 0)
-    rows, U = mahler._h_rows(L, p, B + 1, mahler._integer_generator(p))
-    return ModMatrix([[x - U[i] * (i == j) for j, x in enumerate(row)][1:]
-                      for i, row in enumerate(rows)][1:], p, B + 1)
 
 
 @pytest.mark.parametrize("L, p", [(64, 3), (48, 5)])

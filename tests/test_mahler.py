@@ -7,8 +7,9 @@ against the sample-and-difference engine, kept here, including at the
 lengths where v_p((L-1)!) and so the working precision step up.  The
 invariants computation is checked against the expectation that constants
 are the only fixed functions, and against a `Smith` elimination of
-id - psi itself, with `kernel_column`, since it runs on a small integer
-generator and eliminates only the complement of the constant column.
+id - psi itself, with `kernel_column`, since it reads its torsion from a
+law and builds no matrix; the law is checked against `Smith` on the
+complement of the constant column (`mahler_oracle`).
 """
 
 import math
@@ -16,13 +17,14 @@ import random
 
 import pytest
 
-from imj import mahler, padic
+from imj import cli, mahler, padic
 from imj.gmod import ModMatrix, Smith
 from imj.grpcoh import character_cohomology
 from imj.mahler import (MahlerFunction, h1_rational_profile, invariants,
                         mahler_coeffs, psi_matrix)
 from imj.padic import (PadicInt, PrecisionError, binom, int_valuation,
                        prime_factors, psi_generator, vp)
+from mahler_oracle import integer_generator, law_mismatches
 
 
 def pad(values, p, N):
@@ -258,7 +260,7 @@ def test_integer_generator_is_a_primitive_root_mod_p_squared(p):
     # order p - 1 mod p, and g^(p-1) != 1 mod p^2, so g topologically
     # generates Z_p^x; at 40487 the smallest primitive root, 5, has
     # 5^(p-1) = 1 mod p^2 and is not one
-    g = mahler._integer_generator(p)
+    g = integer_generator(p)
     assert all(pow(g, (p - 1) // q, p) != 1 for q in set(prime_factors(p - 1)))
     assert pow(g, p - 1, p * p) != 1
     if p == 40487:
@@ -291,6 +293,7 @@ def invariants_oracle(L, p, N):
 @pytest.mark.parametrize("L", [2, 16, 64])
 @pytest.mark.parametrize("N", [4, 8])
 def test_invariants_of_the_integer_generator_are_those_of_psi(p, L, N):
+    # the law's exponents against an elimination of psi's own id - psi
     vals, gens = invariants_oracle(L, p, N)
     rep = invariants(L, p, N)
     exps = rep.kernel.exponents
@@ -314,7 +317,18 @@ def test_invariants_depend_on_n_only_through_the_working_precision(L, p):
                 for g in rep.generators] == [[(1, N)] + [(0, N)] * (L - 1)]
 
 
-def test_a_second_precision_runs_no_elimination(monkeypatch):
+def test_complement_law_matches_smith():
+    # every J at p = 3, 5, 7 up to L = 129, one window per J since the
+    # torsion depends on J alone; (169, 3) is the one accepted window where
+    # the cap min(m - r, p - 1) matters, and L = 256 the largest
+    windows = [((p - 1) * J + 1, p) for p in (3, 5, 7)
+               for J in range(1, 128 // (p - 1) + 1)]
+    windows += [(169, 3), (256, 3), (256, 5), (256, 7)]
+    assert law_mismatches(windows) == []
+
+
+def test_no_mahler_run_constructs_a_smith(monkeypatch, capsys):
+    # the torsion comes from the law: no elimination and no matrix
     calls = []
     init = Smith.__init__
 
@@ -322,29 +336,41 @@ def test_a_second_precision_runs_no_elimination(monkeypatch):
         calls.append((A.rows, A.precision))
         init(self, A)
 
+    def refuse(*args):
+        raise RuntimeError("mahler built a matrix")
+
     monkeypatch.setattr(Smith, "__init__", counted)
-    mahler._complement_valuations.cache_clear()
-    invariants(32, 5, 8)
-    # one elimination of the 31 x 31 complement at precision B + 1
-    assert calls == [(31, det_valuation(32, 5) + 1)]
-    invariants(32, 5, 12)
-    assert len(calls) == 1
+    monkeypatch.setattr(mahler, "_h_rows", refuse)
+    for p in ("3", "5", "2147483647"):
+        for N in ("4", "64"):
+            for L in ("2", "16", "169", "256"):
+                for fmt in ("table", "json"):
+                    assert cli.main(["mahler", "-p", p, "-N", N, "-L", L,
+                                     "--format", fmt]) == 0
+                    assert capsys.readouterr().err == ""
+    assert calls == []
 
 
 def test_determinant_check_raises(monkeypatch):
-    # valuations that do not sum to B are a wrong elimination; the
-    # RuntimeError (unlike assert) also runs under python -O
-    init = Smith.__init__
-
-    def dropped(self, A):
-        init(self, A)
-        self.valuations = [0] * len(self.valuations)
-
-    monkeypatch.setattr(Smith, "__init__", dropped)
-    mahler._complement_valuations.cache_clear()
+    # exponents that do not sum to B are a wrong law; the RuntimeError
+    # (unlike assert) also runs under python -O
+    monkeypatch.setattr(mahler, "_complement_valuations",
+                        lambda J, p: [0] * (J + 1))
     with pytest.raises(RuntimeError, match="sum to 0, not to its "
                                            "determinant valuation 9"):
         invariants(16, 3, 8)
+
+
+def test_window_above_the_checked_domain_is_refused():
+    # the law is checked only up to MAX_LENGTH; the bound is asked with
+    # L < 2, before the prime and the precision
+    assert mahler.MAX_LENGTH == 256
+    invariants(256, 3, 8)
+    for call in (lambda: invariants(257, 3, 8),
+                 lambda: invariants(257, 9, 0)):
+        with pytest.raises(ValueError, match=r"^window length 257 is above "
+                                             r"the bound L <= 256,"):
+            call()
 
 
 def test_invariants_rejects_composite_p():
