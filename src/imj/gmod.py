@@ -1,16 +1,10 @@
 """Finitely generated modules over Z/p^N and their homomorphisms.
 
 Z/p^N is a local ring: every element is unit * p^v, so Smith normal form
-needs no Euclidean steps, only valuation pivoting, with ties broken
-column-major so that the upper triangular Mahler boundary psi - id is
-eliminated with few row operations.  Rows are reduced mod p^N only when
-they become pivot rows, a unit pivot row is left unscaled, its unit is
-inverted, by a Hensel lift, only where the inverse is read, a row
-operation runs only over the pivot row's nonzero span, and the pivot
-scan reads a column without a unit once (see `Smith`).  All the
-homological bookkeeping downstream reduces to the one elimination here,
-`Smith`, which keeps the transcript of its steps.  Each output has one
-reader, and each caller reads only what it needs:
+needs no Euclidean steps, only valuation pivoting (`Smith`).  All the
+homological bookkeeping downstream reduces to that one elimination,
+which keeps the transcript of its steps.  Each output has one reader,
+and each caller reads only what it needs:
 
 - `Smith.valuations`, the diagonal D = diag(p^v_k), from the elimination
   alone: the two-term complex id - psi in a degree of rank > 1
@@ -32,6 +26,12 @@ reader, and each caller reads only what it needs:
 `snf` puts the three together, U, D and V, for acceptance check 8 and
 the tests.
 
+In production `Smith` runs only at precision 1, on small matrices: the
+cobar spot check's rank mod p and `PsiModule`'s invertibility check.
+At precision N it serves the test oracles and library modules of rank
+> 1 through `boundary_snf`.  So `Smith` is the plain elimination, not
+tuned for the wide moduli the oracles use.
+
 The generic engine has no production caller and serves the tests as an
 oracle: `homology` (with `kernel_gens`, `sub_preimage` and `QuotPres`)
 checks that reading of the complex, `sub_intersect`,
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .padic import PrecisionError, int_valuation, unit_inverse
+from .padic import PrecisionError, int_valuation
 
 
 class ModMatrix:
@@ -189,39 +189,23 @@ class Smith:
     block becomes the pivot, and the rows below are cleared by exact
     division by p^v.  Cleared entries keep valuation >= v, so the diagonal
     comes out sorted.  The remaining rows are zero left of the pivot
-    column, so row operations start there.
+    column, so row operations start there.  Ties break column-major: the
+    pivot is the first entry of minimal valuation in the leftmost column
+    that has one.  The scan looks for the first unit, an entry x with
+    x % p != 0, by that test alone, and computes valuations only when the
+    remaining block has no unit.  Column-major suits an upper triangular
+    matrix such as the Mahler boundary psi - id: a unit taken from the
+    leftmost live column leaves few rows below it to clear, 392 row
+    operations at L = 128, p = 3, against 1288 for a row-major tie-break.
 
-    Row operations below a pivot do not reduce mod p^N.  A row is reduced
-    when it becomes the pivot row and each multiplier is read from the
-    reduced entry; the rows left below the last pivot are zero mod p^N
-    and are never read again.  Valuations are those of the residues
-    (`int_valuation` reduces first), so the pivots are those of an
-    elimination that reduces every row operation.
-
-    At a pivot u*p^v with v > 0 the pivot row is multiplied by u^-1; its
-    quotients are residues mod p^(N-v) and cannot be scaled at replay
-    time.  A unit pivot row (v = 0) is only reduced, and u^-1 is taken
-    only where it is read: at the first row cleared below the pivot
-    (with q*u^-1), in `v_column` where its quotients meet a nonzero
-    entry, and in `u_rows`.  The Mahler boundary at p = 2^31 - 1 has no row
-    to clear, so it takes no inverse and no wide product.  Each u^-1 is
-    Hensel-lifted from u^-1 mod p (`padic.unit_inverse`): about log2 N
-    Newton steps, where pow's extended Euclid takes a step per digit.
-
-    Ties break column-major: the pivot is the first entry of minimal
-    valuation in the leftmost column that has one.  The scan looks for
-    the first unit, an entry x with x % p != 0, by that test alone, and
-    computes valuations only when the remaining block has no unit.  A
-    column read to the bottom without a unit is flagged and not read
-    again: the pivot row has a non-unit y there, so x - m*y keeps each
-    entry's residue mod p, and after a v > 0 pivot no unit is left.
-    That suits the Mahler boundary psi - id, which is upper triangular: a
-    column holds nothing below its diagonal entry, so a unit taken from
-    the leftmost live column leaves few rows below to clear.  A row-major
-    tie-break, at a row whose diagonal entry is not a unit, takes a unit
-    right of the diagonal, and the column swapped in has entries on every
-    row down to its own diagonal: for L = 128 and p = 3 that is 1288 row
-    operations against 392.
+    At a pivot u*p^v the pivot row is multiplied by u^-1 = pow(u, -1,
+    p^N), so a row i below with entry x = q*p^v is cleared by
+    row_i - q * row_k.  Row operations below a pivot do not reduce mod
+    p^N.  A row is reduced when it becomes the pivot row and each
+    multiplier is read from the reduced entry; the rows left below the
+    last pivot are zero mod p^N and are never read again.  Valuations are
+    those of the residues (`int_valuation` reduces first), so the pivots
+    are those of an elimination that reduces every row operation.
 
     Once the rows below the pivot are cleared, column k is zero off the
     pivot p^v, so the column operations that clear row k change only row
@@ -229,18 +213,16 @@ class Smith:
     p^v: only the quotients qs are kept.  Later steps read only rows and
     columns after k, so neither row k nor column k is written back, and
     a column swap touches only rows k and below.  A row operation
-    x - m*y changes nothing where the pivot row's tail y is 0, so it runs
-    only up to the tail's last nonzero entry: on the Mahler complement at
-    L = 128, p = 3, that is 13,445 of its 21,756 cells.
+    x - q*y changes nothing where the pivot row's tail y is 0, so it runs
+    only up to the tail's last nonzero entry.
 
-    Step k records the row and column swapped into place, the pivot's
-    unit u, the row multipliers (i, q) and the column quotients qs:
-    (x*u^-1 mod p^N) // p^v for the entries x of row k when v > 0, the
-    reduced entries themselves at a unit pivot, None when row k was
-    already clear.  Each output has one reader: `valuations` comes from
-    the elimination alone (D = diag(p^v_k) mod p^N is read from the
-    pivots, so no D is kept), `u_rows` replays the row steps forwards into
-    U, and `v_column` replays the column steps backwards on one vector
+    Step k records the row and column swapped into place, u^-1, the row
+    multipliers (i, q) and the column quotients qs = (x*u^-1 mod p^N)
+    // p^v for the entries x of row k after the pivot, up to the last
+    nonzero one.  Each output has one reader: `valuations` comes from the
+    elimination alone (D = diag(p^v_k) mod p^N is read from the pivots,
+    so no D is kept), `u_rows` replays the row steps forwards into U, and
+    `v_column` replays the column steps backwards on one vector
     (`kernel_column` and `v_rows` read V through it).
     """
 
@@ -252,16 +234,9 @@ class Smith:
         r, c = A.rows, A.cols
         M = [row[:] for row in A.data]
         steps, vals = [], []
-        unitless = [False] * c  # no unit in rows >= k of column j
         for k in range(min(r, c)):
-            unit = None
-            for j in range(k, c):
-                if not unitless[j]:
-                    unit = next(((i, j) for i in range(k, r) if M[i][j] % p),
-                                None)
-                    if unit:
-                        break
-                    unitless[j] = True
+            unit = next(((i, j) for j in range(k, c) for i in range(k, r)
+                         if M[i][j] % p), None)
             if unit:
                 v, (bi, bj) = 0, unit
             else:
@@ -276,36 +251,24 @@ class Smith:
                 # no later step reads a row above k
                 for row in M[k:]:
                     row[k], row[bj] = row[bj], row[k]
-                unitless[k], unitless[bj] = unitless[bj], unitless[k]
             pv = p**v
             Mk = M[k]
-            u = Mk[k] % pN // pv
-            inv = unit_inverse(u, p, N) if v else None
-            if v:
-                tail = [x * inv % pN for x in Mk[k + 1:]]
-                qs = [x // pv for x in tail]
-            else:
-                # a unit pivot row stays unscaled: readers scale qs by u^-1
-                tail = qs = [x % pN for x in Mk[k + 1:]]
+            inv = pow(Mk[k] % pN // pv, -1, pN)
+            tail = [x * inv % pN for x in Mk[k + 1:]]
             # row operations stop at the tail's last nonzero entry
-            n = len(tail)
-            while n and not tail[n - 1]:
-                n -= 1
-            end = k + 1 + n
+            while tail and not tail[-1]:
+                tail.pop()
+            end = k + 1 + len(tail)
             ops = []
             for i in range(k + 1, r):
                 Mi = M[i]
                 if Mi[k]:
                     q = Mi[k] % pN // pv
                     if q:
-                        if inv is None:
-                            inv = unit_inverse(u, p, N)
-                        m = q if v else q * inv % pN
-                        Mi[k + 1:end] = [x - m * y
+                        Mi[k + 1:end] = [x - q * y
                                          for x, y in zip(Mi[k + 1:end], tail)]
                         ops.append((i, q))
-            # a zero tail entry has a zero quotient
-            steps.append((bi, bj, u, ops, qs if n else None))
+            steps.append((bi, bj, inv, ops, [x // pv for x in tail]))
             vals.append(v)
         self.A = A
         self.steps = steps
@@ -314,12 +277,10 @@ class Smith:
 
     def u_rows(self) -> list[list[int]]:
         """U as rows: the row steps run forwards on the identity."""
-        p, N = self.A.prime, self.A.precision
-        pN = p**N
+        pN = self.A.modulus
         r = self.A.rows
         U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        for k, (bi, _, u, ops, _) in enumerate(self.steps):
-            inv = unit_inverse(u, p, N)
+        for k, (bi, _, inv, ops, _) in enumerate(self.steps):
             if bi != k:
                 U[k], U[bi] = U[bi], U[k]
             Uk = U[k] = [x * inv % pN for x in U[k]]
@@ -329,18 +290,12 @@ class Smith:
 
     def v_column(self, j: int) -> list[int]:
         """V*e_j: the column steps run backwards on e_j, O(rows*cols)."""
-        p, N = self.A.prime, self.A.precision
-        pN = p**N
-        vals = self.valuations
+        pN = self.A.modulus
         x = [0] * self.A.cols
         x[j] = 1
         for k in range(len(self.steps) - 1, -1, -1):
-            _, bj, u, _, qs = self.steps[k]
-            if qs:
-                t = sum(map(mul, qs, x[k + 1:]))
-                if t and not vals[k]:
-                    t *= unit_inverse(u, p, N)
-                x[k] = (x[k] - t) % pN
+            _, bj, _, _, qs = self.steps[k]
+            x[k] = (x[k] - sum(map(mul, qs, x[k + 1:]))) % pN
             x[k], x[bj] = x[bj], x[k]
         return x
 

@@ -174,26 +174,28 @@ def character_window(lo: int, hi: int, p: int, N: int):
     """Yield (k, character_cohomology(k, p, N)) for k = lo, ..., hi from
     `boundary_snf` of Lubin-Tate degree t = 2k: (1, 1, N) when v = N, else
     (0, 0, v), with v = 0 at a k the window does not hold.  Before the first
-    row, `past_horizon` reads that pass keyed by k (per = p - 1) at base 3,
-    so only a k with (p-1) | k is refused, naming the first."""
+    row, `past_horizon` reads that pass at base 3, so only a k with
+    (p-1) | k is refused, naming the first."""
     M = PsiModule.lubin_tate(p, N, 2 * lo, 2 * hi)
-    held = {t // 2: v for t, _, (v,) in boundary_snf(M)}
-    if hit := past_horizon(p, N, held.items(), 3, p - 1):
+    held = {t: v for t, _, (v,) in boundary_snf(M)}
+    if hit := past_horizon(p, N, held.items(), 3):
         raise PrecisionError(f"need N > {hit[1] - 1} to resolve the "
-                             f"torsion of character {hit[0]}")
+                             f"torsion of character {hit[0] // 2}")
     for k in range(lo, hi + 1):
-        yield k, (1, 1, N) if held.get(k) == N else (0, 0, held.get(k, 0))
+        v = held.get(2 * k, 0)
+        yield k, (1, 1, N) if v == N else (0, 0, v)
 
 
-def past_horizon(p: int, N: int, pairs, base: int, per: int):
+def past_horizon(p: int, N: int, pairs, base: int):
     """The first (t, need) of a pass's pairs (t, v), in increasing t, with
-    t != 0 and need = base + v_p(t/per) > N, or None; base is the caller's
-    margin.  A Lubin-Tate degree has v = min(N, 1 + v_p(t/per)), so need
-    passes N only where v > N - base + 1, and v_p is read only there: a
-    misread v alone is never taken for a precision failure."""
+    t != 0 and need = base + v_p(m) > N, m = t/(2p - 2), or None; base is
+    the caller's margin.  A Lubin-Tate degree has v = min(N, 1 + v_p(m)),
+    so need passes N only where v > N - base + 1, and v_p is read only
+    there: a misread v alone is never taken for a precision failure."""
     for t, v in pairs:
-        if t and v > N - base + 1 and (need := base + vp(t // per, p)) > N:
-            return t, need
+        if t and v > N - base + 1:
+            if (need := base + vp(t // (2 * p - 2), p)) > N:
+                return t, need
 
 
 def abutment(p: int, window: tuple[int, int],
@@ -215,7 +217,7 @@ def abutment(p: int, window: tuple[int, int],
         N = max([4] + [3 + vp(k, p) for k in ks if k])
     report = two_term_cohomology(PsiModule.lubin_tate(p, N, *window))
     h1 = ((t, m.exponents[0]) for (s, t), m in report.entries.items() if s)
-    if hit := past_horizon(p, N, h1, 2, 2 * p - 2):
+    if hit := past_horizon(p, N, h1, 2):
         raise PrecisionError(f"degree t={hit[0]} needs N >= {hit[1]}, "
                              f"have {N}")
     report.entries = {key: m for key, m in report.entries.items()

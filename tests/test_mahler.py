@@ -327,6 +327,42 @@ def test_complement_law_matches_smith():
     assert law_mismatches(windows) == []
 
 
+def torsion(L, p):
+    return invariants(L, p, 1).kernel.torsion_exponents()
+
+
+def test_torsion_count_law():
+    # H^1(W_L) has floor(log_p L) torsion factors on every accepted (L, p).
+    # The torsion depends on J = floor((L - 1)/(p - 1)) alone and
+    # floor(log_p L) is monotone in L, so the two ends of each J's run of
+    # L cover every window; past p = MAX_LENGTH every window has J = 0
+    top = mahler.MAX_LENGTH
+    for p in [q for q in range(3, top + 1) if padic.is_prime(q)] + \
+            [257, 2**31 - 1]:
+        for J in range((top - 1) // (p - 1) + 1):
+            for L in {max(2, (p - 1) * J + 1), min(top, (p - 1) * (J + 1))}:
+                count = 0
+                while p ** (count + 1) <= L:
+                    count += 1
+                assert len(torsion(L, p)) == count, (L, p)
+
+
+def test_torsion_floor_law():
+    # at L = c p^k, 1 <= c < p, the exponents are floor((L - 1)/((p - 1)
+    # p^r)), r < k; at L = p^k they are (p^i - 1)/(p - 1), i = 1..k
+    top = mahler.MAX_LENGTH
+    windows = [(c * p**k, p, k) for p in range(3, top + 1)
+               if padic.is_prime(p) for k in range(1, 6)
+               for c in range(1, p) if c * p**k <= top]
+    assert (len(windows), sum(L == p**k for L, p, k in windows)) == (198, 62)
+    for L, p, k in windows:
+        assert torsion(L, p) == sorted((L - 1) // ((p - 1) * p**r)
+                                       for r in range(k)), (L, p)
+        if L == p**k:
+            assert torsion(L, p) == [(p**i - 1) // (p - 1)
+                                     for i in range(1, k + 1)], (L, p)
+
+
 def test_no_mahler_run_constructs_a_smith(monkeypatch, capsys):
     # the torsion comes from the law: no elimination and no matrix
     calls = []

@@ -27,7 +27,6 @@ from imj.padic import (
     require_odd_prime,
     smallest_primitive_root,
     teichmuller,
-    unit_inverse,
     vp,
 )
 
@@ -101,25 +100,6 @@ def test_teichmuller_newton_lift_matches_frobenius(p):
 def test_teichmuller_rejects_p_divisible():
     with pytest.raises(ValueError):
         teichmuller(6, 3, 4)
-
-
-@pytest.mark.parametrize("p", [3, 5, 40487, 2**31 - 1])
-@pytest.mark.parametrize("N", [1, 2, 3, 64, 94, 200])
-def test_unit_inverse_is_pows(p, N):
-    """The Hensel lift equals pow's inverse mod p^N, and like pow it
-    refuses a multiple of p with ValueError."""
-    pN = p**N
-    rng = random.Random(f"{p}:{N}")
-    units = [1, p - 1, p + 1, pN - 1, 2 * pN + 1, -1, -p - 1]
-    units += [rng.randrange(pN) for _ in range(20)]
-    for u in units:
-        if u % p:
-            assert unit_inverse(u, p, N) == pow(u, -1, pN), u
-    for u in (0, p, -p, 7 * p**(N + 1), p**N):
-        with pytest.raises(ValueError):
-            pow(u, -1, pN)
-        with pytest.raises(ValueError):
-            unit_inverse(u, p, N)
 
 
 def test_binom_minus_one():
