@@ -6,14 +6,16 @@ cobar.  Flags: each subcommand takes only the options it reads
 in `_command` over its handler; a flag table (`_read_flags`), built at
 import, and the parser (`_parser()`), built on first use, both come
 from those declarations.  An argv of a subcommand and whole flags, each
-followed by a value its type takes, is read from the table; the top
-parser reads every other argv (help, abbreviations, FLAG=VALUE, values
-that start with '-' and are not negative numbers, errors) and refuses
-FLAG=-- as it refuses `FLAG --`, so argparse writes all help and usage
-text.  The config file is flat key=value text (# starts a comment) whose
-keys are the subcommand's options spelled like the long flags; an
-unknown key, or a value that does not parse (a boolean is one of 1,
-true, yes, on, 0, false, no, off), is a configuration error.
+followed by a value its type takes, is read from the table, which
+records only the flags given; the top parser reads every other argv
+(help, abbreviations, FLAG=VALUE, values that start with '-' and are
+not negative numbers, errors) and refuses FLAG=-- as it refuses
+`FLAG --`, so argparse writes all help and usage text.  Either way a
+job has one options namespace, which `_resolve` completes in place and
+the handler reads.  The config file is flat key=value text (# starts a
+comment) whose keys are the subcommand's options spelled like the long
+flags; an unknown key, or a value that does not parse (a boolean is one
+of 1, true, yes, on, 0, false, no, off), is a configuration error.
 Precedence is flags > config file > defaults.
 
 Exit codes are stable: 0 on success, 1 when an engine self-check failed
@@ -107,8 +109,8 @@ class _Opt:
         parser.add_argument(*self.flags.split(), default=None,
                             help=self.help + shown, **kind)
 
-    def resolve(self, args, filecfg: dict, got: dict) -> object:
-        val = getattr(args, self.dest)
+    def resolve(self, args, filecfg: dict) -> object:
+        val = getattr(args, self.dest, None)
         if val is None and self.key in filecfg:
             raw = filecfg[self.key]
             try:
@@ -121,7 +123,7 @@ class _Opt:
                                  f"{raw!r} is not {want}") from None
         if val is None:
             val = self.default if self.follows is None else \
-                got[self.follows]
+                getattr(args, self.follows)
         refusal = self.check and self.check(val, self.key, args.cmd)
         if refusal:
             raise ValueError(refusal)
@@ -162,10 +164,10 @@ def _formats(*names) -> _Opt:
 
 
 def _resolve(args, options, window) -> argparse.Namespace:
-    """The subcommand's values, flags > config file > defaults, checked
-    option by option and then the window."""
+    """`args` with every option of the subcommand set, flags > config file
+    > defaults, checked option by option and then the window."""
     filecfg = {}
-    if args.config:
+    if getattr(args, "config", None) is not None:
         filecfg = _read_config(args.config)
         valid = sorted(opt.key for opt in options)
         unknown = sorted(set(filecfg) - set(valid))
@@ -174,19 +176,18 @@ def _resolve(args, options, window) -> argparse.Namespace:
                              f"{', '.join(map(repr, unknown))} in "
                              f"{args.config}; valid keys for {args.cmd}: "
                              f"{', '.join(valid)}")
-    got = {}
     for opt in options:
-        got[opt.dest] = opt.resolve(args, filecfg, got)
+        setattr(args, opt.dest, opt.resolve(args, filecfg))
     if window:
         lo_opt, hi_opt, noun, span = window
-        lo, hi = got[lo_opt.dest], got[hi_opt.dest]
+        lo, hi = getattr(args, lo_opt.dest), getattr(args, hi_opt.dest)
         if lo > hi:
             raise WindowError(f"empty {noun} window {lo}..{hi}")
         if hi - lo > span:
             raise ValueError(f"{args.cmd} {noun} window {lo}..{hi} is "
                              f"above the bound {hi_opt.key} - "
                              f"{lo_opt.key} <= {span}")
-    return argparse.Namespace(**got)
+    return args
 
 
 def _read_config(path: str) -> dict:
@@ -614,10 +615,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # the top parser, built on the first argv the flag table declines, then
 # kept: `import imj.cli` and a flag-table argv build none
 _parser = cache(_build_parser)
-# subcommand -> (its flags, each to its _Opt; the values of an empty argv)
-_FLAGS = {name: ({flag: opt for opt in (*options, _CONFIG)
-                  for flag in opt.flags.split()},
-                 dict.fromkeys([opt.dest for opt in (*options, _CONFIG)]))
+# subcommand -> its flags, each to its _Opt
+_FLAGS = {name: {flag: opt for opt in (*options, _CONFIG)
+                 for flag in opt.flags.split()}
           for name, (_, _, options, _) in _COMMANDS.items()}
 # the values argparse reads although they start with '-': its rule for a
 # negative number, on a parser with no option that looks like one
@@ -625,31 +625,31 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _read_flags(cmd: str, tokens) -> argparse.Namespace | None:
-    """What `_parser().parse_args([cmd, *tokens])` returns when the tokens
-    are whole flags of `cmd`, each followed by a value its cast takes (a
-    store_true flag takes none); a repeated flag keeps its last value, as
-    in argparse.  Any other argv (-h, an abbreviation, FLAG=VALUE, a
-    missing value, one starting with '-' that is not a negative number,
-    one the cast refuses, a stray token) gives None, for `_parser()` to
-    read: it alone writes help and usage errors."""
-    flags, empty = _FLAGS[cmd]
-    got = dict(empty, cmd=cmd)
+    """The flags given, with the values `_parser()` reads from [cmd, *tokens],
+    when the tokens are whole flags of `cmd`, each followed by a value its
+    cast takes (a store_true flag takes none); a repeated flag keeps its
+    last value, as in argparse.  `_resolve` fills the options not given.
+    Any other argv (-h, an abbreviation, FLAG=VALUE, a missing value, one
+    starting with '-' that is not a negative number, one the cast refuses,
+    a stray token) gives None, for `_parser()` to read: it alone writes
+    help and usage errors."""
+    flags, given = _FLAGS[cmd], {}
     rest = iter(tokens)
     for token in rest:
         opt = flags.get(token)
         if opt is None:
             return None
         if opt.cast is bool:
-            got[opt.dest] = True
+            given[opt.dest] = True
             continue
         val = next(rest, None)
         if val is None or val[:1] == "-" and not _NEGATIVE.match(val):
             return None
         try:
-            got[opt.dest] = opt.cast(val)
+            given[opt.dest] = opt.cast(val)
         except ValueError:
             return None
-    return argparse.Namespace(**got)
+    return argparse.Namespace(cmd=cmd, **given)
 
 
 def main(argv=None) -> int:
@@ -658,15 +658,15 @@ def main(argv=None) -> int:
         else None
     if args is None:
         args = _parser().parse_args(argv)
-        for opt in _FLAGS[args.cmd][0].values():
+        for opt in (*_COMMANDS[args.cmd][2], _CONFIG):
             # argparse (Python 3.11) drops the '--' of FLAG=--, leaving
             # [], where it refuses `FLAG --` as a missing value
             if getattr(args, opt.dest) == []:
                 _parser().parse_args([args.cmd, opt.flags.split()[0], "--"])
     handler, _, options, window = _COMMANDS[args.cmd]
     try:
-        opts = _resolve(args, options, window)
-        return _emit(handler(opts), opts.output)
+        _resolve(args, options, window)
+        return _emit(handler(args), args.output)
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 2

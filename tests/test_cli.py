@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, config resolution, charts, JSON bytes,
 exit codes."""
 
+import argparse
 import contextlib
 import gc
 import importlib.util
@@ -288,6 +289,15 @@ def test_malformed_config_rejected(tmp_path, capsys):
     rc, _, err = run_cli(["e2", "--config", str(cfg)], capsys)
     assert rc == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("argv", [["cobar", "--config", ""],
+                                  ["cobar", "--config="]], ids=repr)
+def test_empty_config_path_is_refused(argv, capsys):
+    # a config path given empty is read like any other and refused, as
+    # `-o ''` is, instead of running on the defaults
+    assert run_cli(argv, capsys) == (
+        2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_output_file_instead_of_stdout(tmp_path, capsys):
@@ -790,18 +800,48 @@ def test_main_reuses_one_parser(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+def test_a_job_builds_one_options_namespace(monkeypatch, capsys):
+    # the flag table's namespace is the one `_resolve` completes and the
+    # handler reads; on the argparse path `_resolve` builds none either
+    from imj import cli
+    built = []
+
+    class Counted(argparse.Namespace):
+        def __init__(self, **kwargs):
+            built.append(self)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli.argparse, "Namespace", Counted)
+    assert run_cli(["cobar", "-n", "1", "--smax", "1"], capsys)[0] == 0
+    assert len(built) == 1
+    joined = ["cobar", "-n=1", "--smax", "1"]
+    built.clear()
+    cli._parser().parse_args(joined)
+    parsed = len(built)
+    built.clear()
+    assert run_cli(joined, capsys)[0] == 0
+    assert len(built) == parsed
+
+
 class _Parsed(Exception):
     """Raised in place of resolving, carrying what main parsed."""
+
+
+def _given(namespace) -> dict:
+    """A parse's values that are set: argparse sets None for each option
+    not given, the flag table records only the flags given."""
+    return {key: val for key, val in vars(namespace).items()
+            if val is not None}
 
 
 def _outcome(call, capsys):
     """(exit code or parsed values, stdout, stderr) of a parse."""
     try:
-        got = vars(call())
+        got = _given(call())
     except SystemExit as exc:
         got = exc.code
     except _Parsed as exc:
-        got = vars(exc.args[0])
+        got = _given(exc.args[0])
     out = capsys.readouterr()
     return got, out.out, out.err
 
@@ -848,7 +888,7 @@ def _drawn(rng, cmd, items):
     an abbreviated, joined (FLAG=VALUE), glued (-N8) or value-less flag, a
     help flag or a stray token, with values drawn by `rng`; `whole` says
     every item was a whole flag with a value its cast takes."""
-    opts = cli._FLAGS[cmd][0]
+    opts = cli._FLAGS[cmd]
     argv = [cmd]
     for kind, flag in items:
         value, number = rng.choice(_VALUES), rng.choice(_NUMBERS)
@@ -877,7 +917,7 @@ def _argvs():
     running it."""
     rng, out = random.Random(0), []
     for cmd in sorted(cli._FLAGS):
-        flags = sorted(cli._FLAGS[cmd][0])
+        flags = sorted(cli._FLAGS[cmd])
         mixes = [[kind] + ["whole"] * rng.randrange(5)
                  for kind in dict.fromkeys(_KINDS)]
         mixes += [["whole"] * n for n in range(5)]
@@ -901,8 +941,8 @@ _ARGVS = st.sampled_from(_argvs())
 @example((["cobar", "-n=2", "3"], False))
 def test_flag_reader_is_argparse_or_declines(drawn):
     """`_read_flags` reads every argv of whole flags and values, and on any
-    argv it reads it returns exactly the Namespace the top parser returns,
-    with nothing left over; every other argv it declines."""
+    argv it reads it returns exactly the values the top parser sets, with
+    nothing left over; every other argv it declines."""
     from imj import cli
     argv, whole = drawn
     got = cli._read_flags(argv[0], argv[1:])
@@ -910,7 +950,7 @@ def test_flag_reader_is_argparse_or_declines(drawn):
     if got is not None:
         with contextlib.redirect_stderr(io.StringIO()):
             want, extra = cli._parser().parse_known_args(argv)
-        assert (vars(got), extra) == (vars(want), [])
+        assert (vars(got), extra) == (_given(want), [])
 
 
 @settings(max_examples=75)
@@ -1010,7 +1050,7 @@ def test_flag_table_reads_every_benchmark_argv():
     for argv in argvs:
         got = cli._read_flags(argv[0], argv[1:])
         assert got is not None, argv
-        assert vars(got) == vars(cli._parser().parse_args(argv)), argv
+        assert vars(got) == _given(cli._parser().parse_args(argv)), argv
 
 
 def test_every_traced_name_resolves():
