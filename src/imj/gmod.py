@@ -198,32 +198,26 @@ class Smith:
     leftmost live column leaves few rows below it to clear, 392 row
     operations at L = 128, p = 3, against 1288 for a row-major tie-break.
 
-    At a pivot u*p^v the pivot row is multiplied by u^-1 = pow(u, -1,
-    p^N), so a row i below with entry x = q*p^v is cleared by
-    row_i - q * row_k.  Row operations below a pivot do not reduce mod
-    p^N.  A row is reduced when it becomes the pivot row and each
-    multiplier is read from the reduced entry; the rows left below the
-    last pivot are zero mod p^N and are never read again.  Valuations are
-    those of the residues (`int_valuation` reduces first), so the pivots
-    are those of an elimination that reduces every row operation.
+    The work matrix holds residues mod p^N: the input is reduced once,
+    and every row operation reduces.  At a pivot u*p^v the pivot row is
+    multiplied by u^-1 = pow(u, -1, p^N), so a row i below with entry
+    x = q*p^v is cleared by (row_i - q * row_k) mod p^N.
 
     Once the rows below the pivot are cleared, column k is zero off the
     pivot p^v, so the column operations that clear row k change only row
     k of the work matrix, and every entry of that row is a multiple of
     p^v: only the quotients qs are kept.  Later steps read only rows and
     columns after k, so neither row k nor column k is written back, and
-    a column swap touches only rows k and below.  A row operation
-    x - q*y changes nothing where the pivot row's tail y is 0, so it runs
-    only up to the tail's last nonzero entry.
+    a column swap touches only rows k and below.
 
     Step k records the row and column swapped into place, u^-1, the row
     multipliers (i, q) and the column quotients qs = (x*u^-1 mod p^N)
-    // p^v for the entries x of row k after the pivot, up to the last
-    nonzero one.  Each output has one reader: `valuations` comes from the
-    elimination alone (D = diag(p^v_k) mod p^N is read from the pivots,
-    so no D is kept), `u_rows` replays the row steps forwards into U, and
-    `v_column` replays the column steps backwards on one vector
-    (`kernel_column` and `v_rows` read V through it).
+    // p^v for the entries x of row k after the pivot.  Each output has
+    one reader: `valuations` comes from the elimination alone (D =
+    diag(p^v_k) mod p^N is read from the pivots, so no D is kept),
+    `u_rows` replays the row steps forwards into U, and `v_column`
+    replays the column steps backwards on one vector (`kernel_column` and
+    `v_rows` read V through it).
     """
 
     __slots__ = ("A", "steps", "valuations")
@@ -232,7 +226,7 @@ class Smith:
         p, N = A.prime, A.precision
         pN = p**N
         r, c = A.rows, A.cols
-        M = [row[:] for row in A.data]
+        M = [[x % pN for x in row] for row in A.data]
         steps, vals = [], []
         for k in range(min(r, c)):
             unit = next(((i, j) for j in range(k, c) for i in range(k, r)
@@ -253,21 +247,16 @@ class Smith:
                     row[k], row[bj] = row[bj], row[k]
             pv = p**v
             Mk = M[k]
-            inv = pow(Mk[k] % pN // pv, -1, pN)
+            inv = pow(Mk[k] // pv, -1, pN)
             tail = [x * inv % pN for x in Mk[k + 1:]]
-            # row operations stop at the tail's last nonzero entry
-            while tail and not tail[-1]:
-                tail.pop()
-            end = k + 1 + len(tail)
             ops = []
             for i in range(k + 1, r):
                 Mi = M[i]
                 if Mi[k]:
-                    q = Mi[k] % pN // pv
-                    if q:
-                        Mi[k + 1:end] = [x - q * y
-                                         for x, y in zip(Mi[k + 1:end], tail)]
-                        ops.append((i, q))
+                    q = Mi[k] // pv
+                    Mi[k + 1:] = [(x - q * y) % pN
+                                  for x, y in zip(Mi[k + 1:], tail)]
+                    ops.append((i, q))
             steps.append((bi, bj, inv, ops, [x // pv for x in tail]))
             vals.append(v)
         self.A = A

@@ -65,7 +65,9 @@ positive e_r, and they sum to J + sum_m n_m(J) = B (at p = 3, L = 7:
 (4)).  The law is a fit, not a proof.  It equals the Smith valuations
 of C for every odd p <= 256 and J >= 1 with (p - 1)J < 256, so for
 every L <= MAX_LENGTH = 256 (p > L has no torsion), and at p <= 13 up
-to L about 800, but fails at p = 3 for J = 246, 247 and 253; so
+to L about 800, but fails at p = 3 for J = 246, 247, 253, 489, 490 and
+496 (L = 493, 495, 507, 979, 981, 993; `tests/mahler_oracle.py`
+checks each), its only failures at p = 3 up to J = 600; so
 `invariants` refuses L > MAX_LENGTH.  Inside the bound the cap p - 1
 matters only at p = 3, J = 84 (L = 169, 170).
 

@@ -9,6 +9,10 @@ time:
 
     PYTHONPATH=src python tests/mahler_oracle.py
 
+The same run checks that the law still fails at each window past the
+bound where the `mahler` docstring says it does, so that list cannot go
+stale.
+
 Generator.  The elimination runs the recurrence of `mahler._h_rows` on
 a small integer g that topologically generates Z_p^x, so every product
 k g (h_k[i] + h_(k-1)[i]) has a factor of a few digits, and it
@@ -57,18 +61,36 @@ def law_domain():
             for J in range(1, (top - 1) // (p - 1) + 1)]
 
 
+# The windows past MAX_LENGTH where the law differs from Smith (the
+# `mahler` docstring, Determinant): p = 3, J = 3^5 + {3, 4, 10} and
+# 2 * 3^5 + {3, 4, 10}
+LAW_FAILURES = [(2 * J + 1, 3) for J in (246, 247, 253, 489, 490, 496)]
+
+
+def smith_torsion(L, p):
+    """The positive Smith valuations of C, sorted."""
+    return sorted(v for v in Smith(mahler_complement(L, p)).valuations if v)
+
+
 def law_mismatches(windows):
     """(L, p, Smith's, the law's) for each window where the torsion
     exponents of `invariants` differ from the positive Smith valuations
     of C, sorted."""
     bad = []
     for L, p in windows:
-        smith = sorted(v for v in Smith(mahler_complement(L, p)).valuations
-                       if v)
+        smith = smith_torsion(L, p)
         law = invariants(L, p, 1).kernel.torsion_exponents()
         if law != smith:
             bad.append((L, p, smith, law))
     return bad
+
+
+def law_agreements(windows):
+    """(L, p) of each window where the law, read from
+    `mahler._complement_valuations` because `invariants` refuses L >
+    MAX_LENGTH, equals the positive Smith valuations of C."""
+    return [(L, p) for L, p in windows if smith_torsion(L, p) == sorted(
+        v for v in mahler._complement_valuations((L - 1) // (p - 1), p) if v)]
 
 
 if __name__ == "__main__":
@@ -79,5 +101,9 @@ if __name__ == "__main__":
     if bad := law_mismatches(domain):
         sys.exit(f"torsion law differs from Smith at (L, p, Smith, law) = "
                  f"{bad}")
-    print(f"torsion law equals Smith on all {len(domain)} windows in "
+    if agree := law_agreements(LAW_FAILURES):
+        sys.exit(f"torsion law equals Smith at (L, p) = {agree}, which the "
+                 f"mahler docstring lists as failures")
+    print(f"torsion law equals Smith on all {len(domain)} windows and "
+          f"differs at the {len(LAW_FAILURES)} listed past the bound, in "
           f"{time.perf_counter() - start:.1f} s")

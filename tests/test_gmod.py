@@ -198,8 +198,6 @@ def test_snf_matches_full_sweep_oracle_on_mahler_matrix(p):
 
 @pytest.mark.parametrize("L, p", [(64, 3), (48, 5)])
 def test_snf_matches_full_sweep_oracle_on_mahler_complement(L, p):
-    # the row operations of `Smith` stop at the pivot row's last nonzero
-    # entry; the full sweep runs every row operation over the whole row
     A = mahler_complement(L, p)
     assert [m.data for m in snf(A)] == list(snf_full_sweep(A))
 
@@ -435,13 +433,31 @@ def test_smith_valuations_are_the_determinantal_divisors(A):
 
 
 def test_smith_D_comes_back_reduced():
-    # row operations below a pivot skip the reduction mod p^N: here the
-    # work matrix keeps -3 in row 1, and D must still read 0 there
+    # column 1 has no pivot: D holds p^N there as its residue 0
     assert snf(ModMatrix([[2, 2], [1, 1]], 3, 1))[1].data == [[1, 0], [0, 0]]
     for A in mixed_matrices():
         pN = A.modulus
         assert all(0 <= x < pN for row in snf(A)[1].data for x in row), \
             (A.prime, A.precision, A.data)
+
+
+def test_smith_reads_unreduced_entries_as_their_residues():
+    # ModMatrix reduces what it is built from, but .data can be set to any
+    # ints: shifting every entry by a multiple of p^N, negative ones
+    # included, must leave every reading of the transcript alone
+    rng = random.Random(1618)
+    for A in mixed_matrices():
+        pN = A.modulus
+        B = ModMatrix.zeros(A.rows, A.cols, A.prime, A.precision)
+        B.data = [[x + rng.randint(-3, 3) * pN for x in row]
+                  for row in A.data]
+        S, T = Smith(A), Smith(B)
+        assert T.valuations == S.valuations, (A.prime, A.precision, B.data)
+        assert T.u_rows() == S.u_rows(), (A.prime, A.precision, B.data)
+        assert T.v_rows() == S.v_rows(), (A.prime, A.precision, B.data)
+        for j in range(A.cols):
+            assert T.kernel_column(j) == S.kernel_column(j), \
+                (j, A.prime, A.precision, B.data)
 
 
 def test_snf_D_is_diag_of_the_valuations():
