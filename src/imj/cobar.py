@@ -407,15 +407,13 @@ class ExtTable:
     __slots__ = ("dims", "s_max")
 
     def __init__(self, dims, s_max: int):
-        self.dims = {k: int(v) for k, v in dims.items() if v}
+        self.dims = {k: v for k, v in dims.items() if v}
         self.s_max = s_max
 
     def __eq__(self, other):
         if not isinstance(other, ExtTable):
             return NotImplemented
         return self.dims == other.dims and self.s_max == other.s_max
-
-    __hash__ = None
 
     def lines(self) -> list:
         return [f"s={s} t={t}: dim {d}"

@@ -48,8 +48,6 @@ Z_p.  Factors with exponent < N are honest torsion.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .padic import PrecisionError, int_valuation
 
 
@@ -284,7 +282,7 @@ class Smith:
         x[j] = 1
         for k in range(len(self.steps) - 1, -1, -1):
             _, bj, _, _, qs = self.steps[k]
-            x[k] = (x[k] - sum(map(mul, qs, x[k + 1:]))) % pN
+            x[k] = (x[k] - sum(q * y for q, y in zip(qs, x[k + 1:]))) % pN
             x[k], x[bj] = x[bj], x[k]
         return x
 
@@ -296,14 +294,13 @@ class Smith:
     def kernel_column(self, j: int) -> list[int]:
         """p^(N - v_j) * V*e_j, which A annihilates since A*V = U^-1 * D.
 
-        Checked against A on the column's support; a nonzero product means
-        the transcript was replayed wrongly and raises RuntimeError."""
+        Checked against A; a nonzero product means the transcript was
+        replayed wrongly and raises RuntimeError."""
         A = self.A
         pN = A.modulus
         s = A.prime ** (A.precision - self.valuations[j])
         x = [y * s % pN for y in self.v_column(j)]
-        support = [(i, y) for i, y in enumerate(x) if y]
-        if any(sum(row[i] * y for i, y in support) % pN for row in A.data):
+        if any(sum(a * y for a, y in zip(row, x)) % pN for row in A.data):
             raise RuntimeError(f"Smith transcript: column {j} of V is not "
                                f"a kernel vector")
         return x

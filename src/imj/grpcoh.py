@@ -32,8 +32,8 @@ class PsiModule:
     `ModMatrix` for a caller that wants one.
 
     Matrices must be invertible mod p (psi is a group element): every pivot
-    of their Smith form at precision 1 is a unit, decided once per distinct
-    residue matrix mod p.  The first steps are `require_odd_prime`, N >= 1."""
+    of their Smith form at precision 1 is a unit, checked per degree.  The
+    first steps are `require_odd_prime`, N >= 1."""
 
     __slots__ = ("prime", "precision", "_rows")
 
@@ -45,17 +45,13 @@ class PsiModule:
         self.prime = prime
         self.precision = precision
         self._rows = {}
-        invertible = set()  # residue matrices mod p already checked
         for t, mat in matrices.items():
             if mat.rows != mat.cols:
                 raise ValueError(f"psi matrix in degree {t} is not square")
             self._rows[t] = mat.data
-            key = tuple(tuple(x % prime for x in row) for row in mat.data)
-            if key not in invertible:
-                if any(Smith(ModMatrix(mat.data, prime, 1)).valuations):
-                    raise ValueError(f"psi matrix in degree {t} is not "
-                                     f"invertible mod {prime}")
-                invertible.add(key)
+            if any(Smith(ModMatrix(mat.data, prime, 1)).valuations):
+                raise ValueError(f"psi matrix in degree {t} is not "
+                                 f"invertible mod {prime}")
 
     @classmethod
     def lubin_tate(cls, p: int, N: int, t_min: int, t_max: int) -> "PsiModule":

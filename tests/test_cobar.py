@@ -586,6 +586,8 @@ def test_table_equality_and_lines():
     assert a == b
     assert a != symmetric_oracle(2, 2)
     assert any("s=2" in line and "3" in line for line in a.lines())
+    with pytest.raises(TypeError):  # __eq__ without __hash__: unhashable
+        hash(a)
 
 
 def test_desk_scale_enforced():

@@ -90,8 +90,9 @@ def test_shared_residues_still_refuse_a_later_singular_degree(mats, bad):
     assert PsiModule(ok, p, N).degrees() == sorted(ok)
 
 
-def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
-    # one Smith elimination mod p (precision 1) per distinct residue matrix;
+def test_invertibility_is_checked_once_per_degree(monkeypatch):
+    # one Smith elimination mod p (precision 1) per caller-supplied degree,
+    # even where two degrees share a residue matrix (degrees 0 and 2 here);
     # a Lubin-Tate window, every entry 1 mod p, runs none
     seen = []
 
@@ -109,7 +110,7 @@ def test_invertibility_is_decided_once_per_residue_matrix(monkeypatch):
     PsiModule({0: ModMatrix([[1, 1], [0, 1]], 3, 4),
                2: ModMatrix([[4, 1], [3, 7]], 3, 4),
                4: ModMatrix([[2, 0], [0, 2]], 3, 4)}, 3, 4)
-    assert seen == [((1, 1), (0, 1)), ((2, 0), (0, 2))]
+    assert seen == [((1, 1), (0, 1)), ((1, 1), (0, 1)), ((2, 0), (0, 2))]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 1000003])

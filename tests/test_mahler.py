@@ -193,6 +193,19 @@ def test_psi_matrix_diagonal_check_raises(monkeypatch):
         psi_matrix(8, 3, 6)
 
 
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_psi_matrix_one_digit_short_raises(N, monkeypatch):
+    # one spare digit short: column i of `_h_rows` is kept mod
+    # p^(M - v_p(i!)), the digits it truly has, so the lost digit reaches
+    # the diagonal and the check raises; a column kept mod p^M throughout
+    # returns a matrix here instead, right only by luck
+    vp_factorial = mahler._vp_factorial
+    monkeypatch.setattr(mahler, "_vp_factorial",
+                        lambda n, p: vp_factorial(n, p) - 1)
+    with pytest.raises(RuntimeError, match="diagonal"):
+        psi_matrix(8, 3, N)
+
+
 def pointwise_product(f, g):
     """f * g, exact modulo b_{>=L}: coefficients of the products of the
     samples at 0..L-1."""
