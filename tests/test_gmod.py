@@ -432,6 +432,15 @@ def test_smith_valuations_are_the_determinantal_divisors(A):
         determinantal_valuations(A.data, A.cols, A.prime, A.precision)
 
 
+def test_smith_D_comes_back_reduced():
+    # column 1 has no pivot: D holds p^N there as its residue 0
+    assert snf(ModMatrix([[2, 2], [1, 1]], 3, 1))[1].data == [[1, 0], [0, 0]]
+    for A in mixed_matrices():
+        pN = A.modulus
+        assert all(0 <= x < pN for row in snf(A)[1].data for x in row), \
+            (A.prime, A.precision, A.data)
+
+
 def test_smith_reads_unreduced_entries_as_their_residues():
     # ModMatrix reduces what it is built from, but .data can be set to any
     # ints: shifting every entry by a multiple of p^N, negative ones
@@ -452,9 +461,8 @@ def test_smith_reads_unreduced_entries_as_their_residues():
 
 
 def test_snf_D_is_diag_of_the_valuations():
-    # p^N is 0 mod p^N, so a column without a pivot (column 1 here) is 0
-    assert snf(ModMatrix([[2, 2], [1, 1]], 3, 1))[1].data == [[1, 0], [0, 0]]
     for A in mixed_matrices():
+        # p^N is 0 mod p^N, so a column without a pivot is 0
         vals = Smith(A).valuations
         assert snf(A)[1].data == [
             [pow(A.prime, v, A.modulus) if i == j else 0
