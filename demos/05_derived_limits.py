@@ -40,7 +40,6 @@ for r in range(2, 7):
 print()
 
 # For contrast, a bounded threshold is Mittag-Leffler: lim survives.
-bounded = TowerSpec(3, 2, 8, [frozenset(range(3, 8))] * 2,
-                    SupportFunction(0, 3))
+bounded = TowerSpec(3, 8, [frozenset(range(3, 8))] * 2, SupportFunction(0, 3))
 lim, lim1, _ = lim_lim1(bounded)
 print(f"bounded threshold: lim = {lim.describe()}, lim1 nonzero: {lim1}")

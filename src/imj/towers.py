@@ -1,8 +1,9 @@
 """lim and lim1 of towers of graded F_p spaces.
 
 A tower here is a nested family of sub-sums of a countable direct sum
-of F_p lines, one stage per page. Finitely many stages never determine
-the derived limit, so every tower must declare its tail pattern; the
+of F_p lines, one stage per page from page 2. Finitely many stages never
+determine the derived limit, so every tower must declare its tail
+pattern, and `TowerSpec` refuses one that does not when it is built; the
 detector only certifies patterns it can actually decide.
 """
 
@@ -12,24 +13,23 @@ from .ssq import last_page_of, run
 
 
 class SupportFunction:
-    """Threshold function r -> max(floor, slope*r + shift) over pages.
+    """Threshold function r -> max(0, slope*r + shift) over pages.
 
     The one tail family the detector certifies: divergence is decidable
     (slope > 0) and a bounded tail exposes its eventual value.
     """
 
-    __slots__ = ("slope", "shift", "floor")
+    __slots__ = ("slope", "shift")
 
-    def __init__(self, slope: int, shift: int, floor: int = 0):
-        if slope < 0 or floor < 0:
+    def __init__(self, slope: int, shift: int):
+        if slope < 0:
             raise ValueError("support thresholds must be nondecreasing "
                              "and nonnegative")
         self.slope = slope
         self.shift = shift
-        self.floor = floor
 
     def __call__(self, r: int) -> int:
-        return max(self.floor, self.slope * r + self.shift)
+        return max(0, self.slope * r + self.shift)
 
     @property
     def divergent(self) -> bool:
@@ -38,10 +38,10 @@ class SupportFunction:
     def eventual_value(self) -> int:
         if self.divergent:
             raise ValueError("divergent support has no eventual value")
-        return max(self.floor, self.shift)
+        return max(0, self.shift)
 
     def describe(self) -> str:
-        return f"k >= max({self.floor}, {self.slope}*r + {self.shift})"
+        return f"k >= max(0, {self.slope}*r + {self.shift})"
 
 
 class SubSum:
@@ -118,20 +118,20 @@ class TowerSpec:
     """Tower of sub-sums with inclusion structure maps.
 
     stages lists explicit supports for consecutive pages starting at
-    first_page, all inside the tracked window range(width); each stage
-    must contain the next, so the structure maps are the induced
+    first_page = 2, all inside the tracked window range(width); each
+    stage must contain the next, so the structure maps are the induced
     inclusions and compose for free. tail declares the rest of the
-    tower: None (refuses derived limits), "eventually-constant"
-    (freezes the last stage), or a SupportFunction g keeping the
-    coordinates k >= g(r) on page r.
+    tower, and must: "eventually-constant" (freezes the last stage) or
+    a SupportFunction g keeping the coordinates k >= g(r) on page r.
+    Any other tail, None included, is refused here.
     """
 
     EVENTUALLY_CONSTANT = "eventually-constant"
+    first_page = 2
 
-    __slots__ = ("prime", "first_page", "width", "stages", "tail")
+    __slots__ = ("prime", "width", "stages", "tail")
 
-    def __init__(self, prime: int, first_page: int, width: int,
-                 stages, tail):
+    def __init__(self, prime: int, width: int, stages, tail):
         if width < 1:
             raise ValueError("window must track at least one coordinate")
         stages = [frozenset(s) for s in stages]
@@ -147,14 +147,16 @@ class TowerSpec:
         if isinstance(tail, SupportFunction):
             for i, s in enumerate(stages):
                 want = frozenset(k for k in range(width)
-                                 if k >= tail(first_page + i))
+                                 if k >= tail(self.first_page + i))
                 if s != want:
                     raise ValueError("declared tail pattern inconsistent "
                                      "with the explicit stages")
-        elif tail is not None and tail != self.EVENTUALLY_CONSTANT:
+        elif tail is None:
+            raise ValueError("undeclared tail: lim1 is not determined by "
+                             "finitely many stages")
+        elif tail != self.EVENTUALLY_CONSTANT:
             raise ValueError(f"unknown tail pattern: {tail!r}")
         self.prime = prime
-        self.first_page = first_page
         self.width = width
         self.stages = stages
         self.tail = tail
@@ -166,8 +168,6 @@ class TowerSpec:
         i = r - self.first_page
         if i < len(self.stages):
             return self.stages[i]
-        if self.tail is None:
-            raise ValueError("undeclared tail: stage not determined")
         if self.tail == self.EVENTUALLY_CONSTANT:
             return self.stages[-1]
         return frozenset(k for k in range(self.width) if k >= self.tail(r))
@@ -180,9 +180,7 @@ class TowerSpec:
 
     def describe(self) -> str:
         last = self.first_page + len(self.stages) - 1
-        if self.tail is None:
-            kind = "undeclared"
-        elif self.tail == self.EVENTUALLY_CONSTANT:
+        if self.tail == self.EVENTUALLY_CONSTANT:
             kind = "eventually constant"
         else:
             kind = f"nested sub-sums, {self.tail.describe()}"
@@ -221,11 +219,9 @@ def lim_lim1(T: TowerSpec) -> LimReport:
     0 -> lim -> sum -> prod -> lim1 -> 0; a divergent support threshold
     kills lim and leaves the everywhere-one vector of the product as a
     nonzero class in lim1, while a bounded one stabilizes (Mittag-Leffler
-    again) with lim the eventual sub-sum.
+    again) with lim the eventual sub-sum. T's tail is declared, as
+    `TowerSpec` refuses a tower without one.
     """
-    if T.tail is None:
-        raise ValueError("undeclared tail: lim1 is not determined by "
-                         "finitely many stages")
     if T.tail == TowerSpec.EVENTUALLY_CONSTANT:
         return LimReport(SubSum(T.prime, finite=T.stages[-1]), False, None, T)
     g = T.tail
@@ -272,7 +268,7 @@ def moore_example(p: int) -> TowerSpec:
     width = 6
     stages = [frozenset(k for k in range(width) if k >= g(r))
               for r in range(2, 8)]
-    return TowerSpec(p, 2, width, stages, g)
+    return TowerSpec(p, width, stages, g)
 
 
 def ssq_stage(p: int, r: int, kmax: int) -> frozenset:

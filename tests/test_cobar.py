@@ -597,6 +597,12 @@ def test_desk_scale_enforced():
         cobar_ext(ExteriorHopf(2, 3), 7)
 
 
+def test_symmetric_oracle_refuses_negative_sizes():
+    with pytest.raises(ValueError) as exc:
+        symmetric_oracle(-1, 2)
+    assert str(exc.value) == "need nonnegative n and S_max"
+
+
 def test_even_prime_out_of_scope():
     with pytest.raises(ValueError):
         ExteriorHopf(2, 2)

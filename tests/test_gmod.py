@@ -50,6 +50,12 @@ def rand_matrix(rng, p, N, r, c):
                      p, N)
 
 
+def test_ragged_rows_refused():
+    with pytest.raises(ValueError) as exc:
+        ModMatrix([[1, 2], [3]], 3, 2)
+    assert str(exc.value) == "ragged rows"
+
+
 def test_snf_diagonal_example():
     # [[p,0],[0,1]] at p=3, N=4: invariant factors sort to diag(1, 3)
     A = ModMatrix([[3, 0], [0, 1]], 3, 4)
@@ -536,7 +542,7 @@ def test_production_builds_no_transform(monkeypatch):
     expected_h = {t: [v for v in Smith(ModMatrix(bd, 5, 8)).valuations if v]
                   for t, bd, _ in boundary_snf(M)}
     # a bounded tower: lim is the sub-sum on k >= 3
-    T = TowerSpec(3, 2, 8, [frozenset(range(3, 8))] * 2, SupportFunction(0, 3))
+    T = TowerSpec(3, 8, [frozenset(range(3, 8))] * 2, SupportFunction(0, 3))
     before = (abutment(3, (-40, 40)).table_lines(),
               run_json_oracle(run(3, (-20, 40), 8)))
 

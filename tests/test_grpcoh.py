@@ -58,6 +58,12 @@ def test_psi_module_needs_an_odd_prime(p):
     assert str(exc.value) == f"p must be an odd prime, got {p}"
 
 
+def test_psi_matrix_must_be_square():
+    with pytest.raises(ValueError) as exc:
+        PsiModule({2: ModMatrix([[1, 0]], 3, 4)}, 3, 4)
+    assert str(exc.value) == "psi matrix in degree 2 is not square"
+
+
 @pytest.mark.parametrize("t,rows", [
     (0, [[3]]),
     (6, [[1, 1], [1, 4]]),                  # unit entries, det = 3

@@ -44,6 +44,15 @@ def act_psi(f):
                            for row in psi_matrix(len(c), p, N).data])
 
 
+def test_empty_coefficients_and_samples_refused():
+    with pytest.raises(ValueError) as exc:
+        MahlerFunction([])
+    assert str(exc.value) == "empty coefficient list"
+    with pytest.raises(ValueError) as exc:
+        mahler_coeffs([])
+    assert str(exc.value) == "no sample values"
+
+
 def test_mahler_coeffs_square():
     p, N, L = 3, 6, 8
     f = mahler_coeffs(pad([x * x for x in range(L)], p, N))

@@ -215,6 +215,15 @@ def test_prime_factors():
             prime_factors(bad)
 
 
+def test_vp_and_binom_refuse_out_of_range_arguments():
+    with pytest.raises(ValueError) as exc:
+        vp(5, 1)
+    assert str(exc.value) == "v_p needs p >= 2, got 1"
+    with pytest.raises(ValueError) as exc:
+        binom(PadicInt(3, 3, 4), -1)
+    assert str(exc.value) == "negative lower index"
+
+
 @pytest.mark.parametrize("p", [1, 9, 15, 25])
 def test_psi_generator_rejects_non_prime(p):
     with pytest.raises(ValueError, match=f"odd prime, got {p}"):

@@ -7,6 +7,8 @@ this from one Smith normal form per degree.  The generic subquotient
 engine `FilteredComplexSS` is a second, independent oracle.
 """
 
+import re
+
 import pytest
 
 from imj.gmod import ModMatrix
@@ -219,6 +221,17 @@ def test_abutment_check_p5_t40():
     rep = abutment_check(out, abutment(p, (40, 40), N))
     assert rep.entries[(1, 40)]["count"] == 2
     assert rep.entries[(1, 40)]["resolved"] == "Z/5^2"
+
+
+@pytest.mark.parametrize("p, N", [(3, 6), (5, 5)])
+def test_abutment_check_lines_come_in_t_then_s_order(p, N):
+    window = (-24, 24)
+    lines = abutment_check(run(p, window, N),
+                           abutment(p, window, N)).lines()
+    keys = [tuple(map(int, re.match(r"\(s=(-?\d+), t=(-?\d+)\)",
+                                    line).groups())) for line in lines]
+    assert any(t < 0 for _, t in keys)
+    assert keys == sorted(keys, key=lambda st: (st[1], st[0]))
 
 
 def test_abutment_check_refuses_a_different_precision():

@@ -11,13 +11,13 @@ from imj.towers import (Lim1Witness, SubSum, SupportFunction, TowerSpec,
 
 
 def constant_tower(support=frozenset({0, 1, 2})):
-    return TowerSpec(3, 2, 4, [support] * 3, TowerSpec.EVENTUALLY_CONSTANT)
+    return TowerSpec(3, 4, [support] * 3, TowerSpec.EVENTUALLY_CONSTANT)
 
 
 def bounded_tower():
     g = SupportFunction(0, 3)
     stages = [frozenset(k for k in range(8) if k >= 3)] * 2
-    return TowerSpec(3, 2, 8, stages, g)
+    return TowerSpec(3, 8, stages, g)
 
 
 def test_constant_tower_is_its_own_limit():
@@ -37,7 +37,7 @@ def test_eventually_constant_towers_are_mittag_leffler():
             cur -= {k for k in cur if rng.random() < 0.4}
             stages.append(frozenset(cur))
         stages.extend([stages[-1]] * rng.randrange(1, 3))
-        t = TowerSpec(3, 2, width, stages, TowerSpec.EVENTUALLY_CONSTANT)
+        t = TowerSpec(3, width, stages, TowerSpec.EVENTUALLY_CONSTANT)
         lim, lim1_nonzero, witness = lim_lim1(t)
         assert lim1_nonzero is False and witness is None
         assert lim.finite == stages[-1]
@@ -91,32 +91,74 @@ def test_shifted_support_same_verdict():
         g = SupportFunction(1, -c)
         stages = [frozenset(k for k in range(8) if k >= max(0, r - c))
                   for r in (2, 3)]
-        t = TowerSpec(3, 2, 8, stages, g)
+        t = TowerSpec(3, 8, stages, g)
         lim, lim1_nonzero, _ = lim_lim1(t)
         assert lim.is_zero() and lim1_nonzero is True
 
 
 def test_undeclared_tail_refused():
-    t = TowerSpec(3, 2, 4, [frozenset({0, 1}), frozenset({0})], None)
     with pytest.raises(ValueError, match="tail"):
-        lim_lim1(t)
+        TowerSpec(3, 4, [frozenset({0, 1}), frozenset({0})], None)
 
 
 def test_structure_maps_must_be_inclusions():
     with pytest.raises(ValueError, match="inclusion"):
-        TowerSpec(3, 2, 4, [frozenset({0}), frozenset({0, 1})],
+        TowerSpec(3, 4, [frozenset({0}), frozenset({0, 1})],
                   TowerSpec.EVENTUALLY_CONSTANT)
 
 
 def test_nested_tail_must_match_explicit_stages():
     g = SupportFunction(1, -2)
     with pytest.raises(ValueError, match="inconsistent"):
-        TowerSpec(3, 2, 4, [frozenset({0, 1, 2, 3}), frozenset({2, 3})], g)
+        TowerSpec(3, 4, [frozenset({0, 1, 2, 3}), frozenset({2, 3})], g)
 
 
 def test_support_function_rejects_decreasing():
     with pytest.raises(ValueError):
         SupportFunction(-1, 5)
+
+
+@pytest.mark.parametrize("width, stages, tail, message", [
+    (0, [frozenset()], TowerSpec.EVENTUALLY_CONSTANT,
+     "window must track at least one coordinate"),
+    (4, [], TowerSpec.EVENTUALLY_CONSTANT, "need at least one explicit stage"),
+    (4, [frozenset({0, 4})], TowerSpec.EVENTUALLY_CONSTANT,
+     "stage support outside the tracked window"),
+    (4, [frozenset({0})], "sometimes", "unknown tail pattern: 'sometimes'"),
+])
+def test_malformed_tower_refused(width, stages, tail, message):
+    with pytest.raises(ValueError) as exc:
+        TowerSpec(3, width, stages, tail)
+    assert str(exc.value) == message
+
+
+def test_stage_support_below_page_2_refused():
+    with pytest.raises(ValueError) as exc:
+        moore_example(3).stage_support(1)
+    assert str(exc.value) == "page below the first stage"
+
+
+def test_divergent_support_has_no_eventual_value():
+    with pytest.raises(ValueError) as exc:
+        SupportFunction(1, -2).eventual_value()
+    assert str(exc.value) == "divergent support has no eventual value"
+
+
+@pytest.mark.parametrize("finite, threshold", [({0}, 3), (None, None)])
+def test_sub_sum_needs_exactly_one_support(finite, threshold):
+    with pytest.raises(ValueError) as exc:
+        SubSum(3, finite=finite, threshold=threshold)
+    assert str(exc.value) == "exactly one of finite support or threshold"
+
+
+def test_sub_sum_describes_a_finite_support():
+    assert SubSum(3, finite={2, 0}).describe() == "F_3{0,2}"
+
+
+def test_witness_has_no_negative_coordinate():
+    with pytest.raises(ValueError) as exc:
+        Lim1Witness(3).entry(-1)
+    assert str(exc.value) == "coordinates are indexed by k >= 0"
 
 
 def test_stage_support_extends_past_explicit_stages():
@@ -130,7 +172,7 @@ def test_stage_support_extends_past_explicit_stages():
 def test_truncated_exactness_every_window_up_to_64():
     # the last tower's first stage is larger than its limit, so the
     # kernel is a proper part of the window
-    shrinking = TowerSpec(3, 2, 6, [{0, 1, 2, 3}, {1, 2, 3}, {2, 3}],
+    shrinking = TowerSpec(3, 6, [{0, 1, 2, 3}, {1, 2, 3}, {2, 3}],
                           TowerSpec.EVENTUALLY_CONSTANT)
     for t in (moore_example(3), bounded_tower(), constant_tower(),
               shrinking):
