@@ -11,6 +11,7 @@ from imj.towers import (SupportFunction, TowerSpec, lim_lim1, moore_example,
 # partial sums never stabilize.
 tower = moore_example(3)
 report = lim_lim1(tower)
+print(tower.describe())
 for line in report.lines():
     print(line)
 print()

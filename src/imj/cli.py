@@ -567,12 +567,12 @@ def _cmd_mahler(o) -> dict | list:
           _Opt("--moore", "use the built-in Moore tower", cast=bool,
                check=_moore_only), _TABLE, _OUTPUT)
 def _cmd_limits(o) -> dict | list:
-    rep = lim_lim1(moore_example(o.p))
+    rep = lim_lim1(tower := moore_example(o.p))
     if o.format == "json":
         return {"prime": o.p, "lim": rep.lim.describe(),
                 "lim1_nonzero": rep.lim1_nonzero,
                 "witness": rep.witness.describe() if rep.witness else None}
-    return rep.lines()
+    return [tower.describe(), *rep.lines()]
 
 
 @_command("cobar", "cobar Ext of an exterior Hopf algebra", _P,

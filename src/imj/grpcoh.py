@@ -22,6 +22,8 @@ same pass the first degree whose precision need passes N (`past_horizon`).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .gmod import FgModule, ModMatrix, Smith
 from .padic import PrecisionError, require_odd_prime, vp
 
@@ -79,17 +81,13 @@ class PsiModule:
         return len(self._rows.get(t, ()))
 
 
-class CohomologyReport:
-    """H^{s,t} per bidegree, s in {0, 1}: `entries` holds the nonzero
-    groups, and `h` gives the zero module at every other bidegree."""
+class CohomologyReport(NamedTuple):
+    """H^{s,t} per bidegree, s in {0, 1}: `entries`, the dict it is given,
+    holds the nonzero groups, and `h` gives the zero module elsewhere."""
 
-    __slots__ = ("prime", "precision", "entries")
-
-    def __init__(self, entries: dict[tuple[int, int], FgModule], prime: int,
-                 precision: int):
-        self.entries = dict(entries)
-        self.prime = prime
-        self.precision = precision
+    entries: dict[tuple[int, int], FgModule]
+    prime: int
+    precision: int
 
     def h(self, s: int, t: int) -> FgModule:
         got = self.entries.get((s, t))
@@ -198,10 +196,10 @@ def abutment(p: int, window: tuple[int, int],
              N: int | None = None) -> CohomologyReport:
     """H^{s,t}(Z_p^x, Z_p[u^{+-1}]) over an even-degree window.
 
-    `two_term_cohomology` of the Lubin-Tate window, with H^0 kept only
-    where it is Z_p (exponent N): the window has rank 1, so any other
-    H^0 is a truncation shadow of 0.  The table is Z_p at (0,0) and
-    (1,0), Z/p^{1+v_p(k)} at (1, 2(p-1)k), zero (not stored) elsewhere.
+    A new report from `two_term_cohomology` of the Lubin-Tate window, with
+    H^0 kept only where it is Z_p (exponent N): the window has rank 1, so
+    any other H^0 is a truncation shadow of 0.  The table is Z_p at (0,0)
+    and (1,0), Z/p^{1+v_p(k)} at (1, 2(p-1)k), zero (not stored) elsewhere.
 
     Requires N >= 2 + v_p(k) for every k = t/(2p-2) != 0 in the window:
     at 1 + v_p(k) >= N the factor reaches the ceiling and reads as a
@@ -216,6 +214,5 @@ def abutment(p: int, window: tuple[int, int],
     if hit := past_horizon(p, N, h1, 2):
         raise PrecisionError(f"degree t={hit[0]} needs N >= {hit[1]}, "
                              f"have {N}")
-    report.entries = {key: m for key, m in report.entries.items()
-                      if key[0] or m.exponents == [N]}
-    return report
+    return CohomologyReport({key: m for key, m in report.entries.items()
+                             if key[0] or m.exponents == [N]}, p, N)

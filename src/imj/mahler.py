@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import math
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .gmod import FgModule, ModMatrix
 from .grpcoh import character_window
@@ -228,17 +229,13 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     return ModMatrix._empty(L, L, p, N, rows)
 
 
-class InvariantsReport:
-    """Kernel of id - psi on the length-L window."""
+class InvariantsReport(NamedTuple):
+    """Kernel of id - psi on the length-L window, and its generators."""
 
-    __slots__ = ("rank", "generators", "kernel", "length")
-
-    def __init__(self, rank: int, generators: list[MahlerFunction],
-                 kernel: FgModule, length: int):
-        self.rank = rank
-        self.generators = generators
-        self.kernel = kernel
-        self.length = length
+    rank: int
+    generators: list[MahlerFunction]
+    kernel: FgModule
+    length: int
 
     def describe(self) -> str:
         return (f"invariants: rank {self.rank} (kernel "
@@ -300,17 +297,12 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
     return InvariantsReport(1, [one], FgModule([*torsion, Nw], p, Nw), L)
 
 
-class RationalProfile:
-    """character_cohomology aggregated over a k-window."""
+class RationalProfile(NamedTuple):
+    """character_cohomology aggregated over a k-window: (h0, h1, torsion
+    valuation) per character k, and the k that carry rational H^1."""
 
-    __slots__ = ("entries", "rational_h1", "prime", "precision")
-
-    def __init__(self, entries: dict[int, tuple[int, int, int]],
-                 rational_h1: list[int], prime: int, precision: int):
-        self.entries = entries
-        self.rational_h1 = rational_h1
-        self.prime = prime
-        self.precision = precision
+    entries: dict[int, tuple[int, int, int]]
+    rational_h1: list[int]
 
     def lines(self) -> list[str]:
         out = []
@@ -336,4 +328,4 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
     if rational != expected:
         raise RuntimeError(f"rational H^1 carried by {rational}, "
                            f"expected {expected}")
-    return RationalProfile(entries, rational, p, N)
+    return RationalProfile(entries, rational)

@@ -146,8 +146,6 @@ def binom(a: PadicInt, i: int) -> PadicInt:
     if i < 0:
         raise ValueError("negative lower index")
     p, N = a.prime, a.precision
-    if i == 0:
-        return PadicInt(1, p, N)
     pN = p**N
     num = 1
     fact_val = 0

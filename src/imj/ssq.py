@@ -107,20 +107,14 @@ class ChartClass(NamedTuple):
         return self.t - self.c
 
 
-class DifferentialRecord:
-    """d_r(source) = coefficient * target, coefficient a unit mod p."""
+class DifferentialRecord(NamedTuple):
+    """d_r(source) = coefficient * target, coefficient a unit mod p, target
+    at tridegree (0, r, 1) from source (`RunResult.differentials`)."""
 
-    __slots__ = ("r", "source", "target", "coefficient")
-
-    def __init__(self, r: int, source: ChartClass, target: ChartClass,
-                 coefficient: int):
-        if (target.t, target.f, target.c) != (source.t, source.f + r,
-                                              source.c + 1):
-            raise ValueError("differential record violates tridegree (0,r,1)")
-        self.r = r
-        self.source = source
-        self.target = target
-        self.coefficient = coefficient
+    r: int
+    source: ChartClass
+    target: ChartClass
+    coefficient: int
 
     def __repr__(self) -> str:
         return (f"d_{self.r}({self.source.name}) = "
@@ -313,15 +307,12 @@ def run(p: int, window: tuple[int, int], N: int) -> RunResult:
     return RunResult(p, N, window, records)
 
 
-class AbutmentReport:
+class AbutmentReport(NamedTuple):
     """Per-bidegree comparison of E_infinity against the direct cohomology:
     entries maps (s, t), in (t, s) order, to its class count and group."""
 
-    __slots__ = ("entries", "ok")
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-        self.ok = True  # abutment_check raises at the first mismatch
+    entries: dict
+    ok = True  # not a field: abutment_check raises at the first mismatch
 
     def lines(self) -> list[str]:
         return [f"(s={s}, t={t}): {e['count']} classes -> {e['resolved']}"

@@ -7,6 +7,8 @@ pattern, and `TowerSpec` refuses one that does not when it is built; the
 detector only certifies patterns it can actually decide.
 """
 
+from typing import NamedTuple
+
 from .gmod import ModMatrix, kernel_gens
 from .padic import require_odd_prime
 from .ssq import last_page_of, run
@@ -87,7 +89,7 @@ class SubSum:
         return hash((self.prime, self.finite, self.threshold))
 
 
-class Lim1Witness:
+class Lim1Witness(NamedTuple):
     """The everywhere-one vector of prod_k F_p, as a lim1 class.
 
     It lives in the product but not in the image of the direct sum: a
@@ -95,10 +97,7 @@ class Lim1Witness:
     below R already disagrees at coordinate R.
     """
 
-    __slots__ = ("prime",)
-
-    def __init__(self, prime: int):
-        self.prime = prime
+    prime: int
 
     def entry(self, k: int) -> int:
         if k < 0:
@@ -188,23 +187,16 @@ class TowerSpec:
                 f"explicit, tail {kind}")
 
 
-class LimReport:
-    """lim, the lim1 obstruction flag, and a witness when lim1 != 0."""
+class LimReport(NamedTuple):
+    """lim, the lim1 obstruction flag, and a witness when lim1 != 0; the
+    caller names the tower (`TowerSpec.describe`) above `lines()`."""
 
-    __slots__ = ("lim", "lim1_nonzero", "witness", "tower")
-
-    def __init__(self, lim: SubSum, lim1_nonzero: bool, witness, tower):
-        self.lim = lim
-        self.lim1_nonzero = lim1_nonzero
-        self.witness = witness
-        self.tower = tower
-
-    def __iter__(self):
-        return iter((self.lim, self.lim1_nonzero, self.witness))
+    lim: SubSum
+    lim1_nonzero: bool
+    witness: Lim1Witness | None
 
     def lines(self) -> list:
-        out = [self.tower.describe(),
-               f"lim = {self.lim.describe()}",
+        out = [f"lim = {self.lim.describe()}",
                f"lim1 nonzero: {'yes' if self.lim1_nonzero else 'no'}"]
         if self.witness is not None:
             out.append(f"witness: {self.witness.describe()}")
@@ -220,15 +212,16 @@ def lim_lim1(T: TowerSpec) -> LimReport:
     kills lim and leaves the everywhere-one vector of the product as a
     nonzero class in lim1, while a bounded one stabilizes (Mittag-Leffler
     again) with lim the eventual sub-sum. T's tail is declared, as
-    `TowerSpec` refuses a tower without one.
+    `TowerSpec` refuses a tower without one. The report unpacks as
+    (lim, lim1_nonzero, witness); the caller prints the tower itself.
     """
     if T.tail == TowerSpec.EVENTUALLY_CONSTANT:
-        return LimReport(SubSum(T.prime, finite=T.stages[-1]), False, None, T)
+        return LimReport(SubSum(T.prime, finite=T.stages[-1]), False, None)
     g = T.tail
     if g.divergent:
-        return LimReport(SubSum.zero(T.prime), True, Lim1Witness(T.prime), T)
+        return LimReport(SubSum.zero(T.prime), True, Lim1Witness(T.prime))
     return LimReport(SubSum(T.prime, threshold=g.eventual_value()),
-                     False, None, T)
+                     False, None)
 
 
 def truncated_kernel(T: TowerSpec, R: int) -> frozenset:

@@ -209,10 +209,13 @@ def test_mahler_length_above_bound_exits_2(capsys):
 
 
 def test_limits_moore_report(capsys):
-    rc, out, _ = run_cli(["limits", "--moore", "-p", "3"], capsys)
-    assert rc == 0
-    assert "lim = 0" in out
-    assert "lim1 nonzero: yes" in out
+    for p in (3, 5):
+        rc, out, _ = run_cli(["limits", "--moore", "-p", str(p)], capsys)
+        assert rc == 0
+        # the handler writes the tower's header above the report
+        assert out.splitlines()[0] == moore_example(p).describe()
+        assert "lim = 0" in out
+        assert "lim1 nonzero: yes" in out
 
 
 def test_limits_requires_moore(capsys):

@@ -588,6 +588,20 @@ def test_table_equality_and_lines():
     assert any("s=2" in line and "3" in line for line in a.lines())
     with pytest.raises(TypeError):  # __eq__ without __hash__: unhashable
         hash(a)
+    assert (a == 3) is False
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExteriorHopf(2, 3).coproduct({3}),
+     "generator index 3 out of range"),
+    (lambda: cobar_matrix(ExteriorHopf(2, 3), 1, (1,)),
+     "profile must list one multiplicity per generator"),
+    (lambda: rank_mod_p([1, 2, 3], 3), "need a matrix")],
+    ids=["coproduct", "cobar_matrix", "rank_mod_p"])
+def test_malformed_inputs_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_desk_scale_enforced():

@@ -660,6 +660,26 @@ def test_solve():
     assert X is not None and A * X == B
     # 3 is not in the image of 9 mod 81
     assert solve(ModMatrix([[9]], p, N), ModMatrix([[3]], p, N)) is None
+    # a nonzero entry where the pivot is zero (v = N), or in a row past
+    # the columns, has no preimage either
+    assert solve(ModMatrix([[0]], p, N), ModMatrix([[1]], p, N)) is None
+    assert solve(ModMatrix([[1], [0]], p, N),
+                 ModMatrix([[0], [1]], p, N)) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda M: quotient_presentation(M([[3]]), M([[1]])),
+     "denominator subgroup is not inside the numerator"),
+    (lambda M: homology(M([[1, 0]]), M([[1, 0]])),
+     "d_out and d_in do not meet in the same module"),
+    (lambda M: M([[1]]).hstack(M([[1], [2]])), "row mismatch"),
+    (lambda M: M([[1, 2]]) * M([[1, 2]]), "shape mismatch 1x2 * 1x2"),
+    (lambda M: matinv(M([[1, 2]])), "not square")],
+    ids=["quotient_presentation", "homology", "hstack", "mul", "matinv"])
+def test_oracles_refuse_mismatched_shapes_and_subgroups(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(lambda rows: ModMatrix(rows, 3, 2))
+    assert str(exc.value) == message
 
 
 def test_homology_kernel_of_p_squared():

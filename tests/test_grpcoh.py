@@ -437,6 +437,8 @@ def test_abutment_p3():
         assert h.exponents == [h.precision]
     # H^0 truncation shadows are filtered out of the abutment
     assert rep.h(0, 12).is_zero()
+    with pytest.raises(AttributeError):
+        rep.entries = {}
 
 
 def test_abutment_p5():

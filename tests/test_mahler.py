@@ -255,6 +255,8 @@ def test_invariants_rank_one_p3():
     out = act_psi(gen)
     assert [c.residue for c in out.coefficients] == \
         [c.residue for c in gen.coefficients]
+    with pytest.raises(AttributeError):
+        rep.rank = 2
 
 
 def test_invariants_minimal_length():
@@ -456,6 +458,8 @@ def test_h1_rational_profile_window():
     assert rep.entries[0] == (1, 1, 6)
     assert rep.entries[2] == (0, 0, 1)
     assert rep.entries[1] == (0, 0, 0)
+    with pytest.raises(AttributeError):
+        rep.rational_h1 = []
 
 
 def test_h1_rational_profile_builds_psi_once(monkeypatch):

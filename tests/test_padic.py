@@ -126,6 +126,25 @@ def test_binom_zero_index():
     assert b.residue == 1 and b.precision == 6
 
 
+def test_precision_below_one_or_raised_is_refused():
+    with pytest.raises(PrecisionError) as exc:
+        PadicInt(1, 3, 0)
+    assert str(exc.value) == "precision 0 < 1"
+    with pytest.raises(PrecisionError) as exc:
+        PadicInt(1, 3, 2).reduce(3)
+    assert str(exc.value) == "cannot raise precision 2 to 3"
+
+
+def test_padic_ints_compare_by_value_not_by_hash():
+    assert PadicInt(5, 3, 2) == PadicInt(5, 3, 2)
+    assert hash(PadicInt(5, 3, 2)) == hash(PadicInt(5, 3, 2))
+    assert PadicInt(5, 3, 2) != PadicInt(5, 3, 3)
+    # 0 and the hash modulus hash alike; p^2 > modulus keeps both residues
+    p = 2147483647
+    a, b = PadicInt(0, p, 2), PadicInt(sys.hash_info.modulus, p, 2)
+    assert hash(a) == hash(b) and a != b
+
+
 def test_binom_integer_oracle():
     # against math.comb for ordinary integer arguments
     rng = random.Random(7)

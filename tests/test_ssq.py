@@ -15,8 +15,8 @@ from imj.gmod import ModMatrix
 from imj.gmod import FgModule
 from imj.grpcoh import CohomologyReport, PsiModule, abutment
 from imj.padic import PrecisionError, int_valuation
-from imj.ssq import (ChartClass, FilteredComplexSS, WindowError,
-                     abutment_check, e2_page, run)
+from imj.ssq import (AbutmentReport, ChartClass, FilteredComplexSS,
+                     WindowError, abutment_check, e2_page, run)
 from render_oracle import run_json_oracle
 
 
@@ -135,6 +135,8 @@ def test_differential_record_invariants():
         assert 0 < rec.coefficient < 3
         # zeta-linearity: nothing with a zeta factor supports a differential
         assert rec.source.c == 0
+    with pytest.raises(AttributeError):
+        rec.coefficient = 1
 
 
 def test_b_linearity_contiguous_translates():
@@ -206,7 +208,10 @@ def test_abutment_check_p3():
     p, N = 3, 5
     out = run(p, (0, 12), N)
     rep = abutment_check(out, abutment(p, (0, 12), N))
-    assert rep.ok
+    # ok is a constant, not a field: no report can be built failing
+    assert rep.ok is True
+    with pytest.raises(TypeError):
+        AbutmentReport({}, False)
     assert rep.entries[(1, 12)]["count"] == 2
     assert rep.entries[(1, 12)]["resolved"] == "Z/3^2"
     assert rep.entries[(1, 4)]["resolved"] == "Z/3"

@@ -2,6 +2,7 @@
 the independent oracle for the per-page supports of the wedge tower."""
 
 import random
+import sys
 
 import pytest
 
@@ -155,6 +156,21 @@ def test_sub_sum_describes_a_finite_support():
     assert SubSum(3, finite={2, 0}).describe() == "F_3{0,2}"
 
 
+def test_sub_sums_compare_by_value_not_by_hash():
+    assert SubSum(3, finite={2, 0}) == SubSum(3, finite=[0, 2])
+    assert hash(SubSum(3, finite={2, 0})) == hash(SubSum(3, finite=[0, 2]))
+    # thresholds 0 and the hash modulus hash alike but cut different sums
+    a, b = SubSum(3, threshold=0), SubSum(3, threshold=sys.hash_info.modulus)
+    assert hash(a) == hash(b) and a != b
+    assert SubSum.zero(3) != SubSum.zero(5)
+    assert (SubSum.zero(3) == 0) is False
+
+
+def test_eventually_constant_tower_describes_itself():
+    assert constant_tower().describe() == \
+        "tower over F_3: pages 2..4 explicit, tail eventually constant"
+
+
 def test_witness_has_no_negative_coordinate():
     with pytest.raises(ValueError) as exc:
         Lim1Witness(3).entry(-1)
@@ -232,3 +248,7 @@ def test_report_unpacks_and_prints():
     assert (lim, flag, wit) == (rep.lim, rep.lim1_nonzero, rep.witness)
     text = "\n".join(rep.lines())
     assert "lim = 0" in text and "lim1 nonzero: yes" in text
+    # the caller names the tower; the report starts at lim
+    assert rep.lines()[0] == "lim = 0"
+    with pytest.raises(AttributeError):
+        rep.lim = SubSum.zero(3)
