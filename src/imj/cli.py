@@ -539,8 +539,7 @@ def _cmd_cohomology(o) -> dict | list:
         return {"prime": o.p, "precision": o.N, "window": [k_min, k_max],
                 "entries": [{"k": k, "h0": h0, "h1": h1,
                              "torsion_valuation": tv}
-                            for k in sorted(profile.entries)
-                            for h0, h1, tv in [profile.entries[k]]]}
+                            for k, (h0, h1, tv) in profile.entries.items()]}
     return [f"character cohomology p={o.p} N={o.N} k {k_min}..{k_max}",
             *profile.lines()]
 
@@ -587,7 +586,7 @@ def _cmd_cobar(o) -> dict | list:
     if o.format == "json":
         return {"n": n, "q": q, "s_max": smax,
                 "dims": [{"s": s, "t": t, "dim": d}
-                         for (s, t), d in sorted(table.dims.items())]}
+                         for (s, t), d in table.dims.items()]}
     return [f"cobar Ext n={n} q={q} smax={smax}", *table.lines()]
 
 

@@ -82,6 +82,7 @@ t = -s.
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 from .gmod import ModMatrix, Smith
 from .padic import prime_power
@@ -401,23 +402,14 @@ def _profiles(n: int, s: int) -> tuple:
     return tuple(out)
 
 
-class ExtTable:
-    """Bigraded Ext dimensions dims[(s, t_internal)], zeros dropped."""
+class ExtTable(NamedTuple):
+    """Bigraded Ext dimensions dims[(s, t_internal)]: the nonzero ones, in
+    the (s, t) order their builder wrote them, which `lines` keeps."""
 
-    __slots__ = ("dims", "s_max")
-
-    def __init__(self, dims, s_max: int):
-        self.dims = {k: v for k, v in dims.items() if v}
-        self.s_max = s_max
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtTable):
-            return NotImplemented
-        return self.dims == other.dims and self.s_max == other.s_max
+    dims: dict[tuple[int, int], int]
 
     def lines(self) -> list:
-        return [f"s={s} t={t}: dim {d}"
-                for (s, t), d in sorted(self.dims.items())]
+        return [f"s={s} t={t}: dim {d}" for (s, t), d in self.dims.items()]
 
 
 def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
@@ -428,7 +420,7 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
     Relabeling generators permutes a block's basis and flips signs, so
     each decreasing profile is counted once, weighted by its number of
     permutations. The result must land on the line t = -s; leakage means
-    a rank is wrong and raises.
+    a rank is wrong and raises.  Dims come (0, 0) first, then (s, -s) by s.
     """
     if H.n > 4 or S_max > 6:
         raise ValueError("desk scale is n <= 4 and S_max <= 6")
@@ -455,13 +447,13 @@ def cobar_ext(H: ExteriorHopf, S_max: int) -> ExtTable:
         if t != -s:
             raise RuntimeError(f"cohomology leaked off the line t = -s "
                                f"at (s={s}, t={t})")
-    return ExtTable(dims, S_max)
+    return ExtTable(dims)
 
 
 def symmetric_oracle(n: int, S_max: int) -> ExtTable:
     """Symmetric algebra on n generators in (1, -1): stars and bars,
-    concentrated in internal degree -s."""
+    concentrated in internal degree -s, its nonzero dims in increasing s."""
     if n < 0 or S_max < 0:
         raise ValueError("need nonnegative n and S_max")
-    return ExtTable({(s, -s): math.comb(max(n + s - 1, 0), s)
-                     for s in range(S_max + 1)}, S_max)
+    return ExtTable({(s, -s): d for s in range(S_max + 1)
+                     if (d := math.comb(max(n + s - 1, 0), s))})

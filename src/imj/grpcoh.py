@@ -82,8 +82,8 @@ class PsiModule:
 
 
 class CohomologyReport(NamedTuple):
-    """H^{s,t} per bidegree, s in {0, 1}: `entries`, the dict it is given,
-    holds the nonzero groups, and `h` gives the zero module elsewhere."""
+    """H^{s,t} per bidegree, s in {0, 1}: `entries` holds the nonzero
+    groups in (t, s) order, as built, and `h` the zero module elsewhere."""
 
     entries: dict[tuple[int, int], FgModule]
     prime: int
@@ -94,8 +94,7 @@ class CohomologyReport(NamedTuple):
         return FgModule([], self.prime, self.precision) if got is None else got
 
     def nonzero(self) -> list[tuple[int, int, FgModule]]:
-        return sorted(((s, t, m) for (s, t), m in self.entries.items()),
-                      key=lambda row: (row[1], row[0]))
+        return [(s, t, m) for (s, t), m in self.entries.items()]
 
     def described(self) -> list[tuple[int, int, str]]:
         """`nonzero` with each group's text, each distinct module (one
@@ -140,11 +139,11 @@ def two_term_cohomology(M: PsiModule) -> CohomologyReport:
     D, ker D and coker D are both the sum of Z/p^{v_j} over v_j > 0, so
     H^0 and H^1 have the same invariant factors: each distinct exponent
     list is one module, which every bidegree with that group shares.
-    Degrees with no positive v_j are left out of the report."""
+    Degrees with no positive v_j are left out; the rest go in (t, s) order."""
     p, N = M.prime, M.precision
     modules, entries = {}, {}
     for t, _, vals in boundary_snf(M):
-        exps = tuple(sorted([v for v in vals if v > 0]))
+        exps = tuple(v for v in vals if v > 0)
         if exps:
             if exps not in modules:
                 modules[exps] = FgModule(exps, p, N)

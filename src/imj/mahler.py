@@ -292,24 +292,21 @@ def invariants(L: int, p: int, N: int) -> InvariantsReport:
         raise RuntimeError(f"Smith valuations of the length-{L} complement "
                            f"sum to {sum(vals)}, not to its determinant "
                            f"valuation {B}")
-    torsion, Nw = sorted(v for v in vals if v), N + B
+    torsion, Nw = [v for v in vals if v], N + B
     one = MahlerFunction([PadicInt(1, p, N), *[PadicInt(0, p, N)] * (L - 1)])
     return InvariantsReport(1, [one], FgModule([*torsion, Nw], p, Nw), L)
 
 
 class RationalProfile(NamedTuple):
-    """character_cohomology aggregated over a k-window: (h0, h1, torsion
+    """character_cohomology over a k-window, in increasing k: (h0, h1, torsion
     valuation) per character k, and the k that carry rational H^1."""
 
     entries: dict[int, tuple[int, int, int]]
     rational_h1: list[int]
 
     def lines(self) -> list[str]:
-        out = []
-        for k in sorted(self.entries):
-            h0, h1, tv = self.entries[k]
-            out.append(f"k={k}: h0={h0} h1={h1} torsion_valuation={tv}")
-        return out
+        return [f"k={k}: h0={h0} h1={h1} torsion_valuation={tv}"
+                for k, (h0, h1, tv) in self.entries.items()]
 
 
 def h1_rational_profile(k_range: tuple[int, int], p: int,
@@ -323,7 +320,7 @@ def h1_rational_profile(k_range: tuple[int, int], p: int,
     and raises."""
     lo, hi = k_range
     entries = dict(character_window(lo, hi, p, N))
-    rational = sorted(k for k, (_h0, h1, _tv) in entries.items() if h1)
+    rational = [k for k, (_h0, h1, _tv) in entries.items() if h1]
     expected = [0] if lo <= 0 <= hi else []
     if rational != expected:
         raise RuntimeError(f"rational H^1 carried by {rational}, "

@@ -12,8 +12,8 @@ reads a law, and the `grpcoh` windows step (1+p)^(p-1).  Every modular
 inverse in the package is pow(u, -1, p^N); `teichmuller` lifts by Newton
 steps that need none.
 
-`require_odd_prime` is the one odd-prime gate: every engine, and the
-CLI's -p check after its bound, asks it before any arithmetic on p.
+`require_odd_prime` is the one odd-prime gate: every engine, `PadicInt`,
+`teichmuller` and the CLI's -p check ask it before any arithmetic on p.
 `prime_factors` is the one trial-division loop, behind `prime_power`
 (memoized, so p or q is trial-divided once per process), which `is_prime`
 and `cobar.GF`'s field-order check read.
@@ -48,11 +48,12 @@ def int_valuation(n: int, p: int, N: int) -> int:
 
 
 class PadicInt:
-    """A residue mod p^N, p an odd prime, N >= 1."""
+    """A residue mod p^N, p an odd prime (`require_odd_prime`), N >= 1."""
 
     __slots__ = ("residue", "prime", "precision")
 
     def __init__(self, residue: int, prime: int, precision: int):
+        require_odd_prime(prime)
         if precision < 1:
             raise PrecisionError(f"precision {precision} < 1")
         self.prime = prime
@@ -124,8 +125,9 @@ def teichmuller(x0: int, p: int, N: int) -> PadicInt:
     (p-1)/x, which is all a doubling step needs:
     x -> x - (x^(p-1) - 1) * x / (p-1) mod p^k, where
     1/(p-1) = -(1 + p + ... + p^(k-1)) = -(p^k - 1)/(p-1) needs no
-    modular inverse.
+    modular inverse.  `require_odd_prime` refuses any other p first.
     """
+    require_odd_prime(p)
     if x0 % p == 0:
         raise ValueError(f"{x0} is divisible by {p}")
     x = x0 % p
@@ -221,8 +223,7 @@ def psi_generator(p: int, N: int) -> PadicInt:
 
     sigma is the Teichmuller lift of the smallest primitive root mod p;
     the choice of root is a recorded convention, nothing downstream
-    depends on it; `require_odd_prime` refuses any other p first.
+    depends on it; `smallest_primitive_root` asks the odd-prime gate first.
     """
-    require_odd_prime(p)
     sigma = teichmuller(smallest_primitive_root(p), p, N)
     return sigma * PadicInt(1 + p, p, N)

@@ -48,7 +48,7 @@ class SupportFunction:
 
 class SubSum:
     """Sub-sum of sum_{k>=0} F_p: a finite support set, or every
-    coordinate at or above a threshold."""
+    coordinate at or above a threshold, all indexed by k >= 0."""
 
     __slots__ = ("prime", "finite", "threshold")
 
@@ -58,6 +58,8 @@ class SubSum:
         self.prime = prime
         self.finite = frozenset(finite) if finite is not None else None
         self.threshold = threshold
+        if min(self.finite or [threshold or 0]) < 0:
+            raise ValueError("coordinates are indexed by k >= 0")
 
     @classmethod
     def zero(cls, prime: int) -> "SubSum":

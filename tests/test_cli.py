@@ -505,9 +505,10 @@ def _dict_doc(argv):
     p, N = int(o.get("-p", 3)), int(o.get("-N", 8))
     if argv[0] == "abutment":
         lo, hi = int(o["--t-min"]), int(o["--t-max"])
+        entries = abutment(p, (lo, hi), N).entries
         return {"prime": p, "precision": N, "window": [lo, hi],
-                "groups": [{"s": s, "t": t, "group": m.describe()}
-                           for s, t, m in abutment(p, (lo, hi), N).nonzero()]}
+                "groups": [{"s": s, "t": t, "group": entries[s, t].describe()}
+                           for t, s in sorted((t, s) for s, t in entries)]}
     if argv[0] == "cohomology":
         lo, hi = int(o["--k-min"]), int(o["--k-max"])
         entries = h1_rational_profile((lo, hi), p, N).entries

@@ -580,15 +580,29 @@ def test_oracle_counts():
     assert symmetric_oracle(4, 3).dims.get((3, -3), 0) == math.comb(6, 3)
 
 
+def test_ext_dims_rise_in_s():
+    # the builders write (0, 0), then one (s, -s) per s: tables and JSON
+    # print them as they come
+    for n, S in ((0, 3), (1, 4), (3, 5), (4, 6)):
+        for table in (cobar_ext(ExteriorHopf(n, 3), S),
+                      symmetric_oracle(n, S)):
+            assert list(table.dims) == [(s, -s) for s in
+                                        range(S + 1 if n else 1)]
+
+
 def test_table_equality_and_lines():
     a = symmetric_oracle(2, 3)
-    b = ExtTable({(s, -s): math.comb(s + 1, s) for s in range(4)}, 3)
+    b = ExtTable({(s, -s): math.comb(s + 1, s) for s in range(4)})
     assert a == b
     assert a != symmetric_oracle(2, 2)
     assert any("s=2" in line and "3" in line for line in a.lines())
-    with pytest.raises(TypeError):  # __eq__ without __hash__: unhashable
+    with pytest.raises(TypeError):  # a tuple holding a dict: unhashable
         hash(a)
     assert (a == 3) is False
+    with pytest.raises(AttributeError):
+        a.dims = {}
+    # n = 0: F_q in degree 0 whatever the top degree
+    assert symmetric_oracle(0, 3) == symmetric_oracle(0, 5)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -228,6 +228,18 @@ def test_two_term_degree_two_vanishes():
     assert rep.h(1, 2).is_zero()
 
 
+def test_two_term_cohomology_lists_entries_in_t_s_order():
+    # degrees given out of order; the report, and so every table and JSON
+    # document read from it, comes in increasing t with (0, t) before (1, t)
+    p, N = 3, 4
+    M = PsiModule({4: ModMatrix([[1]], p, N), -2: ModMatrix([[4]], p, N),
+                   0: ModMatrix([[1, 3], [0, 1]], p, N)}, p, N)
+    rep = two_term_cohomology(M)
+    assert [(key, m.exponents) for key, m in rep.entries.items()] == [
+        ((0, -2), [1]), ((1, -2), [1]), ((0, 0), [1, 4]), ((1, 0), [1, 4]),
+        ((0, 4), [4]), ((1, 4), [4])]
+
+
 def test_two_term_degree_twelve():
     # t = 12 = 2(p-1)k with k = 3 at p = 3: exponent 1 + v_3(3) = 2
     p, N = 3, 6

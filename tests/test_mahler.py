@@ -462,6 +462,13 @@ def test_h1_rational_profile_window():
         rep.rational_h1 = []
 
 
+def test_h1_rational_profile_entries_rise_in_k():
+    rep = h1_rational_profile((-7, 9), 3, 6)
+    assert list(rep.entries) == list(range(-7, 10))
+    assert [line.split(":")[0] for line in rep.lines()] == [
+        f"k={k}" for k in range(-7, 10)]
+
+
 def test_h1_rational_profile_builds_psi_once(monkeypatch):
     # no psi is built: the Lubin-Tate window it reads holds the
     # mu_{p-1}-invariant degrees, stepped from 1 + p

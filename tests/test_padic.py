@@ -261,12 +261,14 @@ def test_require_odd_prime():
 # Each call runs its refusal before any arithmetic on p; before the one
 # gate, the loops in vp, binom and the Mahler factorial valuation never
 # ended at p = +-1, p = 0 or 1 divided by 2p - 2 = 0, and
-# smallest_primitive_root answered 2 for composite n.
+# smallest_primitive_root answered 2 for composite n.  PadicInt and
+# teichmuller built residues mod 9^N or 4^N, or divided by p - 1 = 0.
 _BAD_P_CALLS = """
 import json, sys
 from imj.grpcoh import abutment, character_cohomology, character_window
 from imj.mahler import invariants, psi_matrix
-from imj.padic import PadicInt, binom, smallest_primitive_root, vp
+from imj.padic import (PadicInt, binom, smallest_primitive_root,
+                       teichmuller, vp)
 from imj.ssq import run
 from imj.towers import moore_example, ssq_stage
 calls = [  # (call, the p it refuses, thunk)
@@ -289,8 +291,13 @@ calls += [(f"smallest_primitive_root({n})", n,
            lambda n=n: smallest_primitive_root(n))
           for n in (4, 9, 15, 21, 25, 27)]
 calls += [(f"vp(4, {p})", p, lambda p=p: vp(4, p)) for p in (-1, 0, 1)]
-calls += [(f"vp(2, {p}) in binom", p,
+calls += [(f"binom(PadicInt(3, {p}, 4), 2)", p,
            lambda p=p: binom(PadicInt(3, p, 4), 2)) for p in (-1, 1)]
+calls += [("PadicInt(1, 4, 2)", 4, lambda: PadicInt(1, 4, 2)),
+          ("PadicInt(3, 9, 1).valuation()", 9,
+           lambda: PadicInt(3, 9, 1).valuation()),
+          ("teichmuller(1, 0, 3)", 0, lambda: teichmuller(1, 0, 3)),
+          ("teichmuller(2, 9, 4)", 9, lambda: teichmuller(2, 9, 4))]
 out = []
 for name, p, call in calls:
     try:
@@ -311,7 +318,7 @@ def test_bad_p_is_refused_at_once():
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     got = json.loads(proc.stdout)
-    assert len(got) == 23
+    assert len(got) == 27
     for name, p, kind, message in got:
         want = (f"v_p needs p >= 2, got {p}" if name.startswith("vp(")
                 else f"p must be an odd prime, got {p}")

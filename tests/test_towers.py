@@ -152,6 +152,13 @@ def test_sub_sum_needs_exactly_one_support(finite, threshold):
     assert str(exc.value) == "exactly one of finite support or threshold"
 
 
+@pytest.mark.parametrize("kwargs", [{"threshold": -1}, {"finite": {-2}}])
+def test_sub_sum_refuses_a_negative_coordinate(kwargs):
+    with pytest.raises(ValueError) as exc:
+        SubSum(3, **kwargs)
+    assert str(exc.value) == "coordinates are indexed by k >= 0"
+
+
 def test_sub_sum_describes_a_finite_support():
     assert SubSum(3, finite={2, 0}).describe() == "F_3{0,2}"
 
