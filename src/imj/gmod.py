@@ -41,6 +41,9 @@ independent of `Smith`, checks that U and V are invertible.  They stay
 importable from `imj.gmod` because the benchmark tracer
 (perfbench/tracing.py) looks up every traced name when it installs.
 
+Every `ModMatrix`, an operation's result included, is built by its one
+constructor, so it holds residues mod p^N and its shape is its data's.
+
 A factor with exponent N ("saturated") is indistinguishable mod p^N from
 a free Z_p summand; such factors carry a flag and reports print them as
 Z_p.  Factors with exponent < N are honest torsion.
@@ -52,18 +55,23 @@ from .padic import PrecisionError, int_valuation
 
 
 class ModMatrix:
-    """Matrix over Z/p^N, stored as rows of int residues."""
+    """Matrix over Z/p^N, stored as rows of int residues.
+
+    `__init__` is the one constructor: it reduces every entry mod p^N,
+    refuses ragged rows and takes the shape from the data, `cols` giving
+    the width only when there are no rows (a 0 x c matrix)."""
 
     __slots__ = ("rows", "cols", "prime", "precision", "data")
 
-    def __init__(self, data: list[list[int]], prime: int, precision: int):
+    def __init__(self, data: list[list[int]], prime: int, precision: int,
+                 cols: int = 0):
         if precision < 1:
             raise PrecisionError(f"precision {precision} < 1")
         self.prime = prime
         self.precision = precision
         pN = prime**precision
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = len(data[0]) if data else cols
         self.data = [[x % pN for x in row] for row in data]
         if any(len(row) != self.cols for row in self.data):
             raise ValueError("ragged rows")
@@ -72,24 +80,12 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, p: int, N: int) -> "ModMatrix":
-        return cls._empty(rows, cols, p, N)
-
-    @classmethod
-    def _empty(cls, rows: int, cols: int, p: int, N: int,
-               data: list[list[int]] | None = None) -> "ModMatrix":
-        """A rows x cols matrix holding `data`, rows of residues already
-        reduced mod p^N, as is (zeros when None), without the reduction
-        and shape check of __init__."""
-        m = cls.__new__(cls)
-        m.prime, m.precision = p, N
-        m.rows, m.cols = rows, cols
-        m.data = [[0] * cols for _ in range(rows)] if data is None else data
-        return m
+        return cls([[0] * cols for _ in range(rows)], p, N, cols)
 
     @classmethod
     def identity(cls, n: int, p: int, N: int) -> "ModMatrix":
-        return cls._empty(n, n, p, N, [[1 if i == j else 0 for j in range(n)]
-                                       for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
+                   p, N)
 
     # ---- basics ----
 
@@ -101,55 +97,48 @@ class ModMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def transpose(self) -> "ModMatrix":
-        return ModMatrix._empty(self.cols, self.rows, self.prime,
-                                self.precision,
-                                [[self.data[i][j] for i in range(self.rows)]
-                                 for j in range(self.cols)])
+        return ModMatrix([[self.data[i][j] for i in range(self.rows)]
+                          for j in range(self.cols)],
+                         self.prime, self.precision, self.rows)
 
     def hstack(self, other: "ModMatrix") -> "ModMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return ModMatrix._empty(self.rows, self.cols + other.cols, self.prime,
-                                self.precision,
-                                [self.data[i] + other.data[i]
-                                 for i in range(self.rows)])
+        return ModMatrix([a + b for a, b in zip(self.data, other.data)],
+                         self.prime, self.precision, self.cols + other.cols)
 
     def take_rows(self, count: int) -> "ModMatrix":
-        return ModMatrix._empty(count, self.cols, self.prime, self.precision,
-                                [row[:] for row in self.data[:count]])
+        return ModMatrix(self.data[:count], self.prime, self.precision,
+                         self.cols)
 
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
     def scale_int(self, c: int) -> "ModMatrix":
-        pN = self.modulus
-        return ModMatrix._empty(self.rows, self.cols, self.prime,
-                                self.precision,
-                                [[x * c % pN for x in row]
-                                 for row in self.data])
+        return ModMatrix([[x * c for x in row] for row in self.data],
+                         self.prime, self.precision, self.cols)
 
     def __mul__(self, other: "ModMatrix") -> "ModMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
-        pN = self.modulus
         ot = other.transpose().data
-        return ModMatrix._empty(self.rows, other.cols, self.prime,
-                                self.precision,
-                                [[sum(a * b for a, b in zip(row, col)) % pN
-                                  for col in ot] for row in self.data])
+        return ModMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
+                          for row in self.data],
+                         self.prime, self.precision, other.cols)
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        pN = self.modulus
-        return ModMatrix._empty(self.rows, self.cols, self.prime,
-                                self.precision,
-                                [[(a - b) % pN for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.data, other.data)])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} - "
+                             f"{other.rows}x{other.cols}")
+        return ModMatrix([[a - b for a, b in zip(r1, r2)]
+                          for r1, r2 in zip(self.data, other.data)],
+                         self.prime, self.precision, self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ModMatrix) and self.prime == other.prime
                 and self.precision == other.precision
-                and self.data == other.data)
+                and self.cols == other.cols and self.data == other.data)
 
     def __repr__(self) -> str:
         return (f"ModMatrix({self.data}, p={self.prime}, N={self.precision})")
@@ -197,9 +186,12 @@ class Smith:
     operations at L = 128, p = 3, against 1288 for a row-major tie-break.
 
     The work matrix holds residues mod p^N: the input is reduced once,
-    and every row operation reduces.  At a pivot u*p^v the pivot row is
-    multiplied by u^-1 = pow(u, -1, p^N), so a row i below with entry
-    x = q*p^v is cleared by (row_i - q * row_k) mod p^N.
+    and every row operation reduces.  A `ModMatrix` is built holding
+    residues, but `A.data` stays assignable, so the copy is reduced again
+    rather than trusted: the scan's zero test and valuations are right
+    only on residues (an entry p^N is zero mod p^N).  At a pivot u*p^v
+    the pivot row is multiplied by u^-1 = pow(u, -1, p^N), so a row i
+    below with entry x = q*p^v is cleared by (row_i - q * row_k) mod p^N.
 
     Once the rows below the pivot are cleared, column k is zero off the
     pivot p^v, so the column operations that clear row k change only row
@@ -316,12 +308,10 @@ def snf(A: ModMatrix) -> tuple[ModMatrix, ModMatrix, ModMatrix]:
     """
     S = Smith(A)
     p, N = A.prime, A.precision
-    r, c = A.rows, A.cols
     D = [[p**v if i == j and v < N else 0 for j, v in enumerate(S.valuations)]
-         for i in range(r)]
-    return (ModMatrix._empty(r, r, p, N, S.u_rows()),
-            ModMatrix._empty(r, c, p, N, D),
-            ModMatrix._empty(c, c, p, N, S.v_rows()))
+         for i in range(A.rows)]
+    return (ModMatrix(S.u_rows(), p, N), ModMatrix(D, p, N, A.cols),
+            ModMatrix(S.v_rows(), p, N))
 
 
 def kernel_gens(A: ModMatrix) -> ModMatrix:
@@ -332,15 +322,15 @@ def kernel_gens(A: ModMatrix) -> ModMatrix:
     """
     S = Smith(A)
     gens = [S.kernel_column(j) for j, v in enumerate(S.valuations) if v > 0]
-    return ModMatrix._empty(A.cols, len(gens), A.prime, A.precision,
-                            [[g[i] for g in gens] for i in range(A.cols)])
+    return ModMatrix([[g[i] for g in gens] for i in range(A.cols)],
+                     A.prime, A.precision, len(gens))
 
 
 def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
     """Some X with A*X = B over Z/p^N, or None when B is not in the image."""
     p, N = A.prime, A.precision
     S = Smith(A)
-    C = ModMatrix._empty(A.rows, A.rows, p, N, S.u_rows()) * B
+    C = ModMatrix(S.u_rows(), p, N) * B
     vals = S.valuations
     Y = [[0] * B.cols for _ in range(A.cols)]
     for i in range(A.rows):
@@ -354,8 +344,7 @@ def solve(A: ModMatrix, B: ModMatrix) -> ModMatrix | None:
                 if int_valuation(cij, p, N) < v:
                     return None
                 Y[i][j] = cij // p**v
-    return ModMatrix._empty(A.cols, A.cols, p, N, S.v_rows()) * \
-        ModMatrix(Y, p, N)
+    return ModMatrix(S.v_rows(), p, N) * ModMatrix(Y, p, N, B.cols)
 
 
 def sub_intersect(G1: ModMatrix, G2: ModMatrix) -> ModMatrix:
@@ -384,8 +373,7 @@ class QuotPres:
         self.prime, self.precision = gens.prime, gens.precision
         self.gens = gens
         S = Smith(W)
-        self.U = ModMatrix._empty(W.rows, W.rows, W.prime, W.precision,
-                                  S.u_rows())
+        self.U = ModMatrix(S.u_rows(), W.prime, W.precision)
         vals = S.valuations + [self.precision] * (W.rows - W.cols)
         self.indices = [i for i in range(W.rows) if vals[i] > 0]
         self.exponents = [vals[i] for i in self.indices]

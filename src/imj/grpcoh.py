@@ -30,7 +30,7 @@ from .padic import PrecisionError, require_odd_prime, vp
 
 class PsiModule:
     """Graded module with an action of psi: one square matrix per degree,
-    stored as rows of residues mod p^N; `matrix(t)` wraps them in a
+    stored as rows of residues mod p^N; `matrix(t)` copies them into a
     `ModMatrix` for a caller that wants one.
 
     Matrices must be invertible mod p (psi is a group element): every pivot
@@ -73,9 +73,7 @@ class PsiModule:
         return sorted(self._rows)
 
     def matrix(self, t: int) -> ModMatrix:
-        rows = self._rows[t]
-        return ModMatrix._empty(len(rows), len(rows), self.prime,
-                                self.precision, [row[:] for row in rows])
+        return ModMatrix(self._rows[t], self.prime, self.precision)
 
     def rank(self, t: int) -> int:
         return len(self._rows.get(t, ()))
@@ -116,7 +114,8 @@ def boundary_snf(M: PsiModule):
 
     In rank 1, bd = [[x]] is its own Smith form up to the unit of x, so
     the one valuation is v_p(x), read without an elimination or a
-    `ModMatrix`; a wider degree runs `Smith`."""
+    `ModMatrix`; a wider degree runs `Smith` on a `ModMatrix` built from
+    bd, which copies it."""
     p, N = M.prime, M.precision
     pN = p**N
     for t in M.degrees():
@@ -125,10 +124,9 @@ def boundary_snf(M: PsiModule):
             x = (1 - rows[0][0]) % pN
             yield t, [[x]], [vp(x, p) if x else N]
             continue
-        n = len(rows)
         bd = [[((i == j) - x) % pN for j, x in enumerate(row)]
               for i, row in enumerate(rows)]
-        yield t, bd, Smith(ModMatrix._empty(n, n, p, N, bd)).valuations
+        yield t, bd, Smith(ModMatrix(bd, p, N)).valuations
 
 
 def two_term_cohomology(M: PsiModule) -> CohomologyReport:

@@ -177,9 +177,10 @@ def _h_rows(L: int, p: int, N: int,
     Column i+1 comes from column i by the recurrence for h_k[i], run mod
     p^(M - v_p(i!)), dividing exactly by p^(v_p(i+1)) where p divides
     i+1; U is the forward product of the unit parts of 1..L-1.  The
-    diagonal is checked against a^i * U[i] mod p^N; a mismatch, such as
-    a working precision too short for the division, raises
-    RuntimeError."""
+    diagonal is checked against a^i * U[i] mod p^N, and the last column
+    must hold residues mod p^N, as it does when M is right; a mismatch or
+    a shorter modulus, from a working precision too short for the
+    division, raises RuntimeError."""
     pN = p**N
     M = N + _vp_factorial(L - 1, p)
     pM = p**M
@@ -206,6 +207,8 @@ def _h_rows(L: int, p: int, N: int,
                 m = max(m // d, 1)
             u = u * q % pN
             diag = diag * a * q % pN
+    if m < pN:
+        raise RuntimeError(f"recurrence: last column known mod {m} < p^N")
     return [list(row) for row in zip_longest(*cols, fillvalue=0)], U
 
 
@@ -225,8 +228,8 @@ def psi_matrix(L: int, p: int, N: int) -> ModMatrix:
     a = psi_generator(p, N + _vp_factorial(L - 1, p)).residue
     rows, U = _h_rows(L, p, N, a)
     inv = [pow(u, -1, pN) for u in U]
-    rows = [[x * v % pN for x, v in zip(row, inv)] for row in rows]
-    return ModMatrix._empty(L, L, p, N, rows)
+    return ModMatrix([[x * v for x, v in zip(row, inv)] for row in rows],
+                     p, N)
 
 
 class InvariantsReport(NamedTuple):

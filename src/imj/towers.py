@@ -238,13 +238,8 @@ def truncated_kernel(T: TowerSpec, R: int) -> frozenset:
     lim, _, _ = lim_lim1(T)
     domain = T.ambient_window(R)
     target = [k for k in domain if not lim.contains(k)]
-    p = T.prime
-    if not target:
-        M = ModMatrix.zeros(0, len(domain), p, 1)
-    else:
-        M = ModMatrix([[1 if t == d else 0 for d in domain]
-                       for t in target], p, 1)
-    K = kernel_gens(M)
+    K = kernel_gens(ModMatrix([[1 if t == d else 0 for d in domain]
+                               for t in target], T.prime, 1, len(domain)))
     return frozenset(domain[i] for i in range(K.rows)
                      for j in range(K.cols) if K.data[i][j])
 

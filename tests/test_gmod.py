@@ -56,6 +56,59 @@ def test_ragged_rows_refused():
     assert str(exc.value) == "ragged rows"
 
 
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_every_operation_takes_its_shape_from_its_data(r, c):
+    # rows is len(data) and every row has cols entries; only a matrix with
+    # no rows carries a width of its own, so each 0 x c result must pass
+    # its width on
+    rng = random.Random(10 * r + c)
+    p, N = 3, 4
+
+    def shape(M):
+        assert M.rows == len(M.data), (M.rows, M.data)
+        assert all(len(row) == M.cols for row in M.data), (M.cols, M.data)
+        return M.rows, M.cols
+
+    A = ModMatrix([[rng.randrange(p**N) for _ in range(c)]
+                   for _ in range(r)], p, N, c)
+    X = ModMatrix([[rng.randrange(p**N) for _ in range(2)]
+                   for _ in range(c)], p, N, 2)
+    U, D, V = snf(A)
+    got = [shape(ModMatrix.zeros(r, c, p, N)),
+           shape(ModMatrix.identity(r, p, N)), shape(A.transpose()),
+           shape(A.hstack(A)), shape(A.take_rows(1)),
+           shape(A.take_rows(r + 2)), shape(A.scale_int(-1)), shape(A * X),
+           shape(A.transpose() * A), shape(A - A), shape(U), shape(D),
+           shape(V), shape(solve(A, A * X)), shape(kernel_gens(A))]
+    kernel_rank = sum(v > 0 for v in Smith(A).valuations)
+    assert got == [(r, c), (r, r), (c, r), (r, 2 * c), (min(1, r), c),
+                   (r, c), (r, c), (r, 2), (c, c), (r, c), (r, r), (r, c),
+                   (c, c), (c, 2), (c, kernel_rank)]
+
+
+def test_equality_compares_shape():
+    # with no rows the data is [] whatever the width
+    p, N = 3, 2
+    assert ModMatrix.zeros(0, 3, p, N) != ModMatrix.zeros(0, 5, p, N)
+    assert ModMatrix.zeros(0, 3, p, N) == ModMatrix([], p, N, 3)
+    assert ModMatrix.zeros(3, 0, p, N) != ModMatrix.zeros(2, 0, p, N)
+
+
+def test_difference_refuses_mismatched_shapes():
+    p, N = 3, 2
+    for A, B, text in [
+            (ModMatrix([[1, 2], [3, 4]], p, N), ModMatrix([[1]], p, N),
+             "2x2 - 1x1"),
+            (ModMatrix([[1, 2]], p, N), ModMatrix([[1, 2], [3, 4]], p, N),
+             "1x2 - 2x2"),
+            (ModMatrix.zeros(0, 3, p, N), ModMatrix.zeros(0, 5, p, N),
+             "0x3 - 0x5")]:
+        with pytest.raises(ValueError) as exc:
+            A - B
+        assert str(exc.value) == f"shape mismatch {text}"
+
+
 def test_snf_diagonal_example():
     # [[p,0],[0,1]] at p=3, N=4: invariant factors sort to diag(1, 3)
     A = ModMatrix([[3, 0], [0, 1]], 3, 4)
@@ -286,7 +339,7 @@ def scaled_column_matrices():
             s = p ** rng.randint(1, N + 1)
             for row in data:
                 row[j] = row[j] * s % p**N
-        yield ModMatrix._empty(r, c, p, N, data)
+        yield ModMatrix(data, p, N, c)
 
 
 def test_unitless_columns_keep_the_pivots_of_the_rule():
@@ -426,7 +479,7 @@ def small_matrices(draw):
             row[j] = 0
     elif shape == "no unit":
         data = [[x * p % p**N for x in row] for row in data]
-    return ModMatrix._empty(r, c, p, N, data)
+    return ModMatrix(data, p, N, c)
 
 
 @settings(max_examples=200)

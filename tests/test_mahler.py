@@ -215,6 +215,21 @@ def test_psi_matrix_one_digit_short_raises(N, monkeypatch):
         psi_matrix(8, 3, N)
 
 
+@pytest.mark.parametrize("L, p, N", [(10, 3, 2), (10, 3, 8), (48, 3, 2),
+                                     (64, 7, 4), (64, 7, 8)])
+def test_psi_matrix_one_digit_short_raises_past_the_diagonal(L, p, N,
+                                                              monkeypatch):
+    # here every diagonal entry comes out right from a working precision
+    # one digit short, so only the modulus of the last column, p^(N - 1)
+    # in place of p^N, shows the lost digit
+    vp_factorial = mahler._vp_factorial
+    monkeypatch.setattr(mahler, "_vp_factorial",
+                        lambda n, p: vp_factorial(n, p) - 1)
+    with pytest.raises(RuntimeError,
+                       match=rf"last column known mod {p**(N - 1)} < p\^N"):
+        psi_matrix(L, p, N)
+
+
 def pointwise_product(f, g):
     """f * g, exact modulo b_{>=L}: coefficients of the products of the
     samples at 0..L-1."""
