@@ -91,16 +91,12 @@ class CohomologyReport(NamedTuple):
         got = self.entries.get((s, t))
         return FgModule([], self.prime, self.precision) if got is None else got
 
-    def nonzero(self) -> list[tuple[int, int, FgModule]]:
-        return [(s, t, m) for (s, t), m in self.entries.items()]
-
     def described(self) -> list[tuple[int, int, str]]:
-        """`nonzero` with each group's text, each distinct module (one
-        shared by several bidegrees) described once."""
-        rows = self.nonzero()
-        text = {id(m): m for _, _, m in rows}
+        """(s, t, text) of each entry, each distinct module (one shared by
+        several bidegrees) described once."""
+        text = {id(m): m for m in self.entries.values()}
         text = {key: m.describe() for key, m in text.items()}
-        return [(s, t, text[id(m)]) for s, t, m in rows]
+        return [(s, t, text[id(m)]) for (s, t), m in self.entries.items()]
 
     def table_lines(self) -> list[str]:
         return [f"H^({s},{t}) = {group}" for s, t, group in self.described()]
@@ -114,8 +110,8 @@ def boundary_snf(M: PsiModule):
 
     In rank 1, bd = [[x]] is its own Smith form up to the unit of x, so
     the one valuation is v_p(x), read without an elimination or a
-    `ModMatrix`; a wider degree runs `Smith` on a `ModMatrix` built from
-    bd, which copies it."""
+    `ModMatrix`; a wider degree builds bd as one `ModMatrix`, which
+    reduces it, and runs `Smith` on it."""
     p, N = M.prime, M.precision
     pN = p**N
     for t in M.degrees():
@@ -124,9 +120,9 @@ def boundary_snf(M: PsiModule):
             x = (1 - rows[0][0]) % pN
             yield t, [[x]], [vp(x, p) if x else N]
             continue
-        bd = [[((i == j) - x) % pN for j, x in enumerate(row)]
-              for i, row in enumerate(rows)]
-        yield t, bd, Smith(ModMatrix(bd, p, N)).valuations
+        bd = ModMatrix([[(i == j) - x for j, x in enumerate(row)]
+                        for i, row in enumerate(rows)], p, N)
+        yield t, bd.data, Smith(bd).valuations
 
 
 def two_term_cohomology(M: PsiModule) -> CohomologyReport:

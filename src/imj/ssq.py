@@ -19,11 +19,11 @@ enters the engine: v comes out of the SNF.  `run` covers rank-1 degrees
 So a class lives on the pages r = 2 .. v + 1, or forever when f >= N - v
 (c = 0) or f < v (c = 1) (`last_page_of`), and a degree with v = 0 has
 nothing on page 2.  A run keeps one record (t, v, unit, tail) per live
-degree (`degree_records`): the unit (bd / p^v) mod p and the tail v1^k of
-each class name there, which joins a head zeta^c b^f (`join_name`).
-`RunResult` builds its classes, pages and differentials from the records
-on each access, and `imj.cli` writes straight from them.  `e2_page` reads
-the same records at precision 1.
+degree (`degree_records`, the one reader of k = t/(2p-2)): the unit
+(bd / p^v) mod p and the tail v1^k of each class name there.  The views
+of `RunResult` and `e2_page` (the records at precision 1) name each class
+on each access from its record's t and tail, joined to a head zeta^c b^f
+(`ChartClass.at`); `imj.cli` writes straight from the records.
 
 Oracle.  `FilteredComplexSS` computes the same pages from the generic
 filtered-complex subquotients
@@ -86,6 +86,7 @@ class ChartClass(NamedTuple):
     t is the internal degree 2(p-1)k, f the p-power filtration (the b
     exponent; zeta lives in filtration 0), c the cohomological spot.
     Chart coordinates: vertical s = f + c, horizontal stem = t - c.
+    `at` builds a class from t and its name's tail; `monomial` wraps it.
     """
 
     name: str
@@ -94,9 +95,12 @@ class ChartClass(NamedTuple):
     c: int
 
     @classmethod
+    def at(cls, t: int, tail: str, f: int, c: int) -> "ChartClass":
+        return cls(join_name(monomial_head(f, c), tail), t, f, c)
+
+    @classmethod
     def monomial(cls, p: int, k: int, j: int, eps: int) -> "ChartClass":
-        name = join_name(monomial_head(j, eps), monomial_tail(k))
-        return cls(name, 2 * (p - 1) * k, j, eps)
+        return cls.at(2 * (p - 1) * k, monomial_tail(k), j, eps)
 
     @property
     def s(self) -> int:
@@ -153,8 +157,8 @@ def e2_page(p: int, window: tuple[int, int], fmax: int) -> list[ChartClass]:
     is 0 mod p exactly in the window's degrees (2p-2)k, so its live
     degrees are the records at precision 1.  p must be an odd prime.
     """
-    return [ChartClass.monomial(p, t // (2 * p - 2), f, c)
-            for t, _, _, _ in degree_records(p, window, 1)
+    return [ChartClass.at(t, tail, f, c)
+            for t, _, _, tail in degree_records(p, window, 1)
             for f in range(fmax + 1) for c in (0, 1) if f + c <= fmax]
 
 
@@ -254,9 +258,9 @@ class RunResult(NamedTuple):
 
     @property
     def classes(self) -> list[tuple[ChartClass, int | None]]:
-        p, N = self.prime, self.precision
-        return [(ChartClass.monomial(p, t // (2 * p - 2), f, c),
-                 last_page_of(N, v, f, c)) for t, v, _, _ in self.records
+        N = self.precision
+        return [(ChartClass.at(t, tail, f, c), last_page_of(N, v, f, c))
+                for t, v, _, tail in self.records
                 for f in range(N) for c in (0, 1)]
 
     def page(self, r: int) -> list[ChartClass]:
@@ -267,22 +271,21 @@ class RunResult(NamedTuple):
 
     @property
     def differentials(self) -> list[DifferentialRecord]:
-        p, N, at = self.prime, self.precision, ChartClass.monomial
-        return [DifferentialRecord(v, at(p, t // (2 * p - 2), f, 0),
-                                   at(p, t // (2 * p - 2), f + v, 1), unit)
-                for t, v, unit, _ in sorted(self.records, key=lambda r: r[1])
+        N, at = self.precision, ChartClass.at
+        return [DifferentialRecord(v, at(t, tail, f, 0),
+                                   at(t, tail, f + v, 1), unit)
+                for t, v, unit, tail in sorted(self.records,
+                                               key=lambda r: r[1])
                 for f in range(N - v)]
 
     @property
     def e_infinity(self) -> list[ChartClass]:
-        p, at = self.prime, ChartClass.monomial
-        return [at(p, t // (2 * p - 2), f, c) for t, v, _, _ in self.records
+        return [ChartClass.at(t, tail, f, c) for t, v, _, tail in self.records
                 for f, c in kept(self.precision, v, t == 0)]
 
     @property
     def artifacts(self) -> list[ChartClass]:
-        p, at = self.prime, ChartClass.monomial
-        return [at(p, t // (2 * p - 2), f, 0) for t, v, _, _ in self.records
+        return [ChartClass.at(t, tail, f, 0) for t, v, _, tail in self.records
                 if t for f, c in kept(self.precision, v) if not c]
 
 

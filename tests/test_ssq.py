@@ -439,6 +439,27 @@ def test_run_names_follow_monomial_name(p, N):
         assert res.classes
 
 
+def test_views_name_classes_from_their_records(monkeypatch):
+    """The views of a run and `e2_page` name each class from its record's
+    t and tail through `ChartClass.at`, never from k = t/(2p-2) through
+    `ChartClass.monomial`: with `monomial` refusing, each returns what it
+    did before."""
+    res = run(3, (-40, 60), 6)
+
+    def views():
+        return (res.classes, res.page(3), res.differentials, res.e_infinity,
+                res.artifacts, e2_page(3, (-40, 60), 4))
+
+    want = views()
+    assert all(want)
+
+    def refuse(*args):
+        raise AssertionError("a view called ChartClass.monomial")
+
+    monkeypatch.setattr(ChartClass, "monomial", refuse)
+    assert views() == want
+
+
 def test_run_rejects_composite_p():
     with pytest.raises(ValueError, match="odd prime, got 9"):
         run(9, (0, 40), 6)
