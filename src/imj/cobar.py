@@ -46,12 +46,12 @@ or at a singleton below the next slot's lowest generator (down), and no
 later slot can change that, so a prefix decides a cell.  `_count` gives
 (dim, u_s) by a recursion over slot prefixes and lists no cell.  The
 multiplicities left are one integer (`_pack`): digit i, of 3 bits, holds
-generator i's, up to 7 = S_max + 1 at the guard, under a top digit 1 at
-position n.  A slot of mask m leaves `prof - _spread(n)[m]`, and no
-multiplicity is left once only the top digit is.  The memo key is three
-small ints, (slots left, packed multiplicities, bit of the previous
-singleton or 0); the top digit keeps n in it, so (1, 1) and (1, 1, 0)
-are two entries.  After a singleton {g}, a slot whose lowest generator
+generator i's, up to 7 = S_max + 1 at the guard.  A slot of mask m
+leaves `prof - _spread(k)[m]`, k the highest generator present, and no
+multiplicity is left once prof is 0.  The memo key is three small ints,
+(slots left, packed multiplicities, bit of the previous singleton or 0);
+n is not in it, so (1, 1) and (1, 1, 0), which hold the same cells, are
+one entry.  After a singleton {g}, a slot whose lowest generator
 is above g adds its tails with none matched up (g is matched down);
 otherwise a slot of two or more generators adds its tails, all matched
 up, and a singleton passes the count on as the previous singleton.
@@ -182,10 +182,10 @@ _DIGIT = (1 << _WIDTH) - 1  # the widest multiplicity: S_max + 1 at the guard
 
 def _pack(profile) -> int:
     """A multiplicity profile as one integer: digit i (of _WIDTH bits)
-    holds generator i's multiplicity, under a top digit 1 at position n,
-    so that (1, 1) and (1, 1, 0) stay apart.  A wider multiplicity would
-    carry into the next generator's digit, and raises."""
-    prof = 1
+    holds generator i's multiplicity, so trailing zeros drop out and
+    (1, 1) and (1, 1, 0) pack alike.  A wider multiplicity would carry
+    into the next generator's digit, and raises."""
+    prof = 0
     for m in reversed(profile):
         if not 0 <= m <= _DIGIT:
             raise ValueError(f"multiplicity {m} is outside 0..{_DIGIT}")
@@ -195,8 +195,8 @@ def _pack(profile) -> int:
 
 @functools.cache
 def _spread(n: int) -> list:
-    """Entry m is mask m as a packed profile without its top digit: a 1 in
-    the digit of each generator in m."""
+    """Entry m is mask m on the first n generators as a packed profile: a
+    1 in the digit of each generator in m."""
     return [sum(1 << _WIDTH * i for i in range(n) if m >> i & 1)
             for m in range(1 << n)]
 
@@ -213,7 +213,7 @@ def _choices(slots: int, prof: int) -> list:
     forced = free = total = 0
     bit = 1
     digits = prof
-    while digits > 1:  # down to the top digit's 1
+    while digits:
         m = digits & _DIGIT
         if m > slots:
             return []
@@ -241,7 +241,7 @@ def _block_basis(s: int, prof: int) -> list:
     """Tuples of s nonempty generator masks whose multiset union has the
     packed profile `prof`, in lexicographic slot order."""
     if s == 0:
-        return [] if prof & (prof - 1) else [()]  # only the top digit left
+        return [] if prof else [()]
     return [(sub,) + tail for sub, rest in _choices(s, prof)
             for tail in _block_basis(s - 1, rest)]
 
@@ -350,7 +350,7 @@ def _count(slots: int, prof: int, prev: int) -> tuple:
     them the scan matches up after a singleton of bit `prev` (0: none)
     still undecided.  Memoized in `_BLOCKS`, which all blocks share."""
     if slots == 0:
-        return (0, 0) if prof & (prof - 1) else (1, 0)
+        return (0, 0) if prof else (1, 0)
     key = (slots, prof, prev)
     got = _BLOCKS.get(key)
     if got is None:

@@ -79,10 +79,6 @@ class ModMatrix:
     # ---- constructors ----
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, p: int, N: int) -> "ModMatrix":
-        return cls([[0] * cols for _ in range(rows)], p, N, cols)
-
-    @classmethod
     def identity(cls, n: int, p: int, N: int) -> "ModMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
                    p, N)

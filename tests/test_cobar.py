@@ -383,26 +383,35 @@ def test_widest_multiplicity_packs_and_one_more_is_refused():
 
 
 def unpack(prof):
-    # the multiplicities of a packed profile, generator 1 first, down to
-    # the top digit's 1
+    # the multiplicities of a packed profile, generator 1 first, up to the
+    # highest generator present
     from imj.cobar import _DIGIT, _WIDTH
     out = []
-    while prof > 1:
+    while prof:
         out.append(prof & _DIGIT)
         prof >>= _WIDTH
     return tuple(out)
 
 
+def trim(prof):
+    # a profile tuple without its trailing zero multiplicities
+    while prof and not prof[-1]:
+        prof = prof[:-1]
+    return prof
+
+
 def tuple_walk(sizes):
     # the memo keys of cold `cobar_ext` walks at `sizes`, in the order
-    # they are first stored, from a recursion keyed on profile tuples:
-    # the prefix count over `choices_oracle`, walked over `profiles_oracle`
-    # with the spot check's sizing of one small block per walk
+    # they are first stored, from a recursion keyed on profile tuples
+    # without trailing zeros: the prefix count over `choices_oracle`,
+    # walked over `profiles_oracle` with the spot check's sizing of one
+    # small block per walk
     memo = {}
 
     def count(slots, prof, prev):
+        prof = trim(prof)
         if slots == 0:
-            return (0, 0) if any(prof) else (1, 0)
+            return (0, 0) if prof else (1, 0)
         if (slots, prof, prev) not in memo:
             tails = up = 0
             for sub, rest in choices_oracle(slots, prof):
@@ -423,7 +432,7 @@ def tuple_walk(sizes):
         unchecked = True
         for s in range(1, S + 1):
             for canon, _, _ in profiles_oracle(n, s):
-                if (s, canon, 0) not in memo:
+                if (s, trim(canon), 0) not in memo:
                     dim = count(s, canon, 0)[0]
                     if (unchecked and dim <= 30
                             and 0 < count(s + 1, canon, 0)[0] <= 30):
@@ -432,25 +441,74 @@ def tuple_walk(sizes):
     return list(memo)
 
 
+# the cobar workload's sizes, in the order a batch runs them cold
+BENCH_SIZES = [(2, 6), (3, 4), (3, 5), (4, 3), (4, 4)]
+
+
 def test_cold_walks_store_the_listed_blocks_in_order(monkeypatch):
     # the five benchmark sizes cold in one process: each memo entry,
     # unpacked, is the listing and its scan, and the keys come in the
-    # tuple recursion's order; n stays in the key, so (1, 1) and
-    # (1, 1, 0) are two entries
+    # tuple recursion's order; n is not in the key, so (1, 1) and
+    # (1, 1, 0) are one entry
     from imj import cobar
     from imj.cobar import _block_basis
     monkeypatch.setattr(cobar, "_BLOCKS", {})
-    sizes = [(2, 6), (3, 4), (3, 5), (4, 3), (4, 4)]
-    for n, S in sizes:
+    for n, S in BENCH_SIZES:
         assert cobar_ext(ExteriorHopf(n, 3), S) == symmetric_oracle(n, S)
+    walk = tuple_walk(BENCH_SIZES)
     assert [(slots, unpack(prof), prev)
-            for slots, prof, prev in cobar._BLOCKS] == tuple_walk(sizes)
+            for slots, prof, prev in cobar._BLOCKS] == walk
+    assert len(walk) == 1066
+    assert _pack((1, 1)) == _pack((1, 1, 0))
     for (slots, prof, prev), got in cobar._BLOCKS.items():
         cells = _block_basis(slots, prof)
         head = (prev,) if prev else ()
         assert got == (len(cells),
                        sum(matched_up(head + c) for c in cells)), \
             (slots, unpack(prof), prev)
+
+
+def test_shared_blocks_do_not_depend_on_walk_order(monkeypatch):
+    # sizes with different n store blocks the others read: walked cold
+    # forward and in reverse, each from an empty memo, both give the
+    # stars-and-bars tables and agree on every block they both hold
+    from imj import cobar
+    memos = []
+    for sizes in (BENCH_SIZES, BENCH_SIZES[::-1]):
+        monkeypatch.setattr(cobar, "_BLOCKS", {})
+        for n, S in sizes:
+            assert cobar_ext(ExteriorHopf(n, 3), S) == symmetric_oracle(n, S)
+        memos.append(cobar._BLOCKS)
+    forward, backward = memos
+    shared = forward.keys() & backward.keys()
+    assert (len(forward), len(backward), len(shared)) == (1066, 915, 909)
+    assert [forward[k] for k in shared] == [backward[k] for k in shared]
+
+
+@pytest.mark.parametrize("s,a,b", [(1, 1, 1), (2, 2, 1), (3, 2, 2),
+                                   (4, 3, 2)])
+def test_trailing_zero_multiplicities_give_the_same_matrix(s, a, b):
+    # generators that do not occur change neither the bases nor d
+    for q in (3, 25):
+        wide = cobar_matrix(ExteriorHopf(4, q), s, (a, b, 0, 0))
+        narrow = cobar_matrix(ExteriorHopf(2, q), s, (a, b))
+        assert wide[2].size and wide[:2] == narrow[:2]
+        assert np.array_equal(wide[2], narrow[2])
+
+
+def test_batch_order_spot_checks_are_pinned(monkeypatch):
+    # each call re-ranks the first small block it counts cold; the blocks
+    # earlier sizes stored are not counted again, so (3, 5) and (4, 4)
+    # re-rank none
+    from imj import cobar
+    monkeypatch.setattr(cobar, "_BLOCKS", {})
+    built = []
+    for n, S in BENCH_SIZES:
+        monkeypatch.setattr(cobar, "Smith", lambda A, size=(n, S): (
+            built.append((size, A.rows, A.cols, A.precision)) or Smith(A)))
+        assert cobar_ext(ExteriorHopf(n, 3), S) == symmetric_oracle(n, S)
+    assert built == [((2, 6), 2, 1, 1), ((3, 4), 6, 1, 1),
+                     ((4, 3), 14, 1, 1)]
 
 
 def test_cold_run_lists_one_small_block(monkeypatch):

@@ -42,6 +42,7 @@ from imj.padic import int_valuation, psi_generator, vp
 from imj.ssq import run
 from imj.towers import SupportFunction, TowerSpec, lim_lim1, truncated_kernel
 from mahler_oracle import mahler_complement
+from oracles import zeros
 from render_oracle import run_json_oracle
 
 
@@ -75,7 +76,7 @@ def test_every_operation_takes_its_shape_from_its_data(r, c):
     X = ModMatrix([[rng.randrange(p**N) for _ in range(2)]
                    for _ in range(c)], p, N, 2)
     U, D, V = snf(A)
-    got = [shape(ModMatrix.zeros(r, c, p, N)),
+    got = [shape(zeros(r, c, p, N)),
            shape(ModMatrix.identity(r, p, N)), shape(A.transpose()),
            shape(A.hstack(A)), shape(A.take_rows(1)),
            shape(A.take_rows(r + 2)), shape(A.scale_int(-1)), shape(A * X),
@@ -90,9 +91,9 @@ def test_every_operation_takes_its_shape_from_its_data(r, c):
 def test_equality_compares_shape():
     # with no rows the data is [] whatever the width
     p, N = 3, 2
-    assert ModMatrix.zeros(0, 3, p, N) != ModMatrix.zeros(0, 5, p, N)
-    assert ModMatrix.zeros(0, 3, p, N) == ModMatrix([], p, N, 3)
-    assert ModMatrix.zeros(3, 0, p, N) != ModMatrix.zeros(2, 0, p, N)
+    assert zeros(0, 3, p, N) != zeros(0, 5, p, N)
+    assert zeros(0, 3, p, N) == ModMatrix([], p, N, 3)
+    assert zeros(3, 0, p, N) != zeros(2, 0, p, N)
 
 
 def test_difference_refuses_mismatched_shapes():
@@ -102,7 +103,7 @@ def test_difference_refuses_mismatched_shapes():
              "2x2 - 1x1"),
             (ModMatrix([[1, 2]], p, N), ModMatrix([[1, 2], [3, 4]], p, N),
              "1x2 - 2x2"),
-            (ModMatrix.zeros(0, 3, p, N), ModMatrix.zeros(0, 5, p, N),
+            (zeros(0, 3, p, N), zeros(0, 5, p, N),
              "0x3 - 0x5")]:
         with pytest.raises(ValueError) as exc:
             A - B
@@ -228,7 +229,7 @@ def mixed_matrices():
         p = rng.choice([3, 5, 7])
         N = rng.randint(1, 8)
         r, c = rng.randint(0, 9), rng.randint(0, 9)
-        A = ModMatrix.zeros(r, c, p, N)
+        A = zeros(r, c, p, N)
         A.data = [[mixed_entry(rng, p, N) for _ in range(c)]
                   for _ in range(r)]
         yield A
@@ -507,7 +508,7 @@ def test_smith_reads_unreduced_entries_as_their_residues():
     rng = random.Random(1618)
     for A in mixed_matrices():
         pN = A.modulus
-        B = ModMatrix.zeros(A.rows, A.cols, A.prime, A.precision)
+        B = zeros(A.rows, A.cols, A.prime, A.precision)
         B.data = [[x + rng.randint(-3, 3) * pN for x in row]
                   for row in A.data]
         S, T = Smith(A), Smith(B)
@@ -737,7 +738,7 @@ def test_oracles_refuse_mismatched_shapes_and_subgroups(call, message):
 
 def test_homology_kernel_of_p_squared():
     p, N = 3, 4
-    d_in = ModMatrix.zeros(1, 1, p, N)
+    d_in = zeros(1, 1, p, N)
     d_out = ModMatrix([[p**2]], p, N)
     H = homology(d_in, d_out)
     assert H.exponents == [2]
@@ -747,7 +748,7 @@ def test_homology_kernel_of_p_squared():
 def test_homology_surjective_image():
     p, N = 3, 4
     d_in = ModMatrix([[2]], p, N)   # unit: image is everything
-    d_out = ModMatrix.zeros(1, 1, p, N)
+    d_out = zeros(1, 1, p, N)
     H = homology(d_in, d_out)
     assert H.is_zero()
 
@@ -755,7 +756,7 @@ def test_homology_surjective_image():
 def test_homology_of_identity_complex():
     # 0 -> M -> 0 gives M back
     p, N = 5, 3
-    z = ModMatrix.zeros(2, 2, p, N)
+    z = zeros(2, 2, p, N)
     H = homology(z, z)
     assert H.exponents == [N, N]
     assert H.saturated_count() == 2
@@ -776,7 +777,7 @@ def test_homology_invariance_under_units():
         # build a complex: d_in maps onto part of ker(d_out)
         K = kernel_gens(d_out)
         if K.cols == 0:
-            d_in = ModMatrix.zeros(n, 1, p, N)
+            d_in = zeros(n, 1, p, N)
         else:
             d_in = K
         H0 = homology(d_in, d_out)
@@ -800,8 +801,8 @@ def test_homology_transpose_duality():
     for _ in range(40):
         r = rng.randint(1, 4)
         d = rand_matrix(rng, p, N, r, r)
-        zin = ModMatrix.zeros(r, 1, p, N)
-        zout = ModMatrix.zeros(1, r, p, N)
+        zin = zeros(r, 1, p, N)
+        zout = zeros(1, r, p, N)
         h0 = homology(zin, d)                      # ker d
         h0t = homology(zin, d.transpose())         # ker d^T
         assert h0.exponents == h0t.exponents
@@ -817,8 +818,8 @@ def test_square_complex_ker_coker_match():
     for _ in range(40):
         r = rng.randint(1, 4)
         d = rand_matrix(rng, p, N, r, r)
-        zin = ModMatrix.zeros(r, 1, p, N)
-        zout = ModMatrix.zeros(1, r, p, N)
+        zin = zeros(r, 1, p, N)
+        zout = zeros(1, r, p, N)
         h0 = homology(zin, d)
         h1 = homology(d, zout)
         if N not in h1.exponents:
